@@ -30,13 +30,11 @@ from .fem import (
     build_mesh,
     build_operators,
     discrete_norm,
-    solve_tridiagonal,
 )
 from .stepping import (
     SchemeConfig,
     SimState,
     SolutionRecord,
-    energy,
     initial_state,
     run_simulation,
     sharp_dt_limit,
@@ -44,7 +42,6 @@ from .stepping import (
     step_alg1,
     step_alg2,
     step_monolithic,
-    total_mass,
 )
 from .fdcheck import run_fd
 from .analysis import (

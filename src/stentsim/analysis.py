@@ -193,12 +193,14 @@ def fit_rate(errors, widths) -> list[float]:
 
 @dataclass(frozen=True)
 class RateTable:
-    """Errors per refinement level plus fitted orders per adjacent pair."""
+    """Errors per refinement level plus fitted orders per adjacent pair,
+    and the reference run they were measured against."""
 
     h_values: list[float]
     reports: list[ErrorReport]
     rates_linf_l2: dict[str, list[float]]   # per field c, c1, c2
     rates_l2_h1: dict[str, list[float]]     # per field c, c1
+    reference: SolutionRecord
 
     def rows(self):
         out = []
@@ -279,7 +281,7 @@ def convergence_study(
         name: fit_rate([r.field(name).l2_h1 for r in reports], h_values)
         for name in ("c", "c1")
     }
-    return RateTable(h_values, reports, rates_linf, rates_h1)
+    return RateTable(h_values, reports, rates_linf, rates_h1, ref)
 
 
 def make_reference(

@@ -69,7 +69,6 @@ def _reference_plan(cfg: RunConfig, scale: int = 4):
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
     rec = run_simulation(
         cfg.params, ops, cfg.scheme_config(), list(cfg.snapshot_times),
@@ -92,7 +91,6 @@ def cmd_simulate(args) -> int:
 def cmd_converge(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stent_ratio = max(1, round(cfg.n_s / cfg.n_m))
     table = convergence_study(
         cfg.params, n_m0=cfg.n_m, levels=args.levels,
@@ -115,7 +113,6 @@ def cmd_converge(args) -> int:
 def cmd_compare_fd(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
     snaps = list(cfg.snapshot_times)
     fem = run_simulation(cfg.params, ops, cfg.scheme_config(), snaps,
@@ -134,7 +131,6 @@ def cmd_compare_fd(args) -> int:
 def cmd_compare_alg(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     n_s_ref, n_m_ref, n_ref, n_steps = _reference_plan(cfg, args.ref_scale)
     snaps = _aligned_snapshot_times(cfg.t_end, cfg.dt_m, n_steps)
     print(f"reference: {n_s_ref}/{n_m_ref} elements, {n_ref} steps")
@@ -157,7 +153,6 @@ def cmd_compare_alg(args) -> int:
 def cmd_stepping_study(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         ratios = [int(v) for v in args.ratios.split(",") if v]
     except ValueError:
@@ -281,3 +276,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,7 @@ Schema (keys and nesting are normative):
       n_m: 25                         # media elements
     time:
       t_end: 1.0
-      dt_m: 1.5494e-4                 # macro step
+      dt_m: 1.25e-4                   # macro step
       substep_ratio: 1                # optional, default 1
       substep_domain: stent           # optional, stent|media
       cfl_safety: 0.3                 # optional, default 0.3
@@ -23,14 +23,14 @@ Schema (keys and nesting are normative):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .params import ModelParams, validate_params
-from .stepping import DEFAULT_CFL_SAFETY, SUBSTEP_DOMAINS, VARIANTS, SchemeConfig
+from .stepping import DEFAULT_CFL_SAFETY, SchemeConfig, check_snapshot_times
 
 
 @dataclass(frozen=True)
@@ -139,20 +139,15 @@ def config_from_dict(tree: dict) -> RunConfig:
                                "time.substep_domain")
     cfl_safety = _optional(time_tree, "cfl_safety", float, DEFAULT_CFL_SAFETY,
                            "time.cfl_safety")
-    if t_end < 0 or dt_m <= 0:
-        raise ConfigError("time.t_end must be >= 0 and time.dt_m > 0")
-    if substep_ratio < 1:
-        raise ConfigError("time.substep_ratio must be at least 1")
-    if substep_domain not in SUBSTEP_DOMAINS:
-        raise ConfigError(
-            f"time.substep_domain must be one of {SUBSTEP_DOMAINS}"
-        )
-    if not 0 < cfl_safety <= 1:
-        raise ConfigError("time.cfl_safety must lie in (0, 1]")
 
     variant = _need(tree, "scheme", str, "scheme")
-    if variant not in VARIANTS:
-        raise ConfigError(f"scheme: must be one of {VARIANTS}, got {variant!r}")
+    try:
+        SchemeConfig(variant=variant, dt_m=dt_m, t_end=t_end,
+                     substep_ratio=substep_ratio, cfl_safety=cfl_safety,
+                     substep_domain=substep_domain)
+    except ValidationError as exc:  # exc.key names the SchemeConfig field
+        path = "scheme" if exc.key == "variant" else f"time.{exc.key}"
+        raise ConfigError(f"{path}: {exc}") from None
 
     out_dir = _need(tree, "output.out_dir", str, "output.out_dir")
     out_tree = tree.get("output", {})
@@ -169,13 +164,10 @@ def config_from_dict(tree: dict) -> RunConfig:
         ):
             raise ConfigError("output.snapshot_times: expected a list of numbers")
         snapshot_times = tuple(float(v) for v in snaps)
-    tol = 1e-9 * max(1.0, t_end)
-    if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
-        raise ConfigError("output.snapshot_times must be sorted ascending")
-    if any(ts < -tol or ts > t_end + tol for ts in snapshot_times):
-        raise ConfigError(
-            f"output.snapshot_times must lie within [0, {t_end}]"
-        )
+    try:
+        check_snapshot_times(snapshot_times, t_end)
+    except ValidationError as exc:
+        raise ConfigError(f"output.snapshot_times: {exc}") from None
 
     time_unit = tree.get("time_unit")
     if time_unit is not None:
@@ -202,15 +194,7 @@ def config_from_dict(tree: dict) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     tree = {
-        "params": {
-            "delta": cfg.params.delta,
-            "p_tilde": cfg.params.p_tilde,
-            "pe": cfg.params.pe,
-            "da": cfg.params.da,
-            "k_part": cfg.params.k_part,
-            "phi": cfg.params.phi,
-            "l": cfg.params.l,
-        },
+        "params": asdict(cfg.params),
         "mesh": {"n_s": cfg.n_s, "n_m": cfg.n_m},
         "time": {
             "t_end": cfg.t_end,

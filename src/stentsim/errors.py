@@ -6,7 +6,14 @@ in the CLI) and numerical failures discovered while solving (exit code 2).
 
 
 class ValidationError(ValueError):
-    """Bad user input: parameters, config files, mesh sizes, dimensions."""
+    """Bad user input: parameters, config files, mesh sizes, dimensions.
+
+    ``key`` names the offending field when the check belongs to one.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ParameterError(ValidationError):

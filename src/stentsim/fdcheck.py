@@ -13,29 +13,13 @@ enters this module's numerics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CflError, InstabilityError, ValidationError
-from .fem import MEDIA, STENT, Mesh1D, build_mesh
+from .fem import MEDIA, STENT, build_mesh
 from .params import ModelParams, derived_constants
-from .stepping import RunRecorder, SolutionRecord
-
-
-@dataclass(eq=False)
-class FdGrid:
-    """Difference grids and nodal unknowns for one run.
-
-    The interface x = 0 carries one unknown per side: the last entry of
-    ``c`` (stent side) and the first entries of ``c1``/``c2`` (wall side).
-    """
-
-    mesh_s: Mesh1D
-    mesh_m: Mesh1D
-    c: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
+from .stepping import RunRecorder, SolutionRecord, record_echo
 
 
 def run_fd(
@@ -71,30 +55,16 @@ def run_fd(
         )
 
     n_steps = int(round(t_end / dt)) if t_end > 0 else 0
-    config_echo = {
-        "solver": "fd",
-        "variant": "monolithic",
-        "dt_m": dt,
-        "t_end": t_end,
-        "record_every": int(record_every),
-        "n_s": n_s,
-        "n_m": n_m,
-        "params": {
-            "delta": p.delta, "p_tilde": p.p_tilde, "pe": p.pe, "da": p.da,
-            "k_part": p.k_part, "phi": p.phi, "l": p.l,
-        },
-    }
+    config_echo = record_echo("fd", p, n_s, n_m, record_every,
+                              variant="monolithic", dt_m=dt, t_end=t_end)
     rec = RunRecorder(mesh_s, mesh_m, snapshot_times, dt, n_steps,
                       record_every, t_end, config_echo)
 
-    grid = FdGrid(
-        mesh_s=mesh_s,
-        mesh_m=mesh_m,
-        c=np.full(n_s + 1, float(stent_init)),
-        c1=np.zeros(n_m + 1),
-        c2=np.zeros(n_m + 1),
-    )
-    c, c1, c2 = grid.c, grid.c1, grid.c2
+    # the interface x = 0 carries one unknown per side: the last entry of
+    # c (stent side) and the first entries of c1/c2 (wall side)
+    c = np.full(n_s + 1, float(stent_init))
+    c1 = np.zeros(n_m + 1)
+    c2 = np.zeros(n_m + 1)
     if hold_c1_at is not None:
         c1[:] = hold_c1_at
 
@@ -169,6 +139,5 @@ def run_fd(
 
         c2 = ode_decay * c2 + ode_gain * c1
         c, c1 = c_new, c1_new
-        grid.c, grid.c1, grid.c2 = c, c1, c2
 
     return rec.build()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import ValidationError
 from .params import ModelParams
 
 STENT = "stent"
@@ -186,42 +186,6 @@ def build_operators(p: ModelParams, n_s: int, n_m: int) -> FemOperators:
         stiff_s=assemble_stiffness(mesh_s),
         stiff_m=assemble_stiffness(mesh_m),
     )
-
-
-def solve_tridiagonal(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Thomas elimination (no pivoting) for a tridiagonal system.
-
-    Safe for the strictly diagonally dominant matrices produced here; a
-    vanishing pivot raises SingularMatrixError.
-    """
-    n = m.dim
-    if len(rhs) != n:
-        raise ValidationError(
-            f"dimension mismatch: matrix is {n}, rhs is {len(rhs)}"
-        )
-    scale = max(
-        np.max(np.abs(m.diag)),
-        np.max(np.abs(m.lower), initial=0.0),
-        np.max(np.abs(m.upper), initial=0.0),
-    )
-    tiny = 1e-14 * max(scale, 1e-300)
-    w = np.empty(n - 1) if n > 1 else np.empty(0)
-    g = np.empty(n)
-    piv = m.diag[0]
-    if abs(piv) <= tiny:
-        raise SingularMatrixError("matrix numerically singular")
-    g[0] = rhs[0] / piv
-    for i in range(1, n):
-        w[i - 1] = m.upper[i - 1] / piv
-        piv = m.diag[i] - m.lower[i - 1] * w[i - 1]
-        if abs(piv) <= tiny:
-            raise SingularMatrixError("matrix numerically singular")
-        g[i] = (rhs[i] - m.lower[i - 1] * g[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = g[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = g[i] - w[i] * x[i + 1]
-    return x
 
 
 def discrete_norm(vec: np.ndarray, ops: FemOperators, kind: str, domain: str) -> float:

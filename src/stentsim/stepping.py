@@ -22,18 +22,23 @@ reproduces the single-rate step bitwise.
 Stability: the stated per-subdomain bounds dt_max_s/dt_max_m (see
 DerivedConstants) are the lumped-operator heat bounds.  The consistent
 P1 mass matrix tightens them by a factor three (the largest generalized
-eigenvalue of stiffness against mass is 12/h^2, not 4/h^2), plus a small
-interface-penalty correction; ``sharp_dt_limit`` computes that practical
-limit.  The scheme-config gate checks the stated bounds scaled by
-``cfl_safety`` (default 0.3, inside the sharp limit); a runaway run is
-additionally caught by an energy monitor that aborts loudly instead of
+eigenvalue of stiffness against mass is 12/h^2, not 4/h^2), and the
+interface penalty tightens the stent bound further, to 1/(3 + h_s*P) of
+the stated one; ``sharp_dt_limit`` computes that practical limit.  The
+scheme-config gate checks the stated bounds scaled by ``cfl_safety``
+(default 0.3), which is not the sharp limit: at 50/25 elements and
+ratio 1 it admits 0.90 of the sharp limit, and where the stent bound
+binds or the media takes many substeps it admits more than the sharp
+limit (2.8 times on a 200/1 mesh, 8.5 times at 50/25 with 1000 media
+substeps).  ``stable_step_count`` plans steps on the sharp limit; a
+runaway run is caught by an energy monitor that aborts loudly instead of
 writing non-finite output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -79,26 +84,22 @@ class SchemeConfig:
     substep_domain: str = STENT
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(
-                f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
-            )
-        if not self.dt_m > 0:
-            raise ValidationError(f"dt_m must be positive, got {self.dt_m}")
-        if self.t_end < 0:
-            raise ValidationError(f"t_end must be nonnegative, got {self.t_end}")
-        if not (isinstance(self.substep_ratio, int) and self.substep_ratio >= 1):
-            raise ValidationError(
-                f"substep_ratio must be an integer >= 1, got {self.substep_ratio}"
-            )
-        if not 0 < self.cfl_safety <= 1:
-            raise ValidationError(
-                f"cfl_safety must lie in (0, 1], got {self.cfl_safety}"
-            )
-        if self.substep_domain not in SUBSTEP_DOMAINS:
-            raise ValidationError(
-                f"substep_domain must be one of {SUBSTEP_DOMAINS}"
-            )
+        for key, ok, message in (
+            ("variant", self.variant in VARIANTS,
+             f"unknown variant {self.variant!r}; expected one of {VARIANTS}"),
+            ("dt_m", self.dt_m > 0, f"dt_m must be positive, got {self.dt_m}"),
+            ("t_end", not self.t_end < 0,
+             f"t_end must be nonnegative, got {self.t_end}"),
+            ("substep_ratio",
+             isinstance(self.substep_ratio, int) and self.substep_ratio >= 1,
+             f"substep_ratio must be an integer >= 1, got {self.substep_ratio}"),
+            ("cfl_safety", 0 < self.cfl_safety <= 1,
+             f"cfl_safety must lie in (0, 1], got {self.cfl_safety}"),
+            ("substep_domain", self.substep_domain in SUBSTEP_DOMAINS,
+             f"substep_domain must be one of {SUBSTEP_DOMAINS}"),
+        ):
+            if not ok:
+                raise ValidationError(message, key=key)
 
     def step_limit(self, d: DerivedConstants) -> float:
         """Largest admissible dt_m under the stated per-subdomain bounds."""
@@ -172,27 +173,6 @@ def initial_state(ops: FemOperators) -> SimState:
     )
 
 
-def total_mass(s: SimState, ops: FemOperators, p: ModelParams) -> float:
-    """Total drug content: stent integral + phi-weighted extracellular
-    + (1-phi)-weighted intracellular integrals of the P1 interpolants."""
-    w_s = ops.psi_s.matvec(np.ones_like(s.y0))
-    w_m = ops.psi_m.matvec(np.ones_like(s.y1))
-    return float(
-        np.dot(w_s, s.y0)
-        + p.phi * np.dot(w_m, s.y1)
-        + (1.0 - p.phi) * np.dot(w_m, s.y2)
-    )
-
-
-def energy(s: SimState, ops: FemOperators) -> float:
-    """Sum of squared discrete L2 norms of the three fields."""
-    return float(
-        np.dot(s.y0, ops.psi_s.matvec(s.y0))
-        + np.dot(s.y1, ops.psi_m.matvec(s.y1))
-        + np.dot(s.y2, ops.psi_m.matvec(s.y2))
-    )
-
-
 def sharp_dt_limit(
     p: ModelParams,
     h_s: float,
@@ -233,19 +213,6 @@ def stable_step_count(
     return n
 
 
-def _tri_arrays(m: TridiagonalMatrix):
-    return m.lower, m.diag, m.upper
-
-
-def _combo(mass: TridiagonalMatrix, op: TridiagonalMatrix, factor: float):
-    """Diagonals of (mass - factor * op)."""
-    return (
-        mass.lower - factor * op.lower,
-        mass.diag - factor * op.diag,
-        mass.upper - factor * op.upper,
-    )
-
-
 class _MassFactor:
     """Prefactored LDL^T solve for a symmetric positive tridiagonal matrix."""
 
@@ -263,12 +230,22 @@ class _MassFactor:
         return x
 
 
+def _minus(mass: TridiagonalMatrix, op: TridiagonalMatrix, factor: float):
+    """mass - factor * op."""
+    return TridiagonalMatrix(
+        mass.lower - factor * op.lower,
+        mass.diag - factor * op.diag,
+        mass.upper - factor * op.upper,
+    )
+
+
 class _Kernel:
-    """Precomputed update operators and scratch space for one run.
+    """Precomputed update operators and the monitors for one run.
 
     All variants route through here, including the single-step helpers,
     so a multi-rate run with ratio 1 is bitwise identical to repeated
-    single steps.
+    single steps.  The stent advances in r_s substeps and the media in
+    r_m per macro step; at most one of them exceeds 1.
     """
 
     def __init__(
@@ -280,24 +257,17 @@ class _Kernel:
         substep_domain: str = STENT,
     ):
         self.p = p
-        self.ops = ops
-        self.dt_m = dt_m
-        self.r = substep_ratio
-        self.substep_domain = substep_domain
-
-        n_s = ops.mesh_s.n_elems + 1
-        n_m = ops.mesh_m.n_elems + 1
-
-        dt_stent = dt_m / substep_ratio if substep_domain == STENT else dt_m
-        dt_media = dt_m / substep_ratio if substep_domain == MEDIA else dt_m
-        self.dt_stent = dt_stent
-        self.dt_media = dt_media
+        self.psi_s = ops.psi_s
+        self.psi_m = ops.psi_m
+        self.r_s = substep_ratio if substep_domain == STENT else 1
+        self.r_m = substep_ratio if substep_domain == MEDIA else 1
+        dt_s = dt_m / self.r_s
+        dt_media = dt_m / self.r_m
 
         dp = p.delta * p.p_tilde
-        self.upd_s = _combo(ops.psi_s, ops.mat_a, dt_stent)
-        self.src_s = dt_stent * dp
-        self.upd_m = _combo(ops.psi_m, ops.mat_b, dt_media / p.phi)
-        self.psi_m_arrays = _tri_arrays(ops.psi_m)
+        self.upd_s = _minus(ops.psi_s, ops.mat_a, dt_s)
+        self.src_s = dt_s * dp
+        self.upd_m = _minus(ops.psi_m, ops.mat_b, dt_media / p.phi)
         self.src_m = dt_media / p.phi * dp
         self.coef_y2 = dt_media * p.da / (p.phi * p.k_part)
         self.ode_decay = 1.0 - dt_media * p.da / ((1.0 - p.phi) * p.k_part)
@@ -306,102 +276,55 @@ class _Kernel:
         self.fac_s = _MassFactor(ops.psi_s)
         self.fac_m = _MassFactor(ops.psi_m)
 
-        self._rhs_s = np.empty(n_s)
-        self._rhs_m = np.empty(n_m)
-        self._tmp_m = np.empty(n_m)
-        self._scr_s = np.empty(n_s)
-        self._scr_m = np.empty(n_m)
-
         # row-sum vectors: 1' Psi y as a single dot product
-        self.w_s = ops.psi_s.matvec(np.ones(n_s))
-        self.w_m = ops.psi_m.matvec(np.ones(n_m))
+        self.w_s = ops.psi_s.matvec(np.ones(ops.psi_s.dim))
+        self.w_m = ops.psi_m.matvec(np.ones(ops.psi_m.dim))
 
-    # -- primitive updates -------------------------------------------------
-
-    @staticmethod
-    def _matvec(tri, x, out, scr):
-        lo, di, up = tri
-        np.multiply(di, x, out=out)
-        np.multiply(up, x[1:], out=scr[: len(x) - 1])
-        out[:-1] += scr[: len(x) - 1]
-        np.multiply(lo, x[:-1], out=scr[1 : len(x)])
-        out[1:] += scr[1 : len(x)]
-        return out
-
-    def _stent_steps(self, y0, trace_w, n_sub):
-        """n_sub stent substeps with the wall trace frozen at trace_w."""
+    def _stent_steps(self, y0, trace_w):
+        """r_s stent substeps with the wall trace frozen at trace_w."""
         src = self.src_s * trace_w
-        for _ in range(n_sub):
-            rhs = self._matvec(self.upd_s, y0, self._rhs_s, self._scr_s)
+        for _ in range(self.r_s):
+            rhs = self.upd_s.matvec(y0)
             rhs[-1] += src
             y0 = self.fac_s.solve(rhs)
         return y0
 
-    def _media_update(self, y1, y2_src, trace_s):
-        """One media step consuming the given y2 source and stent trace."""
-        rhs = self._matvec(self.upd_m, y1, self._rhs_m, self._scr_m)
-        tmp = self._matvec(self.psi_m_arrays, y2_src, self._tmp_m, self._scr_m)
-        tmp *= self.coef_y2
-        rhs += tmp
-        rhs[0] += self.src_m * trace_s
-        return self.fac_m.solve(rhs)
-
-    def _ode_update(self, y1_src, y2):
-        out = self.ode_decay * y2
-        out += self.ode_gain * y1_src
-        return out
-
-    def _media_cycle(self, y1, y2, trace_s, n_sub, fresh_y2):
-        """n_sub media+uptake substeps with the stent trace frozen."""
-        for _ in range(n_sub):
-            y2_new = self._ode_update(y1, y2)
-            y1 = self._media_update(y1, y2_new if fresh_y2 else y2, trace_s)
-            y2 = y2_new
+    def _media_steps(self, y1, y2, trace_s, fresh_y2):
+        """r_m uptake+media substeps with the stent trace frozen at
+        trace_s; the media source reads the new y2 if fresh_y2."""
+        for _ in range(self.r_m):
+            y2n = self.ode_decay * y2
+            y2n += self.ode_gain * y1
+            rhs = self.upd_m.matvec(y1)
+            tmp = self.psi_m.matvec(y2n if fresh_y2 else y2)
+            tmp *= self.coef_y2
+            rhs += tmp
+            rhs[0] += self.src_m * trace_s
+            y1 = self.fac_m.solve(rhs)
+            y2 = y2n
         return y1, y2
 
-    # -- macro steps -------------------------------------------------------
-
     def macro_step(self, y0, y1, y2, variant):
-        if self.substep_domain == STENT:
-            return self._macro_stent_sub(y0, y1, y2, variant)
-        return self._macro_media_sub(y0, y1, y2, variant)
-
-    def _macro_stent_sub(self, y0, y1, y2, variant):
-        r = self.r
+        """monolithic feeds both loops level-k traces and the old y2; alg1
+        runs the stent loop first and feeds the media loop the new trace
+        and the new y2; alg2 runs the media loop first (new y2) and feeds
+        the stent loop the new wall trace."""
         if variant == "monolithic":
-            trace_w = y1[0]
-            trace_s = y0[-1]
-            y0n = self._stent_steps(y0, trace_w, r)
-            y1n = self._media_update(y1, y2, trace_s)
-            y2n = self._ode_update(y1, y2)
+            y0n = self._stent_steps(y0, y1[0])
+            y1n, y2n = self._media_steps(y1, y2, y0[-1], fresh_y2=False)
         elif variant == "alg1":
-            y0n = self._stent_steps(y0, y1[0], r)
-            y2n = self._ode_update(y1, y2)
-            y1n = self._media_update(y1, y2n, y0n[-1])
+            y0n = self._stent_steps(y0, y1[0])
+            y1n, y2n = self._media_steps(y1, y2, y0n[-1], fresh_y2=True)
         else:  # alg2
-            y2n = self._ode_update(y1, y2)
-            y1n = self._media_update(y1, y2n, y0[-1])
-            y0n = self._stent_steps(y0, y1n[0], r)
-        return y0n, y1n, y2n
-
-    def _macro_media_sub(self, y0, y1, y2, variant):
-        r = self.r
-        if variant == "monolithic":
-            trace_w = y1[0]
-            trace_s = y0[-1]
-            y0n = self._stent_steps(y0, trace_w, 1)
-            y1n, y2n = self._media_cycle(y1, y2, trace_s, r, fresh_y2=False)
-        elif variant == "alg1":
-            y0n = self._stent_steps(y0, y1[0], 1)
-            y1n, y2n = self._media_cycle(y1, y2, y0n[-1], r, fresh_y2=True)
-        else:  # alg2
-            y1n, y2n = self._media_cycle(y1, y2, y0[-1], r, fresh_y2=True)
-            y0n = self._stent_steps(y0, y1n[0], 1)
+            y1n, y2n = self._media_steps(y1, y2, y0[-1], fresh_y2=True)
+            y0n = self._stent_steps(y0, y1n[0])
         return y0n, y1n, y2n
 
     # -- monitors ----------------------------------------------------------
 
     def mass(self, y0, y1, y2):
+        """Total drug content: stent integral + phi-weighted extracellular
+        + (1-phi)-weighted intracellular integrals of the P1 interpolants."""
         return (
             float(np.dot(self.w_s, y0))
             + self.p.phi * float(np.dot(self.w_m, y1))
@@ -412,12 +335,10 @@ class _Kernel:
         return float(np.dot(self.w_s, y0))
 
     def energy(self, y0, y1, y2):
-        e = float(np.dot(y0, self._matvec(_tri_arrays(self.ops.psi_s), y0,
-                                          self._rhs_s, self._scr_s)))
-        e += float(np.dot(y1, self._matvec(self.psi_m_arrays, y1,
-                                           self._rhs_m, self._scr_m)))
-        e += float(np.dot(y2, self._matvec(self.psi_m_arrays, y2,
-                                           self._rhs_m, self._scr_m)))
+        """Sum of squared discrete L2 norms of the three fields."""
+        e = float(np.dot(y0, self.psi_s.matvec(y0)))
+        e += float(np.dot(y1, self.psi_m.matvec(y1)))
+        e += float(np.dot(y2, self.psi_m.matvec(y2)))
         return e
 
 
@@ -449,6 +370,33 @@ def step_alg2(s: SimState, ops: FemOperators, p: ModelParams, dt: float) -> SimS
     return _single_step(s, ops, p, dt, "alg2")
 
 
+def check_snapshot_times(snapshot_times, t_end: float) -> list[float]:
+    """The requested times as floats; raises ValidationError unless they
+    are sorted ascending and lie within [0, t_end] (to 1e-9 relative)."""
+    times = [float(ts) for ts in snapshot_times]
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValidationError("snapshot_times must be sorted ascending")
+    tol = 1e-9 * max(1.0, t_end)
+    for ts in times:
+        if ts < -tol or ts > t_end + tol:
+            raise ValidationError(f"snapshot time {ts} outside [0, {t_end}]")
+    return times
+
+
+def record_echo(solver: str, p: ModelParams, n_s: int, n_m: int,
+                record_every: int, **scheme) -> dict:
+    """The config a SolutionRecord carries: solver, the scheme fields
+    (variant, dt_m, t_end, ...), mesh sizes and the model parameters."""
+    return {
+        "solver": solver,
+        **scheme,
+        "record_every": int(record_every),
+        "n_s": n_s,
+        "n_m": n_m,
+        "params": asdict(p),
+    }
+
+
 class RunRecorder:
     """Collects monitors, interface traces, and snapshots during a run.
 
@@ -458,15 +406,7 @@ class RunRecorder:
 
     def __init__(self, mesh_s, mesh_m, snapshot_times, dt, n_steps,
                  record_every, t_end, config):
-        snapshot_times = [float(ts) for ts in snapshot_times]
-        if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
-            raise ValidationError("snapshot_times must be sorted ascending")
-        tol = 1e-9 * max(1.0, t_end)
-        for ts in snapshot_times:
-            if ts < -tol or ts > t_end + tol:
-                raise ValidationError(
-                    f"snapshot time {ts} outside [0, {t_end}]"
-                )
+        snapshot_times = check_snapshot_times(snapshot_times, t_end)
         self.mesh_s = mesh_s
         self.mesh_m = mesh_m
         self.record_every = max(1, int(record_every))
@@ -542,22 +482,8 @@ def run_simulation(
     kern = _Kernel(p, ops, cfg.dt_m, cfg.substep_ratio, cfg.substep_domain)
     n_steps = int(round(cfg.t_end / cfg.dt_m)) if cfg.t_end > 0 else 0
 
-    config_echo = {
-        "solver": "fem",
-        "variant": cfg.variant,
-        "dt_m": cfg.dt_m,
-        "t_end": cfg.t_end,
-        "substep_ratio": cfg.substep_ratio,
-        "substep_domain": cfg.substep_domain,
-        "cfl_safety": cfg.cfl_safety,
-        "record_every": int(record_every),
-        "n_s": ops.mesh_s.n_elems,
-        "n_m": ops.mesh_m.n_elems,
-        "params": {
-            "delta": p.delta, "p_tilde": p.p_tilde, "pe": p.pe, "da": p.da,
-            "k_part": p.k_part, "phi": p.phi, "l": p.l,
-        },
-    }
+    config_echo = record_echo("fem", p, ops.mesh_s.n_elems, ops.mesh_m.n_elems,
+                              record_every, **asdict(cfg))
     rec = RunRecorder(ops.mesh_s, ops.mesh_m, snapshot_times, cfg.dt_m,
                       n_steps, record_every, cfg.t_end, config_echo)
 

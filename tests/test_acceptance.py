@@ -76,10 +76,11 @@ def rate_table():
 
 
 @pytest.fixture(scope="session")
-def wall_h1_rates_stent_held():
-    # rate_table's media levels, 640/320 reference, snapshots and
-    # sharp-limit step planning, but every level keeps the reference's
-    # 640-element stent, so the stent trace carries no refinement error
+def wall_h1_rates_stent_held(rate_table):
+    # rate_table's media levels, 640/320 reference (reused from rate_table),
+    # snapshots and sharp-limit step planning, but every level keeps the
+    # reference's 640-element stent, so the stent trace carries no
+    # refinement error
     t_end, n_snapshots = 1.0, 10
     snaps = [i * t_end / n_snapshots for i in range(n_snapshots + 1)]
 
@@ -92,7 +93,8 @@ def wall_h1_rates_stent_held():
         return run_simulation(P, ops, cfg, snaps,
                               record_every=max(1, n_steps // 200))
 
-    ref = run(640, 320)
+    ref = rate_table.reference
+    assert (ref.mesh_s.n_elems, ref.mesh_m.n_elems) == (640, 320)
     levels = (10, 20, 40)
     errors = [compare_records(run(640, n_m), ref).c1.l2_h1 for n_m in levels]
     return fit_rate(errors, [1.0 / n_m for n_m in levels])

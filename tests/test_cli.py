@@ -1,11 +1,18 @@
 import csv
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import stentsim
 from stentsim.cli import run
 from stentsim.fem import build_operators
 from stentsim.params import paper_params
 from stentsim.stepping import sharp_dt_limit
 
 P = paper_params()
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def make_config(tmp_path, n_s=10, n_m=8, steps=40, variant="monolithic",
@@ -58,9 +65,10 @@ def test_validation_error_exit_code(tmp_path, capsys):
 
 def test_cfl_violation_is_validation_error(tmp_path, capsys):
     # dt far above the allowance: rejected before stepping
-    cfg_path, _ = make_config(tmp_path, dt_scale=50.0)
+    cfg_path, out = make_config(tmp_path, dt_scale=50.0)
     assert run(["simulate", "--config", str(cfg_path)]) == 1
     assert "stability allowance" in capsys.readouterr().err
+    assert not out.exists()  # a rejected config leaves no output directory
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -75,6 +83,30 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 def test_unknown_argument_is_validation_error(capsys):
     assert run(["simulate", "--nope"]) == 1
+
+
+def test_readme_example_config_simulates(tmp_path):
+    block = re.search(r"```yaml\n(.*?)```", README.read_text(), re.S).group(1)
+    assert "out_dir: out/run1" in block
+    out = tmp_path / "run1"
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(block.replace("out_dir: out/run1", f"out_dir: {out}"))
+    assert run(["simulate", "--config", str(cfg_path)]) == 0
+    assert (out / "monitors.csv").exists()
+
+
+def test_module_entry_point_reports_errors(tmp_path):
+    src = str(Path(stentsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stentsim.cli", "plot", "--field", "c1",
+         "--out", str(tmp_path / "x.svg")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
 
 
 def test_compare_fd_runs(tmp_path, capsys):

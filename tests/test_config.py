@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from stentsim import ConfigError, paper_params
@@ -74,6 +76,19 @@ def test_bad_scheme_and_bad_params(tmp_path):
         "params: paper_defaults", "params:\n  phi: 1.5\n  use_paper_defaults: true"
     )
     with pytest.raises(ConfigError, match="phi"):
+        parse_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("time_lines,key", [
+    ("  dt_m: -1.0\n", "time.dt_m"),
+    ("  dt_m: 1.5494e-4\n  substep_ratio: 0\n", "time.substep_ratio"),
+    ("  dt_m: 1.5494e-4\n  cfl_safety: 1.5\n", "time.cfl_safety"),
+    ("  dt_m: 1.5494e-4\n  substep_domain: lumen\n", "time.substep_domain"),
+])
+def test_bad_time_values_name_key_path(tmp_path, time_lines, key):
+    text = GOOD.format(out=tmp_path / "o").replace("  dt_m: 1.5494e-4\n",
+                                                   time_lines)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
         parse_config(write_cfg(tmp_path, text))
 
 

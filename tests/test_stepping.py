@@ -10,7 +10,7 @@ from stentsim.params import derived_constants
 from stentsim.stepping import (
     SchemeConfig,
     SimState,
-    energy,
+    _Kernel,
     initial_state,
     run_simulation,
     sharp_dt_limit,
@@ -18,7 +18,6 @@ from stentsim.stepping import (
     step_alg1,
     step_alg2,
     step_monolithic,
-    total_mass,
 )
 
 import oracles
@@ -45,13 +44,18 @@ def state_norm(a: SimState, b: SimState) -> float:
 # ----------------------------------------------------------- initial state
 
 
+def monitors(ops):
+    return _Kernel(P, ops, safe_dt(ops))
+
+
 def test_initial_state_values():
     ops = small_ops()
     s = initial_state(ops)
     assert np.all(s.y0 == 1.0) and np.all(s.y1 == 0.0) and np.all(s.y2 == 0.0)
     assert s.t == 0.0
-    assert total_mass(s, ops, P) == pytest.approx(P.l, rel=1e-14)
-    assert energy(s, ops) == pytest.approx(P.l, rel=1e-14)
+    kern = monitors(ops)
+    assert kern.mass(s.y0, s.y1, s.y2) == pytest.approx(P.l, rel=1e-14)
+    assert kern.energy(s.y0, s.y1, s.y2) == pytest.approx(P.l, rel=1e-14)
 
 
 def test_mass_of_unit_wall_state():
@@ -59,19 +63,18 @@ def test_mass_of_unit_wall_state():
     s = initial_state(ops)
     s.y0[:] = 0.0
     s.y1[:] = 1.0
-    assert total_mass(s, ops, P) == pytest.approx(P.phi, rel=1e-14)
+    assert monitors(ops).mass(s.y0, s.y1, s.y2) == pytest.approx(P.phi, rel=1e-14)
 
 
 def test_energy_quadratic_scaling():
     ops = small_ops()
+    energy = monitors(ops).energy
     s = initial_state(ops)
     s.y1[:] = 0.3
     s.y2[:] = -0.1
-    e1 = energy(s, ops)
-    s2 = SimState(2 * s.y0, 2 * s.y1, 2 * s.y2, 0.0)
-    assert energy(s2, ops) == pytest.approx(4 * e1, rel=1e-13)
-    zero = SimState(0 * s.y0, 0 * s.y1, 0 * s.y2, 0.0)
-    assert energy(zero, ops) == 0.0
+    e1 = energy(s.y0, s.y1, s.y2)
+    assert energy(2 * s.y0, 2 * s.y1, 2 * s.y2) == pytest.approx(4 * e1, rel=1e-13)
+    assert energy(0 * s.y0, 0 * s.y1, 0 * s.y2) == 0.0
 
 
 # ------------------------------------------------------------ single steps
@@ -255,14 +258,20 @@ def test_snapshot_validation():
         run_simulation(P, ops, cfg, [5 * dt, 2 * dt])
 
 
-@pytest.mark.parametrize("variant,step", [
-    ("monolithic", step_monolithic), ("alg1", step_alg1), ("alg2", step_alg2),
+@pytest.mark.parametrize("variant,step,domain", [
+    pytest.param(variant, step, domain,
+                 id=f"{variant}-{step.__name__}" if domain == "stent"
+                 else f"{domain}-{variant}-{step.__name__}")
+    for domain in ("stent", "media")
+    for variant, step in (("monolithic", step_monolithic),
+                          ("alg1", step_alg1), ("alg2", step_alg2))
 ])
-def test_ratio_one_matches_manual_stepping_bitwise(variant, step):
+def test_ratio_one_matches_manual_stepping_bitwise(variant, step, domain):
     ops = small_ops()
     dt = safe_dt(ops)
     n = 25
-    cfg = SchemeConfig(variant, dt, t_end=n * dt, substep_ratio=1)
+    cfg = SchemeConfig(variant, dt, t_end=n * dt, substep_ratio=1,
+                       substep_domain=domain)
     rec = run_simulation(P, ops, cfg, [n * dt])
     s = initial_state(ops)
     for _ in range(n):
