@@ -29,7 +29,7 @@ def main():
     print(f"{n_steps} common steps, dt={dt:.4g}")
 
     ops = build_operators(p, args.n_s, args.n_m)
-    cfg = SchemeConfig("monolithic", dt, t_end=args.t_end, cfl_safety=1 / 3)
+    cfg = SchemeConfig("monolithic", dt, t_end=args.t_end)
     fem = run_simulation(p, ops, cfg, snaps, record_every=max(1, n_steps // 100))
     fd = run_fd(p, args.n_s, args.n_m, dt, args.t_end, snaps,
                 record_every=max(1, n_steps // 100))

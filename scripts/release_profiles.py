@@ -34,7 +34,7 @@ def main():
     snaps = [round(h * 3600.0 / TIME_UNIT / dt) * dt for h in HOURS]
 
     ops = build_operators(p, args.n_s, args.n_m)
-    cfg = SchemeConfig("alg1", dt, t_end=t_end, cfl_safety=1 / 3)
+    cfg = SchemeConfig("alg1", dt, t_end=t_end)
     print(f"running {n_steps} steps to t={t_end} (24 h at {TIME_UNIT:.0f} s/unit)")
     rec = run_simulation(p, ops, cfg, snaps, record_every=10)
 

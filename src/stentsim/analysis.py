@@ -215,26 +215,6 @@ class RateTable:
         return out
 
 
-def _plan_run(p, n_s, n_m, t_end, n_intervals, margin=1.05):
-    """Step count on the sharp stability limit, landing snapshots on the grid."""
-    h_s, h_m = p.l / n_s, 1.0 / n_m
-    n_steps = stable_step_count(
-        p, h_s, h_m, t_end, margin=margin, multiple_of=n_intervals
-    )
-    return n_steps, t_end / n_steps
-
-
-def _study_run(p, n_s, n_m, t_end, dt, variant, snapshot_times, substep_ratio=1):
-    ops = build_operators(p, n_s, n_m)
-    cfg = SchemeConfig(
-        variant, dt, t_end=t_end, substep_ratio=substep_ratio,
-        cfl_safety=1.0 / 3.0,
-    )
-    n_steps = int(round(t_end / dt))
-    record_every = max(1, n_steps // 200)
-    return run_simulation(p, ops, cfg, snapshot_times, record_every=record_every)
-
-
 def convergence_study(
     p: ModelParams,
     n_m0: int = 10,
@@ -258,18 +238,19 @@ def convergence_study(
         raise ValidationError("reference must be finer than the finest level")
     snapshot_times = [i * t_end / n_snapshots for i in range(n_snapshots + 1)]
 
-    n_m_ref = n_m0 * 2 ** (levels - 1 + ref_refine)
-    n_ref_steps, dt_ref = _plan_run(p, stent_ratio * n_m_ref, n_m_ref,
-                                    t_end, n_snapshots)
-    ref = _study_run(p, stent_ratio * n_m_ref, n_m_ref, t_end, dt_ref,
-                     variant, snapshot_times)
+    def run(n_m):
+        # sharp-limit step count, landing the snapshots on the step grid
+        n_s = stent_ratio * n_m
+        n_steps = stable_step_count(p, p.l / n_s, 1.0 / n_m, t_end,
+                                    multiple_of=n_snapshots)
+        return make_reference(p, n_s, n_m, n_steps, t_end, snapshot_times,
+                              variant)
 
+    ref = run(n_m0 * 2 ** (levels - 1 + ref_refine))
     h_values, reports = [], []
     for level in range(levels):
         n_m = n_m0 * 2 ** level
-        n_steps, dt = _plan_run(p, stent_ratio * n_m, n_m, t_end, n_snapshots)
-        rec = _study_run(p, stent_ratio * n_m, n_m, t_end, dt,
-                         variant, snapshot_times)
+        rec = run(n_m)
         h_values.append(1.0 / n_m)
         reports.append(compare_records(rec, ref))
 
@@ -294,10 +275,10 @@ def make_reference(
     variant: str = "monolithic",
     record_every: int | None = None,
 ) -> SolutionRecord:
-    """Fine-grid reference run used by the accuracy studies."""
+    """One run of n_steps equal steps to t_end: the fine-grid reference
+    and every test run of the accuracy studies."""
     ops = build_operators(p, n_s, n_m)
-    cfg = SchemeConfig(variant, t_end / n_steps, t_end=t_end,
-                       cfl_safety=1.0 / 3.0)
+    cfg = SchemeConfig(variant, t_end / n_steps, t_end=t_end)
     if record_every is None:
         record_every = max(1, n_steps // 200)
     return run_simulation(p, ops, cfg, snapshot_times, record_every=record_every)
@@ -323,8 +304,8 @@ def stepping_study(
         raise ValidationError("ratios must be positive integers")
     out = {}
     for q in ratios:
-        rec = _study_run(p, q * n_m, n_m, t_end, t_end / n_steps,
-                         variant, snapshot_times)
+        rec = make_reference(p, q * n_m, n_m, n_steps, t_end,
+                             snapshot_times, variant)
         out[q] = compare_records(rec, ref)
     return out
 
@@ -349,8 +330,8 @@ def compare_algorithms(
     update) on identical meshes and steps, against one fine reference."""
     reports = {}
     for variant in ("alg1", "alg2", "monolithic"):
-        rec = _study_run(p, n_s, n_m, t_end, t_end / n_steps,
-                         variant, snapshot_times)
+        rec = make_reference(p, n_s, n_m, n_steps, t_end, snapshot_times,
+                             variant)
         reports[variant] = compare_records(rec, ref)
     return AlgComparison(
         alg1=reports["alg1"], alg2=reports["alg2"],

@@ -27,7 +27,7 @@ from .errors import ConfigError, NumericsError, ValidationError
 from .fdcheck import run_fd
 from .fem import build_operators
 from .output import PlotStyle, emit_svg_plot, write_record_csv, write_table_csv
-from .stepping import run_simulation, stable_step_count
+from .stepping import run_simulation, stable_step_count, step_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +59,7 @@ def _reference_plan(cfg: RunConfig, scale: int = 4):
     """Aligned fine reference: spatial refinement by ``scale``, step count
     a multiple of the test run's so snapshots land on both grids."""
     p = cfg.params
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt_m)))
+    n_steps = max(1, step_count(cfg.t_end, cfg.dt_m))
     n_s_ref, n_m_ref = scale * cfg.n_s, scale * cfg.n_m
     need = stable_step_count(p, p.l / n_s_ref, 1.0 / n_m_ref, cfg.t_end)
     mult = max(1, -(-need // n_steps))
@@ -91,10 +91,13 @@ def cmd_simulate(args) -> int:
 def cmd_converge(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
-    stent_ratio = max(1, round(cfg.n_s / cfg.n_m))
+    if cfg.n_s % cfg.n_m:
+        raise ConfigError(
+            f"mesh.n_s: converge refines n_s and n_m together and needs "
+            f"n_s to be a multiple of n_m, got {cfg.n_s}/{cfg.n_m}")
     table = convergence_study(
         cfg.params, n_m0=cfg.n_m, levels=args.levels,
-        stent_ratio=stent_ratio, t_end=cfg.t_end, variant=cfg.variant,
+        stent_ratio=cfg.n_s // cfg.n_m, t_end=cfg.t_end, variant=cfg.variant,
     )
     print(f"{'level':>5s} {'h_m':>10s} {'field':>5s} {'norm':>8s} "
           f"{'error':>13s} {'rate':>7s}")

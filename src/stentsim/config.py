@@ -12,7 +12,8 @@ Schema (keys and nesting are normative):
       dt_m: 1.25e-4                   # macro step
       substep_ratio: 1                # optional, default 1
       substep_domain: stent           # optional, stent|media
-      cfl_safety: 0.3                 # optional, default 0.3
+      cfl_safety: 1.0                 # optional, default 1: fraction of
+                                      # the sharp stability limit
     scheme: monolithic                # monolithic | alg1 | alg2
     output:
       out_dir: out/run1

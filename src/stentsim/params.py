@@ -1,4 +1,4 @@
-"""Model parameters and derived stability/energy constants.
+"""Model parameters and derived energy constants.
 
 All quantities are nondimensional.  The stent coating occupies (-l, 0) and
 the tissue (media) occupies (0, 1).  ``time_unit`` (seconds of wall-clock
@@ -63,24 +63,18 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Constants derived from a parameter set and the two mesh widths.
+    """Energy constants derived from a parameter set.
 
     gamma    -- energy weight, min(phi, 1-phi)/2; at most 1/4
     big_m    -- Gronwall growth rate (1+da)/(2*gamma) of the energy bound
-    dt_max_s -- stated explicit step bound for the stent, h_s^2/(2*delta)
-    dt_max_m -- stated explicit step bound for the media, phi*h_m^2/2
     """
 
     gamma: float
     big_m: float
-    dt_max_s: float
-    dt_max_m: float
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 0.25:
             raise ValidationError(f"gamma out of range: {self.gamma}")
-        if not (self.big_m > 0 and self.dt_max_s > 0 and self.dt_max_m > 0):
-            raise ValidationError("derived constants must be positive")
 
 
 def validate_params(raw: dict, use_paper_defaults: bool = False) -> ModelParams:
@@ -115,12 +109,9 @@ def paper_params() -> ModelParams:
 
 
 def derived_constants(p: ModelParams, h_s: float, h_m: float) -> DerivedConstants:
-    """Energy constants plus per-subdomain explicit step bounds.
-
-    The step bounds interpret the stability condition per subdomain: the
-    diffusive bound h_s^2/(2*delta) for the stent operator and
-    phi*h_m^2/2 for the media operator, each in nondimensional time.
-    """
+    """Energy constants for a parameter set on meshes of widths h_s, h_m
+    (the widths are checked; the stable step is
+    ``stepping.sharp_dt_limit``)."""
     if not h_s > 0.0:
         raise ValidationError(f"h_s must be positive, got {h_s}")
     if not h_m > 0.0:
@@ -129,6 +120,4 @@ def derived_constants(p: ModelParams, h_s: float, h_m: float) -> DerivedConstant
     return DerivedConstants(
         gamma=gamma,
         big_m=(1.0 + p.da) / (2.0 * gamma),
-        dt_max_s=h_s * h_s / (2.0 * p.delta),
-        dt_max_m=p.phi * h_m * h_m / 2.0,
     )

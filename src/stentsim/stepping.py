@@ -19,20 +19,16 @@ substeps per macro step while the trace it consumes stays frozen; which
 value is frozen follows the variant's freshness rule, so a ratio of 1
 reproduces the single-rate step bitwise.
 
-Stability: the stated per-subdomain bounds dt_max_s/dt_max_m (see
-DerivedConstants) are the lumped-operator heat bounds.  The consistent
-P1 mass matrix tightens them by a factor three (the largest generalized
-eigenvalue of stiffness against mass is 12/h^2, not 4/h^2), and the
-interface penalty tightens the stent bound further, to 1/(3 + h_s*P) of
-the stated one; ``sharp_dt_limit`` computes that practical limit.  The
-scheme-config gate checks the stated bounds scaled by ``cfl_safety``
-(default 0.3), which is not the sharp limit: at 50/25 elements and
-ratio 1 it admits 0.90 of the sharp limit, and where the stent bound
-binds or the media takes many substeps it admits more than the sharp
-limit (2.8 times on a 200/1 mesh, 8.5 times at 50/25 with 1000 media
-substeps).  ``stable_step_count`` plans steps on the sharp limit; a
-runaway run is caught by an energy monitor that aborts loudly instead of
-writing non-finite output.
+Stability: one rule, ``sharp_dt_limit``, the explicit-Euler limit of
+the consistent-mass system.  The largest generalized eigenvalue of
+stiffness against the P1 mass matrix is 12/h^2, and the interface
+penalty and the advection term tighten the per-subdomain limits
+further; a substepped subdomain gets ``substep_ratio`` times its own
+limit.  ``SchemeConfig`` refuses a macro step above ``cfl_safety`` times
+that limit before the first step, and requires t_end to be a whole
+number of macro steps (``step_count``).  ``stable_step_count`` plans
+step counts on the same limit.  A runaway run is still caught by an
+energy monitor that aborts loudly instead of writing non-finite output.
 """
 
 from __future__ import annotations
@@ -45,14 +41,14 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import CflError, InstabilityError, SingularMatrixError, ValidationError
 from .fem import MEDIA, STENT, FemOperators, Mesh1D, TridiagonalMatrix
-from .params import DerivedConstants, ModelParams, derived_constants
+from .params import ModelParams, derived_constants
 
 VARIANTS = ("monolithic", "alg1", "alg2")
 SUBSTEP_DOMAINS = (STENT, MEDIA)
 
 # abort threshold: measured energy versus the theoretical growth envelope
 ENERGY_GUARD_FACTOR = 10.0
-DEFAULT_CFL_SAFETY = 0.3
+DEFAULT_CFL_SAFETY = 1.0
 
 
 @dataclass(eq=False)
@@ -100,22 +96,18 @@ class SchemeConfig:
         ):
             if not ok:
                 raise ValidationError(message, key=key)
-
-    def step_limit(self, d: DerivedConstants) -> float:
-        """Largest admissible dt_m under the stated per-subdomain bounds."""
-        r = self.substep_ratio
-        if self.substep_domain == STENT:
-            return self.cfl_safety * min(r * d.dt_max_s, d.dt_max_m)
-        return self.cfl_safety * min(d.dt_max_s, r * d.dt_max_m)
+        step_count(self.t_end, self.dt_m)
 
     def check_cfl(self, p: ModelParams, ops: FemOperators) -> None:
-        d = derived_constants(p, ops.mesh_s.h, ops.mesh_m.h)
-        limit = self.step_limit(d)
+        limit = self.cfl_safety * sharp_dt_limit(
+            p, ops.mesh_s.h, ops.mesh_m.h, self.substep_ratio,
+            self.substep_domain)
         if self.dt_m > limit:
             raise CflError(
                 f"dt_m={self.dt_m:.6g} exceeds the stability allowance "
                 f"{limit:.6g} (cfl_safety={self.cfl_safety}, "
-                f"substep_ratio={self.substep_ratio})"
+                f"substep_ratio={self.substep_ratio}, "
+                f"substep_domain={self.substep_domain})"
             )
 
 
@@ -173,6 +165,19 @@ def initial_state(ops: FemOperators) -> SimState:
     )
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size dt that end exactly at t_end; raises
+    ValidationError (key dt_m) unless t_end/dt is a whole number to 1e-9
+    relative, so a run never stops short of its requested time."""
+    ratio = t_end / dt
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9 * ratio:
+        raise ValidationError(
+            f"t_end={t_end!r} is not a whole number of steps of {dt!r} "
+            f"(t_end/dt = {ratio:.12g})", key="dt_m")
+    return n
+
+
 def sharp_dt_limit(
     p: ModelParams,
     h_s: float,
@@ -180,15 +185,18 @@ def sharp_dt_limit(
     substep_ratio: int = 1,
     substep_domain: str = STENT,
 ) -> float:
-    """Practical explicit-step limit for the consistent-mass system.
+    """Largest stable explicit macro step for the consistent-mass system.
 
     Uses 2/lambda_max estimates with lambda_max(Psi^-1 S) = 12/h^2 and a
-    4/h bound for the interface rank-one terms; a factor three below the
-    lumped bounds for small h.
+    4/h bound for the interface rank-one terms, and caps the media step
+    at the explicit-Euler advection-diffusion bound 2*phi/pe^2.
     """
     dp = p.delta * p.p_tilde
     dt_s = h_s * h_s / (6.0 * p.delta + 2.0 * h_s * dp)
-    dt_m = p.phi * h_m * h_m / (6.0 + 2.0 * h_m * (dp + p.pe) + p.da * h_m * h_m)
+    dt_m = min(
+        p.phi * h_m * h_m / (6.0 + 2.0 * h_m * (dp + p.pe) + p.da * h_m * h_m),
+        2.0 * p.phi / (p.pe * p.pe),
+    )
     if substep_domain == STENT:
         return min(substep_ratio * dt_s, dt_m)
     return min(dt_s, substep_ratio * dt_m)
@@ -472,15 +480,15 @@ def run_simulation(
 ) -> SolutionRecord:
     """Advance from t=0 to t_end recording monitors and snapshots.
 
-    Raises CflError before stepping if dt_m violates the configured
-    stability allowance, and InstabilityError if the state goes
+    Raises CflError before stepping if dt_m exceeds cfl_safety times
+    sharp_dt_limit, and InstabilityError if the state goes
     non-finite or the energy leaves the growth envelope by a factor
     ENERGY_GUARD_FACTOR.
     """
     cfg.check_cfl(p, ops)
     d = derived_constants(p, ops.mesh_s.h, ops.mesh_m.h)
     kern = _Kernel(p, ops, cfg.dt_m, cfg.substep_ratio, cfg.substep_domain)
-    n_steps = int(round(cfg.t_end / cfg.dt_m)) if cfg.t_end > 0 else 0
+    n_steps = step_count(cfg.t_end, cfg.dt_m)
 
     config_echo = record_echo("fem", p, ops.mesh_s.n_elems, ops.mesh_m.n_elems,
                               record_every, **asdict(cfg))

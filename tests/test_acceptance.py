@@ -88,8 +88,7 @@ def wall_h1_rates_stent_held(rate_table):
         n_steps = stable_step_count(P, P.l / n_s, 1.0 / n_m, t_end,
                                     margin=1.05, multiple_of=n_snapshots)
         ops = build_operators(P, n_s, n_m)
-        cfg = SchemeConfig("monolithic", t_end / n_steps, t_end=t_end,
-                           cfl_safety=1 / 3)
+        cfg = SchemeConfig("monolithic", t_end / n_steps, t_end=t_end)
         return run_simulation(P, ops, cfg, snaps,
                               record_every=max(1, n_steps // 200))
 
@@ -126,7 +125,7 @@ def release_run():
     n_s, n_m, t_end = 400, 25, 20.0
     n_steps = stable_step_count(P, P.l / n_s, 1.0 / n_m, t_end)
     ops = build_operators(P, n_s, n_m)
-    cfg = SchemeConfig("alg1", t_end / n_steps, t_end=t_end, cfl_safety=1 / 3)
+    cfg = SchemeConfig("alg1", t_end / n_steps, t_end=t_end)
     snaps = [round(k * 0.5 / (t_end / n_steps)) * (t_end / n_steps)
              for k in range(41)]
     return run_simulation(P, ops, cfg, snaps, record_every=1)
@@ -174,7 +173,7 @@ def test_criterion1_h1_order_wall(wall_h1_rates_stent_held):
 def test_criterion2_monolithic_balance_exact(n_s, n_m, frac, n_steps):
     ops = build_operators(P, n_s, n_m)
     dt = frac * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h)
-    cfg = SchemeConfig("monolithic", dt, t_end=n_steps * dt, cfl_safety=1 / 3)
+    cfg = SchemeConfig("monolithic", dt, t_end=n_steps * dt)
     rec = run_simulation(P, ops, cfg, [n_steps * dt])
     resid = float(np.max(np.abs(rec.monitors.balance_residual)))
     assert resid <= 1e-10 * rec.monitors.mass[0]
@@ -191,7 +190,7 @@ def test_criterion2_decoupled_residual_halves(variant):
     t_end = 160 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h) * 0.8
     resids = []
     for n in (200, 400):
-        cfg = SchemeConfig(variant, t_end / n, t_end=t_end, cfl_safety=1 / 3)
+        cfg = SchemeConfig(variant, t_end / n, t_end=t_end)
         rec = run_simulation(P, ops, cfg, [t_end])
         resids.append(abs(rec.monitors.balance_residual[-1]))
     ratio = resids[0] / resids[1]
@@ -214,7 +213,7 @@ def fd_and_fem(n_s, n_steps=FD_STEPS, t_end=1.0, snaps=FD_SNAPSHOT_TIMES,
     every stent mesh used here)."""
     dt = t_end / n_steps
     ops = build_operators(P, n_s, FD_N)
-    cfg = SchemeConfig("monolithic", dt, t_end=t_end, cfl_safety=1 / 3)
+    cfg = SchemeConfig("monolithic", dt, t_end=t_end)
     fem = run_simulation(P, ops, cfg, snaps, record_every=record_every)
     fd = run_fd(P, n_s, FD_N, dt, t_end, snaps, record_every=record_every)
     return fd, fem

@@ -18,7 +18,7 @@ P = paper_params()
 
 def run_record(n_s, n_m, n_steps, t_end, snaps, variant="monolithic"):
     ops = build_operators(P, n_s, n_m)
-    cfg = SchemeConfig(variant, t_end / n_steps, t_end=t_end, cfl_safety=1 / 3)
+    cfg = SchemeConfig(variant, t_end / n_steps, t_end=t_end)
     return run_simulation(P, ops, cfg, snaps)
 
 

@@ -5,14 +5,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stentsim
 from stentsim.cli import run
 from stentsim.fem import build_operators
 from stentsim.params import paper_params
-from stentsim.stepping import sharp_dt_limit
+from stentsim.stepping import SchemeConfig, sharp_dt_limit
 
 P = paper_params()
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(stentsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def make_config(tmp_path, n_s=10, n_m=8, steps=40, variant="monolithic",
@@ -64,21 +76,33 @@ def test_validation_error_exit_code(tmp_path, capsys):
 
 
 def test_cfl_violation_is_validation_error(tmp_path, capsys):
-    # dt far above the allowance: rejected before stepping
-    cfg_path, out = make_config(tmp_path, dt_scale=50.0)
-    assert run(["simulate", "--config", str(cfg_path)]) == 1
-    assert "stability allowance" in capsys.readouterr().err
-    assert not out.exists()  # a rejected config leaves no output directory
+    # dt far above the allowance, or 2.9x the sharp limit (which blows up
+    # mid-run when let through): rejected before stepping
+    for dt_scale in (50.0, 2.9):
+        cfg_path, out = make_config(tmp_path, steps=4000, dt_scale=dt_scale)
+        assert run(["simulate", "--config", str(cfg_path)]) == 1
+        assert "stability allowance" in capsys.readouterr().err
+        assert not out.exists()  # a rejected config leaves no output directory
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
-    # just under the stated bound passes the gate but blows up -> exit 2
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # with the gate switched off, a run that blows up exits 2
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda self, p, ops: None)
     cfg_path, _ = make_config(tmp_path, steps=4000, dt_scale=2.9,
                               extra="", variant="monolithic")
-    text = cfg_path.read_text().replace("dt_m:", "cfl_safety: 1.0\n  dt_m:")
-    cfg_path.write_text(text)
     assert run(["simulate", "--config", str(cfg_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_t_end_not_whole_number_of_steps_refused(tmp_path, capsys):
+    cfg_path, out = make_config(tmp_path, n_s=4, n_m=4)
+    text = re.sub(r"t_end: .*", "t_end: 0.01", cfg_path.read_text())
+    text = re.sub(r"dt_m: .*", "dt_m: 0.003", text)
+    cfg_path.write_text(re.sub(r"snapshot_times: .*",
+                               "snapshot_times: [0.0, 0.01]", text))
+    assert run(["simulate", "--config", str(cfg_path)]) == 1
+    assert "time.dt_m" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_argument_is_validation_error(capsys):
@@ -96,14 +120,10 @@ def test_readme_example_config_simulates(tmp_path):
 
 
 def test_module_entry_point_reports_errors(tmp_path):
-    src = str(Path(stentsim.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "stentsim.cli", "plot", "--field", "c1",
          "--out", str(tmp_path / "x.svg")],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert proc.returncode == 1
     assert "error:" in proc.stderr
@@ -141,6 +161,32 @@ def test_converge_runs(tmp_path, capsys):
     assert run(["converge", "--config", str(cfg_path), "--levels", "2"]) == 0
     assert (out / "convergence.csv").exists()
     assert "rate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_s,n_m", [(6, 4), (4, 8)])
+def test_converge_refuses_mesh_it_cannot_refine(tmp_path, capsys, n_s, n_m):
+    # a stent count that is not a multiple of the media count used to be
+    # rounded silently (30/25 ran as 25/25, 25/50 as 50/50)
+    cfg_path, out = make_config(tmp_path, n_s=n_s, n_m=n_m, steps=10)
+    assert run(["converge", "--config", str(cfg_path), "--levels", "2"]) == 1
+    assert "mesh.n_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("script,args", [
+    ("release_profiles.py", ["--n-s", "10", "--n-m", "5", "--out", "release"]),
+    ("fd_crosscheck.py", ["--n-s", "8", "--n-m", "8", "--t-end", "0.1"]),
+    ("convergence_table.py", ["--n-m0", "4", "--levels", "2", "--t-end",
+                              "0.05", "--out", "convergence.csv"]),
+    ("scheme_comparison.py", ["--quick"]),
+])
+def test_experiment_script_runs(tmp_path, script, args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=src_env(), cwd=tmp_path,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_plot_time_series_and_profiles(tmp_path):

@@ -12,7 +12,7 @@ mesh:
   n_m: 25
 time:
   t_end: 1.0
-  dt_m: 1.5494e-4
+  dt_m: 1.25e-4
 scheme: monolithic
 output:
   out_dir: {out}
@@ -81,12 +81,15 @@ def test_bad_scheme_and_bad_params(tmp_path):
 
 @pytest.mark.parametrize("time_lines,key", [
     ("  dt_m: -1.0\n", "time.dt_m"),
+    ("  dt_m: 0.003\n", "time.dt_m"),  # t_end = 333.3 steps
     ("  dt_m: 1.5494e-4\n  substep_ratio: 0\n", "time.substep_ratio"),
     ("  dt_m: 1.5494e-4\n  cfl_safety: 1.5\n", "time.cfl_safety"),
     ("  dt_m: 1.5494e-4\n  substep_domain: lumen\n", "time.substep_domain"),
 ])
 def test_bad_time_values_name_key_path(tmp_path, time_lines, key):
-    text = GOOD.format(out=tmp_path / "o").replace("  dt_m: 1.5494e-4\n",
+    # 1.5494e-4 does not divide t_end, but each named field is checked
+    # before the step count
+    text = GOOD.format(out=tmp_path / "o").replace("  dt_m: 1.25e-4\n",
                                                    time_lines)
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
         parse_config(write_cfg(tmp_path, text))
@@ -115,8 +118,8 @@ def test_roundtrip_with_all_optionals(tmp_path):
         "time_unit: 4320.0\n"
     )
     text = text.replace(
-        "  dt_m: 1.5494e-4\n",
-        "  dt_m: 1.5494e-4\n  substep_ratio: 3\n  substep_domain: media\n"
+        "  dt_m: 1.25e-4\n",
+        "  dt_m: 1.25e-4\n  substep_ratio: 3\n  substep_domain: media\n"
         "  cfl_safety: 0.25\n",
     )
     src = parse_config(write_cfg(tmp_path, text))

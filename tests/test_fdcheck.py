@@ -4,15 +4,14 @@ import pytest
 from stentsim import CflError, compare_records, paper_params
 from stentsim.fdcheck import run_fd
 from stentsim.fem import build_operators
-from stentsim.params import derived_constants
-from stentsim.stepping import SchemeConfig, run_simulation, stable_step_count
+from stentsim.stepping import (SchemeConfig, run_simulation, sharp_dt_limit,
+                               stable_step_count)
 
 P = paper_params()
 
 
-def fd_dt(n_s, n_m, frac=0.3):
-    d = derived_constants(P, P.l / n_s, 1.0 / n_m)
-    return frac * min(d.dt_max_s, d.dt_max_m)
+def fd_dt(n_s, n_m, frac=0.9):
+    return frac * sharp_dt_limit(P, P.l / n_s, 1.0 / n_m)
 
 
 def test_zero_initial_data_stays_zero():
@@ -34,7 +33,8 @@ def test_held_wall_field_drives_uptake_to_partition_value():
     rec = run_fd(P, 4, 4, dt, n * dt, [n * dt], hold_c1_at=a)
     c2 = rec.snapshots[-1].state.y2
     x = dt * P.da / ((1.0 - P.phi) * P.k_part)
-    expected = P.k_part * a * (1.0 - (1.0 - x) ** n)
+    # 1 - (1-x)^n without the cancellation of the direct form
+    expected = -P.k_part * a * np.expm1(n * np.log1p(-x))
     np.testing.assert_allclose(c2, expected, rtol=1e-12)
     # gap toward the fixed point shrank by exactly (1-x)^n
     assert abs(P.k_part * a - c2[0]) == pytest.approx(
@@ -43,9 +43,16 @@ def test_held_wall_field_drives_uptake_to_partition_value():
 
 
 def test_cfl_rejected():
-    d = derived_constants(P, P.l / 8, 1.0 / 8)
-    with pytest.raises(CflError):
-        run_fd(P, 8, 8, 1.01 * min(d.dt_max_s, d.dt_max_m), 1.0, [0.0])
+    # the same sharp limit as the finite-element gate; the classical
+    # bounds min(h_s^2/(2*delta), phi*h_m^2/2) admitted 24x it on 60/1
+    for n_s, n_m in ((8, 8), (60, 1), (200, 1)):
+        limit = sharp_dt_limit(P, P.l / n_s, 1.0 / n_m)
+        classical = min((P.l / n_s) ** 2 / (2 * P.delta),
+                        P.phi / (2 * n_m ** 2))
+        for dt in (1.01 * limit, 0.99 * classical):
+            with pytest.raises(CflError, match="stability allowance"):
+                run_fd(P, n_s, n_m, dt, 100 * dt, [0.0])
+        run_fd(P, n_s, n_m, limit, 0.0, [0.0])
 
 
 def test_stent_mass_nonincreasing():
@@ -67,7 +74,7 @@ def test_fd_and_fem_converge_together_under_refinement():
         n_steps = stable_step_count(P, P.l / n, 1.0 / n, t_end, multiple_of=5)
         dt = t_end / n_steps
         ops = build_operators(P, n, n)
-        cfg = SchemeConfig("monolithic", dt, t_end=t_end, cfl_safety=1 / 3)
+        cfg = SchemeConfig("monolithic", dt, t_end=t_end)
         fem = run_simulation(P, ops, cfg, snaps, record_every=n_steps)
         fd = run_fd(P, n, n, dt, t_end, snaps, record_every=n_steps)
         rep = compare_records(fd, fem)

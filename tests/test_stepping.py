@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from stentsim.stepping import (
     stable_step_count,
     step_alg1,
     step_alg2,
+    step_count,
     step_monolithic,
 )
 
@@ -204,23 +206,117 @@ def test_scheme_config_validation():
         SchemeConfig("alg1", 1e-4, 1.0, substep_domain="lumen")
 
 
+def classical_media_bound(ops):
+    """The lumped-mass heat bound phi*h_m^2/2, three times the sharp
+    consistent-mass media limit for small h_m."""
+    return P.phi * ops.mesh_m.h ** 2 / 2.0
+
+
 def test_cfl_gate():
     ops = build_operators(P, 50, 25)
-    d = derived_constants(P, ops.mesh_s.h, ops.mesh_m.h)
-    bad = SchemeConfig("monolithic", 1.01 * d.dt_max_m, t_end=1.0, cfl_safety=1.0)
+    limit = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h)
+    for dt in (1.01 * limit, 1.01 * classical_media_bound(ops)):
+        bad = SchemeConfig("monolithic", dt, t_end=0.0)
+        with pytest.raises(CflError, match="substep_domain=stent"):
+            run_simulation(P, ops, bad, [0.0])
+    SchemeConfig("monolithic", limit, t_end=0.0).check_cfl(P, ops)
     with pytest.raises(CflError):
-        run_simulation(P, ops, bad, [0.0])
-    # substepping the stent relaxes only the stent bound
-    d_small = derived_constants(P, ops.mesh_s.h, ops.mesh_m.h)
-    ok = SchemeConfig("monolithic", 0.9 * d_small.dt_max_m, t_end=0.0,
-                      substep_ratio=4, cfl_safety=1.0)
-    ok.check_cfl(P, ops)
+        SchemeConfig("monolithic", 0.5 * limit, t_end=0.0,
+                     cfl_safety=0.49).check_cfl(P, ops)
+    # on a stent-limited mesh, substepping the stent relaxes the gate and
+    # substepping the media does not
+    ops = build_operators(P, 200, 1)
+    dt = 2.0 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h)
+    SchemeConfig("monolithic", dt, t_end=0.0, substep_ratio=4).check_cfl(P, ops)
+    with pytest.raises(CflError):
+        SchemeConfig("monolithic", dt, t_end=0.0, substep_ratio=4,
+                     substep_domain="media").check_cfl(P, ops)
 
 
-def test_paper_step_count_passes_gate_at_third():
+def test_paper_step_count_passes_gate():
     ops = build_operators(P, 50, 25)
-    cfg = SchemeConfig("alg1", 1.0 / 6454, t_end=1.0, cfl_safety=1.0 / 3.0)
+    cfg = SchemeConfig("alg1", 1.0 / 6454, t_end=1.0)
     cfg.check_cfl(P, ops)
+
+
+@pytest.mark.parametrize("n_s,n_m,dt_of", [
+    pytest.param(10, 10, lambda ops: 0.99 * classical_media_bound(ops),
+                 id="classical-media-bound"),
+    pytest.param(200, 1, lambda ops: 2.8 * sharp_dt_limit(
+        P, ops.mesh_s.h, ops.mesh_m.h), id="stent-limited-200-1"),
+])
+def test_unstable_steps_refused_before_step_one(monkeypatch, n_s, n_m, dt_of):
+    # steps the classical bounds admitted, which blow up mid-run, are
+    # refused before the first step
+    def no_step(*args):
+        raise AssertionError("stepped past the gate")
+
+    monkeypatch.setattr(_Kernel, "macro_step", no_step)
+    ops = build_operators(P, n_s, n_m)
+    dt = dt_of(ops)
+    cfg = SchemeConfig("monolithic", dt, t_end=300 * dt)
+    with pytest.raises(CflError, match="stability allowance"):
+        run_simulation(P, ops, cfg, [0.0])
+
+
+def test_t_end_must_be_whole_number_of_steps():
+    assert step_count(0.0, 0.003) == 0
+    assert step_count(1.0, 1.0 / 6454) == 6454
+    for t_end, dt in ((0.01, 0.003), (0.001, 0.003), (1.0, 1.5494e-4)):
+        with pytest.raises(ValidationError, match="whole number") as err:
+            SchemeConfig("monolithic", dt, t_end=t_end)
+        assert err.value.key == "dt_m"
+
+
+# ------------------------------------------------- sharp limit is sharp
+
+
+def step_matrix(kern, variant, ops):
+    """Dense matrix of one macro step, column j the image of e_j."""
+    a, b = ops.mesh_s.n_elems + 1, ops.mesh_m.n_elems + 1
+    cols = []
+    for e in np.eye(a + 2 * b):
+        y0, y1, y2 = kern.macro_step(e[:a], e[a:a + b], e[a + b:], variant)
+        cols.append(np.concatenate([y0, y1, y2]))
+    return np.array(cols).T
+
+
+def spectral_radius_at_limit(p, n_s, n_m, variant, r=1, domain="stent",
+                             scale=1.0):
+    ops = build_operators(p, n_s, n_m)
+    dt = scale * sharp_dt_limit(p, ops.mesh_s.h, ops.mesh_m.h, r, domain)
+    kern = _Kernel(p, ops, dt, r, domain)
+    return max(abs(np.linalg.eigvals(step_matrix(kern, variant, ops))))
+
+
+SETTINGS = {"r1": (1, "stent"), "stent4": (4, "stent"), "media4": (4, "media")}
+VARIANT_NAMES = ("monolithic", "alg1", "alg2")
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("n_s,n_m", [
+    (8, 6), (20, 10), (50, 25), (60, 1), (1, 60), (60, 60), (30, 50),
+])
+def test_step_map_stable_at_sharp_limit(n_s, n_m, setting):
+    for variant in VARIANT_NAMES:
+        rho = spectral_radius_at_limit(P, n_s, n_m, variant, *SETTINGS[setting])
+        assert rho <= 1.0 + 1e-12, variant
+
+
+def test_sharp_limit_is_sharp():
+    # 5% past the limit the step map already grows
+    assert spectral_radius_at_limit(P, 20, 10, "monolithic", scale=1.05) > 1.0
+
+
+@pytest.mark.parametrize("pe", [100.0, 300.0, 1000.0])
+def test_step_map_stable_at_limit_under_strong_advection(pe):
+    p = dataclasses.replace(P, pe=pe)
+    for n_s, n_m in ((8, 6), (50, 25)):
+        for setting in ("r1", "media4"):
+            for variant in VARIANT_NAMES:
+                rho = spectral_radius_at_limit(p, n_s, n_m, variant,
+                                               *SETTINGS[setting])
+                assert rho <= 1.0 + 1e-12, (n_s, n_m, setting, variant)
 
 
 # -------------------------------------------------------------- run driver
@@ -338,7 +434,7 @@ def test_monolithic_balance_is_roundoff_exact():
 def test_balance_property_random_configs(n_s, n_m, frac, n_steps):
     ops = build_operators(P, n_s, n_m)
     dt = frac * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h)
-    cfg = SchemeConfig("monolithic", dt, t_end=n_steps * dt, cfl_safety=1 / 3)
+    cfg = SchemeConfig("monolithic", dt, t_end=n_steps * dt)
     rec = run_simulation(P, ops, cfg, [n_steps * dt])
     assert balance_max(rec) <= 1e-10 * rec.monitors.mass[0]
 
@@ -372,14 +468,14 @@ def test_energy_stays_inside_growth_envelope():
     assert np.all(rec.monitors.energy <= 1.05 * envelope)
 
 
-def test_unstable_step_is_caught_by_energy_guard():
-    # the stated media bound is a factor three looser than the sharp
-    # consistent-mass limit, so running just under it must blow up and
-    # be reported rather than produce non-finite output silently
+def test_unstable_step_is_caught_by_energy_guard(monkeypatch):
+    # the safety net behind the gate: with the gate switched off, a step
+    # just under the classical media bound (three times the sharp limit)
+    # must blow up and be reported rather than produce non-finite output
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda self, p, ops: None)
     ops = build_operators(P, 10, 10)
-    d = derived_constants(P, ops.mesh_s.h, ops.mesh_m.h)
-    cfg = SchemeConfig("monolithic", 0.99 * d.dt_max_m, t_end=300 * d.dt_max_m,
-                       cfl_safety=1.0)
+    dt = 0.99 * classical_media_bound(ops)
+    cfg = SchemeConfig("monolithic", dt, t_end=300 * dt)
     with pytest.raises(InstabilityError, match="instability detected"):
         run_simulation(P, ops, cfg, [0.0])
 
@@ -406,7 +502,7 @@ def test_baseline_configuration_runs_to_completion():
     # later decay happens beyond this window and is checked on the
     # release horizon in the acceptance suite)
     ops = build_operators(P, 50, 25)
-    cfg = SchemeConfig("alg1", 1.0 / 6454, t_end=1.0, cfl_safety=1 / 3)
+    cfg = SchemeConfig("alg1", 1.0 / 6454, t_end=1.0)
     rec = run_simulation(P, ops, cfg, [0.0, 1.0], record_every=50)
     assert np.all(np.isfinite(rec.monitors.energy))
     assert rec.monitors.stent_mass[-1] < rec.monitors.stent_mass[0]
