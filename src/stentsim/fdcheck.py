@@ -40,8 +40,10 @@ def run_fd(
     standard initial data is 1).  ``hold_c1_at`` freezes the wall field
     at a constant, a manufactured mode used to test the uptake ODE in
     isolation.  The step is gated on the finite-element solver's
-    ``sharp_dt_limit``; this scheme is stable there while the cell
-    Peclet number pe*h_m is at most 2, and can be unstable above it.
+    ``sharp_dt_limit``, where this scheme is stable while the cell
+    Peclet number pe*h_m is at most 2; a larger one is refused with
+    CflError before the first step, since the central advection
+    difference then grows at that limit.
     """
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -50,6 +52,12 @@ def run_fd(
     mesh_s = build_mesh(STENT, n_s, l=p.l)
     mesh_m = build_mesh(MEDIA, n_m)
     h_s, h_m = mesh_s.h, mesh_m.h
+    if p.pe * h_m > 2.0:
+        raise CflError(
+            f"cell Peclet number pe*h_m={p.pe * h_m:.6g} exceeds 2: the "
+            f"central advection difference is unstable; refine the media "
+            f"mesh to n_m >= {math.ceil(p.pe / 2.0)}"
+        )
     limit = sharp_dt_limit(p, h_s, h_m)
     if dt > limit:
         raise CflError(

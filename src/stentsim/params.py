@@ -108,14 +108,9 @@ def paper_params() -> ModelParams:
     return validate_params({}, use_paper_defaults=True)
 
 
-def derived_constants(p: ModelParams, h_s: float, h_m: float) -> DerivedConstants:
-    """Energy constants for a parameter set on meshes of widths h_s, h_m
-    (the widths are checked; the stable step is
+def derived_constants(p: ModelParams) -> DerivedConstants:
+    """Energy constants of a parameter set (the stable step is
     ``stepping.sharp_dt_limit``)."""
-    if not h_s > 0.0:
-        raise ValidationError(f"h_s must be positive, got {h_s}")
-    if not h_m > 0.0:
-        raise ValidationError(f"h_m must be positive, got {h_m}")
     gamma = 0.5 * min(p.phi, 1.0 - p.phi)
     return DerivedConstants(
         gamma=gamma,

@@ -15,9 +15,37 @@ sequential: y2 first, then y1 (fresh y2, stale stent trace), then y0
 (fresh wall trace).
 
 Multi-rate stepping advances one subdomain in ``substep_ratio`` equal
-substeps per macro step while the trace it consumes stays frozen; which
-value is frozen follows the variant's freshness rule, so a ratio of 1
-reproduces the single-rate step bitwise.
+substeps of dt/ratio per macro step while the trace it consumes stays
+frozen, at level k except where the variant reads a fresh trace: alg1's
+media reads the stent trace after the stent's whole macro step, alg2's
+stent the wall trace after the media's.  Each media substep's uptake
+source reads y2 from the substep's start (monolithic) or end (alg1,
+alg2).  A ratio of 1 reproduces the single-rate step bitwise.
+
+The kernel computes this as one stacked step.  With z = [y0; y1] and
+Psi = blockdiag(Psi_s, Psi_m), the first two updates read
+
+    Psi z' = U z + (dt*da/(phi*K)) Psi [0; y2]
+
+where U = blockdiag(Psi_s - dt*A, Psi_m - (dt/phi)*B) carries the two
+interface sources on the junction's off-diagonals: dt*delta*P at the top
+right (last stent row, first media column) and (dt/phi)*delta*P at the
+bottom left.  Psi's junction off-diagonal is zero, so its LDL^T factor
+restarts there and each block solves exactly as it would alone.  Since
+Psi_m^-1 (c Psi_m y2) = c y2, the uptake source is added after the
+solve, and a monolithic step is one tridiagonal matvec, one LAPACK
+``dpttrs`` solve, y1' += c*y2 and the y2 update.  The decoupled variants
+start from that result and add exact corrections along the precomputed
+columns g_s = dt*delta*P Psi_s^-1 e_last and g_m = (dt/phi)*delta*P
+Psi_m^-1 e_first:
+
+    alg1:  y1' += c*y2' + (y0'[last] - y0[last]) g_m
+    alg2:  y1' += c*y2',  then  y0' += (y1'[0] - y1[0]) g_s
+
+In a multi-rate macro step the stacked step is the first substep of both
+subdomains and the substepped subdomain takes its other ratio - 1
+substeps alone; a correction that reads the substepped subdomain's trace
+waits for those substeps, the other is applied before them.
 
 Stability: one rule, ``sharp_dt_limit``, the explicit-Euler limit of
 the consistent-mass system.  The largest generalized eigenvalue of
@@ -247,13 +275,37 @@ def _minus(mass: TridiagonalMatrix, op: TridiagonalMatrix, factor: float):
     )
 
 
-class _Kernel:
-    """Precomputed update operators and the monitors for one run.
+def _stack(top: TridiagonalMatrix, bottom: TridiagonalMatrix,
+           top_right: float, bottom_left: float) -> TridiagonalMatrix:
+    """blockdiag(top, bottom) with the two junction off-diagonal entries."""
+    return TridiagonalMatrix(
+        np.concatenate([top.lower, [bottom_left], bottom.lower]),
+        np.concatenate([top.diag, bottom.diag]),
+        np.concatenate([top.upper, [top_right], bottom.upper]),
+    )
 
-    All variants route through here, including the single-step helpers,
-    so a multi-rate run with ratio 1 is bitwise identical to repeated
-    single steps.  The stent advances in r_s substeps and the media in
-    r_m per macro step; at most one of them exceeds 1.
+
+def _block(m: TridiagonalMatrix, lo: int, hi: int) -> TridiagonalMatrix:
+    """The diagonal block of rows and columns lo..hi-1 (views)."""
+    return TridiagonalMatrix(m.lower[lo:hi - 1], m.diag[lo:hi],
+                             m.upper[lo:hi - 1])
+
+
+class _Kernel:
+    """Precomputed stacked operators and the monitors for one run.
+
+    The state is z = [y0; y1] (y0 is z[:n0]) plus y2.  A macro step is
+    one stacked step: ``upd`` = blockdiag(Psi_s - dt_s*A, Psi_m -
+    (dt_media/phi)*B) with the interface sources src_s (top right) and
+    src_m (bottom left) on its junction off-diagonals, one solve with
+    ``fac``, the LDL^T factor of blockdiag(Psi_s, Psi_m), and the uptake
+    source coef_y2*y2 added after the solve.  alg1 and alg2 then correct
+    the trace they read fresh along the columns g_m and g_s (see the
+    module docstring).  The stent advances in r_s substeps and the media
+    in r_m per macro step; at most one of them exceeds 1, and its other
+    substeps run on that block alone.  All variants route through here,
+    including the single-step helpers, so a multi-rate run with ratio 1
+    is bitwise identical to repeated single steps.
     """
 
     def __init__(
@@ -265,100 +317,118 @@ class _Kernel:
         substep_domain: str = STENT,
     ):
         self.p = p
-        self.psi_s = ops.psi_s
-        self.psi_m = ops.psi_m
+        self.n0 = n0 = ops.psi_s.dim
         self.r_s = substep_ratio if substep_domain == STENT else 1
         self.r_m = substep_ratio if substep_domain == MEDIA else 1
         dt_s = dt_m / self.r_s
         dt_media = dt_m / self.r_m
 
         dp = p.delta * p.p_tilde
-        self.upd_s = _minus(ops.psi_s, ops.mat_a, dt_s)
         self.src_s = dt_s * dp
-        self.upd_m = _minus(ops.psi_m, ops.mat_b, dt_media / p.phi)
         self.src_m = dt_media / p.phi * dp
+        self.upd = _stack(_minus(ops.psi_s, ops.mat_a, dt_s),
+                          _minus(ops.psi_m, ops.mat_b, dt_media / p.phi),
+                          self.src_s, self.src_m)
         self.coef_y2 = dt_media * p.da / (p.phi * p.k_part)
         self.ode_decay = 1.0 - dt_media * p.da / ((1.0 - p.phi) * p.k_part)
         self.ode_gain = dt_media * p.da / (1.0 - p.phi)
 
+        self.psi = _stack(ops.psi_s, ops.psi_m, 0.0, 0.0)
+        self.psi_m = ops.psi_m
+        self.fac = _MassFactor(self.psi)
+        # the blocks alone, for the substeps after the stacked one
+        self.upd_s = _block(self.upd, 0, n0)
+        self.upd_m = _block(self.upd, n0, self.psi.dim)
         self.fac_s = _MassFactor(ops.psi_s)
         self.fac_m = _MassFactor(ops.psi_m)
 
+        # correction columns: the response of each block to a unit trace
+        e = np.zeros(self.psi.dim)
+        e[n0 - 1] = self.src_s
+        e[n0] = self.src_m
+        g = self.fac.solve(e)
+        self.g_s, self.g_m = g[:n0], g[n0:]
+
         # row-sum vectors: 1' Psi y as a single dot product
-        self.w_s = ops.psi_s.matvec(np.ones(ops.psi_s.dim))
+        self.w_s = ops.psi_s.matvec(np.ones(n0))
         self.w_m = ops.psi_m.matvec(np.ones(ops.psi_m.dim))
+        self.w_z = np.concatenate([self.w_s, p.phi * self.w_m])
 
     def _stent_steps(self, y0, trace_w):
-        """r_s stent substeps with the wall trace frozen at trace_w."""
+        """The r_s - 1 stent substeps after the stacked one, in place,
+        with the wall trace frozen at trace_w."""
         src = self.src_s * trace_w
-        for _ in range(self.r_s):
+        for _ in range(self.r_s - 1):
             rhs = self.upd_s.matvec(y0)
             rhs[-1] += src
-            y0 = self.fac_s.solve(rhs)
-        return y0
+            y0[:] = self.fac_s.solve(rhs)
 
     def _media_steps(self, y1, y2, trace_s, fresh_y2):
-        """r_m uptake+media substeps with the stent trace frozen at
-        trace_s; the media source reads the new y2 if fresh_y2."""
-        for _ in range(self.r_m):
+        """The r_m - 1 uptake+media substeps after the stacked one: y1 in
+        place, the new y2 returned.  The stent trace is frozen at trace_s;
+        the media source reads the substep's new y2 if fresh_y2."""
+        src = self.src_m * trace_s
+        for _ in range(self.r_m - 1):
             y2n = self.ode_decay * y2
             y2n += self.ode_gain * y1
             rhs = self.upd_m.matvec(y1)
-            tmp = self.psi_m.matvec(y2n if fresh_y2 else y2)
-            tmp *= self.coef_y2
-            rhs += tmp
-            rhs[0] += self.src_m * trace_s
-            y1 = self.fac_m.solve(rhs)
+            rhs[0] += src
+            y1[:] = self.fac_m.solve(rhs)
+            y1 += self.coef_y2 * (y2n if fresh_y2 else y2)
             y2 = y2n
-        return y1, y2
+        return y2
 
-    def macro_step(self, y0, y1, y2, variant):
-        """monolithic feeds both loops level-k traces and the old y2; alg1
-        runs the stent loop first and feeds the media loop the new trace
-        and the new y2; alg2 runs the media loop first (new y2) and feeds
-        the stent loop the new wall trace."""
-        if variant == "monolithic":
-            y0n = self._stent_steps(y0, y1[0])
-            y1n, y2n = self._media_steps(y1, y2, y0[-1], fresh_y2=False)
-        elif variant == "alg1":
-            y0n = self._stent_steps(y0, y1[0])
-            y1n, y2n = self._media_steps(y1, y2, y0n[-1], fresh_y2=True)
-        else:  # alg2
-            y1n, y2n = self._media_steps(y1, y2, y0[-1], fresh_y2=True)
-            y0n = self._stent_steps(y0, y1n[0])
-        return y0n, y1n, y2n
+    def macro_step(self, z, y2, variant):
+        """One macro step from (z, y2); returns the new (z, y2).
+
+        monolithic feeds both subdomains level-k traces and the old y2;
+        alg1 feeds the media the new stent trace and the new y2; alg2
+        feeds the media the new y2 and the stent the new wall trace."""
+        n0 = self.n0
+        trace_s, trace_w = z[n0 - 1], z[n0]
+        zn = self.fac.solve(self.upd.matvec(z))
+        y0n, y1n = zn[:n0], zn[n0:]
+        y2n = self.ode_decay * y2
+        y2n += self.ode_gain * z[n0:]
+        fresh_y2 = variant != "monolithic"
+        y1n += self.coef_y2 * (y2n if fresh_y2 else y2)
+        if variant == "alg1":
+            self._stent_steps(y0n, trace_w)
+            y1n += (y0n[-1] - trace_s) * self.g_m
+            y2n = self._media_steps(y1n, y2n, y0n[-1], fresh_y2)
+        else:
+            y2n = self._media_steps(y1n, y2n, trace_s, fresh_y2)
+            if variant == "alg2":
+                y0n += (y1n[0] - trace_w) * self.g_s
+                trace_w = y1n[0]
+            self._stent_steps(y0n, trace_w)
+        return zn, y2n
 
     # -- monitors ----------------------------------------------------------
 
-    def mass(self, y0, y1, y2):
+    def mass(self, z, y2):
         """Total drug content: stent integral + phi-weighted extracellular
         + (1-phi)-weighted intracellular integrals of the P1 interpolants."""
-        return (
-            float(np.dot(self.w_s, y0))
-            + self.p.phi * float(np.dot(self.w_m, y1))
-            + (1.0 - self.p.phi) * float(np.dot(self.w_m, y2))
-        )
+        return (float(np.dot(self.w_z, z))
+                + (1.0 - self.p.phi) * float(np.dot(self.w_m, y2)))
 
-    def stent_mass(self, y0):
-        return float(np.dot(self.w_s, y0))
+    def stent_mass(self, z):
+        return float(np.dot(self.w_s, z[:self.n0]))
 
-    def energy(self, y0, y1, y2):
+    def energy(self, z, y2):
         """Sum of squared discrete L2 norms of the three fields."""
-        e = float(np.dot(y0, self.psi_s.matvec(y0)))
-        e += float(np.dot(y1, self.psi_m.matvec(y1)))
-        e += float(np.dot(y2, self.psi_m.matvec(y2)))
-        return e
+        return (float(np.dot(z, self.psi.matvec(z)))
+                + float(np.dot(y2, self.psi_m.matvec(y2))))
 
 
 def _single_step(s, ops, p, dt, variant):
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     kern = _Kernel(p, ops, dt)
-    y0, y1, y2 = kern.macro_step(s.y0, s.y1, s.y2, variant)
-    if not (np.isfinite(y0).all() and np.isfinite(y1).all()
-            and np.isfinite(y2).all()):
+    z, y2 = kern.macro_step(np.concatenate([s.y0, s.y1]), s.y2, variant)
+    if not (np.isfinite(z).all() and np.isfinite(y2).all()):
         raise InstabilityError("instability detected: non-finite state")
-    return SimState(y0, y1, y2, s.t + dt)
+    return SimState(z[:kern.n0], z[kern.n0:], y2, s.t + dt)
 
 
 def step_monolithic(s: SimState, ops: FemOperators, p: ModelParams, dt: float) -> SimState:
@@ -486,7 +556,7 @@ def run_simulation(
     ENERGY_GUARD_FACTOR.
     """
     cfg.check_cfl(p, ops)
-    d = derived_constants(p, ops.mesh_s.h, ops.mesh_m.h)
+    d = derived_constants(p)
     kern = _Kernel(p, ops, cfg.dt_m, cfg.substep_ratio, cfg.substep_domain)
     n_steps = step_count(cfg.t_end, cfg.dt_m)
 
@@ -496,16 +566,18 @@ def run_simulation(
                       n_steps, record_every, cfg.t_end, config_echo)
 
     state = initial_state(ops)
-    y0, y1, y2 = state.y0, state.y1, state.y2
-    mass0 = kern.mass(y0, y1, y2)
-    energy0 = kern.energy(y0, y1, y2)
+    z, y2 = np.concatenate([state.y0, state.y1]), state.y2
+    n0 = kern.n0
+    mass0 = kern.mass(z, y2)
+    energy0 = kern.energy(z, y2)
     outflow_sum = 0.0  # sum over completed steps of y1[last]
 
     for k in range(n_steps + 1):
         t = k * cfg.dt_m
+        y0, y1 = z[:n0], z[n0:]
         if rec.wants_monitor(k):
-            mass_k = kern.mass(y0, y1, y2)
-            en = kern.energy(y0, y1, y2)
+            mass_k = kern.mass(z, y2)
+            en = kern.energy(z, y2)
             resid = mass_k - mass0 + p.pe * cfg.dt_m * outflow_sum
             if not (math.isfinite(mass_k) and math.isfinite(en)):
                 raise InstabilityError(
@@ -518,11 +590,11 @@ def run_simulation(
                     f"{ENERGY_GUARD_FACTOR}x the growth envelope "
                     f"{envelope:.6g} at t={t:.6g}"
                 )
-            rec.monitor(k, t, y0, y1, mass_k, kern.stent_mass(y0), en, resid)
+            rec.monitor(k, t, y0, y1, mass_k, kern.stent_mass(z), en, resid)
         rec.maybe_snapshot(k, t, y0, y1, y2)
         if k == n_steps:
             break
-        outflow_sum += float(y1[-1])
-        y0, y1, y2 = kern.macro_step(y0, y1, y2, cfg.variant)
+        outflow_sum += float(z[-1])
+        z, y2 = kern.macro_step(z, y2, cfg.variant)
 
     return rec.build()

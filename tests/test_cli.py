@@ -136,6 +136,18 @@ def test_compare_fd_runs(tmp_path, capsys):
     assert "finite-difference" in capsys.readouterr().out
 
 
+def test_compare_fd_refuses_cell_peclet_above_two(tmp_path, capsys):
+    # pe*h_m = 5 on 8/6: the finite-difference run is refused, exit 1
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=6, steps=20,
+                                dt_scale=0.1)
+    cfg_path.write_text(cfg_path.read_text().replace(
+        "params: paper_defaults",
+        "params: {use_paper_defaults: true, pe: 30.0}"))
+    assert run(["compare-fd", "--config", str(cfg_path)]) == 1
+    assert "cell Peclet number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_alg_runs(tmp_path, capsys):
     cfg_path, out = make_config(tmp_path, n_s=6, n_m=4, steps=20)
     assert run(["compare-alg", "--config", str(cfg_path),

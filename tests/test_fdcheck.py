@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stentsim import CflError, compare_records, paper_params
+from stentsim import (CflError, compare_records, derived_constants, fdcheck,
+                      paper_params)
 from stentsim.fdcheck import run_fd
 from stentsim.fem import build_operators
 from stentsim.stepping import (SchemeConfig, run_simulation, sharp_dt_limit,
@@ -53,6 +56,33 @@ def test_cfl_rejected():
             with pytest.raises(CflError, match="stability allowance"):
                 run_fd(P, n_s, n_m, dt, 100 * dt, [0.0])
         run_fd(P, n_s, n_m, limit, 0.0, [0.0])
+
+
+@pytest.mark.parametrize("pe,n_s,n_m", [(30.0, 8, 6), (10.0, 60, 1)])
+def test_cell_peclet_above_two_refused(monkeypatch, pe, n_s, n_m):
+    # the central advection difference grows at the sharp limit once
+    # pe*h_m > 2 (spectral radius 1.33 and 1.28 for these two cases);
+    # refused before the first step, before any output is allocated
+    def no_recorder(*args):
+        raise AssertionError("stepped past the gate")
+
+    monkeypatch.setattr(fdcheck, "RunRecorder", no_recorder)
+    p = dataclasses.replace(P, pe=pe)
+    dt = sharp_dt_limit(p, p.l / n_s, 1.0 / n_m)
+    with pytest.raises(CflError, match="cell Peclet number"):
+        run_fd(p, n_s, n_m, dt, 100 * dt, [0.0])
+
+
+def test_cell_peclet_two_accepted_and_stable():
+    # pe*h_m = 2 exactly, at the sharp limit: accepted, and the energy
+    # stays inside the growth envelope over 2000 steps
+    p = dataclasses.replace(P, pe=12.0)
+    dt = sharp_dt_limit(p, p.l / 8, 1.0 / 6)
+    n = 2000
+    rec = run_fd(p, 8, 6, dt, n * dt, [n * dt], record_every=100)
+    mon = rec.monitors
+    envelope = mon.energy[0] * np.exp(2.0 * derived_constants(p).big_m * mon.t)
+    assert np.all(mon.energy <= envelope)
 
 
 def test_stent_mass_nonincreasing():

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from stentsim import (
     PAPER_DEFAULTS,
     ParameterError,
-    ValidationError,
     derived_constants,
     paper_params,
     validate_params,
@@ -69,16 +68,14 @@ def test_unknown_and_nonnumeric_names_rejected():
 
 def test_derived_constants_default_set():
     # gamma = min(0.61, 0.39)/2; big_m = 1.0162/0.39
-    d = derived_constants(paper_params(), h_s=0.028 / 50, h_m=1.0 / 25)
+    d = derived_constants(paper_params())
     assert d.gamma == pytest.approx(0.195, rel=1e-15)
     assert d.big_m == pytest.approx(1.0162 / 0.39, rel=1e-15)
     assert d.big_m == pytest.approx(2.605641025641026, rel=1e-12)
 
 
 def test_symmetric_porosity_gamma():
-    d = derived_constants(
-        validate_params(dict(FULL, phi=0.5)), h_s=0.01, h_m=0.01
-    )
+    d = derived_constants(validate_params(dict(FULL, phi=0.5)))
     assert d.gamma == 0.25
 
 
@@ -95,17 +92,10 @@ def test_reference_step_count_respects_media_bound():
     assert 1.0 / 6454 < limit
 
 
-def test_bad_widths_rejected():
-    with pytest.raises(ValidationError):
-        derived_constants(paper_params(), h_s=0.0, h_m=0.1)
-    with pytest.raises(ValidationError):
-        derived_constants(paper_params(), h_s=0.1, h_m=-0.1)
-
-
 @given(phi=st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 def test_gamma_capped_at_quarter(phi):
     p = validate_params(dict(FULL, phi=phi))
-    d = derived_constants(p, h_s=0.01, h_m=0.01)
+    d = derived_constants(p)
     assert d.gamma <= 0.25 + 1e-16
     if phi != 0.5:
         assert d.gamma < 0.25

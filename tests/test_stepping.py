@@ -50,14 +50,18 @@ def monitors(ops):
     return _Kernel(P, ops, safe_dt(ops))
 
 
+def stacked(s):
+    return np.concatenate([s.y0, s.y1])
+
+
 def test_initial_state_values():
     ops = small_ops()
     s = initial_state(ops)
     assert np.all(s.y0 == 1.0) and np.all(s.y1 == 0.0) and np.all(s.y2 == 0.0)
     assert s.t == 0.0
     kern = monitors(ops)
-    assert kern.mass(s.y0, s.y1, s.y2) == pytest.approx(P.l, rel=1e-14)
-    assert kern.energy(s.y0, s.y1, s.y2) == pytest.approx(P.l, rel=1e-14)
+    assert kern.mass(stacked(s), s.y2) == pytest.approx(P.l, rel=1e-14)
+    assert kern.energy(stacked(s), s.y2) == pytest.approx(P.l, rel=1e-14)
 
 
 def test_mass_of_unit_wall_state():
@@ -65,7 +69,7 @@ def test_mass_of_unit_wall_state():
     s = initial_state(ops)
     s.y0[:] = 0.0
     s.y1[:] = 1.0
-    assert monitors(ops).mass(s.y0, s.y1, s.y2) == pytest.approx(P.phi, rel=1e-14)
+    assert monitors(ops).mass(stacked(s), s.y2) == pytest.approx(P.phi, rel=1e-14)
 
 
 def test_energy_quadratic_scaling():
@@ -74,9 +78,9 @@ def test_energy_quadratic_scaling():
     s = initial_state(ops)
     s.y1[:] = 0.3
     s.y2[:] = -0.1
-    e1 = energy(s.y0, s.y1, s.y2)
-    assert energy(2 * s.y0, 2 * s.y1, 2 * s.y2) == pytest.approx(4 * e1, rel=1e-13)
-    assert energy(0 * s.y0, 0 * s.y1, 0 * s.y2) == 0.0
+    e1 = energy(stacked(s), s.y2)
+    assert energy(2 * stacked(s), 2 * s.y2) == pytest.approx(4 * e1, rel=1e-13)
+    assert energy(0 * stacked(s), 0 * s.y2) == 0.0
 
 
 # ------------------------------------------------------------ single steps
@@ -276,8 +280,8 @@ def step_matrix(kern, variant, ops):
     a, b = ops.mesh_s.n_elems + 1, ops.mesh_m.n_elems + 1
     cols = []
     for e in np.eye(a + 2 * b):
-        y0, y1, y2 = kern.macro_step(e[:a], e[a:a + b], e[a + b:], variant)
-        cols.append(np.concatenate([y0, y1, y2]))
+        z, y2 = kern.macro_step(e[:a + b], e[a + b:], variant)
+        cols.append(np.concatenate([z, y2]))
     return np.array(cols).T
 
 
@@ -317,6 +321,67 @@ def test_step_map_stable_at_limit_under_strong_advection(pe):
                 rho = spectral_radius_at_limit(p, n_s, n_m, variant,
                                                *SETTINGS[setting])
                 assert rho <= 1.0 + 1e-12, (n_s, n_m, setting, variant)
+
+
+# --------------------------------------------- macro step vs dense oracle
+
+
+def dense_macro_step(ops, dt, r, domain, variant, y0, y1, y2):
+    """One macro step built sequentially from the module docstring's
+    formulas with dense solves: no stacking, no correction columns."""
+    psi_s, psi_m = ops.psi_s.to_dense(), ops.psi_m.to_dense()
+    mat_a, mat_b = ops.mat_a.to_dense(), ops.mat_b.to_dense()
+    dp = P.delta * P.p_tilde
+    r_s, r_m = (r, 1) if domain == "stent" else (1, r)
+    dt_s, dt_media = dt / r_s, dt / r_m
+
+    def stent(y0, trace_w):
+        for _ in range(r_s):
+            rhs = (psi_s - dt_s * mat_a) @ y0
+            rhs[-1] += dt_s * dp * trace_w
+            y0 = np.linalg.solve(psi_s, rhs)
+        return y0
+
+    def media(y1, y2, trace_s, fresh_y2):
+        for _ in range(r_m):
+            y2n = ((1 - dt_media * P.da / ((1 - P.phi) * P.k_part)) * y2
+                   + dt_media * P.da / (1 - P.phi) * y1)
+            rhs = ((psi_m - dt_media / P.phi * mat_b) @ y1
+                   + dt_media * P.da / (P.phi * P.k_part)
+                   * (psi_m @ (y2n if fresh_y2 else y2)))
+            rhs[0] += dt_media / P.phi * dp * trace_s
+            y1, y2 = np.linalg.solve(psi_m, rhs), y2n
+        return y1, y2
+
+    if variant == "monolithic":
+        return (stent(y0, y1[0]),) + media(y1, y2, y0[-1], False)
+    if variant == "alg1":
+        y0n = stent(y0, y1[0])
+        return (y0n,) + media(y1, y2, y0n[-1], True)
+    y1n, y2n = media(y1, y2, y0[-1], True)
+    return stent(y0, y1n[0]), y1n, y2n
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("n_s,n_m", [(8, 6), (20, 10)])
+def test_macro_step_matches_dense_oracle(n_s, n_m, setting):
+    ops = small_ops(n_s, n_m)
+    r, domain = SETTINGS[setting]
+    dt = 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r, domain)
+    kern = _Kernel(P, ops, dt, r, domain)
+    warm = warmed_state(ops)
+    a = ops.mesh_s.n_elems + 1
+    for variant in VARIANT_NAMES:
+        z, y2 = np.concatenate([warm.y0, warm.y1]), warm.y2
+        y0, y1, y2o = warm.y0, warm.y1, warm.y2
+        for _ in range(10):
+            z, y2 = kern.macro_step(z, y2, variant)
+            y0, y1, y2o = dense_macro_step(ops, dt, r, domain, variant,
+                                           y0, y1, y2o)
+        for got, want in ((z[:a], y0), (z[a:], y1), (y2, y2o)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=variant)
 
 
 # -------------------------------------------------------------- run driver
@@ -458,7 +523,7 @@ def test_decoupled_balance_residual_halves_with_dt(variant):
 
 def test_energy_stays_inside_growth_envelope():
     ops = build_operators(P, 20, 10)
-    d = derived_constants(P, ops.mesh_s.h, ops.mesh_m.h)
+    d = derived_constants(P)
     dt = safe_dt(ops, frac=0.9)
     n = 500
     cfg = SchemeConfig("monolithic", dt, t_end=n * dt)
