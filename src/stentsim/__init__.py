@@ -39,9 +39,6 @@ from .stepping import (
     run_simulation,
     sharp_dt_limit,
     stable_step_count,
-    step_alg1,
-    step_alg2,
-    step_monolithic,
 )
 from .fdcheck import run_fd
 from .analysis import (

@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .config import RunConfig, dump_config, parse_config
 from .errors import ConfigError, NumericsError, ValidationError
-from .fdcheck import run_fd
+from .fdcheck import check_fd, run_fd
 from .fem import build_operators
 from .output import PlotStyle, emit_svg_plot, write_record_csv, write_table_csv
 from .stepping import run_simulation, stable_step_count, step_count
@@ -116,6 +116,8 @@ def cmd_converge(args) -> int:
 def cmd_compare_fd(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
+    # refuse an FD-invalid config before the finite-element run steps
+    check_fd(cfg.params, cfg.n_s, cfg.n_m, cfg.dt_m)
     ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
     snaps = list(cfg.snapshot_times)
     fem = run_simulation(cfg.params, ops, cfg.scheme_config(), snaps,

@@ -6,8 +6,35 @@ terms and the advection term, with the Robin/flux interface and no-flux
 boundary conditions imposed through ghost points eliminated to second
 order.  Time stepping is fully explicit from level-k values only.
 
-Monitors use trapezoid quadrature on nodal values, so no FEM machinery
-enters this module's numerics.
+The step is linear, so its stencils are assembled once into one
+tridiagonal operator T on the stacked nodal state z = [c; c1], where
+c lives on [-l, 0] and c1 on [0, 1] and the interface carries both
+c[-1] (x = 0-) and c1[0] (x = 0+).  With nu = dt*delta/h_s^2,
+a = dt/phi, h = h_m and dp = delta*P, the rows of T are
+
+    x = -l:  diag 1 - 2*nu,  upper 2*nu
+    stent:   lower nu,  diag 1 - 2*nu,  upper nu
+    x = 0-:  lower 2*nu,  diag 1 - 2*nu - 2*nu*h_s*P,  upper 2*nu*h_s*P
+    x = 0+:  lower a*dp*(2/h + pe),  upper 2*a/h^2,
+             diag 1 - a*(2/h^2 + da) - a*(2/h + pe)*(pe + dp)
+    wall:    lower a*(1/h^2 + pe/(2h)),  diag 1 - a*(2/h^2 + da),
+             upper a*(1/h^2 - pe/(2h))
+    x = 1:   lower 2*a/h^2,  diag 1 - a*(2/h^2 + da)
+
+The ghost points at x = -l and x = 1 mirror the interior neighbour (no
+flux, and no advection at x = 1).  At x = 0- the ghost carries the flux
+delta*c_x = delta*P*(c1(0) - c(0-)), which puts 2*nu*h_s*P on the
+stent-to-wall off-diagonal.  At x = 0+ it carries (c1)_x(0) = beta =
+pe*c1(0) + dp*(c1(0) - c(0-)); eliminating beta puts a*dp*(2/h + pe) on
+the wall-to-stent off-diagonal and -a*(2/h + pe)*(pe + dp) on the first
+wall diagonal entry.  One step is then
+
+    z'  = T z + (dt*da/(phi*K)) [0; c2]
+    c2' = (1 - dt*da/((1-phi)*K)) c2 + (dt*da/(1-phi)) c1
+
+with every source from level k.  T z is three vector products written
+here; no FEM matrix or matvec enters this module's numerics, and the
+monitors use trapezoid quadrature on nodal values.
 """
 
 from __future__ import annotations
@@ -21,6 +48,87 @@ from .fem import MEDIA, STENT, build_mesh
 from .params import ModelParams
 from .stepping import (RunRecorder, SolutionRecord, record_echo,
                        sharp_dt_limit, step_count)
+
+
+def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
+    """Refuse a finite-difference run that cannot be stable, before any
+    stepping.
+
+    The step is gated on the finite-element solver's ``sharp_dt_limit``,
+    where this scheme is stable while the cell Peclet number pe*h_m is
+    at most 2; a larger one raises CflError, since the central advection
+    difference then grows at that limit, and so does a dt above it.
+    """
+    if not dt > 0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    h_s = build_mesh(STENT, n_s, l=p.l).h
+    h_m = build_mesh(MEDIA, n_m).h
+    if p.pe * h_m > 2.0:
+        raise CflError(
+            f"cell Peclet number pe*h_m={p.pe * h_m:.6g} exceeds 2: the "
+            f"central advection difference is unstable; refine the media "
+            f"mesh to n_m >= {math.ceil(p.pe / 2.0)}"
+        )
+    limit = sharp_dt_limit(p, h_s, h_m)
+    if dt > limit:
+        raise CflError(
+            f"dt={dt:.6g} exceeds the stability allowance {limit:.6g}"
+        )
+
+
+class _FdStep:
+    """The assembled step (see the module docstring): the diagonals of T
+    on z = [c; c1], the c2 source coefficient of the wall rows and the
+    uptake update.  With hold_c1 the wall rows are identity rows and
+    their c2 source is 0, so c1 stays bitwise constant."""
+
+    def __init__(self, p: ModelParams, mesh_s, mesh_m, dt: float,
+                 hold_c1: bool = False):
+        h_s, h = mesh_s.h, mesh_m.h
+        self.n0 = n0 = mesh_s.n_elems + 1
+        dim = n0 + mesh_m.n_elems + 1
+        nu = dt * p.delta / (h_s * h_s)
+        a = dt / p.phi
+        dp = p.delta * p.p_tilde
+        lower, diag, upper = np.empty(dim - 1), np.empty(dim), np.empty(dim - 1)
+
+        diag[:n0] = 1.0 - 2.0 * nu
+        upper[:n0 - 1] = nu
+        lower[:n0 - 1] = nu
+        upper[0] = 2.0 * nu
+        lower[n0 - 2] = 2.0 * nu
+        diag[n0 - 1] -= 2.0 * nu * h_s * p.p_tilde
+        upper[n0 - 1] = 2.0 * nu * h_s * p.p_tilde
+
+        if hold_c1:
+            diag[n0:] = 1.0
+            upper[n0:] = 0.0
+            lower[n0 - 1:] = 0.0
+            self.coef_c2 = 0.0
+        else:
+            diag[n0:] = 1.0 - a * (2.0 / (h * h) + p.da)
+            upper[n0:] = a * (1.0 / (h * h) - p.pe / (2.0 * h))
+            lower[n0:] = a * (1.0 / (h * h) + p.pe / (2.0 * h))
+            upper[n0] = 2.0 * a / (h * h)
+            lower[-1] = 2.0 * a / (h * h)
+            lower[n0 - 1] = a * dp * (2.0 / h + p.pe)
+            diag[n0] -= a * (2.0 / h + p.pe) * (p.pe + dp)
+            self.coef_c2 = dt * p.da / (p.phi * p.k_part)
+
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self.ode_decay = 1.0 - dt * p.da / ((1.0 - p.phi) * p.k_part)
+        self.ode_gain = dt * p.da / (1.0 - p.phi)
+
+    def step(self, z, c2):
+        """One step from (z, c2); returns the new (z, c2)."""
+        n0 = self.n0
+        zn = self.diag * z
+        zn[:-1] += self.upper * z[1:]
+        zn[1:] += self.lower * z[:-1]
+        zn[n0:] += self.coef_c2 * c2
+        c2n = self.ode_decay * c2
+        c2n += self.ode_gain * z[n0:]
+        return zn, c2n
 
 
 def run_fd(
@@ -39,30 +147,14 @@ def run_fd(
     ``stent_init`` overrides the initial coating concentration (the
     standard initial data is 1).  ``hold_c1_at`` freezes the wall field
     at a constant, a manufactured mode used to test the uptake ODE in
-    isolation.  The step is gated on the finite-element solver's
-    ``sharp_dt_limit``, where this scheme is stable while the cell
-    Peclet number pe*h_m is at most 2; a larger one is refused with
-    CflError before the first step, since the central advection
-    difference then grows at that limit.
+    isolation.  ``check_fd`` gates the run before the first step.
     """
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    check_fd(p, n_s, n_m, dt)
     if t_end < 0:
         raise ValidationError(f"t_end must be nonnegative, got {t_end}")
     mesh_s = build_mesh(STENT, n_s, l=p.l)
     mesh_m = build_mesh(MEDIA, n_m)
     h_s, h_m = mesh_s.h, mesh_m.h
-    if p.pe * h_m > 2.0:
-        raise CflError(
-            f"cell Peclet number pe*h_m={p.pe * h_m:.6g} exceeds 2: the "
-            f"central advection difference is unstable; refine the media "
-            f"mesh to n_m >= {math.ceil(p.pe / 2.0)}"
-        )
-    limit = sharp_dt_limit(p, h_s, h_m)
-    if dt > limit:
-        raise CflError(
-            f"dt={dt:.6g} exceeds the stability allowance {limit:.6g}"
-        )
 
     n_steps = step_count(t_end, dt)
     config_echo = record_echo("fd", p, n_s, n_m, record_every,
@@ -70,13 +162,13 @@ def run_fd(
     rec = RunRecorder(mesh_s, mesh_m, snapshot_times, dt, n_steps,
                       record_every, t_end, config_echo)
 
-    # the interface x = 0 carries one unknown per side: the last entry of
-    # c (stent side) and the first entries of c1/c2 (wall side)
-    c = np.full(n_s + 1, float(stent_init))
-    c1 = np.zeros(n_m + 1)
-    c2 = np.zeros(n_m + 1)
+    fd = _FdStep(p, mesh_s, mesh_m, dt, hold_c1=hold_c1_at is not None)
+    n0 = fd.n0
+    z = np.zeros(n0 + n_m + 1)
+    z[:n0] = float(stent_init)
     if hold_c1_at is not None:
-        c1[:] = hold_c1_at
+        z[n0:] = hold_c1_at
+    c2 = np.zeros(n_m + 1)
 
     # trapezoid weights for the mass/energy monitors
     w_s = np.full(n_s + 1, h_s)
@@ -84,70 +176,31 @@ def run_fd(
     w_m = np.full(n_m + 1, h_m)
     w_m[0] = w_m[-1] = h_m / 2.0
 
-    nu_s = dt * p.delta / (h_s * h_s)
-    dp = p.delta * p.p_tilde
-    ode_decay = 1.0 - dt * p.da / ((1.0 - p.phi) * p.k_part)
-    ode_gain = dt * p.da / (1.0 - p.phi)
-
-    def mass():
+    def mass(c, c1, c2):
         return float(w_s @ c + p.phi * (w_m @ c1) + (1 - p.phi) * (w_m @ c2))
 
-    def energy():
+    def energy(c, c1, c2):
         return float(w_s @ (c * c) + w_m @ (c1 * c1) + w_m @ (c2 * c2))
 
-    mass0 = mass()
+    mass0 = mass(z[:n0], z[n0:], c2)
     outflow_sum = 0.0
 
     for k in range(n_steps + 1):
         t = k * dt
+        c, c1 = z[:n0], z[n0:]
         if rec.wants_monitor(k):
-            m_k = mass()
+            m_k = mass(c, c1, c2)
             if not math.isfinite(m_k):
                 raise InstabilityError(
                     f"instability detected: non-finite state at t={t:.6g}"
                 )
             resid = m_k - mass0 + p.pe * dt * outflow_sum
-            rec.monitor(k, t, c, c1, m_k, float(w_s @ c), energy(), resid)
+            rec.monitor(k, t, c, c1, m_k, float(w_s @ c),
+                        energy(c, c1, c2), resid)
         rec.maybe_snapshot(k, t, c, c1, c2)
         if k == n_steps:
             break
-        outflow_sum += float(c1[-1])
-
-        c_new = c.copy()
-        c_new[1:-1] += nu_s * (c[2:] - 2.0 * c[1:-1] + c[:-2])
-        c_new[0] += nu_s * 2.0 * (c[1] - c[0])
-        c_new[-1] += nu_s * (
-            2.0 * c[-2] - 2.0 * c[-1] + 2.0 * h_s * p.p_tilde * (c1[0] - c[-1])
-        )
-
-        if hold_c1_at is None:
-            c1_new = c1.copy()
-            c1_new[1:-1] += (dt / p.phi) * (
-                (c1[2:] - 2.0 * c1[1:-1] + c1[:-2]) / (h_m * h_m)
-                - p.pe * (c1[2:] - c1[:-2]) / (2.0 * h_m)
-                - p.da * c1[1:-1]
-                + (p.da / p.k_part) * c2[1:-1]
-            )
-            # x = 0: eliminate the ghost via the flux condition
-            # (c1)_x(0) = pe*c1(0) + delta*P*(c1(0) - c(0-))
-            beta = p.pe * c1[0] + dp * (c1[0] - c[-1])
-            c1_new[0] += (dt / p.phi) * (
-                2.0 * (c1[1] - c1[0]) / (h_m * h_m)
-                - 2.0 * beta / h_m
-                - p.pe * beta
-                - p.da * c1[0]
-                + (p.da / p.k_part) * c2[0]
-            )
-            # x = 1: no-flux ghost kills advection and mirrors diffusion
-            c1_new[-1] += (dt / p.phi) * (
-                2.0 * (c1[-2] - c1[-1]) / (h_m * h_m)
-                - p.da * c1[-1]
-                + (p.da / p.k_part) * c2[-1]
-            )
-        else:
-            c1_new = c1
-
-        c2 = ode_decay * c2 + ode_gain * c1
-        c, c1 = c_new, c1_new
+        outflow_sum += float(z[-1])
+        z, c2 = fd.step(z, c2)
 
     return rec.build()

@@ -304,8 +304,8 @@ class _Kernel:
     module docstring).  The stent advances in r_s substeps and the media
     in r_m per macro step; at most one of them exceeds 1, and its other
     substeps run on that block alone.  All variants route through here,
-    including the single-step helpers, so a multi-rate run with ratio 1
-    is bitwise identical to repeated single steps.
+    so a multi-rate run with ratio 1 is bitwise identical to repeated
+    single steps.
     """
 
     def __init__(
@@ -419,33 +419,6 @@ class _Kernel:
         """Sum of squared discrete L2 norms of the three fields."""
         return (float(np.dot(z, self.psi.matvec(z)))
                 + float(np.dot(y2, self.psi_m.matvec(y2))))
-
-
-def _single_step(s, ops, p, dt, variant):
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    kern = _Kernel(p, ops, dt)
-    z, y2 = kern.macro_step(np.concatenate([s.y0, s.y1]), s.y2, variant)
-    if not (np.isfinite(z).all() and np.isfinite(y2).all()):
-        raise InstabilityError("instability detected: non-finite state")
-    return SimState(z[:kern.n0], z[kern.n0:], y2, s.t + dt)
-
-
-def step_monolithic(s: SimState, ops: FemOperators, p: ModelParams, dt: float) -> SimState:
-    """One fully explicit step: every source taken from the current level."""
-    return _single_step(s, ops, p, dt, "monolithic")
-
-
-def step_alg1(s: SimState, ops: FemOperators, p: ModelParams, dt: float) -> SimState:
-    """Parallelizable decoupling: y0 and y2 from current data, then y1
-    from the freshly updated stent trace and y2."""
-    return _single_step(s, ops, p, dt, "alg1")
-
-
-def step_alg2(s: SimState, ops: FemOperators, p: ModelParams, dt: float) -> SimState:
-    """Sequential decoupling: y2, then y1 (fresh y2, stale stent trace),
-    then y0 (fresh wall trace)."""
-    return _single_step(s, ops, p, dt, "alg2")
 
 
 def check_snapshot_times(snapshot_times, t_end: float) -> list[float]:

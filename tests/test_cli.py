@@ -136,8 +136,14 @@ def test_compare_fd_runs(tmp_path, capsys):
     assert "finite-difference" in capsys.readouterr().out
 
 
-def test_compare_fd_refuses_cell_peclet_above_two(tmp_path, capsys):
-    # pe*h_m = 5 on 8/6: the finite-difference run is refused, exit 1
+def test_compare_fd_refuses_cell_peclet_above_two(tmp_path, capsys,
+                                                  monkeypatch):
+    # pe*h_m = 5 on 8/6: the finite-difference gate refuses the config,
+    # exit 1, before the finite-element run takes a step
+    def no_run(*args, **kwargs):
+        raise AssertionError("stepped before the FD gate")
+
+    monkeypatch.setattr("stentsim.cli.run_simulation", no_run)
     cfg_path, out = make_config(tmp_path, n_s=8, n_m=6, steps=20,
                                 dt_scale=0.1)
     cfg_path.write_text(cfg_path.read_text().replace(

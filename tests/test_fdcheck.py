@@ -5,10 +5,12 @@ import pytest
 
 from stentsim import (CflError, compare_records, derived_constants, fdcheck,
                       paper_params)
-from stentsim.fdcheck import run_fd
-from stentsim.fem import build_operators
+from stentsim.fdcheck import _FdStep, run_fd
+from stentsim.fem import MEDIA, STENT, build_mesh, build_operators
 from stentsim.stepping import (SchemeConfig, run_simulation, sharp_dt_limit,
                                stable_step_count)
+
+import oracles
 
 P = paper_params()
 
@@ -123,3 +125,57 @@ def test_record_shape_matches_fem_conventions():
     assert len(snap.state.y1) == 6
     assert rec.config["solver"] == "fd"
     assert len(rec.interface.t) == len(rec.monitors.t)
+
+
+# ------------------------------------------- assembled step vs the stencils
+
+
+def fd_meshes(p, n_s, n_m):
+    return build_mesh(STENT, n_s, l=p.l), build_mesh(MEDIA, n_m)
+
+
+def assembled_step(p, n_s, n_m, dt, c, c1, c2, hold_c1=False):
+    fd = _FdStep(p, *fd_meshes(p, n_s, n_m), dt, hold_c1=hold_c1)
+    z, c2n = fd.step(np.concatenate([c, c1]), c2)
+    return z[:fd.n0], z[fd.n0:], c2n
+
+
+@pytest.mark.parametrize("pe,n_s,n_m,hold", [
+    pytest.param(P.pe, 8, 6, False, id="8-6"),
+    pytest.param(P.pe, 60, 1, False, id="60-1"),
+    pytest.param(12.0, 8, 6, False, id="pe12-8-6"),
+    pytest.param(P.pe, 8, 6, True, id="hold-8-6"),
+])
+def test_assembled_step_matches_stencil_oracle(pe, n_s, n_m, hold):
+    # one step from a state with every node nonzero, at the sharp limit;
+    # pe = 12 on 8/6 puts pe*h_m = 2, the largest cell Peclet number the
+    # gate admits
+    p = dataclasses.replace(P, pe=pe)
+    rng = np.random.default_rng(n_s + n_m)
+    c = rng.uniform(0.5, 1.0, n_s + 1)
+    c1 = np.full(n_m + 1, 0.21) if hold else rng.uniform(0.0, 0.5, n_m + 1)
+    c2 = rng.uniform(0.0, 0.2, n_m + 1)
+    mesh_s, mesh_m = fd_meshes(p, n_s, n_m)
+    dt = sharp_dt_limit(p, mesh_s.h, mesh_m.h)
+    got = assembled_step(p, n_s, n_m, dt, c, c1, c2, hold_c1=hold)
+    want = oracles.fd_step_oracle(p, mesh_s.h, mesh_m.h, dt, c, c1, c2,
+                                  hold_c1=hold)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+    if hold:
+        np.testing.assert_array_equal(got[1], c1)
+
+
+def test_run_fd_matches_repeated_oracle_steps():
+    # 2000 steps at 16/16 from the standard initial data
+    n_s, n_m, n = 16, 16, 2000
+    dt = fd_dt(n_s, n_m)
+    rec = run_fd(P, n_s, n_m, dt, n * dt, [n * dt], record_every=n)
+    mesh_s, mesh_m = fd_meshes(P, n_s, n_m)
+    c, c1, c2 = np.ones(n_s + 1), np.zeros(n_m + 1), np.zeros(n_m + 1)
+    for _ in range(n):
+        c, c1, c2 = oracles.fd_step_oracle(P, mesh_s.h, mesh_m.h, dt,
+                                           c, c1, c2)
+    final = rec.snapshots[-1].state
+    for got, want in ((final.y0, c), (final.y1, c1), (final.y2, c2)):
+        assert np.max(np.abs(got - want)) <= 1e-12

@@ -16,10 +16,7 @@ from stentsim.stepping import (
     run_simulation,
     sharp_dt_limit,
     stable_step_count,
-    step_alg1,
-    step_alg2,
     step_count,
-    step_monolithic,
 )
 
 import oracles
@@ -52,6 +49,15 @@ def monitors(ops):
 
 def stacked(s):
     return np.concatenate([s.y0, s.y1])
+
+
+def advance(s, ops, dt, variant="monolithic", n=1):
+    """n macro steps of ``variant`` from s, all through one _Kernel."""
+    kern = _Kernel(P, ops, dt)
+    z, y2 = stacked(s), s.y2
+    for _ in range(n):
+        z, y2 = kern.macro_step(z, y2, variant)
+    return SimState(z[:kern.n0], z[kern.n0:], y2, s.t + n * dt)
 
 
 def test_initial_state_values():
@@ -89,7 +95,7 @@ def test_energy_quadratic_scaling():
 def test_monolithic_first_step_against_dense_oracle():
     ops = small_ops()
     dt = safe_dt(ops)
-    s1 = step_monolithic(initial_state(ops), ops, P, dt)
+    s1 = advance(initial_state(ops), ops, dt)
     assert s1.t == dt
 
     # y2 stays zero: its only source is y1, which starts at zero
@@ -117,8 +123,8 @@ def test_zero_state_is_fixed_point():
         0.0,
     )
     dt = safe_dt(ops)
-    for step in (step_monolithic, step_alg1, step_alg2):
-        out = step(zero, ops, P, dt)
+    for variant in ("monolithic", "alg1", "alg2"):
+        out = advance(zero, ops, dt, variant)
         assert np.all(out.y0 == 0.0)
         assert np.all(out.y1 == 0.0)
         assert np.all(out.y2 == 0.0)
@@ -128,8 +134,8 @@ def test_alg1_shares_stage_one_with_monolithic():
     ops = small_ops()
     dt = safe_dt(ops)
     s0 = initial_state(ops)
-    mono = step_monolithic(s0, ops, P, dt)
-    a1 = step_alg1(s0, ops, P, dt)
+    mono = advance(s0, ops, dt)
+    a1 = advance(s0, ops, dt, "alg1")
     np.testing.assert_array_equal(a1.y0, mono.y0)
     np.testing.assert_array_equal(a1.y2, mono.y2)
 
@@ -138,8 +144,8 @@ def test_alg2_shares_first_stage_and_fresh_wall_trace():
     ops = small_ops()
     dt = safe_dt(ops)
     s0 = initial_state(ops)
-    mono = step_monolithic(s0, ops, P, dt)
-    a2 = step_alg2(s0, ops, P, dt)
+    mono = advance(s0, ops, dt)
+    a2 = advance(s0, ops, dt, "alg2")
     np.testing.assert_array_equal(a2.y2, mono.y2)
     # from this initial state y2 is zero either way, so y1 agrees too
     np.testing.assert_array_equal(a2.y1, mono.y1)
@@ -149,21 +155,18 @@ def test_alg2_shares_first_stage_and_fresh_wall_trace():
 
 def warmed_state(ops, n_warm=20):
     """March a few steps so every field and trace is nonzero."""
-    s = initial_state(ops)
-    dt = safe_dt(ops)
-    for _ in range(n_warm):
-        s = step_monolithic(s, ops, P, dt)
-    return s
+    return advance(initial_state(ops), ops, safe_dt(ops), n=n_warm)
 
 
-@pytest.mark.parametrize("step", [step_alg1, step_alg2])
-def test_single_step_deviation_is_second_order(step):
+@pytest.mark.parametrize("variant", ["alg1", "alg2"],
+                         ids=["step_alg1", "step_alg2"])
+def test_single_step_deviation_is_second_order(variant):
     ops = small_ops()
     s = warmed_state(ops)
     dt = safe_dt(ops, frac=0.4)
     devs = []
     for d in (dt, dt / 2, dt / 4):
-        devs.append(state_norm(step(s, ops, P, d), step_monolithic(s, ops, P, d)))
+        devs.append(state_norm(advance(s, ops, d, variant), advance(s, ops, d)))
     assert devs[0] > 0
     # halving dt quarters the one-step difference
     assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.05)
@@ -184,13 +187,13 @@ def test_uptake_update_fixed_point_is_k_times_wall_value():
     for _ in range(50):
         prev_gap = target - y2[0]
         st0 = SimState(hold.y0.copy(), hold.y1.copy(), y2, 0.0)
-        y2 = step_monolithic(st0, ops, P, dt).y2
+        y2 = advance(st0, ops, dt).y2
         new_gap = target - y2[0]
         assert new_gap == pytest.approx(factor * prev_gap, rel=1e-12)
     # fixed point: starting exactly at K*a stays there
     st_fix = SimState(hold.y0.copy(), hold.y1.copy(),
                       np.full(ops.mesh_m.n_elems + 1, target), 0.0)
-    y2_fix = step_monolithic(st_fix, ops, P, dt).y2
+    y2_fix = advance(st_fix, ops, dt).y2
     np.testing.assert_allclose(y2_fix, target, rtol=1e-14)
 
 
@@ -419,24 +422,21 @@ def test_snapshot_validation():
         run_simulation(P, ops, cfg, [5 * dt, 2 * dt])
 
 
-@pytest.mark.parametrize("variant,step,domain", [
-    pytest.param(variant, step, domain,
-                 id=f"{variant}-{step.__name__}" if domain == "stent"
-                 else f"{domain}-{variant}-{step.__name__}")
+@pytest.mark.parametrize("variant,domain", [
+    pytest.param(variant, domain,
+                 id=f"{variant}-step_{variant}" if domain == "stent"
+                 else f"{domain}-{variant}-step_{variant}")
     for domain in ("stent", "media")
-    for variant, step in (("monolithic", step_monolithic),
-                          ("alg1", step_alg1), ("alg2", step_alg2))
+    for variant in ("monolithic", "alg1", "alg2")
 ])
-def test_ratio_one_matches_manual_stepping_bitwise(variant, step, domain):
+def test_ratio_one_matches_manual_stepping_bitwise(variant, domain):
     ops = small_ops()
     dt = safe_dt(ops)
     n = 25
     cfg = SchemeConfig(variant, dt, t_end=n * dt, substep_ratio=1,
                        substep_domain=domain)
     rec = run_simulation(P, ops, cfg, [n * dt])
-    s = initial_state(ops)
-    for _ in range(n):
-        s = step(s, ops, P, dt)
+    s = advance(initial_state(ops), ops, dt, variant, n=n)
     final = rec.snapshots[-1].state
     np.testing.assert_array_equal(final.y0, s.y0)
     np.testing.assert_array_equal(final.y1, s.y1)
