@@ -4,9 +4,8 @@ finite-difference cross-check, and refinement-study tooling."""
 
 from .params import (
     PAPER_DEFAULTS,
-    DerivedConstants,
     ModelParams,
-    derived_constants,
+    energy_growth_rate,
     paper_params,
     validate_params,
 )
@@ -29,7 +28,6 @@ from .fem import (
     assemble_stiffness,
     build_mesh,
     build_operators,
-    discrete_norm,
 )
 from .stepping import (
     SchemeConfig,

@@ -22,11 +22,11 @@ from .analysis import (
     stepping_study,
     convergence_study,
 )
-from .config import RunConfig, dump_config, parse_config
+from .config import dump_config, parse_config
 from .errors import ConfigError, NumericsError, ValidationError
 from .fdcheck import check_fd, run_fd
 from .fem import build_operators
-from .output import PlotStyle, emit_svg_plot, write_record_csv, write_table_csv
+from .output import emit_svg_plot, write_record_csv, write_table_csv
 from .stepping import run_simulation, stable_step_count, step_count
 
 
@@ -35,8 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _report_rows(report):
-    return [(f, n, a, "" if r is None else r) for f, n, a, r in report.rows()]
+def _report_rows(report, *key):
+    return [(*key, f, n, a, "" if r is None else r)
+            for f, n, a, r in report.rows()]
 
 
 def _print_report(name, report):
@@ -47,23 +48,35 @@ def _print_report(name, report):
         print(f"  {fld:5s} {norm:8s} {absval:13.6e} {rel_s}")
 
 
-def _aligned_snapshot_times(t_end: float, dt: float, n_steps: int, count: int = 10):
-    stride = max(1, n_steps // count)
-    times = [k * stride * dt for k in range(0, n_steps // stride + 1)]
-    if abs(times[-1] - t_end) > 1e-12 * max(1.0, t_end):
-        times.append(t_end)
-    return times
+def _write_reports(path, key, reports):
+    """Print each (title, value, report) and write all of them to one CSV
+    whose first column, named key, holds the value."""
+    rows = []
+    for title, value, report in reports:
+        _print_report(title, report)
+        rows.extend(_report_rows(report, value))
+    path = write_table_csv(path, [key, "field", "norm", "absolute",
+                                  "relative"], rows)
+    print(f"wrote {path}")
 
 
-def _reference_plan(cfg: RunConfig, scale: int = 4):
-    """Aligned fine reference: spatial refinement by ``scale``, step count
-    a multiple of the test run's so snapshots land on both grids."""
-    p = cfg.params
-    n_steps = max(1, step_count(cfg.t_end, cfg.dt_m))
+def _reference(cfg, scale):
+    """The fine reference of compare-alg and stepping-study: the config's
+    meshes refined by ``scale``, a step count that is a multiple of the
+    config's, and about ten snapshots on both step grids.  Returns the
+    reference, the config's step count and the snapshot times."""
+    p, t_end, dt = cfg.params, cfg.scheme.t_end, cfg.scheme.dt_m
+    n_steps = max(1, step_count(t_end, dt))
+    stride = max(1, n_steps // 10)
+    snaps = [k * stride * dt for k in range(0, n_steps // stride + 1)]
+    if abs(snaps[-1] - t_end) > 1e-12 * max(1.0, t_end):
+        snaps.append(t_end)
     n_s_ref, n_m_ref = scale * cfg.n_s, scale * cfg.n_m
-    need = stable_step_count(p, p.l / n_s_ref, 1.0 / n_m_ref, cfg.t_end)
-    mult = max(1, -(-need // n_steps))
-    return n_s_ref, n_m_ref, n_steps * mult, n_steps
+    need = stable_step_count(p, p.l / n_s_ref, 1.0 / n_m_ref, t_end)
+    n_ref = n_steps * max(1, -(-need // n_steps))
+    print(f"reference: {n_s_ref}/{n_m_ref} elements, {n_ref} steps")
+    ref = make_reference(p, n_s_ref, n_m_ref, n_ref, t_end, snaps)
+    return ref, n_steps, snaps
 
 
 def cmd_simulate(args) -> int:
@@ -71,14 +84,14 @@ def cmd_simulate(args) -> int:
     out = Path(cfg.out_dir)
     ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
     rec = run_simulation(
-        cfg.params, ops, cfg.scheme_config(), list(cfg.snapshot_times),
+        cfg.params, ops, cfg.scheme, list(cfg.snapshot_times),
         record_every=cfg.record_every,
     )
     paths = write_record_csv(rec, out)
     dump_config(cfg, out / "config_echo.yaml")
     mon = rec.monitors
-    print(f"simulated t in [0, {cfg.t_end}] with {cfg.variant}, "
-          f"dt_m={cfg.dt_m:.6g}, {len(rec.snapshots)} snapshots")
+    print(f"simulated t in [0, {cfg.scheme.t_end}] with {cfg.scheme.variant}, "
+          f"dt_m={cfg.scheme.dt_m:.6g}, {len(rec.snapshots)} snapshots")
     print(f"final mass {mon.mass[-1]:.9g} (initial {mon.mass[0]:.9g}), "
           f"final energy {mon.energy[-1]:.9g}")
     print(f"max |mass balance residual| = "
@@ -97,7 +110,8 @@ def cmd_converge(args) -> int:
             f"n_s to be a multiple of n_m, got {cfg.n_s}/{cfg.n_m}")
     table = convergence_study(
         cfg.params, n_m0=cfg.n_m, levels=args.levels,
-        stent_ratio=cfg.n_s // cfg.n_m, t_end=cfg.t_end, variant=cfg.variant,
+        stent_ratio=cfg.n_s // cfg.n_m, t_end=cfg.scheme.t_end,
+        variant=cfg.scheme.variant,
     )
     print(f"{'level':>5s} {'h_m':>10s} {'field':>5s} {'norm':>8s} "
           f"{'error':>13s} {'rate':>7s}")
@@ -116,14 +130,14 @@ def cmd_converge(args) -> int:
 def cmd_compare_fd(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
+    scheme, snaps = cfg.scheme, list(cfg.snapshot_times)
     # refuse an FD-invalid config before the finite-element run steps
-    check_fd(cfg.params, cfg.n_s, cfg.n_m, cfg.dt_m)
+    check_fd(cfg.params, cfg.n_s, cfg.n_m, scheme.dt_m)
     ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
-    snaps = list(cfg.snapshot_times)
-    fem = run_simulation(cfg.params, ops, cfg.scheme_config(), snaps,
+    fem = run_simulation(cfg.params, ops, scheme, snaps,
                          record_every=cfg.record_every)
-    fd = run_fd(cfg.params, cfg.n_s, cfg.n_m, cfg.dt_m, cfg.t_end, snaps,
-                record_every=cfg.record_every)
+    fd = run_fd(cfg.params, cfg.n_s, cfg.n_m, scheme.dt_m, scheme.t_end,
+                snaps, record_every=cfg.record_every)
     report = compare_records(fd, fem)
     _print_report("finite-difference vs finite-element", report)
     path = write_table_csv(out / "fd_comparison.csv",
@@ -135,49 +149,30 @@ def cmd_compare_fd(args) -> int:
 
 def cmd_compare_alg(args) -> int:
     cfg = parse_config(args.config)
-    out = Path(cfg.out_dir)
-    n_s_ref, n_m_ref, n_ref, n_steps = _reference_plan(cfg, args.ref_scale)
-    snaps = _aligned_snapshot_times(cfg.t_end, cfg.dt_m, n_steps)
-    print(f"reference: {n_s_ref}/{n_m_ref} elements, {n_ref} steps")
-    ref = make_reference(cfg.params, n_s_ref, n_m_ref, n_ref, cfg.t_end, snaps)
+    ref, n_steps, snaps = _reference(cfg, args.ref_scale)
     comp = compare_algorithms(cfg.params, ref, cfg.n_s, cfg.n_m,
-                              n_steps, cfg.t_end, snaps)
-    rows = []
-    for name, rep in (("alg1", comp.alg1), ("alg2", comp.alg2),
-                      ("monolithic", comp.monolithic)):
-        _print_report(name, rep)
-        rows.extend((name, f, n, a, "" if r is None else r)
-                    for f, n, a, r in rep.rows())
-    path = write_table_csv(out / "algorithm_comparison.csv",
-                           ["variant", "field", "norm", "absolute",
-                            "relative"], rows)
-    print(f"wrote {path}")
+                              n_steps, cfg.scheme.t_end, snaps)
+    _write_reports(Path(cfg.out_dir) / "algorithm_comparison.csv", "variant",
+                   [(name, name, getattr(comp, name))
+                    for name in ("alg1", "alg2", "monolithic")])
     return 0
 
 
 def cmd_stepping_study(args) -> int:
     cfg = parse_config(args.config)
-    out = Path(cfg.out_dir)
-    try:
-        ratios = [int(v) for v in args.ratios.split(",") if v]
-    except ValueError:
-        raise ConfigError(f"--ratios expects integers, got {args.ratios!r}")
-    n_s_ref, n_m_ref, n_ref, n_steps = _reference_plan(cfg, args.ref_scale)
-    snaps = _aligned_snapshot_times(cfg.t_end, cfg.dt_m, n_steps)
-    print(f"reference: {n_s_ref}/{n_m_ref} elements, {n_ref} steps")
-    ref = make_reference(cfg.params, n_s_ref, n_m_ref, n_ref, cfg.t_end, snaps)
-    reports = stepping_study(cfg.params, ref, cfg.n_m, ratios, n_steps,
-                             cfg.t_end, snaps, variant=cfg.variant)
-    rows = []
-    for q in ratios:
-        _print_report(f"stent/media element ratio {q} (n_s={q * cfg.n_m})",
-                      reports[q])
-        rows.extend((q, f, n, a, "" if r is None else r)
-                    for f, n, a, r in reports[q].rows())
-    path = write_table_csv(out / "stepping_study.csv",
-                           ["ratio", "field", "norm", "absolute",
-                            "relative"], rows)
-    print(f"wrote {path}")
+    n_s_ref = args.ref_scale * cfg.n_s
+    for q in args.ratios:
+        if n_s_ref % (q * cfg.n_m):
+            raise ConfigError(
+                f"--ratios: ratio {q} needs {q * cfg.n_m} stent elements, "
+                f"which the reference's {n_s_ref} do not refine")
+    ref, n_steps, snaps = _reference(cfg, args.ref_scale)
+    reports = stepping_study(cfg.params, ref, cfg.n_m, args.ratios, n_steps,
+                             cfg.scheme.t_end, snaps,
+                             variant=cfg.scheme.variant)
+    _write_reports(Path(cfg.out_dir) / "stepping_study.csv", "ratio",
+                   [(f"stent/media element ratio {q} (n_s={q * cfg.n_m})",
+                     q, reports[q]) for q in args.ratios])
     return 0
 
 
@@ -191,6 +186,9 @@ def cmd_plot(args) -> int:
         rows = list(rd)
     if not rows:
         raise ConfigError(f"no data rows in {path}")
+    # the config echo simulate writes beside its CSVs gives the time unit
+    echo = path.with_name("config_echo.yaml")
+    time_unit = parse_config(echo).time_unit if echo.exists() else None
     if header[:5] == ["t", "domain", "x", "field", "value"]:
         # long-format snapshots: one profile per snapshot time
         want = args.field
@@ -206,10 +204,12 @@ def cmd_plot(args) -> int:
         plot_series = []
         for t in sorted(series):
             pairs = sorted(series[t])
-            plot_series.append((f"t={t:.6g}",
+            label = (f"t={t:.6g}" if time_unit is None
+                     else f"{t * time_unit / 3600.0:.6g} h")
+            plot_series.append((label,
                                 np.array([a for a, _ in pairs]),
                                 np.array([b for _, b in pairs])))
-        style = PlotStyle(title=f"{want} profiles", x_label="x", y_label=want)
+        labels = dict(title=f"{want} profiles", x_label="x", y_label=want)
     else:
         if args.field not in header:
             raise ConfigError(
@@ -219,11 +219,31 @@ def cmd_plot(args) -> int:
             raise ConfigError(f"{path} has no t column to plot against")
         t = np.array([float(r["t"]) for r in rows])
         y = np.array([float(r[args.field]) for r in rows])
+        x_label = "t"
+        if time_unit is not None:
+            t, x_label = t * time_unit / 3600.0, "hours"
         plot_series = [(args.field, t, y)]
-        style = PlotStyle(title=args.field, x_label="t", y_label=args.field)
-    out = emit_svg_plot(plot_series, style, args.out)
+        labels = dict(title=args.field, x_label=x_label, y_label=args.field)
+    out = emit_svg_plot(plot_series, args.out, **labels)
     print(f"wrote {out}")
     return 0
+
+
+def _positive_int(text):
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _ratios(text):
+    """argparse type: comma-separated positive integers, such as 1,2."""
+    return [_positive_int(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("compare-alg", cmd_compare_alg,
              help="accuracy of the two decoupling strategies")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--ref-scale", type=int, default=4)
+    sp.add_argument("--ref-scale", type=_positive_int, default=4)
 
     sp = add("stepping-study", cmd_stepping_study,
              help="stent/media mesh ratio study")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--ratios", default="1,2")
-    sp.add_argument("--ref-scale", type=int, default=4)
+    sp.add_argument("--ratios", type=_ratios, default="1,2")
+    sp.add_argument("--ref-scale", type=_positive_int, default=4)
 
     sp = add("plot", cmd_plot, help="render a CSV column or profile to SVG")
     sp.add_argument("--input", required=True)

@@ -19,7 +19,8 @@ Schema (keys and nesting are normative):
       out_dir: out/run1
       snapshot_times: [0.0, 0.5, 1.0] # optional, default [0, t_end]
       record_every: 1                 # optional, default 1
-    time_unit: 4320.0                 # optional, seconds per unit of t
+    time_unit: 4320.0                 # optional, seconds per unit of t;
+                                      # plot then draws time in hours
 """
 
 from __future__ import annotations
@@ -31,34 +32,22 @@ import yaml
 
 from .errors import ConfigError, ValidationError
 from .params import ModelParams, validate_params
-from .stepping import DEFAULT_CFL_SAFETY, SchemeConfig, check_snapshot_times
+from .stepping import SchemeConfig, check_snapshot_times
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run configuration.  ``scheme`` holds the ``time`` keys and
+    the ``scheme`` key as the SchemeConfig that every command steps with."""
+
     params: ModelParams
     n_s: int
     n_m: int
-    t_end: float
-    dt_m: float
-    variant: str
+    scheme: SchemeConfig
     out_dir: str
-    substep_ratio: int = 1
-    substep_domain: str = "stent"
-    cfl_safety: float = DEFAULT_CFL_SAFETY
     snapshot_times: tuple[float, ...] = field(default=())
     record_every: int = 1
     time_unit: float | None = None
-
-    def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(
-            variant=self.variant,
-            dt_m=self.dt_m,
-            t_end=self.t_end,
-            substep_ratio=self.substep_ratio,
-            cfl_safety=self.cfl_safety,
-            substep_domain=self.substep_domain,
-        )
 
 
 def _need(tree: dict, path: str, kind, key_path: str):
@@ -134,18 +123,17 @@ def config_from_dict(tree: dict) -> RunConfig:
     t_end = _need(tree, "time.t_end", float, "time.t_end")
     dt_m = _need(tree, "time.dt_m", float, "time.dt_m")
     time_tree = tree.get("time", {})
-    substep_ratio = _optional(time_tree, "substep_ratio", int, 1,
-                              "time.substep_ratio")
-    substep_domain = _optional(time_tree, "substep_domain", str, "stent",
-                               "time.substep_domain")
-    cfl_safety = _optional(time_tree, "cfl_safety", float, DEFAULT_CFL_SAFETY,
-                           "time.cfl_safety")
+    optional = {}  # the keys that are set; SchemeConfig has the defaults
+    for name, kind in (("substep_ratio", int), ("substep_domain", str),
+                       ("cfl_safety", float)):
+        value = _optional(time_tree, name, kind, None, f"time.{name}")
+        if value is not None:
+            optional[name] = value
 
     variant = _need(tree, "scheme", str, "scheme")
     try:
-        SchemeConfig(variant=variant, dt_m=dt_m, t_end=t_end,
-                     substep_ratio=substep_ratio, cfl_safety=cfl_safety,
-                     substep_domain=substep_domain)
+        scheme = SchemeConfig(variant=variant, dt_m=dt_m, t_end=t_end,
+                              **optional)
     except ValidationError as exc:  # exc.key names the SchemeConfig field
         path = "scheme" if exc.key == "variant" else f"time.{exc.key}"
         raise ConfigError(f"{path}: {exc}") from None
@@ -180,13 +168,8 @@ def config_from_dict(tree: dict) -> RunConfig:
         params=params,
         n_s=n_s,
         n_m=n_m,
-        t_end=t_end,
-        dt_m=dt_m,
-        variant=variant,
+        scheme=scheme,
         out_dir=out_dir,
-        substep_ratio=substep_ratio,
-        substep_domain=substep_domain,
-        cfl_safety=cfl_safety,
         snapshot_times=snapshot_times,
         record_every=record_every,
         time_unit=time_unit,
@@ -194,17 +177,12 @@ def config_from_dict(tree: dict) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
+    time = asdict(cfg.scheme)
     tree = {
         "params": asdict(cfg.params),
         "mesh": {"n_s": cfg.n_s, "n_m": cfg.n_m},
-        "time": {
-            "t_end": cfg.t_end,
-            "dt_m": cfg.dt_m,
-            "substep_ratio": cfg.substep_ratio,
-            "substep_domain": cfg.substep_domain,
-            "cfl_safety": cfg.cfl_safety,
-        },
-        "scheme": cfg.variant,
+        "time": time,
+        "scheme": time.pop("variant"),
         "output": {
             "out_dir": cfg.out_dir,
             "snapshot_times": list(cfg.snapshot_times),

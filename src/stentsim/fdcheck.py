@@ -195,7 +195,7 @@ def run_fd(
                     f"instability detected: non-finite state at t={t:.6g}"
                 )
             resid = m_k - mass0 + p.pe * dt * outflow_sum
-            rec.monitor(k, t, c, c1, m_k, float(w_s @ c),
+            rec.monitor(t, c, c1, m_k, float(w_s @ c),
                         energy(c, c1, c2), resid)
         rec.maybe_snapshot(k, t, c, c1, c2)
         if k == n_steps:

@@ -1,4 +1,4 @@
-"""Uniform P1 meshes, tridiagonal operator assembly, and discrete norms.
+"""Uniform P1 meshes and tridiagonal operator assembly.
 
 Matrix orientation: row = test index, column = trial index, so that a
 matrix-vector product applies the Galerkin equations directly.  This only
@@ -80,8 +80,6 @@ class TridiagonalMatrix:
         y[1:] += self.lower * x[:-1]
         return y
 
-    __matmul__ = matvec
-
     def to_dense(self) -> np.ndarray:
         m = np.diag(self.diag)
         m += np.diag(self.lower, -1)
@@ -158,8 +156,7 @@ def assemble_b(mesh_m: Mesh1D, p: ModelParams) -> TridiagonalMatrix:
 class FemOperators:
     """Everything assembly produces for one (stent, media) mesh pair.
 
-    Mass matrices psi_s/psi_m, the two evolution operators mat_a/mat_b,
-    and the bare stiffness matrices used by the H1 seminorm.
+    Mass matrices psi_s/psi_m and the two evolution operators mat_a/mat_b.
     """
 
     mesh_s: Mesh1D
@@ -168,8 +165,6 @@ class FemOperators:
     psi_m: TridiagonalMatrix
     mat_a: TridiagonalMatrix
     mat_b: TridiagonalMatrix
-    stiff_s: TridiagonalMatrix
-    stiff_m: TridiagonalMatrix
 
 
 def build_operators(p: ModelParams, n_s: int, n_m: int) -> FemOperators:
@@ -183,29 +178,5 @@ def build_operators(p: ModelParams, n_s: int, n_m: int) -> FemOperators:
         psi_m=assemble_mass(mesh_m),
         mat_a=assemble_a(mesh_s, p),
         mat_b=assemble_b(mesh_m, p),
-        stiff_s=assemble_stiffness(mesh_s),
-        stiff_m=assemble_stiffness(mesh_m),
     )
 
-
-def discrete_norm(vec: np.ndarray, ops: FemOperators, kind: str, domain: str) -> float:
-    """Discrete L2 norm sqrt(v' Psi v) or H1 seminorm sqrt(v' S v) of the
-    P1 interpolant with nodal values ``vec`` on the chosen subdomain."""
-    if domain == STENT:
-        mass, stiff, mesh = ops.psi_s, ops.stiff_s, ops.mesh_s
-    elif domain == MEDIA:
-        mass, stiff, mesh = ops.psi_m, ops.stiff_m, ops.mesh_m
-    else:
-        raise ValidationError(f"unknown domain {domain!r}")
-    if len(vec) != mesh.n_elems + 1:
-        raise ValidationError(
-            f"dimension mismatch: mesh has {mesh.n_elems + 1} nodes, "
-            f"vector has {len(vec)}"
-        )
-    if kind == "l2":
-        quad = float(np.dot(vec, mass.matvec(vec)))
-    elif kind == "h1_semi":
-        quad = float(np.dot(vec, stiff.matvec(vec)))
-    else:
-        raise ValidationError(f"unknown norm kind {kind!r}")
-    return float(np.sqrt(max(quad, 0.0)))

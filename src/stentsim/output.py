@@ -16,7 +16,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -134,18 +134,9 @@ def write_table_csv(path, header, rows) -> Path:
 
 # --------------------------------------------------------------- SVG plots
 
+WIDTH, HEIGHT = 640, 420
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
-
-
-@dataclass(frozen=True)
-class PlotStyle:
-    width: int = 640
-    height: int = 420
-    title: str = ""
-    x_label: str = "t"
-    y_label: str = ""
-    palette: tuple = PALETTE
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -171,14 +162,14 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
-def emit_svg_plot(series, style: PlotStyle | None = None, path=None) -> Path:
+def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",
+                  y_label: str = "") -> Path:
     """Line chart of (label, t, y) series as a standalone SVG file.
 
     Deterministic: identical input yields byte-identical output.
     """
     if not series:
         raise ValidationError("empty series")
-    style = style or PlotStyle()
     cleaned = []
     for label, t, y in series:
         t = np.asarray(t, dtype=float)
@@ -190,8 +181,8 @@ def emit_svg_plot(series, style: PlotStyle | None = None, path=None) -> Path:
         cleaned.append((str(label), t, y))
 
     ml, mr, mt, mb = 62, 18, 34, 46
-    pw = style.width - ml - mr
-    ph = style.height - mt - mb
+    pw = WIDTH - ml - mr
+    ph = HEIGHT - mt - mb
     x_lo = min(float(t.min()) for _, t, _ in cleaned)
     x_hi = max(float(t.max()) for _, t, _ in cleaned)
     y_lo = min(float(y.min()) for _, _, y in cleaned)
@@ -212,14 +203,14 @@ def emit_svg_plot(series, style: PlotStyle | None = None, path=None) -> Path:
         return mt + ph - (y - y_lo) / (y_hi - y_lo) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-        f'height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
-        f'<rect width="{style.width}" height="{style.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    if style.title:
+    if title:
         parts.append(
-            f'<text x="{style.width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{style.title}</text>'
+            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{title}</text>'
         )
     # axes box
     parts.append(
@@ -251,18 +242,18 @@ def emit_svg_plot(series, style: PlotStyle | None = None, path=None) -> Path:
             f'font-family="sans-serif" font-size="11">{_fmt_tick(ty)}</text>'
         )
     parts.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{style.height - 8}" '
+        f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 8}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f'{style.x_label}</text>'
+        f'{x_label}</text>'
     )
-    if style.y_label:
+    if y_label:
         parts.append(
             f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{style.y_label}</text>'
+            f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{y_label}</text>'
         )
     for i, (label, t, y) in enumerate(cleaned):
-        color = style.palette[i % len(style.palette)]
+        color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(t, y))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

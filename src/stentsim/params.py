@@ -1,16 +1,17 @@
-"""Model parameters and derived energy constants.
+"""Model parameters and the energy growth rate they imply.
 
 All quantities are nondimensional.  The stent coating occupies (-l, 0) and
-the tissue (media) occupies (0, 1).  ``time_unit`` (seconds of wall-clock
+the tissue (media) occupies (0, 1).  ``time_unit`` (seconds of physical
 time per unit of nondimensional t) is deliberately not part of the model:
-it only affects output labeling and lives in the run configuration.
+it lives in the run configuration, and only ``plot`` reads it, to put
+time in hours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError
 
 # Default nondimensional parameter set for a drug-eluting stent against
 # arterial media (porosity phi, partition coefficient K, coating
@@ -61,22 +62,6 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Energy constants derived from a parameter set.
-
-    gamma    -- energy weight, min(phi, 1-phi)/2; at most 1/4
-    big_m    -- Gronwall growth rate (1+da)/(2*gamma) of the energy bound
-    """
-
-    gamma: float
-    big_m: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 0.25:
-            raise ValidationError(f"gamma out of range: {self.gamma}")
-
-
 def validate_params(raw: dict, use_paper_defaults: bool = False) -> ModelParams:
     """Build a validated ModelParams from a name->value mapping.
 
@@ -108,11 +93,9 @@ def paper_params() -> ModelParams:
     return validate_params({}, use_paper_defaults=True)
 
 
-def derived_constants(p: ModelParams) -> DerivedConstants:
-    """Energy constants of a parameter set (the stable step is
+def energy_growth_rate(p: ModelParams) -> float:
+    """Gronwall rate M = (1+da)/(2*gamma) of the energy bound
+    E(t) <= E(0)*exp(2*M*t), with the energy weight
+    gamma = min(phi, 1-phi)/2 <= 1/4 (the stable step is
     ``stepping.sharp_dt_limit``)."""
-    gamma = 0.5 * min(p.phi, 1.0 - p.phi)
-    return DerivedConstants(
-        gamma=gamma,
-        big_m=(1.0 + p.da) / (2.0 * gamma),
-    )
+    return (1.0 + p.da) / min(p.phi, 1.0 - p.phi)

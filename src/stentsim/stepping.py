@@ -69,14 +69,13 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import CflError, InstabilityError, SingularMatrixError, ValidationError
 from .fem import MEDIA, STENT, FemOperators, Mesh1D, TridiagonalMatrix
-from .params import ModelParams, derived_constants
+from .params import ModelParams, energy_growth_rate
 
 VARIANTS = ("monolithic", "alg1", "alg2")
 SUBSTEP_DOMAINS = (STENT, MEDIA)
 
 # abort threshold: measured energy versus the theoretical growth envelope
 ENERGY_GUARD_FACTOR = 10.0
-DEFAULT_CFL_SAFETY = 1.0
 
 
 @dataclass(eq=False)
@@ -104,7 +103,7 @@ class SchemeConfig:
     dt_m: float
     t_end: float
     substep_ratio: int = 1
-    cfl_safety: float = DEFAULT_CFL_SAFETY
+    cfl_safety: float = 1.0
     substep_domain: str = STENT
 
     def __post_init__(self):
@@ -148,7 +147,8 @@ class Snapshot:
 
 @dataclass(eq=False)
 class InterfaceSeries:
-    """Trace values per recorded step: c(0-), c1(0+), c1(1)."""
+    """Trace values per recorded step: c(0-), c1(0+), c1(1).  ``t`` is
+    the same array as the record's ``MonitorSeries.t``."""
 
     t: np.ndarray
     c_at_0: np.ndarray
@@ -468,20 +468,19 @@ class RunRecorder:
             idx = min(n_steps, max(0, round(ts / dt))) if dt > 0 else 0
             self._snap_steps.setdefault(idx, ts)
         self.snapshots: list[Snapshot] = []
-        self._mon = {k: [] for k in
-                     ("t", "mass", "stent_mass", "energy", "resid")}
-        self._ifc = {k: [] for k in ("t", "c0", "c1_0", "c1_1")}
+        self._t: list[float] = []
+        self._mon = {k: [] for k in ("mass", "stent_mass", "energy", "resid")}
+        self._ifc = {k: [] for k in ("c0", "c1_0", "c1_1")}
 
     def wants_monitor(self, k: int) -> bool:
         return k % self.record_every == 0 or k == self.n_steps
 
-    def monitor(self, k, t, y0, y1, mass, stent_mass, en, resid):
-        self._mon["t"].append(t)
+    def monitor(self, t, y0, y1, mass, stent_mass, en, resid):
+        self._t.append(t)
         self._mon["mass"].append(mass)
         self._mon["stent_mass"].append(stent_mass)
         self._mon["energy"].append(en)
         self._mon["resid"].append(resid)
-        self._ifc["t"].append(t)
         self._ifc["c0"].append(float(y0[-1]))
         self._ifc["c1_0"].append(float(y1[0]))
         self._ifc["c1_1"].append(float(y1[-1]))
@@ -493,18 +492,19 @@ class RunRecorder:
             self.snapshots.append(Snapshot(t_request=ts, t=t, state=state))
 
     def build(self) -> SolutionRecord:
+        t = np.array(self._t)
         return SolutionRecord(
             mesh_s=self.mesh_s,
             mesh_m=self.mesh_m,
             snapshots=self.snapshots,
             interface=InterfaceSeries(
-                t=np.array(self._ifc["t"]),
+                t=t,
                 c_at_0=np.array(self._ifc["c0"]),
                 c1_at_0=np.array(self._ifc["c1_0"]),
                 c1_at_1=np.array(self._ifc["c1_1"]),
             ),
             monitors=MonitorSeries(
-                t=np.array(self._mon["t"]),
+                t=t,
                 mass=np.array(self._mon["mass"]),
                 stent_mass=np.array(self._mon["stent_mass"]),
                 energy=np.array(self._mon["energy"]),
@@ -529,7 +529,7 @@ def run_simulation(
     ENERGY_GUARD_FACTOR.
     """
     cfg.check_cfl(p, ops)
-    d = derived_constants(p)
+    growth = energy_growth_rate(p)
     kern = _Kernel(p, ops, cfg.dt_m, cfg.substep_ratio, cfg.substep_domain)
     n_steps = step_count(cfg.t_end, cfg.dt_m)
 
@@ -556,14 +556,14 @@ def run_simulation(
                 raise InstabilityError(
                     f"instability detected: non-finite state at t={t:.6g}"
                 )
-            envelope = energy0 * math.exp(min(2.0 * d.big_m * t, 700.0))
+            envelope = energy0 * math.exp(min(2.0 * growth * t, 700.0))
             if en > ENERGY_GUARD_FACTOR * envelope:
                 raise InstabilityError(
                     f"instability detected: energy {en:.6g} exceeds "
                     f"{ENERGY_GUARD_FACTOR}x the growth envelope "
                     f"{envelope:.6g} at t={t:.6g}"
                 )
-            rec.monitor(k, t, y0, y1, mass_k, kern.stent_mass(z), en, resid)
+            rec.monitor(t, y0, y1, mass_k, kern.stent_mass(z), en, resid)
         rec.maybe_snapshot(k, t, y0, y1, y2)
         if k == n_steps:
             break

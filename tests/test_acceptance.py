@@ -44,7 +44,7 @@ from stentsim.fem import (
     build_mesh,
     build_operators,
 )
-from stentsim.params import derived_constants
+from stentsim.params import energy_growth_rate
 from stentsim.stepping import (
     SchemeConfig,
     run_simulation,
@@ -321,12 +321,12 @@ def test_criterion5_stent_refinement_gains(fine_reference):
 
 def test_criterion6_energy_bound(release_run, fd_fem_pair):
     _, fem_run = fd_fem_pair
-    d = derived_constants(P)
+    growth = energy_growth_rate(P)
     worst = 0.0
     for rec in (release_run, fem_run):
         mon = rec.monitors
         envelope = mon.energy[0] * np.exp(
-            np.minimum(2.0 * d.big_m * mon.t, 700.0)
+            np.minimum(2.0 * growth * mon.t, 700.0)
         )
         worst = max(worst, float(np.max(mon.energy / envelope)))
     check("criterion 6: E(t) <= 1.05 * E(0) * exp(2*M*t) on stable runs",

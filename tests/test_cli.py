@@ -5,11 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stentsim
 from stentsim.cli import run
+from stentsim.config import parse_config
 from stentsim.fem import build_operators
+from stentsim.output import emit_svg_plot
 from stentsim.params import paper_params
 from stentsim.stepping import SchemeConfig, sharp_dt_limit
 
@@ -191,20 +194,41 @@ def test_converge_refuses_mesh_it_cannot_refine(tmp_path, capsys, n_s, n_m):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("script,args", [
-    ("release_profiles.py", ["--n-s", "10", "--n-m", "5", "--out", "release"]),
-    ("fd_crosscheck.py", ["--n-s", "8", "--n-m", "8", "--t-end", "0.1"]),
-    ("convergence_table.py", ["--n-m0", "4", "--levels", "2", "--t-end",
-                              "0.05", "--out", "convergence.csv"]),
-    ("scheme_comparison.py", ["--quick"]),
+CONFIG_NAMES = ("release.yaml", "study.yaml", "crosscheck.yaml",
+                "convergence.yaml")
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_shipped_config_parses_and_is_stable(name):
+    # no step is taken: the config parses and its macro step passes the
+    # stability gate on its own meshes
+    assert sorted(p.name for p in (ROOT / "configs").glob("*.yaml")) == sorted(
+        CONFIG_NAMES)
+    cfg = parse_config(ROOT / "configs" / name)
+    cfg.scheme.check_cfl(cfg.params,
+                         build_operators(cfg.params, cfg.n_s, cfg.n_m))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-alg", "--ref-scale", "0"],
+    ["compare-alg", "--ref-scale", "-2"],
+    ["stepping-study", "--ref-scale", "0"],
+    ["stepping-study", "--ratios", "0"],
+    ["stepping-study", "--ratios", ",,"],
+    ["stepping-study", "--ratios", "1,x"],
+    # 3*4 stent elements are not refined by the reference's 2*8
+    ["stepping-study", "--ratios", "3", "--ref-scale", "2"],
 ])
-def test_experiment_script_runs(tmp_path, script, args):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=src_env(), cwd=tmp_path,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_study_arguments_refused_before_reference(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference run before the arguments were checked")
+
+    monkeypatch.setattr("stentsim.cli.make_reference", no_reference)
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=20)
+    assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_time_series_and_profiles(tmp_path):
@@ -225,3 +249,42 @@ def test_plot_unknown_field(tmp_path, capsys):
     run(["simulate", "--config", str(cfg_path)])
     assert run(["plot", "--input", str(out / "interface.csv"),
                 "--field", "nope", "--out", str(tmp_path / "x.svg")]) == 1
+
+
+@pytest.mark.parametrize("time_unit", [None, 4320.0])
+def test_plot_time_unit_from_config_echo(tmp_path, monkeypatch, time_unit):
+    # simulate's config echo carries time_unit; with it plot draws time in
+    # hours, without it the axes and legends read t
+    calls = []
+
+    def capture(series, path, **labels):
+        calls.append((series, labels))
+        return emit_svg_plot(series, path, **labels)
+
+    monkeypatch.setattr("stentsim.cli.emit_svg_plot", capture)
+    extra = "" if time_unit is None else f"time_unit: {time_unit}\n"
+    cfg_path, out = make_config(tmp_path, extra=extra)
+    assert run(["simulate", "--config", str(cfg_path)]) == 0
+    for name, field in (("interface.csv", "c1_at_0"), ("snapshots.csv", "c1")):
+        assert run(["plot", "--input", str(out / name), "--field", field,
+                    "--out", str(tmp_path / f"{field}.svg")]) == 0
+    (series, labels), (profiles, profile_labels) = calls
+    t = np.array([float(v) for v in csv_column(out / "interface.csv", "t")])
+    times = sorted({float(v) for v in csv_column(out / "snapshots.csv", "t")})
+    if time_unit is None:
+        assert labels["x_label"] == "t"
+        np.testing.assert_array_equal(series[0][1], t)
+        assert [lbl for lbl, _, _ in profiles] == [f"t={v:.6g}" for v in times]
+        assert profiles[0][0] == "t=0"
+    else:
+        assert labels["x_label"] == "hours"
+        np.testing.assert_array_equal(series[0][1], t * time_unit / 3600.0)
+        assert [lbl for lbl, _, _ in profiles] == [
+            f"{v * time_unit / 3600.0:.6g} h" for v in times]
+        assert profiles[0][0] == "0 h"
+    assert profile_labels["x_label"] == "x"
+
+
+def csv_column(path, name):
+    with path.open() as fh:
+        return [row[name] for row in csv.DictReader(fh)]

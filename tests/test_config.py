@@ -30,8 +30,8 @@ def test_paper_defaults_expand(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, GOOD.format(out=tmp_path / "o")))
     assert cfg.params == paper_params()
     assert cfg.n_s == 50 and cfg.n_m == 25
-    assert cfg.variant == "monolithic"
-    assert cfg.substep_ratio == 1
+    assert cfg.scheme.variant == "monolithic"
+    assert cfg.scheme.substep_ratio == 1
     assert cfg.snapshot_times == (0.0, 0.5, 1.0)
     assert cfg.time_unit is None
 
@@ -123,7 +123,8 @@ def test_roundtrip_with_all_optionals(tmp_path):
         "  cfl_safety: 0.25\n",
     )
     src = parse_config(write_cfg(tmp_path, text))
-    assert src.substep_ratio == 3 and src.substep_domain == "media"
+    assert src.scheme.substep_ratio == 3
+    assert src.scheme.substep_domain == "media"
     assert src.time_unit == 4320.0
     echo = tmp_path / "echo.yaml"
     dump_config(src, echo)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stentsim import (CflError, compare_records, derived_constants, fdcheck,
+from stentsim import (CflError, compare_records, energy_growth_rate, fdcheck,
                       paper_params)
 from stentsim.fdcheck import _FdStep, run_fd
 from stentsim.fem import MEDIA, STENT, build_mesh, build_operators
@@ -83,7 +83,7 @@ def test_cell_peclet_two_accepted_and_stable():
     n = 2000
     rec = run_fd(p, 8, 6, dt, n * dt, [n * dt], record_every=100)
     mon = rec.monitors
-    envelope = mon.energy[0] * np.exp(2.0 * derived_constants(p).big_m * mon.t)
+    envelope = mon.energy[0] * np.exp(2.0 * energy_growth_rate(p) * mon.t)
     assert np.all(mon.energy <= envelope)
 
 

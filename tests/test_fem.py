@@ -13,7 +13,6 @@ from stentsim.fem import (
     assemble_stiffness,
     build_mesh,
     build_operators,
-    discrete_norm,
 )
 from stentsim.stepping import _MassFactor
 
@@ -222,23 +221,22 @@ def test_singular_pivot_detected():
 
 
 def test_norm_examples():
-    ops = build_operators(P, 10, 8)
-    ones_m = np.ones(9)
-    assert discrete_norm(ones_m, ops, "l2", MEDIA) == pytest.approx(1.0, rel=1e-14)
-    ones_s = np.ones(11)
-    assert discrete_norm(ones_s, ops, "l2", STENT) == pytest.approx(
-        np.sqrt(0.028), rel=1e-14
-    )
-    assert discrete_norm(
-        ops.mesh_m.nodes.copy(), ops, "h1_semi", MEDIA
-    ) == pytest.approx(1.0, rel=1e-13)
+    # squared discrete norms v' Psi v (L2) and v' S v (H1 seminorm), the
+    # quadratic forms compare_records takes
+    mesh_m = build_mesh(MEDIA, 8)
+    mesh_s = build_mesh(STENT, 10, l=0.028)
+    ones_m, ones_s = np.ones(9), np.ones(11)
+    assert ones_m @ assemble_mass(mesh_m).matvec(ones_m) == pytest.approx(
+        1.0, rel=1e-14)
+    assert ones_s @ assemble_mass(mesh_s).matvec(ones_s) == pytest.approx(
+        0.028, rel=1e-14)
+    x = mesh_m.nodes.copy()
+    assert x @ assemble_stiffness(mesh_m).matvec(x) == pytest.approx(
+        1.0, rel=1e-13)
 
 
 def test_norm_dimension_mismatch():
-    ops = build_operators(P, 4, 4)
     with pytest.raises(ValidationError, match="dimension mismatch"):
-        discrete_norm(np.ones(3), ops, "l2", MEDIA)
+        assemble_mass(build_mesh(MEDIA, 4)).matvec(np.ones(3))
     with pytest.raises(ValidationError):
-        discrete_norm(np.ones(5), ops, "l2", "lumen")
-    with pytest.raises(ValidationError):
-        discrete_norm(np.ones(5), ops, "sup", MEDIA)
+        build_mesh("lumen", 4)

@@ -6,7 +6,6 @@ import pytest
 from stentsim import ValidationError, paper_params
 from stentsim.fem import build_operators
 from stentsim.output import (
-    PlotStyle,
     emit_svg_plot,
     read_record_csv,
     write_record_csv,
@@ -105,8 +104,8 @@ def test_empty_record_rejected(tmp_path):
 def test_svg_deterministic(tmp_path):
     t = np.linspace(0, 1, 50)
     series = [("rise", t, np.sin(t)), ("fall", t, np.cos(t))]
-    p1 = emit_svg_plot(series, PlotStyle(title="demo"), tmp_path / "a.svg")
-    p2 = emit_svg_plot(series, PlotStyle(title="demo"), tmp_path / "b.svg")
+    p1 = emit_svg_plot(series, tmp_path / "a.svg", title="demo")
+    p2 = emit_svg_plot(series, tmp_path / "b.svg", title="demo")
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text()
     assert text.startswith("<svg")
@@ -116,7 +115,7 @@ def test_svg_deterministic(tmp_path):
 
 def test_svg_constant_series_is_horizontal(tmp_path):
     t = np.linspace(0, 2, 5)
-    p = emit_svg_plot([("flat", t, np.full(5, 3.0))], None, tmp_path / "c.svg")
+    p = emit_svg_plot([("flat", t, np.full(5, 3.0))], tmp_path / "c.svg")
     text = p.read_text()
     pts = text.split('points="')[1].split('"')[0]
     ys = {pair.split(",")[1] for pair in pts.split()}
@@ -125,7 +124,7 @@ def test_svg_constant_series_is_horizontal(tmp_path):
 
 def test_svg_empty_series_rejected(tmp_path):
     with pytest.raises(ValidationError):
-        emit_svg_plot([], None, tmp_path / "d.svg")
+        emit_svg_plot([], tmp_path / "d.svg")
     with pytest.raises(ValidationError):
-        emit_svg_plot([("x", np.array([]), np.array([]))], None,
+        emit_svg_plot([("x", np.array([]), np.array([]))],
                       tmp_path / "e.svg")

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from stentsim import (
     PAPER_DEFAULTS,
     ParameterError,
-    derived_constants,
+    energy_growth_rate,
     paper_params,
     validate_params,
 )
@@ -67,16 +67,16 @@ def test_unknown_and_nonnumeric_names_rejected():
 
 
 def test_derived_constants_default_set():
-    # gamma = min(0.61, 0.39)/2; big_m = 1.0162/0.39
-    d = derived_constants(paper_params())
-    assert d.gamma == pytest.approx(0.195, rel=1e-15)
-    assert d.big_m == pytest.approx(1.0162 / 0.39, rel=1e-15)
-    assert d.big_m == pytest.approx(2.605641025641026, rel=1e-12)
+    # gamma = min(0.61, 0.39)/2 = 0.195; M = (1+da)/(2*gamma) = 1.0162/0.39
+    growth = energy_growth_rate(paper_params())
+    assert growth == pytest.approx(1.0162 / 0.39, rel=1e-15)
+    assert growth == pytest.approx(2.605641025641026, rel=1e-12)
 
 
 def test_symmetric_porosity_gamma():
-    d = derived_constants(validate_params(dict(FULL, phi=0.5)))
-    assert d.gamma == 0.25
+    # gamma takes its largest value 1/4 at phi = 1/2, so M = 2*(1+da)
+    p = validate_params(dict(FULL, phi=0.5))
+    assert energy_growth_rate(p) == 2.0 * (1.0 + p.da)
 
 
 def test_reference_step_count_respects_media_bound():
@@ -94,8 +94,9 @@ def test_reference_step_count_respects_media_bound():
 
 @given(phi=st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 def test_gamma_capped_at_quarter(phi):
+    # gamma <= 1/4, with equality only at phi = 1/2: M >= 2*(1+da)
     p = validate_params(dict(FULL, phi=phi))
-    d = derived_constants(p)
-    assert d.gamma <= 0.25 + 1e-16
+    growth = energy_growth_rate(p)
+    assert growth >= 2.0 * (1.0 + p.da)
     if phi != 0.5:
-        assert d.gamma < 0.25
+        assert growth > 2.0 * (1.0 + p.da)

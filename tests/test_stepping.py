@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stentsim import CflError, InstabilityError, ValidationError, paper_params
 from stentsim.fem import build_operators
-from stentsim.params import derived_constants
+from stentsim.params import energy_growth_rate
 from stentsim.stepping import (
     SchemeConfig,
     SimState,
@@ -523,13 +523,12 @@ def test_decoupled_balance_residual_halves_with_dt(variant):
 
 def test_energy_stays_inside_growth_envelope():
     ops = build_operators(P, 20, 10)
-    d = derived_constants(P)
     dt = safe_dt(ops, frac=0.9)
     n = 500
     cfg = SchemeConfig("monolithic", dt, t_end=n * dt)
     rec = run_simulation(P, ops, cfg, [n * dt])
     e0 = rec.monitors.energy[0]
-    envelope = e0 * np.exp(2.0 * d.big_m * rec.monitors.t)
+    envelope = e0 * np.exp(2.0 * energy_growth_rate(P) * rec.monitors.t)
     assert np.all(rec.monitors.energy <= 1.05 * envelope)
 
 
