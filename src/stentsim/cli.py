@@ -66,7 +66,10 @@ def _reference(cfg, scale):
     config's, and about ten snapshots on both step grids.  Returns the
     reference, the config's step count and the snapshot times."""
     p, t_end, dt = cfg.params, cfg.scheme.t_end, cfg.scheme.dt_m
-    n_steps = max(1, step_count(t_end, dt))
+    if t_end == 0:
+        raise ConfigError(f"time.t_end: compare-alg and stepping-study need "
+                          f"t_end > 0, got {t_end!r}", key="time.t_end")
+    n_steps = step_count(t_end, dt)
     stride = max(1, n_steps // 10)
     snaps = [k * stride * dt for k in range(0, n_steps // stride + 1)]
     if abs(snaps[-1] - t_end) > 1e-12 * max(1.0, t_end):
@@ -181,11 +184,9 @@ def cmd_plot(args) -> int:
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
     with path.open() as fh:
-        rd = csv.DictReader(fh)
-        header = rd.fieldnames or []
-        rows = list(rd)
-    if not rows:
-        raise ConfigError(f"no data rows in {path}")
+        header = next(csv.reader([fh.readline()]), [])
+        if not fh.readline().strip():
+            raise ConfigError(f"no data rows in {path}")
     # the config echo simulate writes beside its CSVs gives the time unit
     echo = path.with_name("config_echo.yaml")
     time_unit = parse_config(echo).time_unit if echo.exists() else None
@@ -193,12 +194,13 @@ def cmd_plot(args) -> int:
         # long-format snapshots: one profile per snapshot time
         want = args.field
         series = {}
-        for row in rows:
-            if row["field"] != want:
-                continue
-            series.setdefault(float(row["t"]), []).append(
-                (float(row["x"]), float(row["value"]))
-            )
+        with path.open() as fh:
+            for row in csv.DictReader(fh):
+                if row["field"] != want:
+                    continue
+                series.setdefault(float(row["t"]), []).append(
+                    (float(row["x"]), float(row["value"]))
+                )
         if not series:
             raise ConfigError(f"field {want!r} not present in {path}")
         plot_series = []
@@ -217,8 +219,9 @@ def cmd_plot(args) -> int:
             )
         if "t" not in header:
             raise ConfigError(f"{path} has no t column to plot against")
-        t = np.array([float(r["t"]) for r in rows])
-        y = np.array([float(r[args.field]) for r in rows])
+        t, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                          usecols=(header.index("t"),
+                                   header.index(args.field))).T
         x_label = "t"
         if time_unit is not None:
             t, x_label = t * time_unit / 3600.0, "hours"
@@ -242,8 +245,12 @@ def _positive_int(text):
 
 
 def _ratios(text):
-    """argparse type: comma-separated positive integers, such as 1,2."""
-    return [_positive_int(v) for v in text.split(",")]
+    """argparse type: comma-separated distinct positive integers, such
+    as 1,2."""
+    ratios = [_positive_int(v) for v in text.split(",")]
+    if len(set(ratios)) < len(ratios):
+        raise argparse.ArgumentTypeError(f"repeated ratio in {text!r}")
+    return ratios
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,11 +43,11 @@ import math
 
 import numpy as np
 
-from .errors import CflError, InstabilityError, ValidationError
-from .fem import MEDIA, STENT, build_mesh
+from .errors import CflError, ValidationError
+from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh
 from .params import ModelParams
-from .stepping import (RunRecorder, SolutionRecord, record_echo,
-                       sharp_dt_limit, step_count)
+from .stepping import (BlockMonitor, RunRecorder, SolutionRecord,
+                       record_echo, sharp_dt_limit, step_count)
 
 
 def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
@@ -131,6 +131,21 @@ class _FdStep:
         return zn, c2n
 
 
+def _trapezoid_monitor(p: ModelParams, mesh_s, mesh_m) -> BlockMonitor:
+    """Trapezoid-rule mass, stent mass and squared L2 norms of the record
+    [c; c1; c2]; the energy form is diagonal."""
+    def weights(mesh):
+        w = np.full(mesh.n_elems + 1, mesh.h)
+        w[0] = w[-1] = mesh.h / 2.0
+        return w
+
+    w_s, w_m = weights(mesh_s), weights(mesh_m)
+    diag = np.concatenate([w_s, w_m, w_m])
+    off = np.zeros(len(diag) - 1)
+    mass = np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m])
+    return BlockMonitor(mass, w_s, TridiagonalMatrix(off, diag, off), p.pe)
+
+
 def run_fd(
     p: ModelParams,
     n_s: int,
@@ -154,13 +169,13 @@ def run_fd(
         raise ValidationError(f"t_end must be nonnegative, got {t_end}")
     mesh_s = build_mesh(STENT, n_s, l=p.l)
     mesh_m = build_mesh(MEDIA, n_m)
-    h_s, h_m = mesh_s.h, mesh_m.h
 
     n_steps = step_count(t_end, dt)
     config_echo = record_echo("fd", p, n_s, n_m, record_every,
                               variant="monolithic", dt_m=dt, t_end=t_end)
     rec = RunRecorder(mesh_s, mesh_m, snapshot_times, dt, n_steps,
-                      record_every, t_end, config_echo)
+                      record_every, t_end, config_echo,
+                      _trapezoid_monitor(p, mesh_s, mesh_m))
 
     fd = _FdStep(p, mesh_s, mesh_m, dt, hold_c1=hold_c1_at is not None)
     n0 = fd.n0
@@ -170,37 +185,10 @@ def run_fd(
         z[n0:] = hold_c1_at
     c2 = np.zeros(n_m + 1)
 
-    # trapezoid weights for the mass/energy monitors
-    w_s = np.full(n_s + 1, h_s)
-    w_s[0] = w_s[-1] = h_s / 2.0
-    w_m = np.full(n_m + 1, h_m)
-    w_m[0] = w_m[-1] = h_m / 2.0
-
-    def mass(c, c1, c2):
-        return float(w_s @ c + p.phi * (w_m @ c1) + (1 - p.phi) * (w_m @ c2))
-
-    def energy(c, c1, c2):
-        return float(w_s @ (c * c) + w_m @ (c1 * c1) + w_m @ (c2 * c2))
-
-    mass0 = mass(z[:n0], z[n0:], c2)
     outflow_sum = 0.0
-
-    for k in range(n_steps + 1):
-        t = k * dt
-        c, c1 = z[:n0], z[n0:]
-        if rec.wants_monitor(k):
-            m_k = mass(c, c1, c2)
-            if not math.isfinite(m_k):
-                raise InstabilityError(
-                    f"instability detected: non-finite state at t={t:.6g}"
-                )
-            resid = m_k - mass0 + p.pe * dt * outflow_sum
-            rec.monitor(t, c, c1, m_k, float(w_s @ c),
-                        energy(c, c1, c2), resid)
-        rec.maybe_snapshot(k, t, c, c1, c2)
-        if k == n_steps:
-            break
+    for k in range(n_steps):
+        rec.record(k, k * dt, z, c2, outflow_sum)
         outflow_sum += float(z[-1])
         z, c2 = fd.step(z, c2)
-
+    rec.record(n_steps, n_steps * dt, z, c2, outflow_sum)
     return rec.build()

@@ -80,12 +80,6 @@ class TridiagonalMatrix:
         y[1:] += self.lower * x[:-1]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        m += np.diag(self.lower, -1)
-        m += np.diag(self.upper, 1)
-        return m
-
 
 def _tridiag(n: int, lo: float, di: float, up: float) -> TridiagonalMatrix:
     return TridiagonalMatrix(

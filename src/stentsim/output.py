@@ -8,15 +8,17 @@ CSV formats (headers are normative):
     monitors.csv    t,mass,energy,mass_balance_residual
 
 Numbers are printed with 17 significant digits so values round-trip
-exactly.  Rows are sorted by (t, domain, x, field).  Charts are written
-as self-contained SVG with fixed formatting: identical input produces
-byte-identical files.
+exactly.  Rows are sorted by (t, domain, x, field).  A record's files are
+streamed: each row is one '%.16e,...' format of values taken from the
+columns with ``tolist``, written through ``writelines``, in the bytes a
+``csv.writer`` would give (unquoted fields, \r\n line ends).  Charts
+are written as self-contained SVG with fixed formatting: identical input
+produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,20 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+def _write_rows(path: Path, header: str, lines) -> None:
+    """Write the header line and the formatted lines, which end in \\r\\n."""
+    with path.open("w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(lines)
+
+
+def _table_lines(*columns):
+    """One '%.16e,...' line per row of the given numeric columns."""
+    row = ",".join(["%.16e"] * len(columns)) + "\r\n"
+    return (row % values
+            for values in zip(*(c.tolist() for c in columns)))
+
+
 def write_record_csv(rec: SolutionRecord, out_dir) -> list[Path]:
     """Write snapshots.csv, interface.csv, and monitors.csv under out_dir."""
     if not rec.snapshots and len(rec.monitors.t) == 0:
@@ -36,86 +52,34 @@ def write_record_csv(rec: SolutionRecord, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for snap in rec.snapshots:
-        t = snap.t
-        for x, v in zip(rec.mesh_s.nodes, snap.state.y0):
-            rows.append((t, "s", float(x), "c", v))
-        for x, v in zip(rec.mesh_m.nodes, snap.state.y1):
-            rows.append((t, "m", float(x), "c1", v))
-        for x, v in zip(rec.mesh_m.nodes, snap.state.y2):
-            rows.append((t, "m", float(x), "c2", v))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    def snapshot_lines():
+        # (t, domain, x, field) order: per time the media nodes (c1 then
+        # c2 at each x), then the stent nodes
+        for snap in sorted(rec.snapshots, key=lambda s: s.t):
+            t, st = "%.16e" % snap.t, snap.state
+            yield from ("%s,m,%.16e,c1,%.16e\r\n%s,m,%.16e,c2,%.16e\r\n"
+                        % (t, x, a, t, x, b)
+                        for x, a, b in zip(rec.mesh_m.nodes.tolist(),
+                                           st.y1.tolist(), st.y2.tolist()))
+            yield from ("%s,s,%.16e,c,%.16e\r\n" % (t, x, v)
+                        for x, v in zip(rec.mesh_s.nodes.tolist(),
+                                        st.y0.tolist()))
 
     snap_path = out / "snapshots.csv"
-    with snap_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "domain", "x", "field", "value"])
-        for t, dom, x, name, v in rows:
-            w.writerow([_fmt(t), dom, _fmt(x), name, _fmt(v)])
+    _write_rows(snap_path, "t,domain,x,field,value", snapshot_lines())
 
     ifc_path = out / "interface.csv"
     ifc = rec.interface
-    with ifc_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "c_at_0", "c1_at_0", "c1_at_1"])
-        for t, a, b, c in zip(ifc.t, ifc.c_at_0, ifc.c1_at_0, ifc.c1_at_1):
-            w.writerow([_fmt(t), _fmt(a), _fmt(b), _fmt(c)])
+    _write_rows(ifc_path, "t,c_at_0,c1_at_0,c1_at_1",
+                _table_lines(ifc.t, ifc.c_at_0, ifc.c1_at_0, ifc.c1_at_1))
 
     mon_path = out / "monitors.csv"
     mon = rec.monitors
-    with mon_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mass", "energy", "mass_balance_residual"])
-        for t, m, e, r in zip(mon.t, mon.mass, mon.energy,
-                              mon.balance_residual):
-            w.writerow([_fmt(t), _fmt(m), _fmt(e), _fmt(r)])
+    _write_rows(mon_path, "t,mass,energy,mass_balance_residual",
+                _table_lines(mon.t, mon.mass, mon.energy,
+                             mon.balance_residual))
 
     return [snap_path, ifc_path, mon_path]
-
-
-@dataclass
-class RecordData:
-    """Values read back from a record's CSV files."""
-
-    snapshots: list  # (t, y0, y1, y2) tuples, arrays ordered by x
-    interface: dict  # column name -> array
-    monitors: dict   # column name -> array
-
-
-def read_record_csv(out_dir) -> RecordData:
-    out = Path(out_dir)
-
-    by_time: dict[float, dict[str, list]] = {}
-    with (out / "snapshots.csv").open() as fh:
-        rd = csv.DictReader(fh)
-        for row in rd:
-            t = float(row["t"])
-            slot = by_time.setdefault(t, {"c": [], "c1": [], "c2": []})
-            slot[row["field"]].append((float(row["x"]), float(row["value"])))
-    snapshots = []
-    for t in sorted(by_time):
-        slot = by_time[t]
-        arrays = []
-        for name in ("c", "c1", "c2"):
-            pairs = sorted(slot[name], key=lambda p: p[0])
-            arrays.append(np.array([v for _, v in pairs]))
-        snapshots.append((t, *arrays))
-
-    def read_table(path):
-        with path.open() as fh:
-            rd = csv.DictReader(fh)
-            cols = {name: [] for name in rd.fieldnames}
-            for row in rd:
-                for name in cols:
-                    cols[name].append(float(row[name]))
-        return {name: np.array(vals) for name, vals in cols.items()}
-
-    return RecordData(
-        snapshots=snapshots,
-        interface=read_table(out / "interface.csv"),
-        monitors=read_table(out / "monitors.csv"),
-    )
 
 
 def write_table_csv(path, header, rows) -> Path:

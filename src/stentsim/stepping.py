@@ -57,6 +57,16 @@ that limit before the first step, and requires t_end to be a whole
 number of macro steps (``step_count``).  ``stable_step_count`` plans
 step counts on the same limit.  A runaway run is still caught by an
 energy monitor that aborts loudly instead of writing non-finite output.
+
+Recording: ``RunRecorder`` serves this solver and the finite-difference
+one.  A monitored step copies the record [z; y2] into a preallocated
+block of RECORD_BLOCK rows; each full block, and the last partial one,
+is measured in one shot by the solver's ``BlockMonitor`` (one matrix
+product against the mass and stent-mass weights, one row-wise
+tridiagonal product and an einsum for the energy), guarded, and written
+into the record's preallocated arrays.  The guards name the first
+record of the block that fails, at its own t, so a run stops with the
+message a per-record check would give and before any output is written.
 """
 
 from __future__ import annotations
@@ -316,7 +326,6 @@ class _Kernel:
         substep_ratio: int = 1,
         substep_domain: str = STENT,
     ):
-        self.p = p
         self.n0 = n0 = ops.psi_s.dim
         self.r_s = substep_ratio if substep_domain == STENT else 1
         self.r_m = substep_ratio if substep_domain == MEDIA else 1
@@ -334,7 +343,6 @@ class _Kernel:
         self.ode_gain = dt_media * p.da / (1.0 - p.phi)
 
         self.psi = _stack(ops.psi_s, ops.psi_m, 0.0, 0.0)
-        self.psi_m = ops.psi_m
         self.fac = _MassFactor(self.psi)
         # the blocks alone, for the substeps after the stacked one
         self.upd_s = _block(self.upd, 0, n0)
@@ -349,10 +357,13 @@ class _Kernel:
         g = self.fac.solve(e)
         self.g_s, self.g_m = g[:n0], g[n0:]
 
-        # row-sum vectors: 1' Psi y as a single dot product
-        self.w_s = ops.psi_s.matvec(np.ones(n0))
-        self.w_m = ops.psi_m.matvec(np.ones(ops.psi_m.dim))
-        self.w_z = np.concatenate([self.w_s, p.phi * self.w_m])
+        # monitors of the stacked record s = [z; y2]: row sums of the mass
+        # matrices weigh mass and stent mass, blockdiag(Psi, Psi_m) the energy
+        w_s = ops.psi_s.matvec(np.ones(n0))
+        w_m = ops.psi_m.matvec(np.ones(ops.psi_m.dim))
+        self.monitor = BlockMonitor(
+            np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m]), w_s,
+            _stack(self.psi, ops.psi_m, 0.0, 0.0), p.pe, energy_growth_rate(p))
 
     def _stent_steps(self, y0, trace_w):
         """The r_s - 1 stent substeps after the stacked one, in place,
@@ -404,22 +415,6 @@ class _Kernel:
             self._stent_steps(y0n, trace_w)
         return zn, y2n
 
-    # -- monitors ----------------------------------------------------------
-
-    def mass(self, z, y2):
-        """Total drug content: stent integral + phi-weighted extracellular
-        + (1-phi)-weighted intracellular integrals of the P1 interpolants."""
-        return (float(np.dot(self.w_z, z))
-                + (1.0 - self.p.phi) * float(np.dot(self.w_m, y2)))
-
-    def stent_mass(self, z):
-        return float(np.dot(self.w_s, z[:self.n0]))
-
-    def energy(self, z, y2):
-        """Sum of squared discrete L2 norms of the three fields."""
-        return (float(np.dot(z, self.psi.matvec(z)))
-                + float(np.dot(y2, self.psi_m.matvec(y2))))
-
 
 def check_snapshot_times(snapshot_times, t_end: float) -> list[float]:
     """The requested times as floats; raises ValidationError unless they
@@ -448,68 +443,154 @@ def record_echo(solver: str, p: ModelParams, n_s: int, n_m: int,
     }
 
 
+# records per monitor block: a run measures its records one block at a time
+RECORD_BLOCK = 256
+
+
+@dataclass(frozen=True, eq=False)
+class BlockMonitor:
+    """A solver's monitors of the record s = [z; y2], for a block of
+    records at once (one row each).
+
+    The mass is s @ mass_weights, the stent mass y0 @ stent_weights and
+    the energy the quadratic form s . (form s).  The balance residual
+    reads pe, and the energy guard reads growth; without it only the
+    non-finite guard runs.
+    """
+
+    mass_weights: np.ndarray
+    stent_weights: np.ndarray
+    form: TridiagonalMatrix
+    pe: float
+    growth: float | None = None
+
+    def measure(self, block: np.ndarray):
+        """Mass, stent mass and energy of each row of block.  The energy
+        sums the diagonal and the off-diagonal terms of the form in two
+        einsums, which build no block-sized temporaries."""
+        f = self.form
+        energy = np.einsum("ij,j,ij->i", block, f.diag, block)
+        energy += np.einsum("ij,j,ij->i", block[:, :-1], f.upper + f.lower,
+                            block[:, 1:])
+        return (block @ self.mass_weights,
+                block[:, :len(self.stent_weights)] @ self.stent_weights,
+                energy)
+
+
 class RunRecorder:
-    """Collects monitors, interface traces, and snapshots during a run.
+    """Records monitors, interface traces and snapshots during a run, for
+    the finite-element and the finite-difference solver alike.
+
+    The solver calls ``record`` at every step k = 0..n_steps with the
+    stacked state z = [y0; y1], y2 and the outflow sum so far.  A
+    monitored step (every record_every-th and the last) copies [z; y2]
+    into one row of a preallocated block of RECORD_BLOCK rows.  Each full
+    block, and the last partial one, is measured in one shot by the
+    solver's BlockMonitor, guarded, and written straight into
+    preallocated output arrays.  The guards raise InstabilityError for
+    the first record of the block whose mass or energy is non-finite or
+    whose energy leaves ENERGY_GUARD_FACTOR times the growth envelope
+    E(0)*exp(2*growth*t), with the message a per-record check would give.
 
     Snapshot requests are snapped to the nearest completed step; requests
     landing on the same step are merged (first request wins).
     """
 
     def __init__(self, mesh_s, mesh_m, snapshot_times, dt, n_steps,
-                 record_every, t_end, config):
+                 record_every, t_end, config, monitor: BlockMonitor):
         snapshot_times = check_snapshot_times(snapshot_times, t_end)
         self.mesh_s = mesh_s
         self.mesh_m = mesh_m
-        self.record_every = max(1, int(record_every))
+        self.record_every = every = max(1, int(record_every))
         self.n_steps = n_steps
+        self.dt = dt
         self.config = config
+        self.monitor = monitor
         self._snap_steps: dict[int, float] = {}
         for ts in snapshot_times:
             idx = min(n_steps, max(0, round(ts / dt))) if dt > 0 else 0
             self._snap_steps.setdefault(idx, ts)
         self.snapshots: list[Snapshot] = []
-        self._t: list[float] = []
-        self._mon = {k: [] for k in ("mass", "stent_mass", "energy", "resid")}
-        self._ifc = {k: [] for k in ("c0", "c1_0", "c1_1")}
 
-    def wants_monitor(self, k: int) -> bool:
-        return k % self.record_every == 0 or k == self.n_steps
+        self.n0 = mesh_s.n_elems + 1
+        self.nz = self.n0 + mesh_m.n_elems + 1
+        self.n_records = n = n_steps // every + 1 + (n_steps % every > 0)
+        # rows: t, mass, stent mass, energy, balance residual, c(0-),
+        # c1(0+), c1(1)
+        self._out = np.empty((8, n))
+        t = self._out[0]
+        t[:] = np.arange(n) * every
+        t[-1] = n_steps
+        t *= dt
+        b = min(RECORD_BLOCK, n)
+        self._block = np.empty((b, self.nz + mesh_m.n_elems + 1))
+        self._outflow = np.empty(b)
+        self._count = 0  # records taken
+        self._done = 0   # records measured
 
-    def monitor(self, t, y0, y1, mass, stent_mass, en, resid):
-        self._t.append(t)
-        self._mon["mass"].append(mass)
-        self._mon["stent_mass"].append(stent_mass)
-        self._mon["energy"].append(en)
-        self._mon["resid"].append(resid)
-        self._ifc["c0"].append(float(y0[-1]))
-        self._ifc["c1_0"].append(float(y1[0]))
-        self._ifc["c1_1"].append(float(y1[-1]))
-
-    def maybe_snapshot(self, k, t, y0, y1, y2):
+    def record(self, k, t, z, y2, outflow_sum):
+        """Step k at time t: take the record and the snapshot it is due."""
+        if k % self.record_every == 0 or k == self.n_steps:
+            j = self._count - self._done
+            self._block[j, :self.nz] = z
+            self._block[j, self.nz:] = y2
+            self._outflow[j] = outflow_sum
+            self._count += 1
+            if j + 1 == len(self._block) or self._count == self.n_records:
+                self._flush()
         ts = self._snap_steps.get(k)
         if ts is not None:
-            state = SimState(y0.copy(), y1.copy(), y2.copy(), t)
+            n0 = self.n0
+            state = SimState(z[:n0].copy(), z[n0:].copy(), y2.copy(), t)
             self.snapshots.append(Snapshot(t_request=ts, t=t, state=state))
 
+    def _flush(self):
+        """Measure, guard and store the records taken since the last flush."""
+        lo, hi = self._done, self._count
+        block = self._block[:hi - lo]
+        out = self._out[:, lo:hi]
+        t = out[0]
+        # a non-finite record is the guard's to report, not numpy's
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass, stent_mass, energy = self.monitor.measure(block)
+        if lo == 0:
+            self._mass0, self._energy0 = mass[0], energy[0]
+        finite = np.isfinite(mass) & np.isfinite(energy)
+        bad = ~finite
+        growth = self.monitor.growth
+        if growth is not None:
+            envelope = self._energy0 * np.exp(np.minimum(2.0 * growth * t,
+                                                         700.0))
+            bad |= energy > ENERGY_GUARD_FACTOR * envelope
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                raise InstabilityError(
+                    f"instability detected: non-finite state at t={t[i]:.6g}"
+                )
+            raise InstabilityError(
+                f"instability detected: energy {energy[i]:.6g} exceeds "
+                f"{ENERGY_GUARD_FACTOR}x the growth envelope "
+                f"{envelope[i]:.6g} at t={t[i]:.6g}"
+            )
+        out[1], out[2], out[3] = mass, stent_mass, energy
+        np.subtract(mass, self._mass0, out=out[4])
+        out[4] += (self.monitor.pe * self.dt) * self._outflow[:hi - lo]
+        out[5] = block[:, self.n0 - 1]
+        out[6] = block[:, self.n0]
+        out[7] = block[:, self.nz - 1]
+        self._done = hi
+
     def build(self) -> SolutionRecord:
-        t = np.array(self._t)
+        t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
         return SolutionRecord(
             mesh_s=self.mesh_s,
             mesh_m=self.mesh_m,
             snapshots=self.snapshots,
-            interface=InterfaceSeries(
-                t=t,
-                c_at_0=np.array(self._ifc["c0"]),
-                c1_at_0=np.array(self._ifc["c1_0"]),
-                c1_at_1=np.array(self._ifc["c1_1"]),
-            ),
-            monitors=MonitorSeries(
-                t=t,
-                mass=np.array(self._mon["mass"]),
-                stent_mass=np.array(self._mon["stent_mass"]),
-                energy=np.array(self._mon["energy"]),
-                balance_residual=np.array(self._mon["resid"]),
-            ),
+            interface=InterfaceSeries(t=t, c_at_0=c0, c1_at_0=c1_0,
+                                      c1_at_1=c1_1),
+            monitors=MonitorSeries(t=t, mass=mass, stent_mass=stent_mass,
+                                   energy=energy, balance_residual=resid),
             config=self.config,
         )
 
@@ -529,45 +610,21 @@ def run_simulation(
     ENERGY_GUARD_FACTOR.
     """
     cfg.check_cfl(p, ops)
-    growth = energy_growth_rate(p)
     kern = _Kernel(p, ops, cfg.dt_m, cfg.substep_ratio, cfg.substep_domain)
     n_steps = step_count(cfg.t_end, cfg.dt_m)
 
     config_echo = record_echo("fem", p, ops.mesh_s.n_elems, ops.mesh_m.n_elems,
                               record_every, **asdict(cfg))
     rec = RunRecorder(ops.mesh_s, ops.mesh_m, snapshot_times, cfg.dt_m,
-                      n_steps, record_every, cfg.t_end, config_echo)
+                      n_steps, record_every, cfg.t_end, config_echo,
+                      kern.monitor)
 
     state = initial_state(ops)
     z, y2 = np.concatenate([state.y0, state.y1]), state.y2
-    n0 = kern.n0
-    mass0 = kern.mass(z, y2)
-    energy0 = kern.energy(z, y2)
     outflow_sum = 0.0  # sum over completed steps of y1[last]
-
-    for k in range(n_steps + 1):
-        t = k * cfg.dt_m
-        y0, y1 = z[:n0], z[n0:]
-        if rec.wants_monitor(k):
-            mass_k = kern.mass(z, y2)
-            en = kern.energy(z, y2)
-            resid = mass_k - mass0 + p.pe * cfg.dt_m * outflow_sum
-            if not (math.isfinite(mass_k) and math.isfinite(en)):
-                raise InstabilityError(
-                    f"instability detected: non-finite state at t={t:.6g}"
-                )
-            envelope = energy0 * math.exp(min(2.0 * growth * t, 700.0))
-            if en > ENERGY_GUARD_FACTOR * envelope:
-                raise InstabilityError(
-                    f"instability detected: energy {en:.6g} exceeds "
-                    f"{ENERGY_GUARD_FACTOR}x the growth envelope "
-                    f"{envelope:.6g} at t={t:.6g}"
-                )
-            rec.monitor(t, y0, y1, mass_k, kern.stent_mass(z), en, resid)
-        rec.maybe_snapshot(k, t, y0, y1, y2)
-        if k == n_steps:
-            break
+    for k in range(n_steps):
+        rec.record(k, k * cfg.dt_m, z, y2, outflow_sum)
         outflow_sum += float(z[-1])
         z, y2 = kern.macro_step(z, y2, cfg.variant)
-
+    rec.record(n_steps, n_steps * cfg.dt_m, z, y2, outflow_sum)
     return rec.build()

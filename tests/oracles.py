@@ -8,6 +8,9 @@ It shares no code path with the closed-form assembly under test.
 The finite-difference step oracle applies the central-difference and
 ghost-point stencils node by node with array slices, the form the
 assembled operator in ``stentsim.fdcheck`` is built from.
+
+The monitor oracles measure one state at a time with dot products, the
+per-record form of the block monitors the run recorder applies.
 """
 
 import numpy as np
@@ -54,6 +57,14 @@ def _quad_matrix(nodes, integrand):
             for i in (e, e + 1):
                 for j in (e, e + 1):
                     out[j, i] += w * integrand(i, j, x)
+    return out
+
+
+def dense(m):
+    """The dense array of a TridiagonalMatrix."""
+    out = np.diag(m.diag)
+    out += np.diag(m.lower, -1)
+    out += np.diag(m.upper, 1)
     return out
 
 
@@ -135,3 +146,32 @@ def fd_step_oracle(p, h_s, h_m, dt, c, c1, c2, hold_c1=False):
 
     c2 = ode_decay * c2 + ode_gain * c1
     return c_new, c1_new, c2
+
+
+def fem_monitors(p, ops, y0, y1, y2):
+    """Mass, stent mass and energy of one finite-element state.  The mass
+    is the stent integral plus the phi-weighted extracellular and the
+    (1-phi)-weighted intracellular integrals of the P1 interpolants, each
+    a dot product with the row sums of the mass matrix; the energy is the
+    sum of the three squared discrete L2 norms."""
+    w_s = ops.psi_s.matvec(np.ones(len(y0)))
+    w_m = ops.psi_m.matvec(np.ones(len(y1)))
+    z = np.concatenate([y0, y1])
+    w_z = np.concatenate([w_s, p.phi * w_m])
+    mass = float(np.dot(w_z, z)) + (1.0 - p.phi) * float(np.dot(w_m, y2))
+    energy = (float(np.dot(y0, ops.psi_s.matvec(y0)))
+              + float(np.dot(y1, ops.psi_m.matvec(y1)))
+              + float(np.dot(y2, ops.psi_m.matvec(y2))))
+    return mass, float(np.dot(w_s, y0)), energy
+
+
+def fd_monitors(p, h_s, h_m, c, c1, c2):
+    """Mass, stent mass and energy of one finite-difference state, by the
+    trapezoid rule on the nodal values."""
+    w_s = np.full(len(c), h_s)
+    w_s[0] = w_s[-1] = h_s / 2.0
+    w_m = np.full(len(c1), h_m)
+    w_m[0] = w_m[-1] = h_m / 2.0
+    mass = float(w_s @ c + p.phi * (w_m @ c1) + (1 - p.phi) * (w_m @ c2))
+    energy = float(w_s @ (c * c) + w_m @ (c1 * c1) + w_m @ (c2 * c2))
+    return mass, float(w_s @ c), energy

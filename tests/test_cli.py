@@ -209,25 +209,37 @@ def test_shipped_config_parses_and_is_stable(name):
                          build_operators(cfg.params, cfg.n_s, cfg.n_m))
 
 
-@pytest.mark.parametrize("argv", [
-    ["compare-alg", "--ref-scale", "0"],
-    ["compare-alg", "--ref-scale", "-2"],
-    ["stepping-study", "--ref-scale", "0"],
-    ["stepping-study", "--ratios", "0"],
-    ["stepping-study", "--ratios", ",,"],
-    ["stepping-study", "--ratios", "1,x"],
+# (argv, steps of the config); ids argv0, argv1, ... by position
+STUDY_REFUSALS = [
+    (["compare-alg", "--ref-scale", "0"], 20),
+    (["compare-alg", "--ref-scale", "-2"], 20),
+    (["stepping-study", "--ref-scale", "0"], 20),
+    (["stepping-study", "--ratios", "0"], 20),
+    (["stepping-study", "--ratios", ",,"], 20),
+    (["stepping-study", "--ratios", "1,x"], 20),
     # 3*4 stent elements are not refined by the reference's 2*8
-    ["stepping-study", "--ratios", "3", "--ref-scale", "2"],
-])
+    (["stepping-study", "--ratios", "3", "--ref-scale", "2"], 20),
+    # a repeated ratio would run and report the same study twice
+    (["stepping-study", "--ratios", "1,1"], 20),
+    # t_end: 0 leaves nothing to compare
+    (["compare-alg"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,steps", STUDY_REFUSALS,
+                         ids=[f"argv{i}" for i in range(len(STUDY_REFUSALS))])
 def test_study_arguments_refused_before_reference(tmp_path, capsys,
-                                                  monkeypatch, argv):
+                                                  monkeypatch, argv, steps):
     def no_reference(*args, **kwargs):
         raise AssertionError("reference run before the arguments were checked")
 
     monkeypatch.setattr("stentsim.cli.make_reference", no_reference)
-    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=20)
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=steps)
     assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if steps == 0:
+        assert "time.t_end" in err
     assert not out.exists()
 
 

@@ -71,7 +71,7 @@ def test_mass_media_two_elements():
 
 def test_mass_single_element():
     m = assemble_mass(build_mesh(MEDIA, 1))
-    entrywise_close(m.to_dense(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+    entrywise_close(oracles.dense(m), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
 
 
 @pytest.mark.parametrize("domain,n", [(MEDIA, 1), (MEDIA, 5), (STENT, 1), (STENT, 9)])
@@ -87,7 +87,7 @@ def test_stent_operator_single_element():
     a = assemble_a(build_mesh(STENT, 1, l=P.l), P)
     dl = P.delta / P.l
     expected = [[dl, -dl], [-dl, dl + P.delta * P.p_tilde]]
-    entrywise_close(a.to_dense(), expected)
+    entrywise_close(oracles.dense(a), expected)
     assert P.delta * P.p_tilde == pytest.approx(0.018, rel=1e-15)
     assert dl == pytest.approx(1.4285714285714286e-05, rel=1e-15)
 
@@ -96,13 +96,13 @@ def test_stent_operator_single_element():
 def test_assembly_matches_quadrature_oracle(n):
     mesh_s = build_mesh(STENT, n, l=P.l)
     mesh_m = build_mesh(MEDIA, n)
-    entrywise_close(assemble_mass(mesh_m).to_dense(), oracles.quad_mass(mesh_m.nodes))
-    entrywise_close(assemble_mass(mesh_s).to_dense(), oracles.quad_mass(mesh_s.nodes))
+    entrywise_close(oracles.dense(assemble_mass(mesh_m)), oracles.quad_mass(mesh_m.nodes))
+    entrywise_close(oracles.dense(assemble_mass(mesh_s)), oracles.quad_mass(mesh_s.nodes))
     entrywise_close(
-        assemble_stiffness(mesh_m).to_dense(), oracles.quad_stiffness(mesh_m.nodes)
+        oracles.dense(assemble_stiffness(mesh_m)), oracles.quad_stiffness(mesh_m.nodes)
     )
-    entrywise_close(assemble_a(mesh_s, P).to_dense(), oracles.quad_a(mesh_s.nodes, P))
-    entrywise_close(assemble_b(mesh_m, P).to_dense(), oracles.quad_b(mesh_m.nodes, P))
+    entrywise_close(oracles.dense(assemble_a(mesh_s, P)), oracles.quad_a(mesh_s.nodes, P))
+    entrywise_close(oracles.dense(assemble_b(mesh_m, P)), oracles.quad_b(mesh_m.nodes, P))
 
 
 @pytest.mark.parametrize("n", range(1, 65))
@@ -112,7 +112,7 @@ def test_row_sum_identities(n):
     ones_s = np.ones(n + 1)
     expected_a = np.zeros(n + 1)
     expected_a[-1] = P.delta * P.p_tilde
-    scale_a = np.max(np.abs(a.to_dense()))
+    scale_a = np.max(np.abs(oracles.dense(a)))
     np.testing.assert_allclose(
         a.matvec(ones_s), expected_a, atol=1e-13 * max(scale_a, 1.0)
     )
@@ -123,12 +123,12 @@ def test_row_sum_identities(n):
     ones_m = np.ones(n + 1)
     expected_b = P.da * psi_m.matvec(ones_m)
     expected_b[0] += P.delta * P.p_tilde + P.pe
-    scale_b = np.max(np.abs(b.to_dense()))
+    scale_b = np.max(np.abs(oracles.dense(b)))
     np.testing.assert_allclose(
         b.matvec(ones_m), expected_b, atol=1e-13 * max(scale_b, 1.0)
     )
     # test-side constants: 1' B = da * (Psi_m 1)' + pe * e_last' + delta*P * e_first'
-    col_sums = b.to_dense().sum(axis=0)
+    col_sums = oracles.dense(b).sum(axis=0)
     expected_cols = P.da * psi_m.matvec(ones_m)
     expected_cols[-1] += P.pe
     expected_cols[0] += P.delta * P.p_tilde
@@ -138,7 +138,7 @@ def test_row_sum_identities(n):
 def test_mass_matrices_spd_and_dominant():
     ops = build_operators(P, 8, 8)
     for m in (ops.psi_s, ops.psi_m):
-        dense = m.to_dense()
+        dense = oracles.dense(m)
         np.testing.assert_allclose(dense, dense.T, atol=0)
         assert np.all(m.diag > 0) and np.all(m.lower > 0)
         assert np.all(np.linalg.eigvalsh(dense) > 0)
@@ -149,7 +149,7 @@ def test_mass_matrices_spd_and_dominant():
 
 def test_stent_operator_symmetric_psd():
     ops = build_operators(P, 12, 8)
-    dense = ops.mat_a.to_dense()
+    dense = oracles.dense(ops.mat_a)
     np.testing.assert_allclose(dense, dense.T, atol=0)
     eigs = np.linalg.eigvalsh(dense)
     assert np.all(eigs > -1e-18)
@@ -161,10 +161,10 @@ def test_media_operator_skew_split():
     # B minus its convection part is symmetric; the remainder is the
     # skew convection (whenever pe > 0, B itself is nonsymmetric)
     mesh_m = build_mesh(MEDIA, 6)
-    b = assemble_b(mesh_m, P).to_dense()
+    b = oracles.dense(assemble_b(mesh_m, P))
     assert not np.allclose(b, b.T)
-    stiff = assemble_stiffness(mesh_m).to_dense()
-    mass = assemble_mass(mesh_m).to_dense()
+    stiff = oracles.dense(assemble_stiffness(mesh_m))
+    mass = oracles.dense(assemble_mass(mesh_m))
     sym_part = stiff + P.da * mass
     sym_part[0, 0] += P.delta * P.p_tilde + P.pe
     conv = b - sym_part

@@ -5,11 +5,7 @@ import pytest
 
 from stentsim import ValidationError, paper_params
 from stentsim.fem import build_operators
-from stentsim.output import (
-    emit_svg_plot,
-    read_record_csv,
-    write_record_csv,
-)
+from stentsim.output import emit_svg_plot, write_record_csv
 from stentsim.stepping import SchemeConfig, run_simulation, sharp_dt_limit
 
 P = paper_params()
@@ -67,24 +63,83 @@ def test_monolithic_residual_column_is_roundoff(record, tmp_path):
     assert max(abs(v) for v in resid) <= 1e-10 * P.l
 
 
+def read_back(out_dir):
+    """The snapshots as (t, c, c1, c2) tuples, arrays ordered by x and
+    tuples by t, and the interface and monitor columns by name."""
+    by_time = {}
+    with (out_dir / "snapshots.csv").open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            slot = by_time.setdefault(float(row["t"]),
+                                      {"c": [], "c1": [], "c2": []})
+            slot[row["field"]].append((float(row["x"]), float(row["value"])))
+    snapshots = [(t, *(np.array([v for _, v in sorted(by_time[t][name])])
+                       for name in ("c", "c1", "c2")))
+                 for t in sorted(by_time)]
+
+    def table(name):
+        with (out_dir / name).open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return {key: np.array([float(r[key]) for r in rows])
+                for key in rows[0]}
+
+    return snapshots, table("interface.csv"), table("monitors.csv")
+
+
 def test_roundtrip_exact(record, tmp_path):
     write_record_csv(record, tmp_path)
-    data = read_record_csv(tmp_path)
-    assert len(data.snapshots) == len(record.snapshots)
-    for (t, y0, y1, y2), snap in zip(data.snapshots, record.snapshots):
+    snapshots, interface, monitors = read_back(tmp_path)
+    assert len(snapshots) == len(record.snapshots)
+    for (t, y0, y1, y2), snap in zip(snapshots, record.snapshots):
         assert t == snap.t
         np.testing.assert_array_equal(y0, snap.state.y0)
         np.testing.assert_array_equal(y1, snap.state.y1)
         np.testing.assert_array_equal(y2, snap.state.y2)
-    np.testing.assert_array_equal(data.interface["t"], record.interface.t)
+    np.testing.assert_array_equal(interface["t"], record.interface.t)
     np.testing.assert_array_equal(
-        data.interface["c1_at_0"], record.interface.c1_at_0
+        interface["c1_at_0"], record.interface.c1_at_0
     )
-    np.testing.assert_array_equal(data.monitors["mass"], record.monitors.mass)
+    np.testing.assert_array_equal(monitors["mass"], record.monitors.mass)
     np.testing.assert_array_equal(
-        data.monitors["mass_balance_residual"],
+        monitors["mass_balance_residual"],
         record.monitors.balance_residual,
     )
+
+
+def test_streamed_bytes_match_csv_writer(record, tmp_path):
+    # the bytes csv.writer gives for the rows sorted by (t, domain, x, field)
+    def writer_bytes(path, header, rows):
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([f"{v:.16e}" if isinstance(v, float) else v
+                            for v in row])
+        return path.read_bytes()
+
+    snap_rows = []
+    for snap in record.snapshots:
+        for domain, nodes, name, values in (
+                ("s", record.mesh_s.nodes, "c", snap.state.y0),
+                ("m", record.mesh_m.nodes, "c1", snap.state.y1),
+                ("m", record.mesh_m.nodes, "c2", snap.state.y2)):
+            snap_rows += [(snap.t, domain, float(x), name, float(v))
+                          for x, v in zip(nodes, values)]
+    snap_rows.sort(key=lambda r: r[:4])
+    ifc, mon = record.interface, record.monitors
+    expected = {
+        "snapshots.csv": (["t", "domain", "x", "field", "value"], snap_rows),
+        "interface.csv": (["t", "c_at_0", "c1_at_0", "c1_at_1"],
+                          zip(ifc.t, ifc.c_at_0, ifc.c1_at_0, ifc.c1_at_1)),
+        "monitors.csv": (["t", "mass", "energy", "mass_balance_residual"],
+                         zip(mon.t, mon.mass, mon.energy,
+                             mon.balance_residual)),
+    }
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for path in write_record_csv(record, tmp_path / "out"):
+        header, rows = expected[path.name]
+        assert path.read_bytes() == writer_bytes(ref / path.name, header,
+                                                 rows)
 
 
 def test_empty_record_rejected(tmp_path):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stentsim import CflError, InstabilityError, ValidationError, paper_params
+from stentsim.fdcheck import run_fd
 from stentsim.fem import build_operators
 from stentsim.params import energy_growth_rate
 from stentsim.stepping import (
+    RECORD_BLOCK,
     SchemeConfig,
     SimState,
     _Kernel,
@@ -43,8 +45,12 @@ def state_norm(a: SimState, b: SimState) -> float:
 # ----------------------------------------------------------- initial state
 
 
-def monitors(ops):
-    return _Kernel(P, ops, safe_dt(ops))
+def measure(ops, y0, y1, y2):
+    """Mass, stent mass and energy of one state: the kernel's block
+    monitor on a one-record block."""
+    block = np.concatenate([y0, y1, y2])[None, :]
+    kern = _Kernel(P, ops, safe_dt(ops))
+    return tuple(float(v[0]) for v in kern.monitor.measure(block))
 
 
 def stacked(s):
@@ -65,9 +71,9 @@ def test_initial_state_values():
     s = initial_state(ops)
     assert np.all(s.y0 == 1.0) and np.all(s.y1 == 0.0) and np.all(s.y2 == 0.0)
     assert s.t == 0.0
-    kern = monitors(ops)
-    assert kern.mass(stacked(s), s.y2) == pytest.approx(P.l, rel=1e-14)
-    assert kern.energy(stacked(s), s.y2) == pytest.approx(P.l, rel=1e-14)
+    mass, _, energy = measure(ops, s.y0, s.y1, s.y2)
+    assert mass == pytest.approx(P.l, rel=1e-14)
+    assert energy == pytest.approx(P.l, rel=1e-14)
 
 
 def test_mass_of_unit_wall_state():
@@ -75,18 +81,21 @@ def test_mass_of_unit_wall_state():
     s = initial_state(ops)
     s.y0[:] = 0.0
     s.y1[:] = 1.0
-    assert monitors(ops).mass(stacked(s), s.y2) == pytest.approx(P.phi, rel=1e-14)
+    assert measure(ops, s.y0, s.y1, s.y2)[0] == pytest.approx(P.phi, rel=1e-14)
 
 
 def test_energy_quadratic_scaling():
     ops = small_ops()
-    energy = monitors(ops).energy
+
+    def energy(scale):
+        return measure(ops, scale * s.y0, scale * s.y1, scale * s.y2)[2]
+
     s = initial_state(ops)
     s.y1[:] = 0.3
     s.y2[:] = -0.1
-    e1 = energy(stacked(s), s.y2)
-    assert energy(2 * stacked(s), 2 * s.y2) == pytest.approx(4 * e1, rel=1e-13)
-    assert energy(0 * stacked(s), 0 * s.y2) == 0.0
+    e1 = energy(1.0)
+    assert energy(2.0) == pytest.approx(4 * e1, rel=1e-13)
+    assert energy(0.0) == 0.0
 
 
 # ------------------------------------------------------------ single steps
@@ -332,8 +341,8 @@ def test_step_map_stable_at_limit_under_strong_advection(pe):
 def dense_macro_step(ops, dt, r, domain, variant, y0, y1, y2):
     """One macro step built sequentially from the module docstring's
     formulas with dense solves: no stacking, no correction columns."""
-    psi_s, psi_m = ops.psi_s.to_dense(), ops.psi_m.to_dense()
-    mat_a, mat_b = ops.mat_a.to_dense(), ops.mat_b.to_dense()
+    psi_s, psi_m = oracles.dense(ops.psi_s), oracles.dense(ops.psi_m)
+    mat_a, mat_b = oracles.dense(ops.mat_a), oracles.dense(ops.mat_b)
     dp = P.delta * P.p_tilde
     r_s, r_m = (r, 1) if domain == "stent" else (1, r)
     dt_s, dt_media = dt / r_s, dt / r_m
@@ -540,8 +549,87 @@ def test_unstable_step_is_caught_by_energy_guard(monkeypatch):
     ops = build_operators(P, 10, 10)
     dt = 0.99 * classical_media_bound(ops)
     cfg = SchemeConfig("monolithic", dt, t_end=300 * dt)
-    with pytest.raises(InstabilityError, match="instability detected"):
+    with pytest.raises(InstabilityError) as err:
         run_simulation(P, ops, cfg, [0.0])
+    # the first record outside the envelope, as a per-record check names it
+    assert str(err.value) == (
+        "instability detected: energy 6.09525 exceeds 10.0x the growth "
+        "envelope 0.0312604 at t=0.0211365")
+
+
+def test_nonfinite_guard_names_first_bad_record(monkeypatch):
+    # the guard runs once per block of RECORD_BLOCK records and still names
+    # the first non-finite record: step 300, inside the second block
+    step = _Kernel.macro_step
+    calls = []
+
+    def poisoned(self, z, y2, variant):
+        calls.append(1)
+        z, y2 = step(self, z, y2, variant)
+        return (z * np.nan, y2) if len(calls) == 300 else (z, y2)
+
+    monkeypatch.setattr(_Kernel, "macro_step", poisoned)
+    ops = small_ops()
+    dt = safe_dt(ops)
+    assert RECORD_BLOCK < 300 < 2 * RECORD_BLOCK
+    cfg = SchemeConfig("monolithic", dt, t_end=600 * dt)
+    with pytest.raises(InstabilityError) as err:
+        run_simulation(P, ops, cfg, [0.0])
+    assert str(err.value) == (
+        f"instability detected: non-finite state at t={300 * dt:.6g}")
+
+
+# ------------------------------------------------------------ run recorder
+
+# (n_steps, record_every): 1, 255, 256 and 257 records, and a record_every
+# that does not divide n_steps (87 records, the last at n_steps)
+RECORD_CASES = [(0, 1), (254, 1), (255, 1), (256, 1), (600, 7)]
+
+
+def recorded_run(solver, n_steps, record_every):
+    """An alg1 finite-element or a finite-difference run on 8/6 with a
+    snapshot at every step, and the per-record oracle of its monitors."""
+    ops = small_ops()
+    dt = safe_dt(ops)
+    snaps = [k * dt for k in range(n_steps + 1)]
+    if solver == "fem":
+        cfg = SchemeConfig("alg1", dt, t_end=n_steps * dt)
+        rec = run_simulation(P, ops, cfg, snaps, record_every=record_every)
+        return rec, dt, lambda s: oracles.fem_monitors(P, ops, s.y0, s.y1,
+                                                       s.y2)
+    rec = run_fd(P, 8, 6, dt, n_steps * dt, snaps, record_every=record_every)
+    return rec, dt, lambda s: oracles.fd_monitors(
+        P, ops.mesh_s.h, ops.mesh_m.h, s.y0, s.y1, s.y2)
+
+
+@pytest.mark.parametrize("solver", ["fem", "fd"])
+@pytest.mark.parametrize("n_steps,record_every", RECORD_CASES)
+def test_block_monitors_match_per_record_oracle(solver, n_steps,
+                                                record_every):
+    rec, dt, oracle = recorded_run(solver, n_steps, record_every)
+    states = [snap.state for snap in rec.snapshots]
+    assert len(states) == n_steps + 1
+    steps = list(range(0, n_steps + 1, record_every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    mon, ifc = rec.monitors, rec.interface
+    assert mon.t.tolist() == [k * dt for k in steps]
+    assert ifc.t is mon.t
+
+    expected = np.array([oracle(states[k]) for k in steps])
+    np.testing.assert_allclose(mon.mass, expected[:, 0], rtol=1e-14)
+    np.testing.assert_allclose(mon.stent_mass, expected[:, 1], rtol=1e-14)
+    np.testing.assert_allclose(mon.energy, expected[:, 2], rtol=1e-14)
+    # outflow[k] = sum over steps j < k of y1^j(1)
+    outflow = np.concatenate([[0.0], np.cumsum([s.y1[-1] for s in states])])
+    resid = expected[:, 0] - expected[0, 0] + P.pe * dt * outflow[steps]
+    np.testing.assert_allclose(mon.balance_residual, resid, rtol=0,
+                               atol=1e-14 * expected[0, 0])
+    assert mon.balance_residual[0] == 0.0
+    for k, c0, c1_0, c1_1 in zip(steps, ifc.c_at_0, ifc.c1_at_0,
+                                 ifc.c1_at_1):
+        s = states[k]
+        assert (c0, c1_0, c1_1) == (s.y0[-1], s.y1[0], s.y1[-1])
 
 
 def test_trajectories_of_variants_converge_first_order():
