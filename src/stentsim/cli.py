@@ -60,23 +60,29 @@ def _write_reports(path, key, reports):
     print(f"wrote {path}")
 
 
+def _study_t_end(cfg):
+    """The config's t_end, refused if 0: a study compares runs in time."""
+    if cfg.scheme.t_end == 0:
+        raise ConfigError(f"time.t_end: converge, compare-alg and "
+                          f"stepping-study need t_end > 0, got "
+                          f"{cfg.scheme.t_end!r}", key="time.t_end")
+    return cfg.scheme.t_end
+
+
 def _reference(cfg, scale):
     """The fine reference of compare-alg and stepping-study: the config's
     meshes refined by ``scale``, a step count that is a multiple of the
     config's, and about ten snapshots on both step grids.  Returns the
     reference, the config's step count and the snapshot times."""
-    p, t_end, dt = cfg.params, cfg.scheme.t_end, cfg.scheme.dt_m
-    if t_end == 0:
-        raise ConfigError(f"time.t_end: compare-alg and stepping-study need "
-                          f"t_end > 0, got {t_end!r}", key="time.t_end")
+    p, t_end, dt = cfg.params, _study_t_end(cfg), cfg.scheme.dt_m
     n_steps = step_count(t_end, dt)
     stride = max(1, n_steps // 10)
     snaps = [k * stride * dt for k in range(0, n_steps // stride + 1)]
     if abs(snaps[-1] - t_end) > 1e-12 * max(1.0, t_end):
         snaps.append(t_end)
     n_s_ref, n_m_ref = scale * cfg.n_s, scale * cfg.n_m
-    need = stable_step_count(p, p.l / n_s_ref, 1.0 / n_m_ref, t_end)
-    n_ref = n_steps * max(1, -(-need // n_steps))
+    n_ref = stable_step_count(p, p.l / n_s_ref, 1.0 / n_m_ref, t_end,
+                              multiple_of=n_steps)
     print(f"reference: {n_s_ref}/{n_m_ref} elements, {n_ref} steps")
     ref = make_reference(p, n_s_ref, n_m_ref, n_ref, t_end, snaps)
     return ref, n_steps, snaps
@@ -107,13 +113,14 @@ def cmd_simulate(args) -> int:
 def cmd_converge(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
+    t_end = _study_t_end(cfg)
     if cfg.n_s % cfg.n_m:
         raise ConfigError(
             f"mesh.n_s: converge refines n_s and n_m together and needs "
             f"n_s to be a multiple of n_m, got {cfg.n_s}/{cfg.n_m}")
     table = convergence_study(
         cfg.params, n_m0=cfg.n_m, levels=args.levels,
-        stent_ratio=cfg.n_s // cfg.n_m, t_end=cfg.scheme.t_end,
+        stent_ratio=cfg.n_s // cfg.n_m, t_end=t_end,
         variant=cfg.scheme.variant,
     )
     print(f"{'level':>5s} {'h_m':>10s} {'field':>5s} {'norm':>8s} "

@@ -43,11 +43,11 @@ import math
 
 import numpy as np
 
-from .errors import CflError, ValidationError
+from .errors import CflError
 from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh
 from .params import ModelParams
-from .stepping import (BlockMonitor, RunRecorder, SolutionRecord,
-                       record_echo, sharp_dt_limit, step_count)
+from .stepping import (BlockMonitor, RunRecorder, SchemeConfig,
+                       SolutionRecord, sharp_dt_limit)
 
 
 def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
@@ -59,8 +59,6 @@ def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
     at most 2; a larger one raises CflError, since the central advection
     difference then grows at that limit, and so does a dt above it.
     """
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
     h_s = build_mesh(STENT, n_s, l=p.l).h
     h_m = build_mesh(MEDIA, n_m).h
     if p.pe * h_m > 2.0:
@@ -79,11 +77,9 @@ def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
 class _FdStep:
     """The assembled step (see the module docstring): the diagonals of T
     on z = [c; c1], the c2 source coefficient of the wall rows and the
-    uptake update.  With hold_c1 the wall rows are identity rows and
-    their c2 source is 0, so c1 stays bitwise constant."""
+    uptake update."""
 
-    def __init__(self, p: ModelParams, mesh_s, mesh_m, dt: float,
-                 hold_c1: bool = False):
+    def __init__(self, p: ModelParams, mesh_s, mesh_m, dt: float):
         h_s, h = mesh_s.h, mesh_m.h
         self.n0 = n0 = mesh_s.n_elems + 1
         dim = n0 + mesh_m.n_elems + 1
@@ -100,22 +96,16 @@ class _FdStep:
         diag[n0 - 1] -= 2.0 * nu * h_s * p.p_tilde
         upper[n0 - 1] = 2.0 * nu * h_s * p.p_tilde
 
-        if hold_c1:
-            diag[n0:] = 1.0
-            upper[n0:] = 0.0
-            lower[n0 - 1:] = 0.0
-            self.coef_c2 = 0.0
-        else:
-            diag[n0:] = 1.0 - a * (2.0 / (h * h) + p.da)
-            upper[n0:] = a * (1.0 / (h * h) - p.pe / (2.0 * h))
-            lower[n0:] = a * (1.0 / (h * h) + p.pe / (2.0 * h))
-            upper[n0] = 2.0 * a / (h * h)
-            lower[-1] = 2.0 * a / (h * h)
-            lower[n0 - 1] = a * dp * (2.0 / h + p.pe)
-            diag[n0] -= a * (2.0 / h + p.pe) * (p.pe + dp)
-            self.coef_c2 = dt * p.da / (p.phi * p.k_part)
+        diag[n0:] = 1.0 - a * (2.0 / (h * h) + p.da)
+        upper[n0:] = a * (1.0 / (h * h) - p.pe / (2.0 * h))
+        lower[n0:] = a * (1.0 / (h * h) + p.pe / (2.0 * h))
+        upper[n0] = 2.0 * a / (h * h)
+        lower[-1] = 2.0 * a / (h * h)
+        lower[n0 - 1] = a * dp * (2.0 / h + p.pe)
+        diag[n0] -= a * (2.0 / h + p.pe) * (p.pe + dp)
 
         self.lower, self.diag, self.upper = lower, diag, upper
+        self.coef_c2 = dt * p.da / (p.phi * p.k_part)
         self.ode_decay = 1.0 - dt * p.da / ((1.0 - p.phi) * p.k_part)
         self.ode_gain = dt * p.da / (1.0 - p.phi)
 
@@ -154,41 +144,18 @@ def run_fd(
     t_end: float,
     snapshot_times,
     record_every: int = 1,
-    stent_init: float = 1.0,
-    hold_c1_at: float | None = None,
 ) -> SolutionRecord:
-    """Explicit finite-difference run producing the same record shape.
-
-    ``stent_init`` overrides the initial coating concentration (the
-    standard initial data is 1).  ``hold_c1_at`` freezes the wall field
-    at a constant, a manufactured mode used to test the uptake ODE in
-    isolation.  ``check_fd`` gates the run before the first step.
+    """Explicit finite-difference run from the standard initial data, with
+    the finite-element run's record shape and config keys.  The time
+    inputs are checked as for a finite-element run, by
+    ``SchemeConfig("monolithic", dt, t_end)``, and ``check_fd`` gates
+    stability, both before the first step.
     """
+    cfg = SchemeConfig("monolithic", dt, t_end)
     check_fd(p, n_s, n_m, dt)
-    if t_end < 0:
-        raise ValidationError(f"t_end must be nonnegative, got {t_end}")
     mesh_s = build_mesh(STENT, n_s, l=p.l)
     mesh_m = build_mesh(MEDIA, n_m)
-
-    n_steps = step_count(t_end, dt)
-    config_echo = record_echo("fd", p, n_s, n_m, record_every,
-                              variant="monolithic", dt_m=dt, t_end=t_end)
-    rec = RunRecorder(mesh_s, mesh_m, snapshot_times, dt, n_steps,
-                      record_every, t_end, config_echo,
-                      _trapezoid_monitor(p, mesh_s, mesh_m))
-
-    fd = _FdStep(p, mesh_s, mesh_m, dt, hold_c1=hold_c1_at is not None)
-    n0 = fd.n0
-    z = np.zeros(n0 + n_m + 1)
-    z[:n0] = float(stent_init)
-    if hold_c1_at is not None:
-        z[n0:] = hold_c1_at
-    c2 = np.zeros(n_m + 1)
-
-    outflow_sum = 0.0
-    for k in range(n_steps):
-        rec.record(k, k * dt, z, c2, outflow_sum)
-        outflow_sum += float(z[-1])
-        z, c2 = fd.step(z, c2)
-    rec.record(n_steps, n_steps * dt, z, c2, outflow_sum)
-    return rec.build()
+    rec = RunRecorder("fd", p, cfg, mesh_s, mesh_m, snapshot_times,
+                      record_every, _trapezoid_monitor(p, mesh_s, mesh_m))
+    z = np.concatenate([np.ones(n_s + 1), np.zeros(n_m + 1)])
+    return rec.run(_FdStep(p, mesh_s, mesh_m, dt).step, z, np.zeros(n_m + 1))

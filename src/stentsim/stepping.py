@@ -58,15 +58,15 @@ number of macro steps (``step_count``).  ``stable_step_count`` plans
 step counts on the same limit.  A runaway run is still caught by an
 energy monitor that aborts loudly instead of writing non-finite output.
 
-Recording: ``RunRecorder`` serves this solver and the finite-difference
-one.  A monitored step copies the record [z; y2] into a preallocated
-block of RECORD_BLOCK rows; each full block, and the last partial one,
-is measured in one shot by the solver's ``BlockMonitor`` (one matrix
-product against the mass and stent-mass weights, one row-wise
-tridiagonal product and an einsum for the energy), guarded, and written
-into the record's preallocated arrays.  The guards name the first
-record of the block that fails, at its own t, so a run stops with the
-message a per-record check would give and before any output is written.
+Recording: ``RunRecorder.run`` is the one time loop, for this solver
+and the finite-difference one.  At each step k it takes the record and
+snapshot due at t = k*dt, adds y1(1) to the outflow sum and steps.  A
+record [z; y2] goes into a preallocated block of RECORD_BLOCK rows; each
+full block, and the last partial one, is measured in one shot by the
+solver's ``BlockMonitor`` (two matrix-vector products for the masses,
+two einsums for the energy), guarded, and stored.  The guards name the
+first failing record at its own t, so a run stops with the message a
+per-record check would give and before any output is written.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ SUBSTEP_DOMAINS = (STENT, MEDIA)
 
 # abort threshold: measured energy versus the theoretical growth envelope
 ENERGY_GUARD_FACTOR = 10.0
+# stable_step_count plans dt this factor below the sharp limit
+STEP_MARGIN = 1.05
 
 
 @dataclass(eq=False)
@@ -96,9 +98,6 @@ class SimState:
     y1: np.ndarray  # extracellular concentration, n_m + 1 nodes
     y2: np.ndarray  # intracellular concentration, n_m + 1 nodes
     t: float
-
-    def copy(self) -> "SimState":
-        return SimState(self.y0.copy(), self.y1.copy(), self.y2.copy(), self.t)
 
 
 @dataclass(frozen=True)
@@ -247,13 +246,13 @@ def stable_step_count(
     t_end: float,
     substep_ratio: int = 1,
     substep_domain: str = STENT,
-    margin: float = 1.05,
     multiple_of: int = 1,
 ) -> int:
-    """Number of macro steps covering t_end at margin below sharp_dt_limit,
-    rounded up to a multiple (so snapshot times can sit on the grid)."""
+    """Number of macro steps covering t_end at STEP_MARGIN below
+    sharp_dt_limit, rounded up to a multiple (so snapshot times can sit
+    on the grid)."""
     limit = sharp_dt_limit(p, h_s, h_m, substep_ratio, substep_domain)
-    n = max(1, math.ceil(margin * t_end / limit))
+    n = max(1, math.ceil(STEP_MARGIN * t_end / limit))
     if multiple_of > 1:
         n = ((n + multiple_of - 1) // multiple_of) * multiple_of
     return n
@@ -429,20 +428,6 @@ def check_snapshot_times(snapshot_times, t_end: float) -> list[float]:
     return times
 
 
-def record_echo(solver: str, p: ModelParams, n_s: int, n_m: int,
-                record_every: int, **scheme) -> dict:
-    """The config a SolutionRecord carries: solver, the scheme fields
-    (variant, dt_m, t_end, ...), mesh sizes and the model parameters."""
-    return {
-        "solver": solver,
-        **scheme,
-        "record_every": int(record_every),
-        "n_s": n_s,
-        "n_m": n_m,
-        "params": asdict(p),
-    }
-
-
 # records per monitor block: a run measures its records one block at a time
 RECORD_BLOCK = 256
 
@@ -478,39 +463,42 @@ class BlockMonitor:
 
 
 class RunRecorder:
-    """Records monitors, interface traces and snapshots during a run, for
-    the finite-element and the finite-difference solver alike.
+    """The time loop of a run and the record it produces, for the
+    finite-element and the finite-difference solver alike.
 
-    The solver calls ``record`` at every step k = 0..n_steps with the
-    stacked state z = [y0; y1], y2 and the outflow sum so far.  A
-    monitored step (every record_every-th and the last) copies [z; y2]
-    into one row of a preallocated block of RECORD_BLOCK rows.  Each full
-    block, and the last partial one, is measured in one shot by the
-    solver's BlockMonitor, guarded, and written straight into
-    preallocated output arrays.  The guards raise InstabilityError for
-    the first record of the block whose mass or energy is non-finite or
-    whose energy leaves ENERGY_GUARD_FACTOR times the growth envelope
-    E(0)*exp(2*growth*t), with the message a per-record check would give.
-
-    Snapshot requests are snapped to the nearest completed step; requests
-    landing on the same step are merged (first request wins).
+    The guards raise InstabilityError for the first record of a block
+    whose mass or energy is non-finite or whose energy leaves
+    ENERGY_GUARD_FACTOR times the growth envelope E(0)*exp(2*growth*t).
+    Snapshot requests are snapped to the nearest step; requests landing
+    on the same step are merged (first request wins).
     """
 
-    def __init__(self, mesh_s, mesh_m, snapshot_times, dt, n_steps,
-                 record_every, t_end, config, monitor: BlockMonitor):
-        snapshot_times = check_snapshot_times(snapshot_times, t_end)
+    def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
+                 mesh_s, mesh_m, snapshot_times, record_every,
+                 monitor: BlockMonitor):
+        every = int(record_every)
+        if every < 1:
+            raise ValidationError(
+                f"record_every must be at least 1, got {record_every!r}",
+                key="record_every")
+        self.dt = dt = cfg.dt_m
+        self.n_steps = n_steps = step_count(cfg.t_end, dt)
         self.mesh_s = mesh_s
         self.mesh_m = mesh_m
-        self.record_every = every = max(1, int(record_every))
-        self.n_steps = n_steps
-        self.dt = dt
-        self.config = config
+        self.record_every = every
         self.monitor = monitor
+        self.config = {
+            "solver": solver,
+            **asdict(cfg),
+            "record_every": every,
+            "n_s": mesh_s.n_elems,
+            "n_m": mesh_m.n_elems,
+            "params": asdict(p),
+        }
         self._snap_steps: dict[int, float] = {}
-        for ts in snapshot_times:
-            idx = min(n_steps, max(0, round(ts / dt))) if dt > 0 else 0
+        for ts in check_snapshot_times(snapshot_times, cfg.t_end):
+            idx = min(n_steps, max(0, round(ts / dt)))
             self._snap_steps.setdefault(idx, ts)
-        self.snapshots: list[Snapshot] = []
 
         self.n0 = mesh_s.n_elems + 1
         self.nz = self.n0 + mesh_m.n_elems + 1
@@ -525,28 +513,48 @@ class RunRecorder:
         b = min(RECORD_BLOCK, n)
         self._block = np.empty((b, self.nz + mesh_m.n_elems + 1))
         self._outflow = np.empty(b)
-        self._count = 0  # records taken
-        self._done = 0   # records measured
 
-    def record(self, k, t, z, y2, outflow_sum):
-        """Step k at time t: take the record and the snapshot it is due."""
-        if k % self.record_every == 0 or k == self.n_steps:
-            j = self._count - self._done
-            self._block[j, :self.nz] = z
-            self._block[j, self.nz:] = y2
-            self._outflow[j] = outflow_sum
-            self._count += 1
-            if j + 1 == len(self._block) or self._count == self.n_records:
-                self._flush()
-        ts = self._snap_steps.get(k)
-        if ts is not None:
-            n0 = self.n0
-            state = SimState(z[:n0].copy(), z[n0:].copy(), y2.copy(), t)
-            self.snapshots.append(Snapshot(t_request=ts, t=t, state=state))
+    def run(self, step, z, y2) -> SolutionRecord:
+        """Advance (z, y2) by ``step(z, y2) -> (z, y2)`` over n_steps
+        steps and return the record.  At each step k this takes the
+        record and the snapshot due at t = k*dt, then steps."""
+        n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
+        block = self._block
+        snapshots = []
+        taken = 0          # records taken
+        outflow_sum = 0.0  # y1(1) summed over the steps before k
+        for k in range(n + 1):
+            if k % every == 0 or k == n:
+                j = taken % len(block)
+                block[j, :nz] = z
+                block[j, nz:] = y2
+                self._outflow[j] = outflow_sum
+                taken += 1
+                if j + 1 == len(block) or taken == self.n_records:
+                    self._flush(taken - j - 1, taken)
+            ts = self._snap_steps.get(k)
+            if ts is not None:
+                t = k * self.dt
+                state = SimState(z[:n0].copy(), z[n0:].copy(), y2.copy(), t)
+                snapshots.append(Snapshot(t_request=ts, t=t, state=state))
+            if k == n:
+                break
+            outflow_sum += float(z[-1])
+            z, y2 = step(z, y2)
+        t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
+        return SolutionRecord(
+            mesh_s=self.mesh_s,
+            mesh_m=self.mesh_m,
+            snapshots=snapshots,
+            interface=InterfaceSeries(t=t, c_at_0=c0, c1_at_0=c1_0,
+                                      c1_at_1=c1_1),
+            monitors=MonitorSeries(t=t, mass=mass, stent_mass=stent_mass,
+                                   energy=energy, balance_residual=resid),
+            config=self.config,
+        )
 
-    def _flush(self):
-        """Measure, guard and store the records taken since the last flush."""
-        lo, hi = self._done, self._count
+    def _flush(self, lo, hi):
+        """Measure, guard and store records lo..hi-1, the block's rows."""
         block = self._block[:hi - lo]
         out = self._out[:, lo:hi]
         t = out[0]
@@ -579,20 +587,6 @@ class RunRecorder:
         out[5] = block[:, self.n0 - 1]
         out[6] = block[:, self.n0]
         out[7] = block[:, self.nz - 1]
-        self._done = hi
-
-    def build(self) -> SolutionRecord:
-        t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
-        return SolutionRecord(
-            mesh_s=self.mesh_s,
-            mesh_m=self.mesh_m,
-            snapshots=self.snapshots,
-            interface=InterfaceSeries(t=t, c_at_0=c0, c1_at_0=c1_0,
-                                      c1_at_1=c1_1),
-            monitors=MonitorSeries(t=t, mass=mass, stent_mass=stent_mass,
-                                   energy=energy, balance_residual=resid),
-            config=self.config,
-        )
 
 
 def run_simulation(
@@ -611,20 +605,12 @@ def run_simulation(
     """
     cfg.check_cfl(p, ops)
     kern = _Kernel(p, ops, cfg.dt_m, cfg.substep_ratio, cfg.substep_domain)
-    n_steps = step_count(cfg.t_end, cfg.dt_m)
+    rec = RunRecorder("fem", p, cfg, ops.mesh_s, ops.mesh_m, snapshot_times,
+                      record_every, kern.monitor)
+    macro_step, variant = kern.macro_step, cfg.variant
 
-    config_echo = record_echo("fem", p, ops.mesh_s.n_elems, ops.mesh_m.n_elems,
-                              record_every, **asdict(cfg))
-    rec = RunRecorder(ops.mesh_s, ops.mesh_m, snapshot_times, cfg.dt_m,
-                      n_steps, record_every, cfg.t_end, config_echo,
-                      kern.monitor)
+    def step(z, y2):
+        return macro_step(z, y2, variant)
 
     state = initial_state(ops)
-    z, y2 = np.concatenate([state.y0, state.y1]), state.y2
-    outflow_sum = 0.0  # sum over completed steps of y1[last]
-    for k in range(n_steps):
-        rec.record(k, k * cfg.dt_m, z, y2, outflow_sum)
-        outflow_sum += float(z[-1])
-        z, y2 = kern.macro_step(z, y2, cfg.variant)
-    rec.record(n_steps, n_steps * cfg.dt_m, z, y2, outflow_sum)
-    return rec.build()
+    return rec.run(step, np.concatenate([state.y0, state.y1]), state.y2)

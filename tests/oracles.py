@@ -101,10 +101,9 @@ def quad_b(nodes, p):
     return b
 
 
-def fd_step_oracle(p, h_s, h_m, dt, c, c1, c2, hold_c1=False):
+def fd_step_oracle(p, h_s, h_m, dt, c, c1, c2):
     """One explicit finite-difference step from (c, c1, c2), all sources
-    from the given level; returns the new (c, c1, c2).  With hold_c1
-    the wall field is returned unchanged."""
+    from the given level; returns the new (c, c1, c2)."""
     nu_s = dt * p.delta / (h_s * h_s)
     dp = p.delta * p.p_tilde
     ode_decay = 1.0 - dt * p.da / ((1.0 - p.phi) * p.k_part)
@@ -117,32 +116,29 @@ def fd_step_oracle(p, h_s, h_m, dt, c, c1, c2, hold_c1=False):
         2.0 * c[-2] - 2.0 * c[-1] + 2.0 * h_s * p.p_tilde * (c1[0] - c[-1])
     )
 
-    if not hold_c1:
-        c1_new = c1.copy()
-        c1_new[1:-1] += (dt / p.phi) * (
-            (c1[2:] - 2.0 * c1[1:-1] + c1[:-2]) / (h_m * h_m)
-            - p.pe * (c1[2:] - c1[:-2]) / (2.0 * h_m)
-            - p.da * c1[1:-1]
-            + (p.da / p.k_part) * c2[1:-1]
-        )
-        # x = 0: eliminate the ghost via the flux condition
-        # (c1)_x(0) = pe*c1(0) + delta*P*(c1(0) - c(0-))
-        beta = p.pe * c1[0] + dp * (c1[0] - c[-1])
-        c1_new[0] += (dt / p.phi) * (
-            2.0 * (c1[1] - c1[0]) / (h_m * h_m)
-            - 2.0 * beta / h_m
-            - p.pe * beta
-            - p.da * c1[0]
-            + (p.da / p.k_part) * c2[0]
-        )
-        # x = 1: no-flux ghost kills advection and mirrors diffusion
-        c1_new[-1] += (dt / p.phi) * (
-            2.0 * (c1[-2] - c1[-1]) / (h_m * h_m)
-            - p.da * c1[-1]
-            + (p.da / p.k_part) * c2[-1]
-        )
-    else:
-        c1_new = c1
+    c1_new = c1.copy()
+    c1_new[1:-1] += (dt / p.phi) * (
+        (c1[2:] - 2.0 * c1[1:-1] + c1[:-2]) / (h_m * h_m)
+        - p.pe * (c1[2:] - c1[:-2]) / (2.0 * h_m)
+        - p.da * c1[1:-1]
+        + (p.da / p.k_part) * c2[1:-1]
+    )
+    # x = 0: eliminate the ghost via the flux condition
+    # (c1)_x(0) = pe*c1(0) + delta*P*(c1(0) - c(0-))
+    beta = p.pe * c1[0] + dp * (c1[0] - c[-1])
+    c1_new[0] += (dt / p.phi) * (
+        2.0 * (c1[1] - c1[0]) / (h_m * h_m)
+        - 2.0 * beta / h_m
+        - p.pe * beta
+        - p.da * c1[0]
+        + (p.da / p.k_part) * c2[0]
+    )
+    # x = 1: no-flux ghost kills advection and mirrors diffusion
+    c1_new[-1] += (dt / p.phi) * (
+        2.0 * (c1[-2] - c1[-1]) / (h_m * h_m)
+        - p.da * c1[-1]
+        + (p.da / p.k_part) * c2[-1]
+    )
 
     c2 = ode_decay * c2 + ode_gain * c1
     return c_new, c1_new, c2

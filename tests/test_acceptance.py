@@ -86,7 +86,7 @@ def wall_h1_rates_stent_held(rate_table):
 
     def run(n_s, n_m):
         n_steps = stable_step_count(P, P.l / n_s, 1.0 / n_m, t_end,
-                                    margin=1.05, multiple_of=n_snapshots)
+                                    multiple_of=n_snapshots)
         ops = build_operators(P, n_s, n_m)
         cfg = SchemeConfig("monolithic", t_end / n_steps, t_end=t_end)
         return run_simulation(P, ops, cfg, snaps,

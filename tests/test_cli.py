@@ -223,6 +223,7 @@ STUDY_REFUSALS = [
     (["stepping-study", "--ratios", "1,1"], 20),
     # t_end: 0 leaves nothing to compare
     (["compare-alg"], 0),
+    (["converge", "--levels", "2"], 0),
 ]
 
 
@@ -234,6 +235,7 @@ def test_study_arguments_refused_before_reference(tmp_path, capsys,
         raise AssertionError("reference run before the arguments were checked")
 
     monkeypatch.setattr("stentsim.cli.make_reference", no_reference)
+    monkeypatch.setattr("stentsim.cli.convergence_study", no_reference)
     cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=steps)
     assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
     err = capsys.readouterr().err

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stentsim import (CflError, compare_records, energy_growth_rate, fdcheck,
-                      paper_params)
+from stentsim import (CflError, ValidationError, compare_records,
+                      energy_growth_rate, fdcheck, paper_params)
 from stentsim.fdcheck import _FdStep, run_fd
 from stentsim.fem import MEDIA, STENT, build_mesh, build_operators
 from stentsim.stepping import (SchemeConfig, run_simulation, sharp_dt_limit,
@@ -21,22 +21,32 @@ def fd_dt(n_s, n_m, frac=0.9):
 
 def test_zero_initial_data_stays_zero():
     dt = fd_dt(8, 8)
-    rec = run_fd(P, 8, 8, dt, 50 * dt, [0.0, 50 * dt], stent_init=0.0)
-    for snap in rec.snapshots:
-        assert np.all(snap.state.y0 == 0.0)
-        assert np.all(snap.state.y1 == 0.0)
-        assert np.all(snap.state.y2 == 0.0)
-    assert np.all(rec.monitors.mass == 0.0)
-    assert np.all(rec.monitors.energy == 0.0)
+    mesh_s, mesh_m = fd_meshes(P, 8, 8)
+    fd = _FdStep(P, mesh_s, mesh_m, dt)
+    z, c2 = np.zeros(fd.n0 + 9), np.zeros(9)
+    records = [np.concatenate([z, c2])]
+    for _ in range(50):
+        z, c2 = fd.step(z, c2)
+        records.append(np.concatenate([z, c2]))
+    records = np.array(records)
+    assert np.all(records == 0.0)
+    monitor = fdcheck._trapezoid_monitor(P, mesh_s, mesh_m)
+    mass, _, energy = monitor.measure(records)
+    assert np.all(mass == 0.0)
+    assert np.all(energy == 0.0)
 
 
 def test_held_wall_field_drives_uptake_to_partition_value():
-    # c1 frozen at a: c2 approaches K*a geometrically at every node
+    # c1 held at a at every step: c2 approaches K*a geometrically at
+    # every node
     a = 0.21
     dt = fd_dt(4, 4, frac=0.5)
     n = 60
-    rec = run_fd(P, 4, 4, dt, n * dt, [n * dt], hold_c1_at=a)
-    c2 = rec.snapshots[-1].state.y2
+    fd = _FdStep(P, *fd_meshes(P, 4, 4), dt)
+    held = np.concatenate([np.ones(fd.n0), np.full(5, a)])
+    c2 = np.zeros(5)
+    for _ in range(n):
+        _, c2 = fd.step(held, c2)
     x = dt * P.da / ((1.0 - P.phi) * P.k_part)
     # 1 - (1-x)^n without the cancellation of the direct form
     expected = -P.k_part * a * np.expm1(n * np.log1p(-x))
@@ -58,6 +68,19 @@ def test_cfl_rejected():
             with pytest.raises(CflError, match="stability allowance"):
                 run_fd(P, n_s, n_m, dt, 100 * dt, [0.0])
         run_fd(P, n_s, n_m, limit, 0.0, [0.0])
+
+
+@pytest.mark.parametrize("dt_frac,steps", [(0.0, 0), (1.0, -1), (1.0, 10.5)])
+def test_time_inputs_checked_as_for_fem(dt_frac, steps):
+    # the same refusal, message and key as SchemeConfig gives a
+    # finite-element run
+    dt = dt_frac * fd_dt(8, 6)
+    with pytest.raises(ValidationError) as fem_err:
+        SchemeConfig("monolithic", dt, t_end=steps * dt)
+    with pytest.raises(ValidationError) as fd_err:
+        run_fd(P, 8, 6, dt, steps * dt, [0.0])
+    assert ((str(fd_err.value), fd_err.value.key)
+            == (str(fem_err.value), fem_err.value.key))
 
 
 @pytest.mark.parametrize("pe,n_s,n_m", [(30.0, 8, 6), (10.0, 60, 1)])
@@ -125,6 +148,10 @@ def test_record_shape_matches_fem_conventions():
     assert len(snap.state.y1) == 6
     assert rec.config["solver"] == "fd"
     assert len(rec.interface.t) == len(rec.monitors.t)
+    fem = run_simulation(P, build_operators(P, 6, 5),
+                         SchemeConfig("monolithic", dt, t_end=10 * dt),
+                         [0.0, 10 * dt])
+    assert rec.config.keys() == fem.config.keys()
 
 
 # ------------------------------------------- assembled step vs the stencils
@@ -134,36 +161,32 @@ def fd_meshes(p, n_s, n_m):
     return build_mesh(STENT, n_s, l=p.l), build_mesh(MEDIA, n_m)
 
 
-def assembled_step(p, n_s, n_m, dt, c, c1, c2, hold_c1=False):
-    fd = _FdStep(p, *fd_meshes(p, n_s, n_m), dt, hold_c1=hold_c1)
+def assembled_step(p, n_s, n_m, dt, c, c1, c2):
+    fd = _FdStep(p, *fd_meshes(p, n_s, n_m), dt)
     z, c2n = fd.step(np.concatenate([c, c1]), c2)
     return z[:fd.n0], z[fd.n0:], c2n
 
 
-@pytest.mark.parametrize("pe,n_s,n_m,hold", [
-    pytest.param(P.pe, 8, 6, False, id="8-6"),
-    pytest.param(P.pe, 60, 1, False, id="60-1"),
-    pytest.param(12.0, 8, 6, False, id="pe12-8-6"),
-    pytest.param(P.pe, 8, 6, True, id="hold-8-6"),
+@pytest.mark.parametrize("pe,n_s,n_m", [
+    pytest.param(P.pe, 8, 6, id="8-6"),
+    pytest.param(P.pe, 60, 1, id="60-1"),
+    pytest.param(12.0, 8, 6, id="pe12-8-6"),
 ])
-def test_assembled_step_matches_stencil_oracle(pe, n_s, n_m, hold):
+def test_assembled_step_matches_stencil_oracle(pe, n_s, n_m):
     # one step from a state with every node nonzero, at the sharp limit;
     # pe = 12 on 8/6 puts pe*h_m = 2, the largest cell Peclet number the
     # gate admits
     p = dataclasses.replace(P, pe=pe)
     rng = np.random.default_rng(n_s + n_m)
     c = rng.uniform(0.5, 1.0, n_s + 1)
-    c1 = np.full(n_m + 1, 0.21) if hold else rng.uniform(0.0, 0.5, n_m + 1)
+    c1 = rng.uniform(0.0, 0.5, n_m + 1)
     c2 = rng.uniform(0.0, 0.2, n_m + 1)
     mesh_s, mesh_m = fd_meshes(p, n_s, n_m)
     dt = sharp_dt_limit(p, mesh_s.h, mesh_m.h)
-    got = assembled_step(p, n_s, n_m, dt, c, c1, c2, hold_c1=hold)
-    want = oracles.fd_step_oracle(p, mesh_s.h, mesh_m.h, dt, c, c1, c2,
-                                  hold_c1=hold)
+    got = assembled_step(p, n_s, n_m, dt, c, c1, c2)
+    want = oracles.fd_step_oracle(p, mesh_s.h, mesh_m.h, dt, c, c1, c2)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
-    if hold:
-        np.testing.assert_array_equal(got[1], c1)
 
 
 def test_run_fd_matches_repeated_oracle_steps():

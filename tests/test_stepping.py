@@ -632,6 +632,21 @@ def test_block_monitors_match_per_record_oracle(solver, n_steps,
         assert (c0, c1_0, c1_1) == (s.y0[-1], s.y1[0], s.y1[-1])
 
 
+@pytest.mark.parametrize("solver", ["fem", "fd"])
+@pytest.mark.parametrize("record_every", [0, -5])
+def test_record_every_below_one_refused(solver, record_every):
+    # was clamped to 1 while the record's config kept the raw value
+    ops = small_ops()
+    dt = safe_dt(ops)
+    with pytest.raises(ValidationError) as err:
+        if solver == "fem":
+            cfg = SchemeConfig("monolithic", dt, t_end=10 * dt)
+            run_simulation(P, ops, cfg, [0.0], record_every=record_every)
+        else:
+            run_fd(P, 8, 6, dt, 10 * dt, [0.0], record_every=record_every)
+    assert err.value.key == "record_every"
+
+
 def test_trajectories_of_variants_converge_first_order():
     ops = small_ops()
     t_end = 150 * safe_dt(ops, frac=0.6)
