@@ -32,9 +32,10 @@ wall diagonal entry.  One step is then
     z'  = T z + (dt*da/(phi*K)) [0; c2]
     c2' = (1 - dt*da/((1-phi)*K)) c2 + (dt*da/(1-phi)) c1
 
-with every source from level k.  T z is three vector products written
-here; no FEM matrix or matvec enters this module's numerics, and the
-monitors use trapezoid quadrature on nodal values.
+with every source from level k.  T is held in its own LAPACK band
+storage, so T z is one BLAS ``dgbmv`` and each source term one
+``daxpy``; no FEM matrix or matvec enters this module's numerics, and
+the monitors use trapezoid quadrature on nodal values.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import daxpy, dgbmv
 
 from .errors import CflError
 from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh
@@ -75,18 +77,21 @@ def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
 
 
 class _FdStep:
-    """The assembled step (see the module docstring): the diagonals of T
-    on z = [c; c1], the c2 source coefficient of the wall rows and the
-    uptake update."""
+    """The assembled step (see the module docstring): T on z = [c; c1]
+    as a Fortran-ordered 3 x dim band (upper, diagonal, lower; zero
+    corners), the c2 source coefficient of the wall rows and the uptake
+    update."""
 
     def __init__(self, p: ModelParams, mesh_s, mesh_m, dt: float):
         h_s, h = mesh_s.h, mesh_m.h
         self.n0 = n0 = mesh_s.n_elems + 1
-        dim = n0 + mesh_m.n_elems + 1
+        self.dim = dim = n0 + mesh_m.n_elems + 1
         nu = dt * p.delta / (h_s * h_s)
         a = dt / p.phi
         dp = p.delta * p.p_tilde
-        lower, diag, upper = np.empty(dim - 1), np.empty(dim), np.empty(dim - 1)
+        self.band = np.zeros((3, dim), order="F")
+        upper, diag, lower = (self.band[0, 1:], self.band[1],
+                              self.band[2, :-1])
 
         diag[:n0] = 1.0 - 2.0 * nu
         upper[:n0 - 1] = nu
@@ -104,21 +109,17 @@ class _FdStep:
         lower[n0 - 1] = a * dp * (2.0 / h + p.pe)
         diag[n0] -= a * (2.0 / h + p.pe) * (p.pe + dp)
 
-        self.lower, self.diag, self.upper = lower, diag, upper
         self.coef_c2 = dt * p.da / (p.phi * p.k_part)
         self.ode_decay = 1.0 - dt * p.da / ((1.0 - p.phi) * p.k_part)
         self.ode_gain = dt * p.da / (1.0 - p.phi)
 
     def step(self, z, c2):
         """One step from (z, c2); returns the new (z, c2)."""
-        n0 = self.n0
-        zn = self.diag * z
-        zn[:-1] += self.upper * z[1:]
-        zn[1:] += self.lower * z[:-1]
-        zn[n0:] += self.coef_c2 * c2
-        c2n = self.ode_decay * c2
-        c2n += self.ode_gain * z[n0:]
-        return zn, c2n
+        n0, dim = self.n0, self.dim
+        # one row more than T has, which is zero (see TridiagonalMatrix)
+        zn = dgbmv(dim + 1, dim, 1, 1, 1.0, self.band, z)[:dim]
+        daxpy(c2, zn[n0:], a=self.coef_c2)
+        return zn, daxpy(z[n0:], self.ode_decay * c2, a=self.ode_gain)
 
 
 def _trapezoid_monitor(p: ModelParams, mesh_s, mesh_m) -> BlockMonitor:

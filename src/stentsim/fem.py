@@ -11,9 +11,10 @@ checks every entry against a two-point Gauss quadrature oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
 from .errors import ValidationError
 from .params import ModelParams
@@ -53,32 +54,50 @@ def build_mesh(domain: str, n_elems: int, l: float | None = None) -> Mesh1D:
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalMatrix:
-    """Tridiagonal operator stored as its three diagonals."""
+    """Tridiagonal operator stored as its three diagonals.
+
+    The diagonals are copied into ``band``, the Fortran-ordered 3 x dim
+    LAPACK band storage (upper, diagonal, lower; zero corners), and
+    become views of it, so an entry set after construction reaches the
+    matvec too.
+    """
 
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
+    band: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.diag)
+        if n < 2:
+            raise ValidationError(
+                f"a tridiagonal matrix needs at least 2 rows, got {n}")
         if len(self.lower) != n - 1 or len(self.upper) != n - 1:
             raise ValidationError(
                 "off-diagonals must be one entry shorter than the diagonal"
             )
+        band = np.zeros((3, n), order="F")
+        band[0, 1:] = self.upper
+        band[1] = self.diag
+        band[2, :-1] = self.lower
+        for name, view in (("upper", band[0, 1:]), ("diag", band[1]),
+                           ("lower", band[2, :-1]), ("band", band)):
+            object.__setattr__(self, name, view)
 
     @property
     def dim(self) -> int:
         return len(self.diag)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        if len(x) != self.dim:
+        """One BLAS ``dgbmv``.  It computes one more row than the matrix
+        has, which is zero: BLAS wants at least kl + ku + 1 = 3 rows,
+        and a one-element mesh has 2."""
+        n = len(self.diag)
+        if len(x) != n:
             raise ValidationError(
-                f"dimension mismatch: matrix is {self.dim}, vector is {len(x)}"
+                f"dimension mismatch: matrix is {n}, vector is {len(x)}"
             )
-        y = self.diag * x
-        y[:-1] += self.upper * x[1:]
-        y[1:] += self.lower * x[:-1]
-        return y
+        return dgbmv(n + 1, n, 1, 1, 1.0, self.band, x)[:n]
 
 
 def _tridiag(n: int, lo: float, di: float, up: float) -> TridiagonalMatrix:

@@ -33,10 +33,12 @@ right (last stent row, first media column) and (dt/phi)*delta*P at the
 bottom left.  Psi's junction off-diagonal is zero, so its LDL^T factor
 restarts there and each block solves exactly as it would alone.  Since
 Psi_m^-1 (c Psi_m y2) = c y2, the uptake source is added after the
-solve, and a monolithic step is one tridiagonal matvec, one LAPACK
-``dpttrs`` solve, y1' += c*y2 and the y2 update.  The decoupled variants
-start from that result and add exact corrections along the precomputed
-columns g_s = dt*delta*P Psi_s^-1 e_last and g_m = (dt/phi)*delta*P
+solve, and a monolithic step is one BLAS ``dgbmv`` for the tridiagonal
+matvec, one LAPACK ``dpttrs`` solve in that matvec's output, one
+``daxpy`` for y1' += c*y2 and a scaling plus a ``daxpy`` for the y2
+update.  The decoupled variants start from that result and add exact
+corrections, one ``daxpy`` each, along the precomputed columns
+g_s = dt*delta*P Psi_s^-1 e_last and g_m = (dt/phi)*delta*P
 Psi_m^-1 e_first:
 
     alg1:  y1' += c*y2' + (y0'[last] - y0[last]) g_m
@@ -45,7 +47,11 @@ Psi_m^-1 e_first:
 In a multi-rate macro step the stacked step is the first substep of both
 subdomains and the substepped subdomain takes its other ratio - 1
 substeps alone; a correction that reads the substepped subdomain's trace
-waits for those substeps, the other is applied before them.
+waits for those substeps, the other is applied before them.  Every
+variant and substep setting runs through these few calls, so results
+are deterministic and independent of the BLAS thread count, but differ
+at roundoff from an elementwise numpy evaluation of the same formulas,
+since OpenBLAS fuses multiply-adds.
 
 Stability: one rule, ``sharp_dt_limit``, the explicit-Euler limit of
 the consistent-mass system.  The largest generalized eigenvalue of
@@ -72,9 +78,11 @@ per-record check would give and before any output is written.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import CflError, InstabilityError, SingularMatrixError, ValidationError
@@ -269,7 +277,8 @@ class _MassFactor:
         self._e = e
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dpttrs(self._d, self._e, rhs)
+        """Psi^-1 rhs, computed in rhs's own storage: rhs is overwritten."""
+        x, info = dpttrs(self._d, self._e, rhs, overwrite_b=1)
         if info != 0:  # pragma: no cover - only reachable on bad arguments
             raise SingularMatrixError("matrix numerically singular")
         return x
@@ -295,7 +304,7 @@ def _stack(top: TridiagonalMatrix, bottom: TridiagonalMatrix,
 
 
 def _block(m: TridiagonalMatrix, lo: int, hi: int) -> TridiagonalMatrix:
-    """The diagonal block of rows and columns lo..hi-1 (views)."""
+    """The diagonal block of rows and columns lo..hi-1."""
     return TridiagonalMatrix(m.lower[lo:hi - 1], m.diag[lo:hi],
                              m.upper[lo:hi - 1])
 
@@ -379,12 +388,11 @@ class _Kernel:
         the media source reads the substep's new y2 if fresh_y2."""
         src = self.src_m * trace_s
         for _ in range(self.r_m - 1):
-            y2n = self.ode_decay * y2
-            y2n += self.ode_gain * y1
+            y2n = daxpy(y1, self.ode_decay * y2, a=self.ode_gain)
             rhs = self.upd_m.matvec(y1)
             rhs[0] += src
             y1[:] = self.fac_m.solve(rhs)
-            y1 += self.coef_y2 * (y2n if fresh_y2 else y2)
+            daxpy(y2n if fresh_y2 else y2, y1, a=self.coef_y2)
             y2 = y2n
         return y2
 
@@ -398,18 +406,17 @@ class _Kernel:
         trace_s, trace_w = z[n0 - 1], z[n0]
         zn = self.fac.solve(self.upd.matvec(z))
         y0n, y1n = zn[:n0], zn[n0:]
-        y2n = self.ode_decay * y2
-        y2n += self.ode_gain * z[n0:]
+        y2n = daxpy(z[n0:], self.ode_decay * y2, a=self.ode_gain)
         fresh_y2 = variant != "monolithic"
-        y1n += self.coef_y2 * (y2n if fresh_y2 else y2)
+        daxpy(y2n if fresh_y2 else y2, y1n, a=self.coef_y2)
         if variant == "alg1":
             self._stent_steps(y0n, trace_w)
-            y1n += (y0n[-1] - trace_s) * self.g_m
+            daxpy(self.g_m, y1n, a=y0n[-1] - trace_s)
             y2n = self._media_steps(y1n, y2n, y0n[-1], fresh_y2)
         else:
             y2n = self._media_steps(y1n, y2n, trace_s, fresh_y2)
             if variant == "alg2":
-                y0n += (y1n[0] - trace_w) * self.g_s
+                daxpy(self.g_s, y0n, a=y1n[0] - trace_w)
                 trace_w = y1n[0]
             self._stent_steps(y0n, trace_w)
         return zn, y2n
@@ -476,11 +483,12 @@ class RunRecorder:
     def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
                  mesh_s, mesh_m, snapshot_times, record_every,
                  monitor: BlockMonitor):
-        every = int(record_every)
-        if every < 1:
+        if not (isinstance(record_every, numbers.Real)
+                and float(record_every).is_integer() and record_every >= 1):
             raise ValidationError(
-                f"record_every must be at least 1, got {record_every!r}",
-                key="record_every")
+                f"record_every must be a whole number >= 1, got "
+                f"{record_every!r}", key="record_every")
+        every = int(record_every)
         self.dt = dt = cfg.dt_m
         self.n_steps = n_steps = step_count(cfg.t_end, dt)
         self.mesh_s = mesh_s

@@ -14,7 +14,7 @@ from stentsim.fem import (
     build_mesh,
     build_operators,
 )
-from stentsim.stepping import _MassFactor
+from stentsim.stepping import _MassFactor, _stack
 
 import oracles
 
@@ -184,7 +184,8 @@ def test_b_corner_entry_matches_oracle():
 def test_solve_identity():
     ident = TridiagonalMatrix(np.zeros(3), np.ones(4), np.zeros(3))
     rhs = np.array([1.0, -2.0, 3.0, 0.5])
-    np.testing.assert_allclose(_MassFactor(ident).solve(rhs), rhs, atol=0)
+    np.testing.assert_allclose(_MassFactor(ident).solve(rhs.copy()), rhs,
+                               atol=0)
 
 
 def test_solve_constructed_solution():
@@ -207,8 +208,62 @@ def test_solve_dominant_property(n, seed):
     diag = bulk + rng.uniform(0.1, 2.0, n)
     m = TridiagonalMatrix(off, diag, off.copy())
     rhs = rng.standard_normal(n)
-    x = _MassFactor(m).solve(rhs)
+    x = _MassFactor(m).solve(rhs.copy())
     assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
+
+
+def random_tridiagonal(rng, n):
+    """A random matrix and the dense array of the diagonals it was given."""
+    lower, diag, upper = (rng.standard_normal(n - 1), rng.standard_normal(n),
+                          rng.standard_normal(n - 1))
+    given = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    return TridiagonalMatrix(lower, diag, upper), given
+
+
+def assert_matvec_matches_dense(m, given, x):
+    # the diagonals the matrix shows are the ones it was given, and its
+    # matvec is the dense product with them
+    np.testing.assert_array_equal(oracles.dense(m), given)
+    want = given @ x
+    got = m.matvec(x)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(given)) * np.max(np.abs(x))
+    np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * scale)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_matvec_matches_dense_at_smallest_dims(n):
+    # a 2-row matrix is the block of a one-element mesh, below the three
+    # rows BLAS asks a band matvec for
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        m, given = random_tridiagonal(rng, n)
+        assert_matvec_matches_dense(m, given, rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n_top,n_bottom", [(2, 2), (3, 5), (9, 7)])
+def test_stacked_matvec_carries_junction_entries(n_top, n_bottom):
+    rng = np.random.default_rng(10 * n_top + n_bottom)
+    (top, d_top), (bottom, d_bottom) = (random_tridiagonal(rng, n_top),
+                                        random_tridiagonal(rng, n_bottom))
+    n = n_top + n_bottom
+    given = np.zeros((n, n))
+    given[:n_top, :n_top] = d_top
+    given[n_top:, n_top:] = d_bottom
+    given[n_top - 1, n_top] = 0.7
+    given[n_top, n_top - 1] = -1.3
+    m = _stack(top, bottom, 0.7, -1.3)
+    assert_matvec_matches_dense(m, given, rng.standard_normal(n))
+    # each junction entry couples exactly one pair of rows and columns
+    for j in (n_top - 1, n_top):
+        e = np.zeros(n)
+        e[j] = 1.0
+        np.testing.assert_array_equal(m.matvec(e), given[:, j])
+
+
+def test_one_row_matrix_refused():
+    with pytest.raises(ValidationError, match="at least 2 rows"):
+        TridiagonalMatrix(np.array([]), np.array([1.0]), np.array([]))
 
 
 def test_singular_pivot_detected():

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -396,6 +399,14 @@ def test_macro_step_matches_dense_oracle(n_s, n_m, setting):
                                        err_msg=variant)
 
 
+@pytest.mark.parametrize("n_s,n_m,setting", [(8, 1, "media4"),
+                                               (1, 6, "stent4")])
+def test_one_element_block_matches_dense_oracle(n_s, n_m, setting):
+    # a one-element mesh gives a 2-node block: the substeps run its
+    # matvec on 2 rows alone
+    test_macro_step_matches_dense_oracle(n_s, n_m, setting)
+
+
 # -------------------------------------------------------------- run driver
 
 
@@ -645,6 +656,61 @@ def test_record_every_below_one_refused(solver, record_every):
         else:
             run_fd(P, 8, 6, dt, 10 * dt, [0.0], record_every=record_every)
     assert err.value.key == "record_every"
+
+
+@pytest.mark.parametrize("record_every", [2.5, 0.5, float("nan"),
+                                          float("inf"), "2"])
+def test_record_every_not_whole_refused(monkeypatch, record_every):
+    # 2.5 was truncated to 2, and the record's config read 2
+    def no_step(*args):
+        raise AssertionError("stepped past the check")
+
+    monkeypatch.setattr(_Kernel, "macro_step", no_step)
+    ops = small_ops()
+    cfg = SchemeConfig("monolithic", safe_dt(ops), t_end=10 * safe_dt(ops))
+    with pytest.raises(ValidationError, match="whole number") as err:
+        run_simulation(P, ops, cfg, [0.0], record_every=record_every)
+    assert err.value.key == "record_every"
+
+
+def test_record_every_whole_float_accepted():
+    ops = small_ops()
+    cfg = SchemeConfig("monolithic", safe_dt(ops), t_end=10 * safe_dt(ops))
+    rec = run_simulation(P, ops, cfg, [0.0], record_every=2.0)
+    assert rec.config["record_every"] == 2
+    assert len(rec.monitors.t) == 6
+
+
+THREAD_RUN = """
+import sys
+import numpy as np
+from stentsim import paper_params
+from stentsim.fem import build_operators
+from stentsim.stepping import SchemeConfig, run_simulation, sharp_dt_limit
+p = paper_params()
+ops = build_operators(p, 20, 10)
+dt = sharp_dt_limit(p, ops.mesh_s.h, ops.mesh_m.h, 4, "media") / 2
+cfg = SchemeConfig("alg1", dt, 300 * dt, substep_ratio=4,
+                   substep_domain="media")
+rec = run_simulation(p, ops, cfg, [300 * dt], record_every=1)
+s, m = rec.snapshots[-1].state, rec.monitors
+np.save(sys.argv[1], np.concatenate([s.y0, s.y1, s.y2, m.mass,
+        m.stent_mass, m.energy, m.balance_residual]))
+"""
+
+
+def test_results_do_not_depend_on_blas_thread_count(tmp_path):
+    # the kernel is BLAS calls; one thread or two must give the same bits
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.path.abspath(src))
+        path = tmp_path / f"threads{threads}.npy"
+        subprocess.run([sys.executable, "-c", THREAD_RUN, str(path)],
+                       env=env, check=True, timeout=120)
+        out[threads] = np.load(path)
+    assert out["1"].tobytes() == out["2"].tobytes()
 
 
 def test_trajectories_of_variants_converge_first_order():
