@@ -25,6 +25,7 @@ Schema (keys and nesting are normative):
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -161,8 +162,9 @@ def config_from_dict(tree: dict) -> RunConfig:
     time_unit = tree.get("time_unit")
     if time_unit is not None:
         time_unit = _typed(time_unit, float, "time_unit")
-        if time_unit <= 0:
-            raise ConfigError("time_unit must be positive")
+        if not (math.isfinite(time_unit) and time_unit > 0):
+            raise ConfigError(
+                f"time_unit must be positive and finite, got {time_unit}")
 
     return RunConfig(
         params=params,

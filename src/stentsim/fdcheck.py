@@ -116,7 +116,8 @@ class _FdStep:
     def step(self, z, c2):
         """One step from (z, c2); returns the new (z, c2)."""
         n0, dim = self.n0, self.dim
-        # one row more than T has, which is zero (see TridiagonalMatrix)
+        # one row more than T has, since BLAS wants at least 3 rows; it
+        # reads only the band's zero lower corner and is dropped
         zn = dgbmv(dim + 1, dim, 1, 1, 1.0, self.band, z)[:dim]
         daxpy(c2, zn[n0:], a=self.coef_c2)
         return zn, daxpy(z[n0:], self.ode_decay * c2, a=self.ode_gain)
@@ -131,10 +132,10 @@ def _trapezoid_monitor(p: ModelParams, mesh_s, mesh_m) -> BlockMonitor:
         return w
 
     w_s, w_m = weights(mesh_s), weights(mesh_m)
-    diag = np.concatenate([w_s, w_m, w_m])
-    off = np.zeros(len(diag) - 1)
+    form = np.zeros((3, len(w_s) + 2 * len(w_m)), order="F")
+    form[1] = np.concatenate([w_s, w_m, w_m])
     mass = np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m])
-    return BlockMonitor(mass, w_s, TridiagonalMatrix(off, diag, off), p.pe)
+    return BlockMonitor(mass, w_s, TridiagonalMatrix(form), p.pe)
 
 
 def run_fd(

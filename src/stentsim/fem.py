@@ -6,12 +6,13 @@ matters for the nonsymmetric media operator, whose convection part would
 otherwise be silently transposed.
 
 All element integrals use the closed-form P1 formulas; the test suite
-checks every entry against a two-point Gauss quadrature oracle.
+checks every entry against a two-point Gauss quadrature oracle.  The
+rows are written straight into LAPACK bands, and A and B are band sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -54,45 +55,45 @@ def build_mesh(domain: str, n_elems: int, l: float | None = None) -> Mesh1D:
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalMatrix:
-    """Tridiagonal operator stored as its three diagonals.
+    """Tridiagonal operator stored only as its LAPACK band: a
+    Fortran-ordered 3 x dim array of the upper diagonal, the diagonal and
+    the lower diagonal (band[0, j+1] = M[j, j+1], band[2, j] = M[j+1, j]),
+    of which ``upper``, ``diag`` and ``lower`` are views.  The corners
+    band[0, 0] and band[2, -1] lie outside the matrix and never reach a
+    result (see ``matvec``), so they need not be zero."""
 
-    The diagonals are copied into ``band``, the Fortran-ordered 3 x dim
-    LAPACK band storage (upper, diagonal, lower; zero corners), and
-    become views of it, so an entry set after construction reaches the
-    matvec too.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    band: np.ndarray = field(init=False, repr=False)
+    band: np.ndarray
 
     def __post_init__(self):
-        n = len(self.diag)
-        if n < 2:
+        # once here, or every dgbmv call would copy a C-ordered band
+        band = np.asfortranarray(self.band, dtype=float)
+        if band.ndim != 2 or band.shape[0] != 3 or band.shape[1] < 2:
             raise ValidationError(
-                f"a tridiagonal matrix needs at least 2 rows, got {n}")
-        if len(self.lower) != n - 1 or len(self.upper) != n - 1:
-            raise ValidationError(
-                "off-diagonals must be one entry shorter than the diagonal"
-            )
-        band = np.zeros((3, n), order="F")
-        band[0, 1:] = self.upper
-        band[1] = self.diag
-        band[2, :-1] = self.lower
-        for name, view in (("upper", band[0, 1:]), ("diag", band[1]),
-                           ("lower", band[2, :-1]), ("band", band)):
-            object.__setattr__(self, name, view)
+                f"a tridiagonal matrix needs a 3 x n band with at least "
+                f"2 rows, got shape {band.shape}")
+        object.__setattr__(self, "band", band)
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.band[0, 1:]
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.band[1]
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.band[2, :-1]
 
     @property
     def dim(self) -> int:
-        return len(self.diag)
+        return self.band.shape[1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """One BLAS ``dgbmv``.  It computes one more row than the matrix
-        has, which is zero: BLAS wants at least kl + ku + 1 = 3 rows,
-        and a one-element mesh has 2."""
-        n = len(self.diag)
+        has (BLAS wants kl + ku + 1 = 3, a one-element mesh has 2); only
+        that dropped row reads the lower corner, and none the upper."""
+        n = self.band.shape[1]
         if len(x) != n:
             raise ValidationError(
                 f"dimension mismatch: matrix is {n}, vector is {len(x)}"
@@ -100,31 +101,25 @@ class TridiagonalMatrix:
         return dgbmv(n + 1, n, 1, 1, 1.0, self.band, x)[:n]
 
 
-def _tridiag(n: int, lo: float, di: float, up: float) -> TridiagonalMatrix:
-    return TridiagonalMatrix(
-        lower=np.full(n - 1, lo),
-        diag=np.full(n, di),
-        upper=np.full(n - 1, up),
-    )
-
-
 def assemble_mass(mesh: Mesh1D) -> TridiagonalMatrix:
     """Consistent P1 mass matrix (no lumping): 2h/3 inside, h/3 at the
     ends, h/6 off the diagonal."""
     h = mesh.h
-    m = _tridiag(mesh.n_elems + 1, h / 6.0, 2.0 * h / 3.0, h / 6.0)
-    m.diag[0] = h / 3.0
-    m.diag[-1] = h / 3.0
-    return m
+    band = np.empty((3, mesh.n_elems + 1), order="F")
+    band[0] = band[2] = h / 6.0
+    band[1] = 2.0 * h / 3.0
+    band[1, [0, -1]] = h / 3.0
+    return TridiagonalMatrix(band)
 
 
 def assemble_stiffness(mesh: Mesh1D) -> TridiagonalMatrix:
     """P1 stiffness matrix: 2/h inside, 1/h at the ends, -1/h off."""
     h = mesh.h
-    s = _tridiag(mesh.n_elems + 1, -1.0 / h, 2.0 / h, -1.0 / h)
-    s.diag[0] = 1.0 / h
-    s.diag[-1] = 1.0 / h
-    return s
+    band = np.empty((3, mesh.n_elems + 1), order="F")
+    band[0] = band[2] = -1.0 / h
+    band[1] = 2.0 / h
+    band[1, [0, -1]] = 1.0 / h
+    return TridiagonalMatrix(band)
 
 
 def assemble_a(mesh_s: Mesh1D, p: ModelParams) -> TridiagonalMatrix:
@@ -132,12 +127,9 @@ def assemble_a(mesh_s: Mesh1D, p: ModelParams) -> TridiagonalMatrix:
     delta*P at the x=0 node (last node of the stent mesh)."""
     if mesh_s.domain != STENT:
         raise ValidationError("assemble_a expects the stent mesh")
-    s = assemble_stiffness(mesh_s)
-    a = TridiagonalMatrix(
-        lower=p.delta * s.lower, diag=p.delta * s.diag, upper=p.delta * s.upper
-    )
-    a.diag[-1] += p.delta * p.p_tilde
-    return a
+    band = p.delta * assemble_stiffness(mesh_s).band
+    band[1, -1] += p.delta * p.p_tilde
+    return TridiagonalMatrix(band)
 
 
 def assemble_b(mesh_m: Mesh1D, p: ModelParams) -> TridiagonalMatrix:
@@ -149,20 +141,14 @@ def assemble_b(mesh_m: Mesh1D, p: ModelParams) -> TridiagonalMatrix:
     """
     if mesh_m.domain != MEDIA:
         raise ValidationError("assemble_b expects the media mesh")
-    n = mesh_m.n_elems + 1
-    stiff = assemble_stiffness(mesh_m)
-    mass = assemble_mass(mesh_m)
+    band = assemble_stiffness(mesh_m).band + p.da * assemble_mass(mesh_m).band
     half_pe = 0.5 * p.pe
-    conv_diag = np.zeros(n)
-    conv_diag[0] = -half_pe
-    conv_diag[-1] = half_pe
-    b = TridiagonalMatrix(
-        lower=stiff.lower + p.da * mass.lower - half_pe,
-        diag=stiff.diag + p.da * mass.diag + conv_diag,
-        upper=stiff.upper + p.da * mass.upper + half_pe,
-    )
-    b.diag[0] += p.delta * p.p_tilde + p.pe
-    return b
+    band[0] += half_pe
+    band[2] -= half_pe
+    band[1, 0] -= half_pe
+    band[1, -1] += half_pe
+    band[1, 0] += p.delta * p.p_tilde + p.pe
+    return TridiagonalMatrix(band)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ time in hours.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -54,8 +55,9 @@ class ModelParams:
     def __post_init__(self):
         for name in ("delta", "p_tilde", "pe", "da", "k_part", "l"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ParameterError(f"{name} must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(
+                    f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.phi < 1.0:
             raise ParameterError(
                 f"phi must lie strictly between 0 and 1, got {self.phi}"

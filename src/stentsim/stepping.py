@@ -127,9 +127,10 @@ class SchemeConfig:
         for key, ok, message in (
             ("variant", self.variant in VARIANTS,
              f"unknown variant {self.variant!r}; expected one of {VARIANTS}"),
-            ("dt_m", self.dt_m > 0, f"dt_m must be positive, got {self.dt_m}"),
-            ("t_end", not self.t_end < 0,
-             f"t_end must be nonnegative, got {self.t_end}"),
+            ("dt_m", math.isfinite(self.dt_m) and self.dt_m > 0,
+             f"dt_m must be positive and finite, got {self.dt_m}"),
+            ("t_end", math.isfinite(self.t_end) and self.t_end >= 0,
+             f"t_end must be finite and nonnegative, got {self.t_end}"),
             ("substep_ratio",
              isinstance(self.substep_ratio, int) and self.substep_ratio >= 1,
              f"substep_ratio must be an integer >= 1, got {self.substep_ratio}"),
@@ -284,29 +285,15 @@ class _MassFactor:
         return x
 
 
-def _minus(mass: TridiagonalMatrix, op: TridiagonalMatrix, factor: float):
-    """mass - factor * op."""
-    return TridiagonalMatrix(
-        mass.lower - factor * op.lower,
-        mass.diag - factor * op.diag,
-        mass.upper - factor * op.upper,
-    )
-
-
-def _stack(top: TridiagonalMatrix, bottom: TridiagonalMatrix,
-           top_right: float, bottom_left: float) -> TridiagonalMatrix:
-    """blockdiag(top, bottom) with the two junction off-diagonal entries."""
-    return TridiagonalMatrix(
-        np.concatenate([top.lower, [bottom_left], bottom.lower]),
-        np.concatenate([top.diag, bottom.diag]),
-        np.concatenate([top.upper, [top_right], bottom.upper]),
-    )
-
-
-def _block(m: TridiagonalMatrix, lo: int, hi: int) -> TridiagonalMatrix:
-    """The diagonal block of rows and columns lo..hi-1."""
-    return TridiagonalMatrix(m.lower[lo:hi - 1], m.diag[lo:hi],
-                             m.upper[lo:hi - 1])
+def _stack(top: np.ndarray, bottom: np.ndarray, top_right: float,
+           bottom_left: float) -> TridiagonalMatrix:
+    """blockdiag of the bands top and bottom, with the two junction
+    off-diagonal entries written into the corners the blocks meet at."""
+    band = np.hstack([top, bottom])
+    n0 = top.shape[1]
+    band[0, n0] = top_right
+    band[2, n0 - 1] = bottom_left
+    return TridiagonalMatrix(band)
 
 
 class _Kernel:
@@ -323,7 +310,8 @@ class _Kernel:
     in r_m per macro step; at most one of them exceeds 1, and its other
     substeps run on that block alone.  All variants route through here,
     so a multi-rate run with ratio 1 is bitwise identical to repeated
-    single steps.
+    single steps.  Each block of ``upd`` is one expression over the
+    assembled bands, and ``upd_s``/``upd_m`` are views of its band.
     """
 
     def __init__(
@@ -343,18 +331,19 @@ class _Kernel:
         dp = p.delta * p.p_tilde
         self.src_s = dt_s * dp
         self.src_m = dt_media / p.phi * dp
-        self.upd = _stack(_minus(ops.psi_s, ops.mat_a, dt_s),
-                          _minus(ops.psi_m, ops.mat_b, dt_media / p.phi),
+        self.upd = _stack(ops.psi_s.band - dt_s * ops.mat_a.band,
+                          ops.psi_m.band - dt_media / p.phi * ops.mat_b.band,
                           self.src_s, self.src_m)
         self.coef_y2 = dt_media * p.da / (p.phi * p.k_part)
         self.ode_decay = 1.0 - dt_media * p.da / ((1.0 - p.phi) * p.k_part)
         self.ode_gain = dt_media * p.da / (1.0 - p.phi)
 
-        self.psi = _stack(ops.psi_s, ops.psi_m, 0.0, 0.0)
+        self.psi = _stack(ops.psi_s.band, ops.psi_m.band, 0.0, 0.0)
         self.fac = _MassFactor(self.psi)
-        # the blocks alone, for the substeps after the stacked one
-        self.upd_s = _block(self.upd, 0, n0)
-        self.upd_m = _block(self.upd, n0, self.psi.dim)
+        # the blocks alone, for the substeps after the stacked one; their
+        # band corners hold the junction entries, which they do not read
+        self.upd_s = TridiagonalMatrix(self.upd.band[:, :n0])
+        self.upd_m = TridiagonalMatrix(self.upd.band[:, n0:])
         self.fac_s = _MassFactor(ops.psi_s)
         self.fac_m = _MassFactor(ops.psi_m)
 
@@ -371,7 +360,8 @@ class _Kernel:
         w_m = ops.psi_m.matvec(np.ones(ops.psi_m.dim))
         self.monitor = BlockMonitor(
             np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m]), w_s,
-            _stack(self.psi, ops.psi_m, 0.0, 0.0), p.pe, energy_growth_rate(p))
+            _stack(self.psi.band, ops.psi_m.band, 0.0, 0.0), p.pe,
+            energy_growth_rate(p))
 
     def _stent_steps(self, y0, trace_w):
         """The r_s - 1 stent substeps after the stacked one, in place,
@@ -424,8 +414,12 @@ class _Kernel:
 
 def check_snapshot_times(snapshot_times, t_end: float) -> list[float]:
     """The requested times as floats; raises ValidationError unless they
-    are sorted ascending and lie within [0, t_end] (to 1e-9 relative)."""
+    are finite, sorted ascending and lie within [0, t_end] (to 1e-9
+    relative)."""
     times = [float(ts) for ts in snapshot_times]
+    for ts in times:
+        if not math.isfinite(ts):
+            raise ValidationError(f"snapshot time {ts} is not finite")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValidationError("snapshot_times must be sorted ascending")
     tol = 1e-9 * max(1.0, t_end)

@@ -15,6 +15,8 @@ per-record form of the block monitors the run recorder applies.
 
 import numpy as np
 
+from stentsim.fem import TridiagonalMatrix
+
 # Gauss-Legendre points/weights on [-1, 1]
 _GP = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 _GW = (1.0, 1.0)
@@ -66,6 +68,16 @@ def dense(m):
     out += np.diag(m.lower, -1)
     out += np.diag(m.upper, 1)
     return out
+
+
+def tridiagonal(lower, diag, upper):
+    """The TridiagonalMatrix with the given diagonals, built from a
+    C-ordered band with zero corners."""
+    band = np.zeros((3, len(diag)))
+    band[0, 1:] = upper
+    band[1] = diag
+    band[2, :-1] = lower
+    return TridiagonalMatrix(band)
 
 
 def quad_mass(nodes):

@@ -108,6 +108,21 @@ def test_t_end_not_whole_number_of_steps_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pattern,line,key", [
+    (r"t_end: .*", "t_end: .nan", "time.t_end"),
+    (r"t_end: .*", "t_end: .inf", "time.t_end"),
+    (r"snapshot_times: .*", "snapshot_times: [0.0, .nan]",
+     "output.snapshot_times"),
+])
+def test_non_finite_time_refused(tmp_path, capsys, pattern, line, key):
+    # exit 1 with the key path before any stepping, not a traceback
+    cfg_path, out = make_config(tmp_path)
+    cfg_path.write_text(re.sub(pattern, line, cfg_path.read_text(), count=1))
+    assert run(["simulate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
 def test_unknown_argument_is_validation_error(capsys):
     assert run(["simulate", "--nope"]) == 1
 

@@ -68,6 +68,22 @@ def test_unsorted_snapshots_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, text))
 
 
+@pytest.mark.parametrize("times", ["[0.0, .nan]", "[.nan, 1.0]",
+                                   "[0.0, .inf]", "[-.inf, 0.0]"])
+def test_non_finite_snapshot_time_rejected(tmp_path, times):
+    text = GOOD.format(out=tmp_path / "o").replace("[0.0, 0.5, 1.0]", times)
+    with pytest.raises(ConfigError, match="^output.snapshot_times: .*finite"):
+        parse_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "0.0", "-1.0"])
+def test_bad_time_unit_rejected(tmp_path, value):
+    text = GOOD.format(out=tmp_path / "o") + f"time_unit: {value}\n"
+    with pytest.raises(ConfigError,
+                       match="time_unit must be positive and finite"):
+        parse_config(write_cfg(tmp_path, text))
+
+
 def test_bad_scheme_and_bad_params(tmp_path):
     text = GOOD.format(out=tmp_path / "o").replace("monolithic", "rk4")
     with pytest.raises(ConfigError, match="scheme"):
@@ -85,12 +101,18 @@ def test_bad_scheme_and_bad_params(tmp_path):
     ("  dt_m: 1.5494e-4\n  substep_ratio: 0\n", "time.substep_ratio"),
     ("  dt_m: 1.5494e-4\n  cfl_safety: 1.5\n", "time.cfl_safety"),
     ("  dt_m: 1.5494e-4\n  substep_domain: lumen\n", "time.substep_domain"),
+    ("  dt_m: .nan\n", "time.dt_m"),
+    ("  dt_m: .inf\n", "time.dt_m"),
+    ("  dt_m: 1.25e-4\n  t_end: .nan\n", "time.t_end"),
+    ("  dt_m: 1.25e-4\n  t_end: .inf\n", "time.t_end"),
 ])
 def test_bad_time_values_name_key_path(tmp_path, time_lines, key):
     # 1.5494e-4 does not divide t_end, but each named field is checked
-    # before the step count
-    text = GOOD.format(out=tmp_path / "o").replace("  dt_m: 1.25e-4\n",
-                                                   time_lines)
+    # before the step count; a case that sets t_end replaces GOOD's
+    text = GOOD.format(out=tmp_path / "o")
+    if "t_end" in time_lines:
+        text = text.replace("  t_end: 1.0\n", "")
+    text = text.replace("  dt_m: 1.25e-4\n", time_lines)
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
         parse_config(write_cfg(tmp_path, text))
 

@@ -14,7 +14,7 @@ from stentsim.fem import (
     build_mesh,
     build_operators,
 )
-from stentsim.stepping import _MassFactor, _stack
+from stentsim.stepping import _Kernel, _MassFactor, _stack
 
 import oracles
 
@@ -182,7 +182,7 @@ def test_b_corner_entry_matches_oracle():
 
 
 def test_solve_identity():
-    ident = TridiagonalMatrix(np.zeros(3), np.ones(4), np.zeros(3))
+    ident = oracles.tridiagonal(np.zeros(3), np.ones(4), np.zeros(3))
     rhs = np.array([1.0, -2.0, 3.0, 0.5])
     np.testing.assert_allclose(_MassFactor(ident).solve(rhs.copy()), rhs,
                                atol=0)
@@ -206,7 +206,7 @@ def test_solve_dominant_property(n, seed):
     bulk[:-1] += np.abs(off)
     bulk[1:] += np.abs(off)
     diag = bulk + rng.uniform(0.1, 2.0, n)
-    m = TridiagonalMatrix(off, diag, off.copy())
+    m = oracles.tridiagonal(off, diag, off.copy())
     rhs = rng.standard_normal(n)
     x = _MassFactor(m).solve(rhs.copy())
     assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
@@ -217,7 +217,7 @@ def random_tridiagonal(rng, n):
     lower, diag, upper = (rng.standard_normal(n - 1), rng.standard_normal(n),
                           rng.standard_normal(n - 1))
     given = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-    return TridiagonalMatrix(lower, diag, upper), given
+    return oracles.tridiagonal(lower, diag, upper), given
 
 
 def assert_matvec_matches_dense(m, given, x):
@@ -252,32 +252,114 @@ def test_stacked_matvec_carries_junction_entries(n_top, n_bottom):
     given[n_top:, n_top:] = d_bottom
     given[n_top - 1, n_top] = 0.7
     given[n_top, n_top - 1] = -1.3
-    m = _stack(top, bottom, 0.7, -1.3)
+    m = _stack(top.band, bottom.band, 0.7, -1.3)
     assert_matvec_matches_dense(m, given, rng.standard_normal(n))
     # each junction entry couples exactly one pair of rows and columns
     for j in (n_top - 1, n_top):
         e = np.zeros(n)
         e[j] = 1.0
         np.testing.assert_array_equal(m.matvec(e), given[:, j])
+    # a column slice of the stacked band is its diagonal block, though
+    # the slice's corner holds a junction entry
+    x = rng.standard_normal(n)
+    for lo, hi in ((0, n_top), (n_top, n)):
+        assert_matvec_matches_dense(TridiagonalMatrix(m.band[:, lo:hi]),
+                                    given[lo:hi, lo:hi], x[lo:hi])
 
 
 def test_one_row_matrix_refused():
     with pytest.raises(ValidationError, match="at least 2 rows"):
-        TridiagonalMatrix(np.array([]), np.array([1.0]), np.array([]))
+        oracles.tridiagonal(np.array([]), np.array([1.0]), np.array([]))
 
 
 def test_singular_pivot_detected():
-    m = TridiagonalMatrix(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]))
+    m = oracles.tridiagonal(np.array([1.0]), np.array([0.0, 1.0]),
+                            np.array([1.0]))
     with pytest.raises(SingularMatrixError, match="singular"):
         _MassFactor(m)
+
+
+# ----------------------------------------------------------- band layout
+
+
+def test_band_stored_fortran_ordered():
+    band = np.arange(12).reshape(3, 4)  # C-ordered integers
+    m = TridiagonalMatrix(band)
+    assert m.band.flags.f_contiguous and m.band.dtype == float
+    np.testing.assert_array_equal(m.band, band)
+    np.testing.assert_array_equal(m.upper, [1, 2, 3])
+    np.testing.assert_array_equal(m.diag, [4, 5, 6, 7])
+    np.testing.assert_array_equal(m.lower, [8, 9, 10])
+    assert m.dim == 4
+    # a Fortran-ordered float band, such as a column slice, is not copied
+    fortran = np.asfortranarray(band, dtype=float)[:, 1:]
+    assert TridiagonalMatrix(fortran).band is fortran
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 4), (4, 4), (3, 1), (3, 0)])
+def test_band_not_3_by_n_refused(shape):
+    with pytest.raises(ValidationError, match="at least 2 rows"):
+        TridiagonalMatrix(np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_operators_keep_entrywise_order(n):
+    # every band sum computes each entry in the order of the entrywise
+    # expression over the stiffness and mass diagonals
+    mesh_s, mesh_m = build_mesh(STENT, n, l=P.l), build_mesh(MEDIA, n + 1)
+    s_s = assemble_stiffness(mesh_s)
+    a = assemble_a(mesh_s, P)
+    diag = P.delta * s_s.diag
+    diag[-1] += P.delta * P.p_tilde
+    np.testing.assert_array_equal(a.diag, diag)
+    np.testing.assert_array_equal(a.lower, P.delta * s_s.lower)
+    np.testing.assert_array_equal(a.upper, P.delta * s_s.upper)
+
+    stiff, mass = assemble_stiffness(mesh_m), assemble_mass(mesh_m)
+    half_pe = 0.5 * P.pe
+    conv_diag = np.zeros(n + 2)
+    conv_diag[0] = -half_pe
+    conv_diag[-1] = half_pe
+    diag = stiff.diag + P.da * mass.diag + conv_diag
+    diag[0] += P.delta * P.p_tilde + P.pe
+    b = assemble_b(mesh_m, P)
+    np.testing.assert_array_equal(b.diag, diag)
+    np.testing.assert_array_equal(
+        b.lower, stiff.lower + P.da * mass.lower - half_pe)
+    np.testing.assert_array_equal(
+        b.upper, stiff.upper + P.da * mass.upper + half_pe)
+
+
+@pytest.mark.parametrize("ratio,domain", [(1, STENT), (3, STENT), (4, MEDIA)])
+def test_kernel_operator_keeps_entrywise_order(ratio, domain):
+    # upd is blockdiag(Psi_s - dt_s*A, Psi_m - (dt_media/phi)*B), entry
+    # by entry, with the interface sources on its junction off-diagonals
+    ops = build_operators(P, 5, 4)
+    kern = _Kernel(P, ops, 1e-5, ratio, domain)
+    dt_s, dt_media = 1e-5 / kern.r_s, 1e-5 / kern.r_m
+    f = dt_media / P.phi
+    s, m = (ops.psi_s, ops.mat_a), (ops.psi_m, ops.mat_b)
+    np.testing.assert_array_equal(kern.upd.diag, np.concatenate(
+        [s[0].diag - dt_s * s[1].diag, m[0].diag - f * m[1].diag]))
+    np.testing.assert_array_equal(kern.upd.lower, np.concatenate(
+        [s[0].lower - dt_s * s[1].lower, [kern.src_m],
+         m[0].lower - f * m[1].lower]))
+    np.testing.assert_array_equal(kern.upd.upper, np.concatenate(
+        [s[0].upper - dt_s * s[1].upper, [kern.src_s],
+         m[0].upper - f * m[1].upper]))
+    dense = oracles.dense(kern.upd)
+    n0 = kern.n0
+    np.testing.assert_array_equal(oracles.dense(kern.upd_s), dense[:n0, :n0])
+    np.testing.assert_array_equal(oracles.dense(kern.upd_m), dense[n0:, n0:])
 
 
 # ----------------------------------------------------------------- norms
 
 
 def test_norm_examples():
-    # squared discrete norms v' Psi v (L2) and v' S v (H1 seminorm), the
-    # quadratic forms compare_records takes
+    # squared discrete norms v' Psi v (L2), the form compare_records
+    # takes, and v' S v (H1 seminorm), equal in exact arithmetic to the
+    # sum of (v[i+1] - v[i])^2 / h that compare_records takes
     mesh_m = build_mesh(MEDIA, 8)
     mesh_s = build_mesh(STENT, 10, l=0.028)
     ones_m, ones_s = np.ones(9), np.ones(11)

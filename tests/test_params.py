@@ -59,6 +59,13 @@ def test_negative_delta_rejected():
         validate_params(dict(FULL, delta=-1.0))
 
 
+@pytest.mark.parametrize("name", sorted(FULL))
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_parameter_rejected(name, value):
+    with pytest.raises(ParameterError, match=f"^{name} must "):
+        validate_params(dict(FULL, **{name: value}))
+
+
 def test_unknown_and_nonnumeric_names_rejected():
     with pytest.raises(ParameterError, match="unknown parameter"):
         validate_params(dict(FULL, banana=1.0))
