@@ -40,7 +40,6 @@ from .stepping import (
 )
 from .fdcheck import run_fd
 from .analysis import (
-    AlgComparison,
     ErrorReport,
     FieldError,
     RateTable,

@@ -7,6 +7,11 @@ reference-mesh mass matrices and H1 seminorms from nodal differences.
 Time norms use the left-endpoint rectangle rule over the records' common
 snapshot times.  Relative errors are normalized by the reference
 field's own max-in-time L2 magnitude.
+
+Every study returns a mapping of ``ErrorReport``: ``compare_algorithms``
+keyed by variant (alg1, alg2, monolithic), ``stepping_study`` by
+stent/media ratio; ``convergence_study``'s ``RateTable`` holds one
+report per refinement level.
 """
 
 from __future__ import annotations
@@ -49,14 +54,6 @@ class FieldError:
     def rel_linf_l2(self) -> float | None:
         return self._rel(self.linf_l2)
 
-    @property
-    def rel_l2_l2(self) -> float | None:
-        return self._rel(self.l2_l2)
-
-    @property
-    def rel_l2_h1(self) -> float | None:
-        return self._rel(self.l2_h1)
-
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -75,9 +72,9 @@ class ErrorReport:
         for name in FIELDS:
             fe = self.field(name)
             out.append((name, "linf_l2", fe.linf_l2, fe.rel_linf_l2))
-            out.append((name, "l2_l2", fe.l2_l2, fe.rel_l2_l2))
+            out.append((name, "l2_l2", fe.l2_l2, fe._rel(fe.l2_l2)))
             if fe.l2_h1 is not None:
-                out.append((name, "l2_h1", fe.l2_h1, fe.rel_l2_h1))
+                out.append((name, "l2_h1", fe.l2_h1, fe._rel(fe.l2_h1)))
         return out
 
 
@@ -93,16 +90,13 @@ def prolong(values: np.ndarray, n_test: int, n_ref: int) -> np.ndarray:
     if len(values) != n_test + 1:
         raise ValidationError("nodal vector does not match the test mesh")
     k = n_ref // n_test
-    if k == 1:
-        return values.copy()
     idx = np.arange(n_ref + 1)
     elem = idx // k
     frac = (idx % k) / k
     left = values[np.minimum(elem, n_test)]
     right = values[np.minimum(elem + 1, n_test)]
-    out = (1.0 - frac) * left + frac * right
-    out[frac == 0.0] = values[elem[frac == 0.0]]
-    return out
+    # on shared nodes frac is 0 and this is left itself (finite values)
+    return (1.0 - frac) * left + frac * right
 
 
 def _common_snapshots(test: SolutionRecord, ref: SolutionRecord):
@@ -208,15 +202,17 @@ class RateTable:
     reference: SolutionRecord
 
     def rows(self):
+        """(level, h, field, norm, error, rate to the next level) tuples,
+        the columns of convergence.csv; rate is "" where none is fitted."""
         out = []
         for i, (h, rep) in enumerate(zip(self.h_values, self.reports)):
-            for name, norm, absval, rel in rep.rows():
+            for name, norm, absval, _ in rep.rows():
                 rates = self.rates_linf_l2 if norm == "linf_l2" else (
                     self.rates_l2_h1 if norm == "l2_h1" else None)
                 rate = ""
                 if rates is not None and name in rates and i < len(rates[name]):
                     rate = rates[name][i]
-                out.append((i, h, name, norm, absval, rel, rate))
+                out.append((i, h, name, norm, absval, rate))
         return out
 
 
@@ -315,13 +311,6 @@ def stepping_study(
     return out
 
 
-@dataclass(frozen=True)
-class AlgComparison:
-    alg1: ErrorReport
-    alg2: ErrorReport
-    monolithic: ErrorReport
-
-
 def compare_algorithms(
     p: ModelParams,
     ref: SolutionRecord,
@@ -330,15 +319,13 @@ def compare_algorithms(
     n_steps: int,
     t_end: float,
     snapshot_times,
-) -> AlgComparison:
+) -> dict[str, ErrorReport]:
     """Accuracy of the two decoupling strategies (and the fully explicit
-    update) on identical meshes and steps, against one fine reference."""
+    update) on identical meshes and steps, against one fine reference:
+    reports keyed alg1, alg2, monolithic, in that order."""
     reports = {}
     for variant in ("alg1", "alg2", "monolithic"):
         rec = make_reference(p, n_s, n_m, n_steps, t_end, snapshot_times,
                              variant)
         reports[variant] = compare_records(rec, ref)
-    return AlgComparison(
-        alg1=reports["alg1"], alg2=reports["alg2"],
-        monolithic=reports["monolithic"],
-    )
+    return reports

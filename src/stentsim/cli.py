@@ -35,27 +35,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _report_rows(report, *key):
-    return [(*key, f, n, a, "" if r is None else r)
-            for f, n, a, r in report.rows()]
-
-
-def _print_report(name, report):
-    print(f"{name}:")
-    print(f"  {'field':5s} {'norm':8s} {'absolute':>13s} {'relative':>13s}")
-    for fld, norm, absval, rel in report.rows():
-        rel_s = f"{rel:13.6e}" if rel is not None else f"{'n/a':>13s}"
-        print(f"  {fld:5s} {norm:8s} {absval:13.6e} {rel_s}")
-
-
-def _write_reports(path, key, reports):
-    """Print each (title, value, report) and write all of them to one CSV
-    whose first column, named key, holds the value."""
+def _write_reports(path, keys, reports):
+    """Print each (title, values, report) item and write all of them to
+    one CSV whose leading columns, named keys, hold the values."""
     rows = []
-    for title, value, report in reports:
-        _print_report(title, report)
-        rows.extend(_report_rows(report, value))
-    path = write_table_csv(path, [key, "field", "norm", "absolute",
+    for title, values, report in reports:
+        print(f"{title}:")
+        print(f"  {'field':5s} {'norm':8s} {'absolute':>13s} {'relative':>13s}")
+        for fld, norm, absval, rel in report.rows():
+            rel_s = f"{rel:13.6e}" if rel is not None else f"{'n/a':>13s}"
+            print(f"  {fld:5s} {norm:8s} {absval:13.6e} {rel_s}")
+            rows.append((*values, fld, norm, absval,
+                         "" if rel is None else rel))
+    path = write_table_csv(path, [*keys, "field", "norm", "absolute",
                                   "relative"], rows)
     print(f"wrote {path}")
 
@@ -125,11 +117,10 @@ def cmd_converge(args) -> int:
     )
     print(f"{'level':>5s} {'h_m':>10s} {'field':>5s} {'norm':>8s} "
           f"{'error':>13s} {'rate':>7s}")
-    rows = []
-    for level, h, fld, norm, err, rel, rate in table.rows():
+    rows = table.rows()
+    for level, h, fld, norm, err, rate in rows:
         rate_s = f"{rate:7.3f}" if rate != "" else f"{'':7s}"
         print(f"{level:5d} {h:10.5f} {fld:>5s} {norm:>8s} {err:13.6e} {rate_s}")
-        rows.append((level, h, fld, norm, err, rate))
     path = write_table_csv(out / "convergence.csv",
                            ["level", "h_m", "field", "norm", "error",
                             "rate_to_next"], rows)
@@ -148,23 +139,20 @@ def cmd_compare_fd(args) -> int:
                          record_every=cfg.record_every)
     fd = run_fd(cfg.params, cfg.n_s, cfg.n_m, scheme.dt_m, scheme.t_end,
                 snaps, record_every=cfg.record_every)
-    report = compare_records(fd, fem)
-    _print_report("finite-difference vs finite-element", report)
-    path = write_table_csv(out / "fd_comparison.csv",
-                           ["field", "norm", "absolute", "relative"],
-                           _report_rows(report))
-    print(f"wrote {path}")
+    _write_reports(out / "fd_comparison.csv", (),
+                   [("finite-difference vs finite-element", (),
+                     compare_records(fd, fem))])
     return 0
 
 
 def cmd_compare_alg(args) -> int:
     cfg = parse_config(args.config)
     ref, n_steps, snaps = _reference(cfg, args.ref_scale)
-    comp = compare_algorithms(cfg.params, ref, cfg.n_s, cfg.n_m,
-                              n_steps, cfg.scheme.t_end, snaps)
-    _write_reports(Path(cfg.out_dir) / "algorithm_comparison.csv", "variant",
-                   [(name, name, getattr(comp, name))
-                    for name in ("alg1", "alg2", "monolithic")])
+    reports = compare_algorithms(cfg.params, ref, cfg.n_s, cfg.n_m,
+                                 n_steps, cfg.scheme.t_end, snaps)
+    _write_reports(Path(cfg.out_dir) / "algorithm_comparison.csv",
+                   ("variant",),
+                   [(name, (name,), rep) for name, rep in reports.items()])
     return 0
 
 
@@ -180,9 +168,9 @@ def cmd_stepping_study(args) -> int:
     reports = stepping_study(cfg.params, ref, cfg.n_m, args.ratios, n_steps,
                              cfg.scheme.t_end, snaps,
                              variant=cfg.scheme.variant)
-    _write_reports(Path(cfg.out_dir) / "stepping_study.csv", "ratio",
+    _write_reports(Path(cfg.out_dir) / "stepping_study.csv", ("ratio",),
                    [(f"stent/media element ratio {q} (n_s={q * cfg.n_m})",
-                     q, reports[q]) for q in args.ratios])
+                     (q,), rep) for q, rep in reports.items()])
     return 0
 
 

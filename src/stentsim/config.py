@@ -104,7 +104,10 @@ def config_from_dict(tree: dict) -> RunConfig:
         params = validate_params({}, use_paper_defaults=True)
     elif isinstance(raw_params, dict):
         raw = dict(raw_params)
-        use_defaults = bool(raw.pop("use_paper_defaults", False))
+        use_defaults = raw.pop("use_paper_defaults", False)
+        if not isinstance(use_defaults, bool):
+            raise ConfigError(f"params.use_paper_defaults: expected true or "
+                              f"false, got {use_defaults!r}")
         try:
             params = validate_params(raw, use_paper_defaults=use_defaults)
         except Exception as exc:

@@ -135,7 +135,7 @@ def _trapezoid_monitor(p: ModelParams, mesh_s, mesh_m) -> BlockMonitor:
     form = np.zeros((3, len(w_s) + 2 * len(w_m)), order="F")
     form[1] = np.concatenate([w_s, w_m, w_m])
     mass = np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m])
-    return BlockMonitor(mass, w_s, TridiagonalMatrix(form), p.pe)
+    return BlockMonitor(mass, w_s, TridiagonalMatrix(form))
 
 
 def run_fd(

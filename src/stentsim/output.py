@@ -11,24 +11,21 @@ Numbers are printed with 17 significant digits so values round-trip
 exactly.  Rows are sorted by (t, domain, x, field).  A record's files are
 streamed: each row is one '%.16e,...' format of values taken from the
 columns with ``tolist``, written through ``writelines``, in the bytes a
-``csv.writer`` would give (unquoted fields, \r\n line ends).  Charts
+``csv.writer`` would give (unquoted fields, \r\n line ends).  Study
+tables go through the same writer, floats as '%.16e' and other values
+as ``str``; no table value holds a comma or a quote.  Charts
 are written as self-contained SVG with fixed formatting: identical input
 produces byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .stepping import SolutionRecord
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
 
 
 def _write_rows(path: Path, header: str, lines) -> None:
@@ -83,16 +80,12 @@ def write_record_csv(rec: SolutionRecord, out_dir) -> list[Path]:
 
 
 def write_table_csv(path, header, rows) -> Path:
-    """Small helper for study tables: floats get full precision."""
+    """Write a study table: the header names, then one line per row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([
-                _fmt(v) if isinstance(v, float) else v for v in row
-            ])
+    _write_rows(path, ",".join(header),
+                (",".join("%.16e" % v if isinstance(v, float) else str(v)
+                          for v in row) + "\r\n" for row in rows))
     return path
 
 

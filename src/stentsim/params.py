@@ -10,6 +10,7 @@ time in hours.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -77,12 +78,10 @@ def validate_params(raw: dict, use_paper_defaults: bool = False) -> ModelParams:
     values = {}
     for name in _PARAM_NAMES:
         if name in raw:
-            try:
-                values[name] = float(raw[name])
-            except (TypeError, ValueError):
-                raise ParameterError(
-                    f"{name} must be a number, got {raw[name]!r}"
-                ) from None
+            value = raw[name]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
+            values[name] = float(value)
         elif use_paper_defaults:
             values[name] = PAPER_DEFAULTS[name]
         else:

@@ -360,7 +360,7 @@ class _Kernel:
         w_m = ops.psi_m.matvec(np.ones(ops.psi_m.dim))
         self.monitor = BlockMonitor(
             np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m]), w_s,
-            _stack(self.psi.band, ops.psi_m.band, 0.0, 0.0), p.pe,
+            _stack(self.psi.band, ops.psi_m.band, 0.0, 0.0),
             energy_growth_rate(p))
 
     def _stent_steps(self, y0, trace_w):
@@ -439,15 +439,13 @@ class BlockMonitor:
     records at once (one row each).
 
     The mass is s @ mass_weights, the stent mass y0 @ stent_weights and
-    the energy the quadratic form s . (form s).  The balance residual
-    reads pe, and the energy guard reads growth; without it only the
-    non-finite guard runs.
+    the energy the quadratic form s . (form s).  The energy guard reads
+    growth; without it only the non-finite guard runs.
     """
 
     mass_weights: np.ndarray
     stent_weights: np.ndarray
     form: TridiagonalMatrix
-    pe: float
     growth: float | None = None
 
     def measure(self, block: np.ndarray):
@@ -484,6 +482,7 @@ class RunRecorder:
                 f"{record_every!r}", key="record_every")
         every = int(record_every)
         self.dt = dt = cfg.dt_m
+        self.pe = p.pe
         self.n_steps = n_steps = step_count(cfg.t_end, dt)
         self.mesh_s = mesh_s
         self.mesh_m = mesh_m
@@ -585,7 +584,7 @@ class RunRecorder:
             )
         out[1], out[2], out[3] = mass, stent_mass, energy
         np.subtract(mass, self._mass0, out=out[4])
-        out[4] += (self.monitor.pe * self.dt) * self._outflow[:hi - lo]
+        out[4] += (self.pe * self.dt) * self._outflow[:hi - lo]
         out[5] = block[:, self.n0 - 1]
         out[6] = block[:, self.n0]
         out[7] = block[:, self.nz - 1]

@@ -199,6 +199,56 @@ def test_converge_runs(tmp_path, capsys):
     assert "rate" in capsys.readouterr().out
 
 
+FLOAT = r"-?\d\.\d{16}e[+-]\d{2}"  # 17 significant digits
+# a regex per table column; relative errors and rates may be empty
+COLUMNS = {"variant": "(alg1|alg2|monolithic)", "ratio": "[12]",
+           "level": "[01]", "h_m": FLOAT, "field": "(c|c1|c2)",
+           "norm": "(linf_l2|l2_l2|l2_h1)", "absolute": FLOAT,
+           "error": FLOAT, "relative": f"({FLOAT})?",
+           "rate_to_next": f"({FLOAT})?"}
+REPORT_HEADER = "  field norm          absolute      relative"
+# (argv, table, header, rows, stdout report titles, each followed by
+# REPORT_HEADER); every report has 8 rows: 3 norms of c and c1, 2 of c2
+STUDY_TABLES = [
+    (["compare-fd"], "fd_comparison.csv", "field,norm,absolute,relative", 8,
+     ["finite-difference vs finite-element:"]),
+    (["compare-alg", "--ref-scale", "2"], "algorithm_comparison.csv",
+     "variant,field,norm,absolute,relative", 24,
+     ["alg1:", "alg2:", "monolithic:"]),
+    (["stepping-study", "--ratios", "1,2", "--ref-scale", "2"],
+     "stepping_study.csv", "ratio,field,norm,absolute,relative", 16,
+     ["stent/media element ratio 1 (n_s=4):",
+      "stent/media element ratio 2 (n_s=8):"]),
+    (["converge", "--levels", "2"], "convergence.csv",
+     "level,h_m,field,norm,error,rate_to_next", 16, []),
+]
+
+
+@pytest.mark.parametrize("argv,table,header,n_rows,titles", STUDY_TABLES,
+                         ids=[a[0] for a, *_ in STUDY_TABLES])
+def test_study_table_format(tmp_path, capsys, argv, table, header, n_rows,
+                            titles):
+    # the bytes of the study tables and the head of each stdout report
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10)
+    assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 0
+    data = (out / table).read_bytes().decode()
+    assert data.endswith("\r\n") and "\n" not in data.replace("\r\n", "")
+    lines = data[:-2].split("\r\n")
+    assert lines[0] == header and len(lines) == 1 + n_rows
+    pattern = ",".join(COLUMNS[c] for c in header.split(","))
+    for line in lines[1:]:
+        assert re.fullmatch(pattern, line), line
+    text = capsys.readouterr().out.splitlines()
+    assert text[-1] == f"wrote {out / table}"
+    if titles:
+        starts = [i for i, ln in enumerate(text) if ln in titles]
+        assert [text[i] for i in starts] == titles
+        assert all(text[i + 1] == REPORT_HEADER for i in starts)
+    else:
+        assert text[0] == ("level        h_m field     norm         error"
+                           "    rate")
+
+
 @pytest.mark.parametrize("n_s,n_m", [(6, 4), (4, 8)])
 def test_converge_refuses_mesh_it_cannot_refine(tmp_path, capsys, n_s, n_m):
     # a stent count that is not a multiple of the media count used to be

@@ -95,6 +95,31 @@ def test_bad_scheme_and_bad_params(tmp_path):
         parse_config(write_cfg(tmp_path, text))
 
 
+@pytest.mark.parametrize("params", [
+    "{use_paper_defaults: true, pe: true}",
+    "{use_paper_defaults: true, da: \"0.5\"}",
+], ids=["bool", "string"])
+def test_non_numeric_params_rejected(tmp_path, params):
+    text = GOOD.format(out=tmp_path / "o").replace(
+        "params: paper_defaults", f"params: {params}")
+    with pytest.raises(ConfigError, match="^params: .* must be a number"):
+        parse_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("value,shown", [('"no"', "'no'"), ("1", "1"),
+                                         ("null", "None"),
+                                         ('"true"', "'true'")],
+                         ids=["no", "int", "null", "string"])
+def test_use_paper_defaults_must_be_boolean(tmp_path, value, shown):
+    # bool() would read "no" as true and fill in all seven defaults
+    text = GOOD.format(out=tmp_path / "o").replace(
+        "params: paper_defaults", f"params: {{use_paper_defaults: {value}}}")
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"params.use_paper_defaults: expected true or false, got {shown}")
+            + "$"):
+        parse_config(write_cfg(tmp_path, text))
+
+
 @pytest.mark.parametrize("time_lines,key", [
     ("  dt_m: -1.0\n", "time.dt_m"),
     ("  dt_m: 0.003\n", "time.dt_m"),  # t_end = 333.3 steps

@@ -71,6 +71,11 @@ def test_unknown_and_nonnumeric_names_rejected():
         validate_params(dict(FULL, banana=1.0))
     with pytest.raises(ParameterError, match="must be a number"):
         validate_params(dict(FULL, pe="fast"))
+    # float() would take both; a config refuses them for time and mesh keys
+    with pytest.raises(ParameterError, match="^pe must be a number, got True"):
+        validate_params(dict(FULL, pe=True))
+    with pytest.raises(ParameterError, match="^da must be a number, got '0.5'"):
+        validate_params(dict(FULL, da="0.5"))
 
 
 def test_derived_constants_default_set():
