@@ -1,12 +1,14 @@
 """Error norms between runs, refinement studies, and scheme comparisons.
 
-References are fine-grid numerical runs, never manufactured solutions:
-a test record is prolonged onto the reference mesh by exact P1
-interpolation (nested uniform meshes), then L2 norms are taken with the
-reference-mesh mass matrices and H1 seminorms from nodal differences.
-Time norms use the left-endpoint rectangle rule over the records' common
-snapshot times.  Relative errors are normalized by the reference
-field's own max-in-time L2 magnitude.
+References are fine-grid numerical runs, never manufactured solutions.
+Snapshots pair on their actual times t (to 1e-9 relative).  Norms are
+taken in blocks, a row per paired snapshot: the test rows are prolonged
+onto the reference mesh by exact P1 interpolation (nested uniform
+meshes) in one call, the L2 norms are one quadratic form of the
+reference-mesh mass matrix and the H1 seminorms come from nodal
+differences along the rows.  Time norms use the left-endpoint rectangle
+rule over the common snapshot times.  Relative errors are normalized by
+the reference field's own max-in-time L2 magnitude.
 
 Every study returns a mapping of ``ErrorReport``: ``compare_algorithms``
 keyed by variant (alg1, alg2, monolithic), ``stepping_study`` by
@@ -29,6 +31,7 @@ from .stepping import (
     SolutionRecord,
     run_simulation,
     stable_step_count,
+    whole_number,
 )
 
 REL_FLOOR = 1e-14  # relative errors undefined below this reference magnitude
@@ -80,38 +83,32 @@ class ErrorReport:
 
 def prolong(values: np.ndarray, n_test: int, n_ref: int) -> np.ndarray:
     """P1 interpolation from a uniform mesh with n_test elements onto a
-    nested uniform refinement with n_ref elements.  Exact on shared nodes
+    nested uniform refinement with n_ref elements, along the last axis
+    (a 2-D array prolongs row by row).  Exact on shared nodes
     (prolong-then-restrict is the identity on nodal values)."""
     if n_ref % n_test != 0:
         raise ValidationError(
             f"reference mesh ({n_ref} elements) is not a refinement of the "
             f"test mesh ({n_test} elements)"
         )
-    if len(values) != n_test + 1:
+    if values.shape[-1] != n_test + 1:
         raise ValidationError("nodal vector does not match the test mesh")
     k = n_ref // n_test
     idx = np.arange(n_ref + 1)
     elem = idx // k
     frac = (idx % k) / k
-    left = values[np.minimum(elem, n_test)]
-    right = values[np.minimum(elem + 1, n_test)]
+    left = values[..., np.minimum(elem, n_test)]
+    right = values[..., np.minimum(elem + 1, n_test)]
     # on shared nodes frac is 0 and this is left itself (finite values)
     return (1.0 - frac) * left + frac * right
 
 
 def _common_snapshots(test: SolutionRecord, ref: SolutionRecord):
-    """Pairs of snapshots taken at the same requested time."""
-    tol = 1e-9 * max(
-        1.0,
-        max((s.t for s in ref.snapshots), default=1.0),
-    )
-    ref_by_time = [(s.t_request, s) for s in ref.snapshots]
-    pairs = []
-    for snap in test.snapshots:
-        for t_req, rsnap in ref_by_time:
-            if abs(snap.t_request - t_req) <= tol:
-                pairs.append((snap, rsnap))
-                break
+    """Pairs of snapshots taken at the same time t, to 1e-9 relative.  A
+    record's snapshots lie on distinct steps, so each pairs at most once."""
+    tol = 1e-9 * max(1.0, max((s.t for s in ref.snapshots), default=1.0))
+    pairs = [(snap, rsnap) for snap in test.snapshots
+             for rsnap in ref.snapshots if abs(snap.t - rsnap.t) <= tol]
     if not pairs:
         raise ValidationError("disjoint snapshot time sets")
     return pairs
@@ -119,61 +116,36 @@ def _common_snapshots(test: SolutionRecord, ref: SolutionRecord):
 
 def compare_records(test: SolutionRecord, ref: SolutionRecord) -> ErrorReport:
     """Discrete-norm differences between a run and a nested-finer reference."""
-    n_s_t, n_s_r = test.mesh_s.n_elems, ref.mesh_s.n_elems
-    n_m_t, n_m_r = test.mesh_m.n_elems, ref.mesh_m.n_elems
+    n_s_t, n_m_t = test.mesh_s.n_elems, test.mesh_m.n_elems
     if abs(test.mesh_s.a - ref.mesh_s.a) > 1e-14 * max(1.0, abs(ref.mesh_s.a)):
         raise ValidationError("records use different stent thickness")
-    if n_s_r % n_s_t or n_m_r % n_m_t:
+    if ref.mesh_s.n_elems % n_s_t or ref.mesh_m.n_elems % n_m_t:
         raise ValidationError(
             "reference meshes must be nested refinements of the test meshes"
         )
-    mass_s = assemble_mass(ref.mesh_s)
-    mass_m = assemble_mass(ref.mesh_m)
+    pairs = _common_snapshots(test, ref)
+    dt = np.diff([rsnap.t for _, rsnap in pairs])
 
-    def l2(v, mat):
-        return math.sqrt(max(float(v @ mat.matvec(v)), 0.0))
-
-    def h1(v, h):
+    def field(y, n_test, mesh, with_h1):
+        """The errors of nodal vector y (y0, y1 or y2), a row per pair."""
+        mass = assemble_mass(mesh)
+        want = np.array([getattr(rsnap.state, y) for _, rsnap in pairs])
+        got = np.array([getattr(tsnap.state, y) for tsnap, _ in pairs])
+        diff = prolong(got, n_test, mesh.n_elems) - want
+        l2 = np.sqrt(np.maximum(mass.quadratic(diff), 0.0))
         # the stiffness form v.Sv as sum (v[i+1] - v[i])^2 / h: equal in
         # exact arithmetic, without its cancellation for near-constant v
-        d = np.diff(v)
-        return math.sqrt(float(d @ d) / h)
-
-    pairs = _common_snapshots(test, ref)
-    times = np.array([r.t for _, r in pairs])
-    err = {name: {"l2": [], "h1": []} for name in FIELDS}
-    mag = {name: [] for name in FIELDS}
-    for tsnap, rsnap in pairs:
-        d0 = prolong(tsnap.state.y0, n_s_t, n_s_r) - rsnap.state.y0
-        d1 = prolong(tsnap.state.y1, n_m_t, n_m_r) - rsnap.state.y1
-        d2 = prolong(tsnap.state.y2, n_m_t, n_m_r) - rsnap.state.y2
-        err["c"]["l2"].append(l2(d0, mass_s))
-        err["c"]["h1"].append(h1(d0, ref.mesh_s.h))
-        err["c1"]["l2"].append(l2(d1, mass_m))
-        err["c1"]["h1"].append(h1(d1, ref.mesh_m.h))
-        err["c2"]["l2"].append(l2(d2, mass_m))
-        mag["c"].append(l2(rsnap.state.y0, mass_s))
-        mag["c1"].append(l2(rsnap.state.y1, mass_m))
-        mag["c2"].append(l2(rsnap.state.y2, mass_m))
-
-    def time_l2(values):
-        if len(times) < 2:
-            return 0.0
-        dt = np.diff(times)
-        return math.sqrt(float(np.sum(dt * np.asarray(values[:-1]) ** 2)))
-
-    def field(name, with_h1):
-        e = err[name]
+        h1 = np.sqrt(np.sum(np.diff(diff) ** 2, axis=-1) / mesh.h)
         return FieldError(
-            linf_l2=float(np.max(e["l2"])),
-            l2_l2=time_l2(e["l2"]),
-            l2_h1=time_l2(e["h1"]) if with_h1 else None,
-            ref_linf_l2=float(np.max(mag[name])),
+            linf_l2=float(l2.max()),
+            l2_l2=math.sqrt(dt @ l2[:-1] ** 2),
+            l2_h1=math.sqrt(dt @ h1[:-1] ** 2) if with_h1 else None,
+            ref_linf_l2=math.sqrt(max(mass.quadratic(want).max(), 0.0)),
         )
 
-    return ErrorReport(
-        c=field("c", True), c1=field("c1", True), c2=field("c2", False)
-    )
+    return ErrorReport(c=field("y0", n_s_t, ref.mesh_s, True),
+                       c1=field("y1", n_m_t, ref.mesh_m, True),
+                       c2=field("y2", n_m_t, ref.mesh_m, False))
 
 
 def fit_rate(errors, widths) -> list[float]:
@@ -300,9 +272,7 @@ def stepping_study(
     For each ratio q the run uses q*n_m stent elements against the given
     fine reference; only the spatial ratio changes between rows.
     """
-    ratios = [int(q) for q in ratios]
-    if any(q < 1 for q in ratios):
-        raise ValidationError("ratios must be positive integers")
+    ratios = [whole_number(q, "ratios") for q in ratios]
     out = {}
     for q in ratios:
         rec = make_reference(p, q * n_m, n_m, n_steps, t_end,

@@ -51,13 +51,24 @@ class RunConfig:
     time_unit: float | None = None
 
 
-def _need(tree: dict, path: str, kind, key_path: str):
+# the keys each mapping may hold, "" being the root; validate_params
+# checks the params names
+KNOWN_KEYS = {
+    "": ("params", "mesh", "time", "scheme", "output", "time_unit"),
+    "mesh": ("n_s", "n_m"),
+    "time": ("t_end", "dt_m", "substep_ratio", "substep_domain",
+             "cfl_safety"),
+    "output": ("out_dir", "snapshot_times", "record_every"),
+}
+
+
+def _need(tree: dict, path: str, kind):
     node = tree
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"{key_path or path}: missing required key")
+            raise ConfigError(f"{path}: missing required key")
         node = node[part]
-    return _typed(node, kind, key_path or path)
+    return _typed(node, kind, path)
 
 
 def _typed(value, kind, key_path: str):
@@ -99,6 +110,12 @@ def parse_config(path) -> RunConfig:
 
 
 def config_from_dict(tree: dict) -> RunConfig:
+    for section, known in KNOWN_KEYS.items():
+        node = tree.get(section) if section else tree
+        for key in node if isinstance(node, dict) else ():
+            if key not in known:
+                where = f"{section}.{key}" if section else key
+                raise ConfigError(f"{where}: unknown key")  # not ignored
     raw_params = tree.get("params")
     if raw_params == "paper_defaults":
         params = validate_params({}, use_paper_defaults=True)
@@ -119,13 +136,13 @@ def config_from_dict(tree: dict) -> RunConfig:
             'params: expected "paper_defaults" or a mapping of values'
         )
 
-    n_s = _need(tree, "mesh.n_s", int, "mesh.n_s")
-    n_m = _need(tree, "mesh.n_m", int, "mesh.n_m")
+    n_s = _need(tree, "mesh.n_s", int)
+    n_m = _need(tree, "mesh.n_m", int)
     if n_s < 1 or n_m < 1:
         raise ConfigError("mesh.n_s and mesh.n_m must be at least 1")
 
-    t_end = _need(tree, "time.t_end", float, "time.t_end")
-    dt_m = _need(tree, "time.dt_m", float, "time.dt_m")
+    t_end = _need(tree, "time.t_end", float)
+    dt_m = _need(tree, "time.dt_m", float)
     time_tree = tree.get("time", {})
     optional = {}  # the keys that are set; SchemeConfig has the defaults
     for name, kind in (("substep_ratio", int), ("substep_domain", str),
@@ -134,7 +151,7 @@ def config_from_dict(tree: dict) -> RunConfig:
         if value is not None:
             optional[name] = value
 
-    variant = _need(tree, "scheme", str, "scheme")
+    variant = _need(tree, "scheme", str)
     try:
         scheme = SchemeConfig(variant=variant, dt_m=dt_m, t_end=t_end,
                               **optional)
@@ -142,7 +159,7 @@ def config_from_dict(tree: dict) -> RunConfig:
         path = "scheme" if exc.key == "variant" else f"time.{exc.key}"
         raise ConfigError(f"{path}: {exc}") from None
 
-    out_dir = _need(tree, "output.out_dir", str, "output.out_dir")
+    out_dir = _need(tree, "output.out_dir", str)
     out_tree = tree.get("output", {})
     record_every = _optional(out_tree, "record_every", int, 1,
                              "output.record_every")

@@ -32,10 +32,11 @@ wall diagonal entry.  One step is then
     z'  = T z + (dt*da/(phi*K)) [0; c2]
     c2' = (1 - dt*da/((1-phi)*K)) c2 + (dt*da/(1-phi)) c1
 
-with every source from level k.  T is held in its own LAPACK band
-storage, so T z is one BLAS ``dgbmv`` and each source term one
-``daxpy``; no FEM matrix or matvec enters this module's numerics, and
-the monitors use trapezoid quadrature on nodal values.
+with every source from level k.  T is a ``TridiagonalMatrix`` whose
+band is written here from the stencils above, so T z is its ``matvec``
+and each source term one ``daxpy``.  No finite-element assembly enters
+this module's numerics, and the monitors use trapezoid quadrature on
+nodal values.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dgbmv
+from scipy.linalg.blas import daxpy
 
 from .errors import CflError
 from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh
@@ -78,20 +79,18 @@ def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
 
 class _FdStep:
     """The assembled step (see the module docstring): T on z = [c; c1]
-    as a Fortran-ordered 3 x dim band (upper, diagonal, lower; zero
-    corners), the c2 source coefficient of the wall rows and the uptake
+    as ``op``, the c2 source coefficient of the wall rows and the uptake
     update."""
 
     def __init__(self, p: ModelParams, mesh_s, mesh_m, dt: float):
         h_s, h = mesh_s.h, mesh_m.h
         self.n0 = n0 = mesh_s.n_elems + 1
-        self.dim = dim = n0 + mesh_m.n_elems + 1
         nu = dt * p.delta / (h_s * h_s)
         a = dt / p.phi
         dp = p.delta * p.p_tilde
-        self.band = np.zeros((3, dim), order="F")
-        upper, diag, lower = (self.band[0, 1:], self.band[1],
-                              self.band[2, :-1])
+        self.op = TridiagonalMatrix(
+            np.zeros((3, n0 + mesh_m.n_elems + 1), order="F"))
+        upper, diag, lower = self.op.upper, self.op.diag, self.op.lower
 
         diag[:n0] = 1.0 - 2.0 * nu
         upper[:n0 - 1] = nu
@@ -115,10 +114,8 @@ class _FdStep:
 
     def step(self, z, c2):
         """One step from (z, c2); returns the new (z, c2)."""
-        n0, dim = self.n0, self.dim
-        # one row more than T has, since BLAS wants at least 3 rows; it
-        # reads only the band's zero lower corner and is dropped
-        zn = dgbmv(dim + 1, dim, 1, 1, 1.0, self.band, z)[:dim]
+        n0 = self.n0
+        zn = self.op.matvec(z)
         daxpy(c2, zn[n0:], a=self.coef_c2)
         return zn, daxpy(z[n0:], self.ode_decay * c2, a=self.ode_gain)
 

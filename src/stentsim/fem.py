@@ -100,6 +100,14 @@ class TridiagonalMatrix:
             )
         return dgbmv(n + 1, n, 1, 1, 1.0, self.band, x)[:n]
 
+    def quadratic(self, rows: np.ndarray) -> np.ndarray:
+        """x . (M x) for each row x of a 2-D array, in two einsums (diagonal
+        and off-diagonal terms) that build no temporaries of its size."""
+        out = np.einsum("ij,j,ij->i", rows, self.diag, rows)
+        out += np.einsum("ij,j,ij->i", rows[:, :-1], self.upper + self.lower,
+                         rows[:, 1:])
+        return out
+
 
 def assemble_mass(mesh: Mesh1D) -> TridiagonalMatrix:
     """Consistent P1 mass matrix (no lumping): 2h/3 inside, h/3 at the

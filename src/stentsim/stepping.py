@@ -70,7 +70,8 @@ snapshot due at t = k*dt, adds y1(1) to the outflow sum and steps.  A
 record [z; y2] goes into a preallocated block of RECORD_BLOCK rows; each
 full block, and the last partial one, is measured in one shot by the
 solver's ``BlockMonitor`` (two matrix-vector products for the masses,
-two einsums for the energy), guarded, and stored.  The guards name the
+the form's ``TridiagonalMatrix.quadratic`` for the energy), guarded,
+and stored.  The guards name the
 first failing record at its own t, so a run stops with the message a
 per-record check would give and before any output is written.
 """
@@ -267,19 +268,24 @@ def stable_step_count(
     return n
 
 
+@dataclass(frozen=True, eq=False)
 class _MassFactor:
-    """Prefactored LDL^T solve for a symmetric positive tridiagonal matrix."""
+    """The LDL^T factor (d, e) of a symmetric positive tridiagonal matrix,
+    and its solve."""
 
-    def __init__(self, m: TridiagonalMatrix):
+    d: np.ndarray
+    e: np.ndarray
+
+    @classmethod
+    def of(cls, m: TridiagonalMatrix) -> _MassFactor:
         d, e, info = dpttrf(m.diag, m.lower)
         if info != 0:
             raise SingularMatrixError("matrix numerically singular")
-        self._d = d
-        self._e = e
+        return cls(d, e)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Psi^-1 rhs, computed in rhs's own storage: rhs is overwritten."""
-        x, info = dpttrs(self._d, self._e, rhs, overwrite_b=1)
+        x, info = dpttrs(self.d, self.e, rhs, overwrite_b=1)
         if info != 0:  # pragma: no cover - only reachable on bad arguments
             raise SingularMatrixError("matrix numerically singular")
         return x
@@ -339,13 +345,14 @@ class _Kernel:
         self.ode_gain = dt_media * p.da / (1.0 - p.phi)
 
         self.psi = _stack(ops.psi_s.band, ops.psi_m.band, 0.0, 0.0)
-        self.fac = _MassFactor(self.psi)
-        # the blocks alone, for the substeps after the stacked one; their
-        # band corners hold the junction entries, which they do not read
+        self.fac = fac = _MassFactor.of(self.psi)
+        # the blocks alone, for the substeps after the stacked one; band
+        # corners hold junction entries they do not read, and the factor's
+        # e[n0 - 1] is exactly 0, so its slices factor Psi_s and Psi_m
         self.upd_s = TridiagonalMatrix(self.upd.band[:, :n0])
         self.upd_m = TridiagonalMatrix(self.upd.band[:, n0:])
-        self.fac_s = _MassFactor(ops.psi_s)
-        self.fac_m = _MassFactor(ops.psi_m)
+        self.fac_s = _MassFactor(fac.d[:n0], fac.e[:n0 - 1])
+        self.fac_m = _MassFactor(fac.d[n0:], fac.e[n0:])
 
         # correction columns: the response of each block to a unit trace
         e = np.zeros(self.psi.dim)
@@ -429,6 +436,16 @@ def check_snapshot_times(snapshot_times, t_end: float) -> list[float]:
     return times
 
 
+def whole_number(value, key: str) -> int:
+    """value as an int; raises ValidationError (key) unless it is a whole
+    number >= 1, so 2.0 is taken as 2 and 2.5 is refused, not truncated."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()
+            and value >= 1):
+        raise ValidationError(
+            f"{key} must be a whole number >= 1, got {value!r}", key=key)
+    return int(value)
+
+
 # records per monitor block: a run measures its records one block at a time
 RECORD_BLOCK = 256
 
@@ -449,16 +466,10 @@ class BlockMonitor:
     growth: float | None = None
 
     def measure(self, block: np.ndarray):
-        """Mass, stent mass and energy of each row of block.  The energy
-        sums the diagonal and the off-diagonal terms of the form in two
-        einsums, which build no block-sized temporaries."""
-        f = self.form
-        energy = np.einsum("ij,j,ij->i", block, f.diag, block)
-        energy += np.einsum("ij,j,ij->i", block[:, :-1], f.upper + f.lower,
-                            block[:, 1:])
+        """Mass, stent mass and energy of each row of block."""
         return (block @ self.mass_weights,
                 block[:, :len(self.stent_weights)] @ self.stent_weights,
-                energy)
+                self.form.quadratic(block))
 
 
 class RunRecorder:
@@ -475,12 +486,7 @@ class RunRecorder:
     def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
                  mesh_s, mesh_m, snapshot_times, record_every,
                  monitor: BlockMonitor):
-        if not (isinstance(record_every, numbers.Real)
-                and float(record_every).is_integer() and record_every >= 1):
-            raise ValidationError(
-                f"record_every must be a whole number >= 1, got "
-                f"{record_every!r}", key="record_every")
-        every = int(record_every)
+        every = whole_number(record_every, "record_every")
         self.dt = dt = cfg.dt_m
         self.pe = p.pe
         self.n_steps = n_steps = step_count(cfg.t_end, dt)

@@ -11,11 +11,18 @@ assembled operator in ``stentsim.fdcheck`` is built from.
 
 The monitor oracles measure one state at a time with dot products, the
 per-record form of the block monitors the run recorder applies.
+
+The error-norm oracle measures one snapshot pair at a time, each L2
+norm a matvec and a dot product, the per-pair form of the block norms
+``stentsim.analysis.compare_records`` takes.
 """
+
+import math
 
 import numpy as np
 
-from stentsim.fem import TridiagonalMatrix
+from stentsim.analysis import ErrorReport, FieldError, prolong
+from stentsim.fem import TridiagonalMatrix, assemble_mass
 
 # Gauss-Legendre points/weights on [-1, 1]
 _GP = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -183,3 +190,45 @@ def fd_monitors(p, h_s, h_m, c, c1, c2):
     mass = float(w_s @ c + p.phi * (w_m @ c1) + (1 - p.phi) * (w_m @ c2))
     energy = float(w_s @ (c * c) + w_m @ (c1 * c1) + w_m @ (c2 * c2))
     return mass, float(w_s @ c), energy
+
+
+def error_norms_oracle(test, ref):
+    """The ErrorReport of ``test`` against the nested-finer ``ref``, one
+    snapshot pair at a time: snapshots pair on their times t (to 1e-9
+    relative), each test vector is prolonged alone, and each time norm
+    sums a list."""
+    tol = 1e-9 * max(1.0, max(s.t for s in ref.snapshots))
+    pairs = [(s, r) for s in test.snapshots for r in ref.snapshots
+             if abs(s.t - r.t) <= tol]
+    times = np.array([r.t for _, r in pairs])
+
+    def l2(v, mat):
+        return math.sqrt(max(float(v @ mat.matvec(v)), 0.0))
+
+    def h1(v, h):
+        d = np.diff(v)
+        return math.sqrt(float(d @ d) / h)
+
+    def time_l2(values):
+        if len(times) < 2:
+            return 0.0
+        return math.sqrt(float(np.sum(np.diff(times)
+                                      * np.asarray(values[:-1]) ** 2)))
+
+    def field(y, mesh_t, mesh_r, with_h1):
+        mass = assemble_mass(mesh_r)
+        errs, grads, mags = [], [], []
+        for tsnap, rsnap in pairs:
+            want = getattr(rsnap.state, y)
+            d = prolong(getattr(tsnap.state, y), mesh_t.n_elems,
+                        mesh_r.n_elems) - want
+            errs.append(l2(d, mass))
+            grads.append(h1(d, mesh_r.h))
+            mags.append(l2(want, mass))
+        return FieldError(linf_l2=max(errs), l2_l2=time_l2(errs),
+                          l2_h1=time_l2(grads) if with_h1 else None,
+                          ref_linf_l2=max(mags))
+
+    return ErrorReport(c=field("y0", test.mesh_s, ref.mesh_s, True),
+                       c1=field("y1", test.mesh_m, ref.mesh_m, True),
+                       c2=field("y2", test.mesh_m, ref.mesh_m, False))

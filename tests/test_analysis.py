@@ -13,6 +13,8 @@ from stentsim.stepping import (
     sharp_dt_limit,
 )
 
+import oracles
+
 P = paper_params()
 
 
@@ -51,6 +53,22 @@ def test_prolong_preserves_p1_functions(n_test, factor, seed):
     fine_lin = prolong(lin, n_test, n_ref)
     np.testing.assert_allclose(fine_lin, np.linspace(-2.0, 3.0, n_ref + 1),
                                rtol=0, atol=1e-13)
+
+
+@given(
+    n_test=st.integers(min_value=1, max_value=12),
+    factor=st.integers(min_value=1, max_value=8),
+    rows=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_prolong_rows_match_prolonging_each_row(n_test, factor, rows, seed):
+    v = np.random.default_rng(seed).standard_normal((rows, n_test + 1))
+    fine = prolong(v, n_test, n_test * factor)
+    assert fine.shape == (rows, n_test * factor + 1)
+    for row, fine_row in zip(v, fine):
+        np.testing.assert_array_equal(fine_row,
+                                      prolong(row, n_test, n_test * factor))
 
 
 def test_prolong_rejects_non_nested():
@@ -162,5 +180,48 @@ def test_disjoint_snapshots_rejected():
     n_steps, t_end, _ = aligned_setup()
     a = run_record(8, 6, n_steps, t_end, [0.0])
     b = run_record(8, 6, n_steps, t_end, [t_end])
+    with pytest.raises(ValidationError, match="disjoint"):
+        compare_records(a, b)
+
+
+@pytest.mark.parametrize("n_snaps", [1, 2, 7])
+def test_block_norms_match_per_pair_oracle(n_snaps):
+    # an alg1 record against a 2x refined reference on 4x the steps
+    n_steps, t_end, _ = aligned_setup()
+    snaps = [t_end * k / max(1, n_snaps - 1) for k in range(n_snaps)]
+    test = run_record(8, 6, n_steps, t_end, snaps, variant="alg1")
+    ref = run_record(16, 12, 4 * n_steps, t_end, snaps)
+    got, want = compare_records(test, ref), oracles.error_norms_oracle(test,
+                                                                       ref)
+    for (f1, n1, abs1, rel1), (f2, n2, abs2, rel2) in zip(got.rows(),
+                                                          want.rows()):
+        assert (f1, n1) == (f2, n2)
+        assert abs1 == pytest.approx(abs2, rel=1e-14, abs=0)
+        assert rel1 == pytest.approx(rel2, rel=1e-14, abs=0)
+    assert len(got.rows()) == len(want.rows()) == 8
+    if n_snaps == 1:
+        assert got.c.l2_l2 == 0.0
+
+
+def test_snapshots_pair_on_actual_time():
+    # a request that snaps to step k pairs with a reference snapshot
+    # requested exactly at k*dt, as the same request at k*dt does
+    n_steps, t_end, _ = aligned_setup()
+    dt = t_end / n_steps
+    ref = run_record(16, 12, 4 * n_steps, t_end, [0.0, 30 * dt])
+    snapped = run_record(8, 6, n_steps, t_end, [0.0, 30.3 * dt])
+    exact = run_record(8, 6, n_steps, t_end, [0.0, 30 * dt])
+    assert snapped.snapshots[1].t == exact.snapshots[1].t
+    assert compare_records(snapped, ref).rows() == compare_records(
+        exact, ref).rows()
+
+
+def test_equal_requests_on_different_steps_refused():
+    # 5.4*dt lands on step 5 (t = 5*dt) of the coarse run and on step 11
+    # (t = 5.5*dt) of the run at half the step: not one time
+    _, t_end, _ = aligned_setup(n_steps=10)
+    a = run_record(8, 6, 10, t_end, [0.54 * t_end])
+    b = run_record(8, 6, 20, t_end, [0.54 * t_end])
+    assert a.snapshots[0].t != b.snapshots[0].t
     with pytest.raises(ValidationError, match="disjoint"):
         compare_records(a, b)

@@ -78,6 +78,13 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unknown_config_key_exit_code(tmp_path, capsys):
+    cfg_path, out = make_config(tmp_path, extra="  record_evry: 5\n")
+    assert run(["simulate", "--config", str(cfg_path)]) == 1
+    assert "output.record_evry: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cfl_violation_is_validation_error(tmp_path, capsys):
     # dt far above the allowance, or 2.9x the sharp limit (which blows up
     # mid-run when let through): rejected before stepping

@@ -142,6 +142,24 @@ def test_bad_time_values_name_key_path(tmp_path, time_lines, key):
         parse_config(write_cfg(tmp_path, text))
 
 
+@pytest.mark.parametrize("old,new,key", [
+    ("  dt_m: 1.25e-4\n", "  dt_m: 1.25e-4\n  substep_ration: 4\n",
+     "time.substep_ration"),
+    ("  snapshot_times:", "  record_evry: 5\n  snapshot_times:",
+     "output.record_evry"),
+    ("  n_m: 25\n", "  n_m: 25\n  n_x: 3\n", "mesh.n_x"),
+    ("scheme: monolithic\n", "scheme: monolithic\nsheme: alg1\n", "sheme"),
+])
+def test_unknown_keys_refused(tmp_path, old, new, key):
+    # a misspelled optional key used to be ignored: the run went ahead
+    # single-rate, or recording every step
+    text = GOOD.format(out=tmp_path / "o").replace(old, new)
+    assert new in text
+    with pytest.raises(ConfigError, match="^" + re.escape(key)
+                       + ": unknown key$"):
+        parse_config(write_cfg(tmp_path, text))
+
+
 def test_parse_failure_reports_position(tmp_path):
     with pytest.raises(ConfigError, match="line"):
         parse_config(write_cfg(tmp_path, "mesh: [unclosed\n"))

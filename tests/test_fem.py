@@ -14,7 +14,8 @@ from stentsim.fem import (
     build_mesh,
     build_operators,
 )
-from stentsim.stepping import _Kernel, _MassFactor, _stack
+from stentsim import stepping
+from stentsim.stepping import _Kernel, _MassFactor, _stack, sharp_dt_limit
 
 import oracles
 
@@ -184,14 +185,14 @@ def test_b_corner_entry_matches_oracle():
 def test_solve_identity():
     ident = oracles.tridiagonal(np.zeros(3), np.ones(4), np.zeros(3))
     rhs = np.array([1.0, -2.0, 3.0, 0.5])
-    np.testing.assert_allclose(_MassFactor(ident).solve(rhs.copy()), rhs,
+    np.testing.assert_allclose(_MassFactor.of(ident).solve(rhs.copy()), rhs,
                                atol=0)
 
 
 def test_solve_constructed_solution():
     psi = assemble_mass(build_mesh(MEDIA, 2))
     ones = np.ones(3)
-    x = _MassFactor(psi).solve(psi.matvec(ones))
+    x = _MassFactor.of(psi).solve(psi.matvec(ones))
     np.testing.assert_allclose(x, ones, rtol=1e-13)
 
 
@@ -208,7 +209,7 @@ def test_solve_dominant_property(n, seed):
     diag = bulk + rng.uniform(0.1, 2.0, n)
     m = oracles.tridiagonal(off, diag, off.copy())
     rhs = rng.standard_normal(n)
-    x = _MassFactor(m).solve(rhs.copy())
+    x = _MassFactor.of(m).solve(rhs.copy())
     assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
 
@@ -239,6 +240,24 @@ def test_matvec_matches_dense_at_smallest_dims(n):
     for _ in range(20):
         m, given = random_tridiagonal(rng, n)
         assert_matvec_matches_dense(m, given, rng.standard_normal(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=40),
+       st.integers(min_value=0, max_value=2**31))
+def test_quadratic_matches_dense(n, seed):
+    # x.(M x) per row against the dense product, to 1e-13 of the sum of
+    # the magnitudes of its terms (a random M is indefinite, so the form
+    # itself may cancel); the band corners are never read
+    rng = np.random.default_rng(seed)
+    m, given = random_tridiagonal(rng, n)
+    m.band[0, 0] = m.band[2, -1] = np.nan
+    rows = rng.standard_normal((5, n))
+    got = m.quadratic(rows)
+    assert got.shape == (5,)
+    for x, q in zip(rows, got):
+        scale = np.abs(x) @ np.abs(given) @ np.abs(x)
+        assert abs(q - x @ oracles.dense(m) @ x) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n_top,n_bottom", [(2, 2), (3, 5), (9, 7)])
@@ -276,7 +295,7 @@ def test_singular_pivot_detected():
     m = oracles.tridiagonal(np.array([1.0]), np.array([0.0, 1.0]),
                             np.array([1.0]))
     with pytest.raises(SingularMatrixError, match="singular"):
-        _MassFactor(m)
+        _MassFactor.of(m)
 
 
 # ----------------------------------------------------------- band layout
@@ -351,6 +370,45 @@ def test_kernel_operator_keeps_entrywise_order(ratio, domain):
     n0 = kern.n0
     np.testing.assert_array_equal(oracles.dense(kern.upd_s), dense[:n0, :n0])
     np.testing.assert_array_equal(oracles.dense(kern.upd_m), dense[n0:, n0:])
+
+
+@pytest.mark.parametrize("n_s,n_m", [(1, 1), (8, 6), (100, 25)])
+def test_kernel_factors_once(monkeypatch, n_s, n_m):
+    # one dpttrf, of blockdiag(Psi_s, Psi_m); its junction entry is
+    # exactly 0, so its slices solve bitwise as each block's own factor
+    ops = build_operators(P, n_s, n_m)
+    calls, dpttrf = [], stepping.dpttrf
+    monkeypatch.setattr(stepping, "dpttrf",
+                        lambda *args: calls.append(args) or dpttrf(*args))
+    kern = _Kernel(P, ops, 1e-5, 3, MEDIA)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert kern.fac.e[kern.n0 - 1] == 0.0
+    rng = np.random.default_rng(n_s)
+    for sliced, psi in ((kern.fac_s, ops.psi_s), (kern.fac_m, ops.psi_m)):
+        rhs = rng.standard_normal(psi.dim)
+        np.testing.assert_array_equal(sliced.solve(rhs.copy()),
+                                      _MassFactor.of(psi).solve(rhs.copy()))
+
+
+@pytest.mark.parametrize("domain", [STENT, MEDIA])
+@pytest.mark.parametrize("variant", ["monolithic", "alg1", "alg2"])
+def test_substeps_with_sliced_factor_match_block_factors(domain, variant):
+    # the substeps after the stacked one solve with the slices of the
+    # stacked factor; with each block's own factor they agree bitwise
+    ops = build_operators(P, 8, 6)
+    dt = 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, 3, domain)
+    kern, ref = _Kernel(P, ops, dt, 3, domain), _Kernel(P, ops, dt, 3, domain)
+    ref.fac_s, ref.fac_m = _MassFactor.of(ops.psi_s), _MassFactor.of(ops.psi_m)
+    z = np.concatenate([np.ones(9), np.zeros(7)])
+    y2 = np.zeros(7)
+    z_ref, y2_ref = z.copy(), y2.copy()
+    for _ in range(5):
+        z, y2 = kern.macro_step(z, y2, variant)
+        z_ref, y2_ref = ref.macro_step(z_ref, y2_ref, variant)
+        np.testing.assert_array_equal(z, z_ref)
+        np.testing.assert_array_equal(y2, y2_ref)
+    assert np.any(z[9:] != 0.0)
 
 
 # ----------------------------------------------------------------- norms

@@ -1,7 +1,9 @@
 """Small-scale smoke tests of the study drivers; the full-scale runs with
 pinned tolerances live in the acceptance module."""
 
-from stentsim import paper_params
+import pytest
+
+from stentsim import ValidationError, paper_params
 from stentsim.analysis import (
     compare_algorithms,
     convergence_study,
@@ -44,6 +46,13 @@ def test_stepping_study_small():
     for name in ("c", "c1", "c2"):
         assert (reports[2].field(name).linf_l2
                 < reports[1].field(name).linf_l2)
+
+
+@pytest.mark.parametrize("ratios", [[1.5], [2.9], [1, 0]])
+def test_stepping_study_refuses_non_whole_ratios(ratios):
+    # int() would run 1.5 as 1 and 2.9 as 2, keyed 1 and 2; no run starts
+    with pytest.raises(ValidationError, match="whole number >= 1"):
+        stepping_study(P, None, 4, ratios, 10, 0.3, [0.0])
 
 
 def test_compare_algorithms_small():
