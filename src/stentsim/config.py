@@ -26,14 +26,14 @@ Schema (keys and nesting are normative):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError, ValidationError
 from .params import ModelParams, validate_params
-from .stepping import SchemeConfig, check_snapshot_times
+from .stepping import SchemeConfig, check_snapshot_times, whole_number
 
 
 @dataclass(frozen=True)
@@ -46,51 +46,84 @@ class RunConfig:
     n_m: int
     scheme: SchemeConfig
     out_dir: str
-    snapshot_times: tuple[float, ...] = field(default=())
-    record_every: int = 1
-    time_unit: float | None = None
+    snapshot_times: tuple[float, ...]
+    record_every: int
+    time_unit: float | None
 
 
-# the keys each mapping may hold, "" being the root; validate_params
-# checks the params names
-KNOWN_KEYS = {
-    "": ("params", "mesh", "time", "scheme", "output", "time_unit"),
-    "mesh": ("n_s", "n_m"),
-    "time": ("t_end", "dt_m", "substep_ratio", "substep_domain",
-             "cfl_safety"),
-    "output": ("out_dir", "snapshot_times", "record_every"),
+# every key a config may hold, by dotted path: its type (tuple is a list
+# of numbers) and whether it is required; validate_params checks the
+# names under params, and SchemeConfig holds the time keys' defaults
+SCHEMA = {
+    "params": (ModelParams, True),
+    "mesh.n_s": (int, True),
+    "mesh.n_m": (int, True),
+    "time.t_end": (float, True),
+    "time.dt_m": (float, True),
+    "time.substep_ratio": (int, False),
+    "time.substep_domain": (str, False),
+    "time.cfl_safety": (float, False),
+    "scheme": (str, True),
+    "output.out_dir": (str, True),
+    "output.snapshot_times": (tuple, False),
+    "output.record_every": (int, False),
+    "time_unit": (float, False),
 }
+SECTIONS = {path.split(".")[0] for path in SCHEMA if "." in path}
 
 
-def _need(tree: dict, path: str, kind):
-    node = tree
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+def _set_keys(tree: dict) -> dict:
+    """The keys tree sets (a null sets nothing) by dotted path, typed;
+    raises ConfigError for an unknown key or a missing required one."""
+    flat = []
+    for key, value in tree.items():
+        node = value if isinstance(value, dict) else {}
+        flat += ([(f"{key}.{name}", name, v) for name, v in node.items()]
+                 if key in SECTIONS else [(f"{key}", key, value)])
+    keys = {}
+    for path, name, value in flat:
+        # a dotted name, such as a root key "mesh.n_s", is no schema key
+        if path not in SCHEMA or "." in f"{name}":
+            raise ConfigError(f"{path}: unknown key")  # not ignored
+        if value is not None:
+            keys[path] = _typed(value, SCHEMA[path][0], path)
+    for path, (_, required) in SCHEMA.items():
+        if required and path not in keys:
             raise ConfigError(f"{path}: missing required key")
-        node = node[part]
-    return _typed(node, kind, path)
+    return keys
 
 
-def _typed(value, kind, key_path: str):
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key_path}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key_path}: expected an integer, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key_path}: expected a string, got {value!r}")
-        return value
-    raise AssertionError(kind)
+def _typed(value, kind, path: str):
+    if kind is ModelParams:
+        return _params(value)
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list of numbers")
+        return tuple(_typed(v, float, path) for v in value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok, what = {float: (number, "a number"),
+                int: (number and isinstance(value, int), "an integer"),
+                str: (isinstance(value, str), "a string")}[kind]
+    if not ok:
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _optional(tree: dict, name: str, kind, default, key_path: str):
-    if not isinstance(tree, dict) or name not in tree or tree[name] is None:
-        return default
-    return _typed(tree[name], kind, key_path)
+def _params(raw) -> ModelParams:
+    if raw == "paper_defaults":
+        return validate_params({}, use_paper_defaults=True)
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            'params: expected "paper_defaults" or a mapping of values')
+    raw = dict(raw)
+    use_defaults = raw.pop("use_paper_defaults", False)
+    if not isinstance(use_defaults, bool):
+        raise ConfigError(f"params.use_paper_defaults: expected true or "
+                          f"false, got {use_defaults!r}")
+    try:
+        return validate_params(raw, use_paper_defaults=use_defaults)
+    except Exception as exc:
+        raise ConfigError(f"params: {exc}") from None
 
 
 def parse_config(path) -> RunConfig:
@@ -110,92 +143,31 @@ def parse_config(path) -> RunConfig:
 
 
 def config_from_dict(tree: dict) -> RunConfig:
-    for section, known in KNOWN_KEYS.items():
-        node = tree.get(section) if section else tree
-        for key in node if isinstance(node, dict) else ():
-            if key not in known:
-                where = f"{section}.{key}" if section else key
-                raise ConfigError(f"{where}: unknown key")  # not ignored
-    raw_params = tree.get("params")
-    if raw_params == "paper_defaults":
-        params = validate_params({}, use_paper_defaults=True)
-    elif isinstance(raw_params, dict):
-        raw = dict(raw_params)
-        use_defaults = raw.pop("use_paper_defaults", False)
-        if not isinstance(use_defaults, bool):
-            raise ConfigError(f"params.use_paper_defaults: expected true or "
-                              f"false, got {use_defaults!r}")
-        try:
-            params = validate_params(raw, use_paper_defaults=use_defaults)
-        except Exception as exc:
-            raise ConfigError(f"params: {exc}") from None
-    elif raw_params is None:
-        raise ConfigError("params: missing required key")
-    else:
-        raise ConfigError(
-            'params: expected "paper_defaults" or a mapping of values'
-        )
-
-    n_s = _need(tree, "mesh.n_s", int)
-    n_m = _need(tree, "mesh.n_m", int)
-    if n_s < 1 or n_m < 1:
-        raise ConfigError("mesh.n_s and mesh.n_m must be at least 1")
-
-    t_end = _need(tree, "time.t_end", float)
-    dt_m = _need(tree, "time.dt_m", float)
-    time_tree = tree.get("time", {})
-    optional = {}  # the keys that are set; SchemeConfig has the defaults
-    for name, kind in (("substep_ratio", int), ("substep_domain", str),
-                       ("cfl_safety", float)):
-        value = _optional(time_tree, name, kind, None, f"time.{name}")
-        if value is not None:
-            optional[name] = value
-
-    variant = _need(tree, "scheme", str)
+    keys = _set_keys(tree)
+    n_s, n_m = (whole_number(keys[path], path)
+                for path in ("mesh.n_s", "mesh.n_m"))
     try:
-        scheme = SchemeConfig(variant=variant, dt_m=dt_m, t_end=t_end,
-                              **optional)
+        scheme = SchemeConfig(variant=keys["scheme"], **{
+            path.removeprefix("time."): v for path, v in keys.items()
+            if path.startswith("time.")})
     except ValidationError as exc:  # exc.key names the SchemeConfig field
         path = "scheme" if exc.key == "variant" else f"time.{exc.key}"
         raise ConfigError(f"{path}: {exc}") from None
-
-    out_dir = _need(tree, "output.out_dir", str)
-    out_tree = tree.get("output", {})
-    record_every = _optional(out_tree, "record_every", int, 1,
-                             "output.record_every")
-    if record_every < 1:
-        raise ConfigError("output.record_every must be at least 1")
-    snaps = out_tree.get("snapshot_times") if isinstance(out_tree, dict) else None
-    if snaps is None:
-        snapshot_times = (0.0, t_end)
-    else:
-        if not isinstance(snaps, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in snaps
-        ):
-            raise ConfigError("output.snapshot_times: expected a list of numbers")
-        snapshot_times = tuple(float(v) for v in snaps)
+    snapshot_times = keys.get("output.snapshot_times", (0.0, scheme.t_end))
     try:
-        check_snapshot_times(snapshot_times, t_end)
+        check_snapshot_times(snapshot_times, scheme.t_end)
     except ValidationError as exc:
         raise ConfigError(f"output.snapshot_times: {exc}") from None
-
-    time_unit = tree.get("time_unit")
-    if time_unit is not None:
-        time_unit = _typed(time_unit, float, "time_unit")
-        if not (math.isfinite(time_unit) and time_unit > 0):
-            raise ConfigError(
-                f"time_unit must be positive and finite, got {time_unit}")
-
+    time_unit = keys.get("time_unit")
+    if time_unit is not None and not (math.isfinite(time_unit) and time_unit > 0):
+        raise ConfigError(
+            f"time_unit must be positive and finite, got {time_unit}")
     return RunConfig(
-        params=params,
-        n_s=n_s,
-        n_m=n_m,
-        scheme=scheme,
-        out_dir=out_dir,
-        snapshot_times=snapshot_times,
-        record_every=record_every,
-        time_unit=time_unit,
-    )
+        params=keys["params"], n_s=n_s, n_m=n_m, scheme=scheme,
+        out_dir=keys["output.out_dir"], snapshot_times=snapshot_times,
+        record_every=whole_number(keys.get("output.record_every", 1),
+                                  "output.record_every"),
+        time_unit=time_unit)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -144,10 +144,11 @@ class SchemeConfig:
                 raise ValidationError(message, key=key)
         step_count(self.t_end, self.dt_m)
 
-    def check_cfl(self, p: ModelParams, ops: FemOperators) -> None:
+    def check_cfl(self, p: ModelParams, h_s: float, h_m: float) -> None:
+        """Raises CflError unless dt_m is within cfl_safety times the
+        sharp limit of the meshes of widths h_s and h_m."""
         limit = self.cfl_safety * sharp_dt_limit(
-            p, ops.mesh_s.h, ops.mesh_m.h, self.substep_ratio,
-            self.substep_domain)
+            p, h_s, h_m, self.substep_ratio, self.substep_domain)
         if self.dt_m > limit:
             raise CflError(
                 f"dt_m={self.dt_m:.6g} exceeds the stability allowance "
@@ -479,8 +480,8 @@ class RunRecorder:
     The guards raise InstabilityError for the first record of a block
     whose mass or energy is non-finite or whose energy leaves
     ENERGY_GUARD_FACTOR times the growth envelope E(0)*exp(2*growth*t).
-    Snapshot requests are snapped to the nearest step; requests landing
-    on the same step are merged (first request wins).
+    Snapshot requests are snapped to the nearest step; two requests
+    landing on the same step raise ValidationError.
     """
 
     def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
@@ -505,7 +506,11 @@ class RunRecorder:
         self._snap_steps: dict[int, float] = {}
         for ts in check_snapshot_times(snapshot_times, cfg.t_end):
             idx = min(n_steps, max(0, round(ts / dt)))
-            self._snap_steps.setdefault(idx, ts)
+            if idx in self._snap_steps:
+                raise ValidationError(
+                    f"snapshot times {self._snap_steps[idx]!r} and {ts!r} "
+                    f"both land on step {idx} (t={idx * dt!r})")
+            self._snap_steps[idx] = ts
 
         self.n0 = mesh_s.n_elems + 1
         self.nz = self.n0 + mesh_m.n_elems + 1
@@ -610,7 +615,7 @@ def run_simulation(
     non-finite or the energy leaves the growth envelope by a factor
     ENERGY_GUARD_FACTOR.
     """
-    cfg.check_cfl(p, ops)
+    cfg.check_cfl(p, ops.mesh_s.h, ops.mesh_m.h)
     kern = _Kernel(p, ops, cfg.dt_m, cfg.substep_ratio, cfg.substep_domain)
     rec = RunRecorder("fem", p, cfg, ops.mesh_s, ops.mesh_m, snapshot_times,
                       record_every, kern.monitor)

@@ -85,6 +85,19 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_snapshot_requests_on_one_step_exit_code(tmp_path, capsys):
+    # two requests on step 10: refused, where one snapshot used to be
+    # written for both
+    cfg_path, out = make_config(tmp_path)
+    dt = parse_config(cfg_path).scheme.dt_m
+    cfg_path.write_text(re.sub(r"snapshot_times: .*",
+                               f"snapshot_times: [{10 * dt!r}, "
+                               f"{10.2 * dt!r}]", cfg_path.read_text()))
+    assert run(["simulate", "--config", str(cfg_path)]) == 1
+    assert "both land on step 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cfl_violation_is_validation_error(tmp_path, capsys):
     # dt far above the allowance, or 2.9x the sharp limit (which blows up
     # mid-run when let through): rejected before stepping
@@ -97,7 +110,7 @@ def test_cfl_violation_is_validation_error(tmp_path, capsys):
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # with the gate switched off, a run that blows up exits 2
-    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda self, p, ops: None)
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda *args: None)
     cfg_path, _ = make_config(tmp_path, steps=4000, dt_scale=2.9,
                               extra="", variant="monolithic")
     assert run(["simulate", "--config", str(cfg_path)]) == 2
@@ -277,8 +290,7 @@ def test_shipped_config_parses_and_is_stable(name):
     assert sorted(p.name for p in (ROOT / "configs").glob("*.yaml")) == sorted(
         CONFIG_NAMES)
     cfg = parse_config(ROOT / "configs" / name)
-    cfg.scheme.check_cfl(cfg.params,
-                         build_operators(cfg.params, cfg.n_s, cfg.n_m))
+    cfg.scheme.check_cfl(cfg.params, cfg.params.l / cfg.n_s, 1.0 / cfg.n_m)
 
 
 # (argv, steps of the config); ids argv0, argv1, ... by position
@@ -296,6 +308,9 @@ STUDY_REFUSALS = [
     # t_end: 0 leaves nothing to compare
     (["compare-alg"], 0),
     (["converge", "--levels", "2"], 0),
+    # 64*4 stent elements take a step far below the config's: refused by
+    # the stability gate, not after the reference has been computed
+    (["stepping-study", "--ratios", "1,64", "--ref-scale", "64"], 20),
 ]
 
 
@@ -310,10 +325,48 @@ def test_study_arguments_refused_before_reference(tmp_path, capsys,
     monkeypatch.setattr("stentsim.cli.convergence_study", no_reference)
     cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=steps)
     assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "reference:" not in captured.out
     if steps == 0:
-        assert "time.t_end" in err
+        assert "time.t_end" in captured.err
+    assert not out.exists()
+
+
+SUBSTEPS = "  substep_ratio: 4\n  substep_domain: media\n"
+# (argv, time keys added to the config, error text): a step above the
+# config's cfl_safety, and a substep ratio the single-rate studies would
+# ignore
+STUDY_TIME_REFUSALS = [
+    (["compare-alg", "--ref-scale", "2"], "  cfl_safety: 0.4\n",
+     "stability allowance"),
+    (["stepping-study", "--ratios", "1,2", "--ref-scale", "2"],
+     "  cfl_safety: 0.4\n", "stability allowance"),
+    (["compare-alg", "--ref-scale", "2"], SUBSTEPS, "time.substep_ratio: "),
+    (["stepping-study", "--ref-scale", "2"], SUBSTEPS, "time.substep_ratio: "),
+    (["converge", "--levels", "2"], SUBSTEPS, "time.substep_ratio: "),
+]
+
+
+@pytest.mark.parametrize("argv,time_lines,message", STUDY_TIME_REFUSALS,
+                         ids=[f"argv{i}" for i in
+                              range(len(STUDY_TIME_REFUSALS))])
+def test_study_time_keys_refused_before_reference(tmp_path, capsys,
+                                                  monkeypatch, argv,
+                                                  time_lines, message):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference run before the config was checked")
+
+    monkeypatch.setattr("stentsim.cli.make_reference", no_reference)
+    monkeypatch.setattr("stentsim.cli.convergence_study", no_reference)
+    # at half the sharp limit of 8/4
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=20)
+    cfg_path.write_text(cfg_path.read_text().replace(
+        "  dt_m:", time_lines + "  dt_m:"))
+    assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "reference:" not in captured.out
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 import re
+from pathlib import Path
 
 import pytest
 
-from stentsim import ConfigError, paper_params
-from stentsim.config import config_to_dict, dump_config, parse_config
+from stentsim import ConfigError, ValidationError, paper_params
+from stentsim.config import SCHEMA, config_to_dict, dump_config, parse_config
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOOD = """\
 params: paper_defaults
 mesh:
@@ -158,6 +160,104 @@ def test_unknown_keys_refused(tmp_path, old, new, key):
     with pytest.raises(ConfigError, match="^" + re.escape(key)
                        + ": unknown key$"):
         parse_config(write_cfg(tmp_path, text))
+
+
+def test_schema_holds_the_thirteen_keys():
+    assert set(SCHEMA) == {
+        "params", "mesh.n_s", "mesh.n_m", "time.t_end", "time.dt_m",
+        "time.substep_ratio", "time.substep_domain", "time.cfl_safety",
+        "scheme", "output.out_dir", "output.snapshot_times",
+        "output.record_every", "time_unit"}
+    assert {path for path, (_, required) in SCHEMA.items() if required} == {
+        "params", "mesh.n_s", "mesh.n_m", "time.t_end", "time.dt_m",
+        "scheme", "output.out_dir"}
+
+
+def test_dotted_root_key_refused(tmp_path):
+    # "mesh.n_s" at the root is not mesh: {n_s}, beside a mesh or without
+    text = GOOD.format(out=tmp_path / "o")
+    for old, new in (("mesh:", '"mesh.n_s": 50\nmesh:'),
+                     ("mesh:\n  n_s: 50\n  n_m: 25\n",
+                      '"mesh.n_s": 50\n"mesh.n_m": 25\n')):
+        assert old in text
+        with pytest.raises(ConfigError, match=r"^mesh\.n_s: unknown key$"):
+            parse_config(write_cfg(tmp_path, text.replace(old, new)))
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("  t_end: 1.0\n", "  t_end:\n", "time.t_end"),
+    ("scheme: monolithic", "scheme: null", "scheme"),
+    ("params: paper_defaults", "params:", "params"),
+    ("  n_m: 25\n", "", "mesh.n_m"),
+], ids=["t_end", "scheme", "params", "n_m"])
+def test_null_or_absent_required_key_refused(tmp_path, old, new, key):
+    text = GOOD.format(out=tmp_path / "o")
+    assert old in text
+    with pytest.raises(ConfigError, match="^" + re.escape(key)
+                       + ": missing required key$"):
+        parse_config(write_cfg(tmp_path, text.replace(old, new)))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("  snapshot_times:", "  record_every: 0\n  snapshot_times:",
+     "output.record_every must be a whole number >= 1, got 0"),
+    ("  n_s: 50", "  n_s: 0", "mesh.n_s must be a whole number >= 1, got 0"),
+    ("  n_m: 25", "  n_m: -3", "mesh.n_m must be a whole number >= 1, got -3"),
+], ids=["record_every", "n_s", "n_m"])
+def test_counts_below_one_refused(tmp_path, old, new, message):
+    text = GOOD.format(out=tmp_path / "o")
+    assert old in text
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        parse_config(write_cfg(tmp_path, text.replace(old, new)))
+
+
+def test_snapshot_times_must_be_numbers(tmp_path):
+    text = GOOD.format(out=tmp_path / "o")
+    for times, message in (("0.5", "expected a list of numbers"),
+                           ("[0.0, true]", "expected a number, got True")):
+        with pytest.raises(ConfigError, match="^output.snapshot_times: "
+                           + message + "$"):
+            parse_config(write_cfg(tmp_path, text.replace("[0.0, 0.5, 1.0]",
+                                                          times)))
+
+
+PAPER = ("params=ModelParams(delta=4e-07, p_tilde=45000.0, pe=0.1044, "
+         "da=0.0162, k_part=15.0, phi=0.61, l=0.028), ")
+# repr(parse_config(path)) of each shipped config, as parsed before the
+# config schema became one table
+SHIPPED_REPRS = {
+    "convergence.yaml": (
+        "RunConfig(" + PAPER + "n_s=20, n_m=10, scheme=SchemeConfig("
+        "variant='monolithic', dt_m=0.0009615384615384616, t_end=1.0, "
+        "substep_ratio=1, cfl_safety=1.0, substep_domain='stent'), "
+        "out_dir='out/convergence', snapshot_times=(0.0, 1.0), "
+        "record_every=1, time_unit=None)"),
+    "crosscheck.yaml": (
+        "RunConfig(" + PAPER + "n_s=100, n_m=100, scheme=SchemeConfig("
+        "variant='monolithic', dt_m=9.677731539727089e-06, t_end=1.0, "
+        "substep_ratio=1, cfl_safety=1.0, substep_domain='stent'), "
+        "out_dir='out/crosscheck', snapshot_times=(0.0, 0.1, 0.2, 0.3, "
+        "0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), record_every=1000, "
+        "time_unit=None)"),
+    "release.yaml": (
+        "RunConfig(" + PAPER + "n_s=100, n_m=25, scheme=SchemeConfig("
+        "variant='alg1', dt_m=0.0006172839506172839, t_end=20.0, "
+        "substep_ratio=4, cfl_safety=1.0, substep_domain='media'), "
+        "out_dir='out/release', snapshot_times=(0.0, 0.1388888888888889, "
+        "0.4166666666666667, 0.8333333333333334, 5.0, 20.0), "
+        "record_every=10, time_unit=4320.0)"),
+    "study.yaml": (
+        "RunConfig(" + PAPER + "n_s=50, n_m=25, scheme=SchemeConfig("
+        "variant='alg1', dt_m=0.0001549426712116517, t_end=1.0, "
+        "substep_ratio=1, cfl_safety=1.0, substep_domain='stent'), "
+        "out_dir='out/study', snapshot_times=(0.0, 1.0), record_every=1, "
+        "time_unit=None)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_REPRS))
+def test_shipped_configs_parse_as_before(name):
+    assert repr(parse_config(CONFIGS / name)) == SHIPPED_REPRS[name]
 
 
 def test_parse_failure_reports_position(tmp_path):

@@ -233,29 +233,29 @@ def classical_media_bound(ops):
 
 def test_cfl_gate():
     ops = build_operators(P, 50, 25)
-    limit = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h)
+    widths = (ops.mesh_s.h, ops.mesh_m.h)
+    limit = sharp_dt_limit(P, *widths)
     for dt in (1.01 * limit, 1.01 * classical_media_bound(ops)):
         bad = SchemeConfig("monolithic", dt, t_end=0.0)
         with pytest.raises(CflError, match="substep_domain=stent"):
             run_simulation(P, ops, bad, [0.0])
-    SchemeConfig("monolithic", limit, t_end=0.0).check_cfl(P, ops)
+    SchemeConfig("monolithic", limit, t_end=0.0).check_cfl(P, *widths)
     with pytest.raises(CflError):
         SchemeConfig("monolithic", 0.5 * limit, t_end=0.0,
-                     cfl_safety=0.49).check_cfl(P, ops)
+                     cfl_safety=0.49).check_cfl(P, *widths)
     # on a stent-limited mesh, substepping the stent relaxes the gate and
     # substepping the media does not
-    ops = build_operators(P, 200, 1)
-    dt = 2.0 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h)
-    SchemeConfig("monolithic", dt, t_end=0.0, substep_ratio=4).check_cfl(P, ops)
+    widths = (P.l / 200, 1.0)
+    dt = 2.0 * sharp_dt_limit(P, *widths)
+    SchemeConfig("monolithic", dt, t_end=0.0, substep_ratio=4).check_cfl(P, *widths)
     with pytest.raises(CflError):
         SchemeConfig("monolithic", dt, t_end=0.0, substep_ratio=4,
-                     substep_domain="media").check_cfl(P, ops)
+                     substep_domain="media").check_cfl(P, *widths)
 
 
 def test_paper_step_count_passes_gate():
-    ops = build_operators(P, 50, 25)
     cfg = SchemeConfig("alg1", 1.0 / 6454, t_end=1.0)
-    cfg.check_cfl(P, ops)
+    cfg.check_cfl(P, P.l / 50, 1.0 / 25)
 
 
 @pytest.mark.parametrize("n_s,n_m,dt_of", [
@@ -442,6 +442,22 @@ def test_snapshot_validation():
         run_simulation(P, ops, cfg, [5 * dt, 2 * dt])
 
 
+@pytest.mark.parametrize("solver", ["fem", "fd"])
+def test_snapshot_requests_on_one_step_refused(solver):
+    # the second request used to be dropped: one snapshot for two requests
+    ops = small_ops()
+    dt = safe_dt(ops)
+    snaps = [0.0, 7 * dt, 7.2 * dt]
+    with pytest.raises(ValidationError) as err:
+        if solver == "fem":
+            cfg = SchemeConfig("monolithic", dt, t_end=10 * dt)
+            run_simulation(P, ops, cfg, snaps)
+        else:
+            run_fd(P, 8, 6, dt, 10 * dt, snaps)
+    assert str(err.value) == (f"snapshot times {7 * dt!r} and {7.2 * dt!r} "
+                              f"both land on step 7 (t={7 * dt!r})")
+
+
 @pytest.mark.parametrize("variant,domain", [
     pytest.param(variant, domain,
                  id=f"{variant}-step_{variant}" if domain == "stent"
@@ -556,7 +572,7 @@ def test_unstable_step_is_caught_by_energy_guard(monkeypatch):
     # the safety net behind the gate: with the gate switched off, a step
     # just under the classical media bound (three times the sharp limit)
     # must blow up and be reported rather than produce non-finite output
-    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda self, p, ops: None)
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda *args: None)
     ops = build_operators(P, 10, 10)
     dt = 0.99 * classical_media_bound(ops)
     cfg = SchemeConfig("monolithic", dt, t_end=300 * dt)
