@@ -23,7 +23,7 @@ from .analysis import (
     convergence_study,
 )
 from .config import dump_config, parse_config
-from .errors import ConfigError, NumericsError, ValidationError
+from .errors import CflError, ConfigError, NumericsError, ValidationError
 from .fdcheck import check_fd, run_fd
 from .fem import build_operators
 from .output import emit_svg_plot, write_record_csv, write_table_csv
@@ -54,8 +54,9 @@ def _write_reports(path, keys, reports):
 
 def _study_t_end(cfg):
     """The config's t_end, refused if 0: a study compares runs in time.
-    A substep_ratio other than 1 is refused too: every study run is
-    single-rate."""
+    A substep_ratio other than 1 is refused too, since every study run is
+    single-rate, and so are snapshot_times and record_every, since the
+    studies choose their own snapshots and records."""
     if cfg.scheme.t_end == 0:
         raise ConfigError(f"time.t_end: converge, compare-alg and "
                           f"stepping-study need t_end > 0, got "
@@ -65,18 +66,28 @@ def _study_t_end(cfg):
                           f"stepping-study run single-rate and need "
                           f"substep_ratio 1, got {cfg.scheme.substep_ratio}",
                           key="time.substep_ratio")
+    for key in ("output.snapshot_times", "output.record_every"):
+        if key in cfg.set_keys:
+            raise ConfigError(f"{key}: converge, compare-alg and "
+                              f"stepping-study choose their own snapshots "
+                              f"and records; remove the key", key=key)
     return cfg.scheme.t_end
 
 
-def _reference(cfg, scale, stent_counts):
+def _reference(cfg, scale, tests):
     """The fine reference of compare-alg and stepping-study: the config's
     meshes refined by ``scale``, a step count that is a multiple of the
     config's, and about ten snapshots on both step grids.  Returns the
     reference, the config's step count and the snapshot times, once each
-    test mesh (n_s in stent_counts, the config's n_m) passes the gate."""
+    test mesh passes the gate: tests holds (name, n_s) pairs, with the
+    config's n_m, and a refusal names the mesh."""
     p, t_end, dt = cfg.params, _study_t_end(cfg), cfg.scheme.dt_m
-    for n_s in stent_counts:
-        cfg.scheme.check_cfl(p, p.l / n_s, 1.0 / cfg.n_m)
+    for name, n_s in tests:
+        try:
+            cfg.scheme.check_cfl(p, p.l / n_s, 1.0 / cfg.n_m)
+        except CflError as exc:
+            raise CflError(f"{name} (n_s/n_m = {n_s}/{cfg.n_m}): "
+                           f"{exc}") from None
     n_steps = step_count(t_end, dt)
     stride = max(1, n_steps // 10)
     snaps = [k * stride * dt for k in range(0, n_steps // stride + 1)]
@@ -157,7 +168,8 @@ def cmd_compare_fd(args) -> int:
 
 def cmd_compare_alg(args) -> int:
     cfg = parse_config(args.config)
-    ref, n_steps, snaps = _reference(cfg, args.ref_scale, [cfg.n_s])
+    ref, n_steps, snaps = _reference(cfg, args.ref_scale,
+                                     [("test mesh", cfg.n_s)])
     reports = compare_algorithms(cfg.params, ref, cfg.n_s, cfg.n_m,
                                  n_steps, cfg.scheme.t_end, snaps)
     _write_reports(Path(cfg.out_dir) / "algorithm_comparison.csv",
@@ -174,8 +186,8 @@ def cmd_stepping_study(args) -> int:
             raise ConfigError(
                 f"--ratios: ratio {q} needs {q * cfg.n_m} stent elements, "
                 f"which the reference's {n_s_ref} do not refine")
-    ref, n_steps, snaps = _reference(cfg, args.ref_scale,
-                                     [q * cfg.n_m for q in args.ratios])
+    ref, n_steps, snaps = _reference(
+        cfg, args.ref_scale, [(f"ratio {q}", q * cfg.n_m) for q in args.ratios])
     reports = stepping_study(cfg.params, ref, cfg.n_m, args.ratios, n_steps,
                              cfg.scheme.t_end, snaps,
                              variant=cfg.scheme.variant)

@@ -26,7 +26,7 @@ Schema (keys and nesting are normative):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
@@ -39,7 +39,8 @@ from .stepping import SchemeConfig, check_snapshot_times, whole_number
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed run configuration.  ``scheme`` holds the ``time`` keys and
-    the ``scheme`` key as the SchemeConfig that every command steps with."""
+    the ``scheme`` key as the SchemeConfig that every command steps with;
+    ``set_keys`` names the dotted keys the file set, defaults aside."""
 
     params: ModelParams
     n_s: int
@@ -49,6 +50,8 @@ class RunConfig:
     snapshot_times: tuple[float, ...]
     record_every: int
     time_unit: float | None
+    set_keys: frozenset = field(default=frozenset(), repr=False,
+                                compare=False)
 
 
 # every key a config may hold, by dotted path: its type (tuple is a list
@@ -167,7 +170,7 @@ def config_from_dict(tree: dict) -> RunConfig:
         out_dir=keys["output.out_dir"], snapshot_times=snapshot_times,
         record_every=whole_number(keys.get("output.record_every", 1),
                                   "output.record_every"),
-        time_unit=time_unit)
+        time_unit=time_unit, set_keys=frozenset(keys))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

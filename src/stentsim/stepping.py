@@ -74,6 +74,15 @@ the form's ``TridiagonalMatrix.quadratic`` for the energy), guarded,
 and stored.  The guards name the
 first failing record at its own t, so a run stops with the message a
 per-record check would give and before any output is written.
+
+A run that records rarely leaps from record to record.  The step, with
+the outflow sum q carried along, is one linear map G on x = [z; y2; q],
+so record_every steps are one product x <- P x with P = G^record_every,
+built once by repeated squaring (``_power``).  A record step leaps when
+its next record_every steps end by n_steps with no snapshot strictly
+inside; the others step as before.  Input size alone decides whether a
+run builds P (``RunRecorder`` documents the rule), and the results
+differ from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -449,6 +458,53 @@ def whole_number(value, key: str) -> int:
 
 # records per monitor block: a run measures its records one block at a time
 RECORD_BLOCK = 256
+# largest record width [z; y2] that leaps: the two buffers of its power
+# then hold at most 2048^2 float64 each, 64 MiB together
+LEAP_MAX_SIZE = 2047
+# the power's buffers are padded with zeros to a multiple of this order:
+# OpenBLAS's threaded dgemm gives the bits of one thread at multiples of
+# 32 (measured with 1 to 4 threads), not at 303, 404 or 408, so padded
+# leaps keep results independent of the thread count
+LEAP_PAD = 32
+# entries of the power below this are set to 0 as it is built: a product
+# of two smaller ones is subnormal, and a 2048-order squaring that holds
+# them took 2 s instead of 0.4 s (OpenBLAS dgemm, one thread); a leap
+# then drops contributions below 1e-150 times the state's entries
+LEAP_FLUSH = 1e-150
+
+
+def _power(step, nz: int, size: int, every: int) -> np.ndarray:
+    """G^every, where G is the map (z, y2, q) -> (step(z, y2), q + z[-1])
+    on x = [z; y2; q] and z has nz entries, as the leading (size+1)^2
+    block of a Fortran-ordered array padded with zeros to a multiple of
+    LEAP_PAD.  Left-to-right binary powering over the bits of every:
+    square, then multiply by G where the bit is set.  G is never stored;
+    since powers of G commute, G A is taken as step on each column of A."""
+    m = -(-(size + 1) // LEAP_PAD) * LEAP_PAD
+    a = np.zeros((m, m), order="F")
+    np.fill_diagonal(a[:size + 1, :size + 1], 1.0)
+    t = np.zeros_like(a)
+
+    def times_g(a, out):
+        for col, new in zip(a.T[:size + 1], out.T):
+            new[:nz], new[nz:size] = step(col[:nz], col[nz:size])
+            new[size] = col[size] + col[nz - 1]
+
+    def flush(a, scratch):
+        np.greater_equal(np.abs(a, out=scratch), LEAP_FLUSH, out=scratch)
+        a *= scratch
+
+    times_g(a, t)
+    a, t = t, a
+    flush(a, t)
+    for bit in bin(every)[3:]:
+        np.matmul(a, a, out=t)
+        a, t = t, a
+        if bit == "1":
+            times_g(a, t)
+            a, t = t, a
+        flush(a, t)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,6 +538,16 @@ class RunRecorder:
     ENERGY_GUARD_FACTOR times the growth envelope E(0)*exp(2*growth*t).
     Snapshot requests are snapped to the nearest step; two requests
     landing on the same step raise ValidationError.
+
+    A record step k leaps to k + record_every in one product with the
+    step's record_every-th power (see the module docstring) when those
+    steps end by n_steps and no snapshot falls strictly inside them.  A
+    run builds that power only when leaping pays, with N the record
+    width len(z) + len(y2):
+      N <= LEAP_MAX_SIZE, so its two (N+1)^2 buffers (padded) stay small;
+      16 * record_every >= N, so a leap costs less than its steps;
+      4 * (steps in leapable intervals) >= N^2, so the squarings pay.
+    A run that records every step therefore never leaps.
     """
 
     def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
@@ -526,16 +592,38 @@ class RunRecorder:
         self._block = np.empty((b, self.nz + mesh_m.n_elems + 1))
         self._outflow = np.empty(b)
 
+    def _leaps(self) -> bool:
+        """Whether the run builds the power, by the rule of the class
+        docstring.  A whole record interval is leapable unless a snapshot
+        lies strictly inside it; each snapshot blocks one at most."""
+        every, size = self.record_every, self._block.shape[1]
+        if size > LEAP_MAX_SIZE or 16 * every < size:
+            return False
+        whole = self.n_steps // every
+        blocked = {k // every for k in self._snap_steps
+                   if k % every and k // every < whole}
+        return 4 * (whole - len(blocked)) * every >= size * size
+
+    # a non-finite step, leap or record is the guard's to report, not numpy's
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self, step, z, y2) -> SolutionRecord:
         """Advance (z, y2) by ``step(z, y2) -> (z, y2)`` over n_steps
         steps and return the record.  At each step k this takes the
-        record and the snapshot due at t = k*dt, then steps."""
+        record and the snapshot due at t = k*dt, then steps, or leaps
+        record_every steps if the run leaps and no snapshot lies
+        between."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
         block = self._block
+        size = block.shape[1]
+        power = _power(step, nz, size, every) if self._leaps() else None
+        x = None if power is None else np.zeros(len(power))
+        snap_steps = sorted(self._snap_steps) + [n + 1]  # n + 1: none left
+        next_snap = 0      # index into snap_steps of the next snapshot due
         snapshots = []
         taken = 0          # records taken
         outflow_sum = 0.0  # y1(1) summed over the steps before k
-        for k in range(n + 1):
+        k = 0
+        while True:
             if k % every == 0 or k == n:
                 j = taken % len(block)
                 block[j, :nz] = z
@@ -544,15 +632,24 @@ class RunRecorder:
                 taken += 1
                 if j + 1 == len(block) or taken == self.n_records:
                     self._flush(taken - j - 1, taken)
-            ts = self._snap_steps.get(k)
-            if ts is not None:
+            if snap_steps[next_snap] == k:
                 t = k * self.dt
                 state = SimState(z[:n0].copy(), z[n0:].copy(), y2.copy(), t)
-                snapshots.append(Snapshot(t_request=ts, t=t, state=state))
+                snapshots.append(Snapshot(t_request=self._snap_steps[k], t=t,
+                                          state=state))
+                next_snap += 1
             if k == n:
                 break
-            outflow_sum += float(z[-1])
-            z, y2 = step(z, y2)
+            if (power is not None and k % every == 0 and k + every <= n
+                    and snap_steps[next_snap] >= k + every):
+                x[:nz], x[nz:size], x[size] = z, y2, outflow_sum
+                x = power @ x
+                z, y2, outflow_sum = x[:nz], x[nz:size], float(x[size])
+                k += every
+            else:
+                outflow_sum += float(z[-1])
+                z, y2 = step(z, y2)
+                k += 1
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
         return SolutionRecord(
             mesh_s=self.mesh_s,
@@ -570,9 +667,7 @@ class RunRecorder:
         block = self._block[:hi - lo]
         out = self._out[:, lo:hi]
         t = out[0]
-        # a non-finite record is the guard's to report, not numpy's
-        with np.errstate(over="ignore", invalid="ignore"):
-            mass, stent_mass, energy = self.monitor.measure(block)
+        mass, stent_mass, energy = self.monitor.measure(block)
         if lo == 0:
             self._mass0, self._energy0 = mass[0], energy[0]
         finite = np.isfinite(mass) & np.isfinite(energy)

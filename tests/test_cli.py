@@ -31,11 +31,15 @@ def src_env():
 
 
 def make_config(tmp_path, n_s=10, n_m=8, steps=40, variant="monolithic",
-                cfl_note=None, dt_scale=0.5, extra=""):
+                cfl_note=None, dt_scale=0.5, extra="", snapshots=True):
+    """A config on n_s/n_m at dt_scale times the sharp limit; snapshots
+    sets snapshot_times, which the study commands refuse."""
     ops = build_operators(P, n_s, n_m)
     dt = dt_scale * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h)
     t_end = steps * dt
     out = tmp_path / "out"
+    snaps = (f"  snapshot_times: [0.0, {t_end / 2!r}, {t_end!r}]\n"
+             if snapshots else "")
     text = f"""\
 params: paper_defaults
 mesh:
@@ -47,8 +51,7 @@ time:
 scheme: {variant}
 output:
   out_dir: {out}
-  snapshot_times: [0.0, {t_end / 2!r}, {t_end!r}]
-{extra}"""
+{snaps}{extra}"""
     path = tmp_path / "run.yaml"
     path.write_text(text)
     return path, out
@@ -111,10 +114,23 @@ def test_cfl_violation_is_validation_error(tmp_path, capsys):
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # with the gate switched off, a run that blows up exits 2
     monkeypatch.setattr(SchemeConfig, "check_cfl", lambda *args: None)
-    cfg_path, _ = make_config(tmp_path, steps=4000, dt_scale=2.9,
-                              extra="", variant="monolithic")
+    cfg_path, out = make_config(tmp_path, steps=4000, dt_scale=2.9,
+                                extra="", variant="monolithic")
     assert run(["simulate", "--config", str(cfg_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_leaping_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # the same run recorded every 50 steps leaps from record to record; it
+    # still exits 2 before any output is written
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda *args: None)
+    cfg_path, out = make_config(tmp_path, steps=4000, dt_scale=2.9,
+                                extra="  record_every: 50\n",
+                                variant="monolithic")
+    assert run(["simulate", "--config", str(cfg_path)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_t_end_not_whole_number_of_steps_refused(tmp_path, capsys):
@@ -193,7 +209,8 @@ def test_compare_fd_refuses_cell_peclet_above_two(tmp_path, capsys,
 
 
 def test_compare_alg_runs(tmp_path, capsys):
-    cfg_path, out = make_config(tmp_path, n_s=6, n_m=4, steps=20)
+    cfg_path, out = make_config(tmp_path, n_s=6, n_m=4, steps=20,
+                                snapshots=False)
     assert run(["compare-alg", "--config", str(cfg_path),
                 "--ref-scale", "2"]) == 0
     assert (out / "algorithm_comparison.csv").exists()
@@ -202,7 +219,8 @@ def test_compare_alg_runs(tmp_path, capsys):
 
 
 def test_stepping_study_runs(tmp_path, capsys):
-    cfg_path, out = make_config(tmp_path, n_s=4, n_m=4, steps=20)
+    cfg_path, out = make_config(tmp_path, n_s=4, n_m=4, steps=20,
+                                snapshots=False)
     assert run(["stepping-study", "--config", str(cfg_path),
                 "--ratios", "1,2", "--ref-scale", "2"]) == 0
     assert (out / "stepping_study.csv").exists()
@@ -212,7 +230,8 @@ def test_stepping_study_runs(tmp_path, capsys):
 
 
 def test_converge_runs(tmp_path, capsys):
-    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10)
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10,
+                                snapshots=False)
     # shrink the study horizon: reuse config t_end as-is (tiny)
     assert run(["converge", "--config", str(cfg_path), "--levels", "2"]) == 0
     assert (out / "convergence.csv").exists()
@@ -249,7 +268,8 @@ STUDY_TABLES = [
 def test_study_table_format(tmp_path, capsys, argv, table, header, n_rows,
                             titles):
     # the bytes of the study tables and the head of each stdout report
-    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10)
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10,
+                                snapshots=argv[0] == "compare-fd")
     assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 0
     data = (out / table).read_bytes().decode()
     assert data.endswith("\r\n") and "\n" not in data.replace("\r\n", "")
@@ -273,7 +293,8 @@ def test_study_table_format(tmp_path, capsys, argv, table, header, n_rows,
 def test_converge_refuses_mesh_it_cannot_refine(tmp_path, capsys, n_s, n_m):
     # a stent count that is not a multiple of the media count used to be
     # rounded silently (30/25 ran as 25/25, 25/50 as 50/50)
-    cfg_path, out = make_config(tmp_path, n_s=n_s, n_m=n_m, steps=10)
+    cfg_path, out = make_config(tmp_path, n_s=n_s, n_m=n_m, steps=10,
+                                snapshots=False)
     assert run(["converge", "--config", str(cfg_path), "--levels", "2"]) == 1
     assert "mesh.n_s" in capsys.readouterr().err
     assert not out.exists()
@@ -293,43 +314,48 @@ def test_shipped_config_parses_and_is_stable(name):
     cfg.scheme.check_cfl(cfg.params, cfg.params.l / cfg.n_s, 1.0 / cfg.n_m)
 
 
-# (argv, steps of the config); ids argv0, argv1, ... by position
+# (argv, steps of the config, error text); ids argv0, argv1, ... by
+# position
 STUDY_REFUSALS = [
-    (["compare-alg", "--ref-scale", "0"], 20),
-    (["compare-alg", "--ref-scale", "-2"], 20),
-    (["stepping-study", "--ref-scale", "0"], 20),
-    (["stepping-study", "--ratios", "0"], 20),
-    (["stepping-study", "--ratios", ",,"], 20),
-    (["stepping-study", "--ratios", "1,x"], 20),
+    (["compare-alg", "--ref-scale", "0"], 20, "--ref-scale"),
+    (["compare-alg", "--ref-scale", "-2"], 20, "--ref-scale"),
+    (["stepping-study", "--ref-scale", "0"], 20, "--ref-scale"),
+    (["stepping-study", "--ratios", "0"], 20, "--ratios"),
+    (["stepping-study", "--ratios", ",,"], 20, "--ratios"),
+    (["stepping-study", "--ratios", "1,x"], 20, "--ratios"),
     # 3*4 stent elements are not refined by the reference's 2*8
-    (["stepping-study", "--ratios", "3", "--ref-scale", "2"], 20),
+    (["stepping-study", "--ratios", "3", "--ref-scale", "2"], 20,
+     "--ratios: ratio 3"),
     # a repeated ratio would run and report the same study twice
-    (["stepping-study", "--ratios", "1,1"], 20),
+    (["stepping-study", "--ratios", "1,1"], 20, "repeated ratio"),
     # t_end: 0 leaves nothing to compare
-    (["compare-alg"], 0),
-    (["converge", "--levels", "2"], 0),
+    (["compare-alg"], 0, "time.t_end"),
+    (["converge", "--levels", "2"], 0, "time.t_end"),
     # 64*4 stent elements take a step far below the config's: refused by
-    # the stability gate, not after the reference has been computed
-    (["stepping-study", "--ratios", "1,64", "--ref-scale", "64"], 20),
+    # the stability gate, not after the reference has been computed, and
+    # the refusal names the ratio and its mesh
+    (["stepping-study", "--ratios", "1,64", "--ref-scale", "64"], 20,
+     "error: ratio 64 (n_s/n_m = 256/4): dt_m="),
 ]
 
 
-@pytest.mark.parametrize("argv,steps", STUDY_REFUSALS,
+@pytest.mark.parametrize("argv,steps,message", STUDY_REFUSALS,
                          ids=[f"argv{i}" for i in range(len(STUDY_REFUSALS))])
 def test_study_arguments_refused_before_reference(tmp_path, capsys,
-                                                  monkeypatch, argv, steps):
+                                                  monkeypatch, argv, steps,
+                                                  message):
     def no_reference(*args, **kwargs):
         raise AssertionError("reference run before the arguments were checked")
 
     monkeypatch.setattr("stentsim.cli.make_reference", no_reference)
     monkeypatch.setattr("stentsim.cli.convergence_study", no_reference)
-    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=steps)
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=steps,
+                                snapshots=False)
     assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err
+    assert message in captured.err
     assert "reference:" not in captured.out
-    if steps == 0:
-        assert "time.t_end" in captured.err
     assert not out.exists()
 
 
@@ -360,12 +386,36 @@ def test_study_time_keys_refused_before_reference(tmp_path, capsys,
     monkeypatch.setattr("stentsim.cli.make_reference", no_reference)
     monkeypatch.setattr("stentsim.cli.convergence_study", no_reference)
     # at half the sharp limit of 8/4
-    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=20)
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=20,
+                                snapshots=False)
     cfg_path.write_text(cfg_path.read_text().replace(
         "  dt_m:", time_lines + "  dt_m:"))
     assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert message in captured.err
+    assert "reference:" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare-alg", "stepping-study",
+                                     "converge"])
+@pytest.mark.parametrize("key", ["snapshot_times", "record_every"])
+def test_study_output_keys_refused_before_reference(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    key):
+    # the studies choose their own snapshots and records; these keys were
+    # ignored without a word
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference run before the config was checked")
+
+    monkeypatch.setattr("stentsim.cli.make_reference", no_reference)
+    monkeypatch.setattr("stentsim.cli.convergence_study", no_reference)
+    cfg_path, out = make_config(
+        tmp_path, n_s=8, n_m=4, steps=20, snapshots=key == "snapshot_times",
+        extra="  record_every: 5\n" if key == "record_every" else "")
+    assert run([command, "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: output.{key}: ")
     assert "reference:" not in captured.out
     assert not out.exists()
 

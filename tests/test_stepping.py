@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stentsim import CflError, InstabilityError, ValidationError, paper_params
-from stentsim.fdcheck import run_fd
+from stentsim.analysis import make_reference
+from stentsim.fdcheck import _FdStep, run_fd
 from stentsim.fem import build_operators
 from stentsim.params import energy_growth_rate
 from stentsim.stepping import (
@@ -708,15 +709,25 @@ ops = build_operators(p, 20, 10)
 dt = sharp_dt_limit(p, ops.mesh_s.h, ops.mesh_m.h, 4, "media") / 2
 cfg = SchemeConfig("alg1", dt, 300 * dt, substep_ratio=4,
                    substep_domain="media")
-rec = run_simulation(p, ops, cfg, [300 * dt], record_every=1)
-s, m = rec.snapshots[-1].state, rec.monitors
-np.save(sys.argv[1], np.concatenate([s.y0, s.y1, s.y2, m.mass,
-        m.stent_mass, m.energy, m.balance_residual]))
+out = []
+for ops, cfg, every in [
+        (ops, cfg, 1),
+        # leaping runs: 20/10 every 50, and 200/100 every 517 as the study
+        # reference records, whose power of order 404 is padded to 416
+        (ops, SchemeConfig("monolithic", dt / 4, 2000 * dt / 4), 50),
+        (build_operators(p, 200, 100), SchemeConfig(
+            "monolithic", 1.0 / 103456, 80 * 517 / 103456), 517)]:
+    rec = run_simulation(p, ops, cfg, [cfg.t_end], record_every=every)
+    s, m = rec.snapshots[-1].state, rec.monitors
+    out += [s.y0, s.y1, s.y2, m.mass, m.stent_mass, m.energy,
+            m.balance_residual]
+np.save(sys.argv[1], np.concatenate(out))
 """
 
 
 def test_results_do_not_depend_on_blas_thread_count(tmp_path):
-    # the kernel is BLAS calls; one thread or two must give the same bits
+    # the kernel and the leaps are BLAS calls; one thread or two must give
+    # the same bits
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = {}
     for threads in ("1", "2"):
@@ -727,6 +738,121 @@ def test_results_do_not_depend_on_blas_thread_count(tmp_path):
                        env=env, check=True, timeout=120)
         out[threads] = np.load(path)
     assert out["1"].tobytes() == out["2"].tobytes()
+
+
+# ------------------------------------------------------------------ leaps
+
+SETTINGS = {"r1": (1, "stent"), "stent4": (4, "stent"),
+            "media4": (4, "media")}
+LEAP_CASES = [(v, s) for v in ("monolithic", "alg1", "alg2")
+              for s in SETTINGS] + [("fd", "r1")]
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """A list that grows by one at each call of either solver's step."""
+    calls = []
+
+    def counted(step):
+        def wrapper(self, *args):
+            calls.append(1)
+            return step(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(_Kernel, "macro_step", counted(_Kernel.macro_step))
+    monkeypatch.setattr(_FdStep, "step", counted(_FdStep.step))
+    return calls
+
+
+def leap_case(variant, setting, snapshots):
+    """8/6 over 2010 steps recorded every 50, with the given snapshot
+    steps, at half the sharp limit; variant "fd" is the FD solver."""
+    n, every = 2010, 50
+    r, domain = SETTINGS[setting]
+    ops = small_ops()
+    dt = 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r, domain)
+    times = [k * dt for k in snapshots]
+    if variant == "fd":
+        return run_fd(P, 8, 6, dt, n * dt, times, record_every=every)
+    cfg = SchemeConfig(variant, dt, n * dt, substep_ratio=r,
+                       substep_domain=domain)
+    return run_simulation(P, ops, cfg, times, record_every=every)
+
+
+@pytest.mark.parametrize("variant,setting", LEAP_CASES)
+def test_leaps_match_stepping(step_calls, variant, setting):
+    # the same run leaping and forced to step (a snapshot at every step
+    # leaves no interval to leap); bound, set before the first run: 1e-12
+    # of each series' largest |value|, and of the largest |mass| for the
+    # balance residual, which is a difference of masses
+    leap = leap_case(variant, setting, [0, 1234, 2010])
+    # 24 step calls per set bit of 50 build the power, then the interval
+    # holding step 1234 and the 10-step tail step
+    assert len(step_calls) == 24 * 3 + 50 + 10
+    step_calls.clear()
+    stepped = leap_case(variant, setting, range(2011))
+    assert len(step_calls) == 2010
+
+    def close(got, want, scale=None):
+        bound = 1e-12 * np.max(np.abs(want if scale is None else scale))
+        assert np.max(np.abs(got - want)) <= bound
+
+    mon, ref = leap.monitors, stepped.monitors
+    np.testing.assert_array_equal(mon.t, ref.t)
+    for name in ("mass", "stent_mass", "energy"):
+        close(getattr(mon, name), getattr(ref, name))
+    close(mon.balance_residual, ref.balance_residual, ref.mass)
+    for name in ("c_at_0", "c1_at_0", "c1_at_1"):
+        close(getattr(leap.interface, name), getattr(stepped.interface, name))
+    assert [s.t for s in leap.snapshots] == [
+        stepped.snapshots[k].t for k in (0, 1234, 2010)]
+    for snap, k in zip(leap.snapshots, (0, 1234, 2010)):
+        for y in ("y0", "y1", "y2"):
+            close(getattr(snap.state, y),
+                  getattr(stepped.snapshots[k].state, y))
+
+
+def test_leap_rule_on_benchmark_shapes(step_calls):
+    # a run that records every step steps (release, 100/25 alg1 media4)
+    ops = build_operators(P, 100, 25)
+    dt = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, 4, "media") / 1.05
+    run_simulation(P, ops, SchemeConfig("alg1", dt, 300 * dt,
+                                        substep_ratio=4,
+                                        substep_domain="media"), [])
+    assert len(step_calls) == 300
+    # the kernel probes: 2000 steps recorded at the ends only
+    for n_s, n_m in ((100, 25), (200, 100), (100, 100)):
+        step_calls.clear()
+        ops = build_operators(P, n_s, n_m)
+        dt = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h) / 1.05
+        run_simulation(P, ops, SchemeConfig("monolithic", dt, 2000 * dt), [],
+                       record_every=2000)
+        assert len(step_calls) == 2000
+    # the study's reference, 200/100 over 103 456 steps recorded every 517
+    # with the snapshots compare-alg takes on 50/25 at 6466 steps (every
+    # 646 test steps, 16 reference steps each, and t_end): 404 step calls
+    # per set bit of 517 build the power, then the 10 intervals holding a
+    # snapshot and the 56-step tail step
+    step_calls.clear()
+    times = [k * 646 / 6466 for k in range(11)] + [1.0]
+    ref = make_reference(P, 200, 100, 103456, 1.0, times)
+    assert ref.config["record_every"] == 517
+    assert len(step_calls) == 404 * 3 + 10 * 517 + 56
+    assert [round(s.t * 103456) for s in ref.snapshots] == [
+        k * 16 * 646 for k in range(11)] + [103456]
+
+
+def test_unstable_leaping_run_is_caught(monkeypatch, step_calls):
+    # with the gate switched off, a leaping run at the step of
+    # test_unstable_step_is_caught_by_energy_guard still stops at the
+    # guard: 34 step calls per set bit of 50 build the power, then it leaps
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda *args: None)
+    ops = build_operators(P, 10, 10)
+    dt = 0.99 * classical_media_bound(ops)
+    cfg = SchemeConfig("monolithic", dt, t_end=3000 * dt)
+    with pytest.raises(InstabilityError, match="instability detected"):
+        run_simulation(P, ops, cfg, [0.0], record_every=50)
+    assert len(step_calls) == 34 * 3
 
 
 def test_trajectories_of_variants_converge_first_order():
