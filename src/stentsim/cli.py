@@ -90,9 +90,7 @@ def _reference(cfg, scale, tests):
                            f"{exc}") from None
     n_steps = step_count(t_end, dt)
     stride = max(1, n_steps // 10)
-    snaps = [k * stride * dt for k in range(0, n_steps // stride + 1)]
-    if abs(snaps[-1] - t_end) > 1e-12 * max(1.0, t_end):
-        snaps.append(t_end)
+    snaps = [k * dt for k in (*range(0, n_steps, stride), n_steps)]
     n_s_ref, n_m_ref = scale * cfg.n_s, scale * cfg.n_m
     n_ref = stable_step_count(p, p.l / n_s_ref, 1.0 / n_m_ref, t_end,
                               multiple_of=n_steps)

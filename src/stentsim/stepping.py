@@ -65,9 +65,10 @@ step counts on the same limit.  A runaway run is still caught by an
 energy monitor that aborts loudly instead of writing non-finite output.
 
 Recording: ``RunRecorder.run`` is the one time loop, for this solver
-and the finite-difference one.  At each step k it takes the record and
-snapshot due at t = k*dt, adds y1(1) to the outflow sum and steps.  A
-record [z; y2] goes into a preallocated block of RECORD_BLOCK rows; each
+and the finite-difference one.  It walks the run's stops, the record
+and snapshot steps in ascending order: up to each stop it adds y1(1) to
+the outflow sum and steps, then takes the record and snapshot due there.
+A record [z; y2] goes into a preallocated block of RECORD_BLOCK rows; each
 full block, and the last partial one, is measured in one shot by the
 solver's ``BlockMonitor`` (two matrix-vector products for the masses,
 the form's ``TridiagonalMatrix.quadratic`` for the energy), guarded,
@@ -78,11 +79,11 @@ per-record check would give and before any output is written.
 A run that records rarely leaps from record to record.  The step, with
 the outflow sum q carried along, is one linear map G on x = [z; y2; q],
 so record_every steps are one product x <- P x with P = G^record_every,
-built once by repeated squaring (``_power``).  A record step leaps when
-its next record_every steps end by n_steps with no snapshot strictly
-inside; the others step as before.  Input size alone decides whether a
-run builds P (``RunRecorder`` documents the rule), and the results
-differ from stepping at roundoff only.
+built once by repeated squaring (``_power``).  Two stops record_every
+apart are two record steps with no snapshot strictly inside, and the
+run leaps between them; every shorter gap is stepped.  Input size alone
+decides whether a run builds P (``RunRecorder`` documents the rule),
+and the results differ from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from heapq import merge
+from itertools import chain, groupby, pairwise
 
 import numpy as np
 from scipy.linalg.blas import daxpy
@@ -539,14 +542,15 @@ class RunRecorder:
     Snapshot requests are snapped to the nearest step; two requests
     landing on the same step raise ValidationError.
 
-    A record step k leaps to k + record_every in one product with the
-    step's record_every-th power (see the module docstring) when those
-    steps end by n_steps and no snapshot falls strictly inside them.  A
+    The run advances from stop to stop (``_stops``).  A gap of
+    record_every steps is one product with the step's record_every-th
+    power (see the module docstring); every shorter gap is stepped.  A
     run builds that power only when leaping pays, with N the record
     width len(z) + len(y2):
       N <= LEAP_MAX_SIZE, so its two (N+1)^2 buffers (padded) stay small;
       16 * record_every >= N, so a leap costs less than its steps;
-      4 * (steps in leapable intervals) >= N^2, so the squarings pay.
+      4 * record_every * (gaps of record_every) >= N^2, so the squarings
+      pay.
     A run that records every step therefore never leaps.
     """
 
@@ -580,76 +584,67 @@ class RunRecorder:
 
         self.n0 = mesh_s.n_elems + 1
         self.nz = self.n0 + mesh_m.n_elems + 1
-        self.n_records = n = n_steps // every + 1 + (n_steps % every > 0)
+        records = np.append(np.arange(0, n_steps, every), n_steps)
         # rows: t, mass, stent mass, energy, balance residual, c(0-),
         # c1(0+), c1(1)
-        self._out = np.empty((8, n))
-        t = self._out[0]
-        t[:] = np.arange(n) * every
-        t[-1] = n_steps
-        t *= dt
-        b = min(RECORD_BLOCK, n)
+        self._out = np.empty((8, len(records)))
+        np.multiply(records, dt, out=self._out[0])
+        b = min(RECORD_BLOCK, len(records))
         self._block = np.empty((b, self.nz + mesh_m.n_elems + 1))
         self._outflow = np.empty(b)
 
-    def _leaps(self) -> bool:
-        """Whether the run builds the power, by the rule of the class
-        docstring.  A whole record interval is leapable unless a snapshot
-        lies strictly inside it; each snapshot blocks one at most."""
-        every, size = self.record_every, self._block.shape[1]
-        if size > LEAP_MAX_SIZE or 16 * every < size:
-            return False
-        whole = self.n_steps // every
-        blocked = {k // every for k in self._snap_steps
-                   if k % every and k // every < whole}
-        return 4 * (whole - len(blocked)) * every >= size * size
+    def _stops(self):
+        """The run's stops in ascending order, each once: the record steps
+        0, record_every, 2*record_every, ... and n_steps, merged with the
+        snapshot steps.  A generator: the schedule is never stored."""
+        records = chain(range(0, self.n_steps, self.record_every),
+                        (self.n_steps,))
+        stops = merge(records, sorted(self._snap_steps))
+        return (k for k, _ in groupby(stops))
 
     # a non-finite step, leap or record is the guard's to report, not numpy's
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, step, z, y2) -> SolutionRecord:
         """Advance (z, y2) by ``step(z, y2) -> (z, y2)`` over n_steps
-        steps and return the record.  At each step k this takes the
-        record and the snapshot due at t = k*dt, then steps, or leaps
-        record_every steps if the run leaps and no snapshot lies
-        between."""
+        steps and return the record.  From each stop to the next this
+        steps, or leaps if the run leaps and the two are record_every
+        apart, then takes the record and the snapshot due at the new
+        stop."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
         block = self._block
         size = block.shape[1]
-        power = _power(step, nz, size, every) if self._leaps() else None
+        leaps = (size <= LEAP_MAX_SIZE and 16 * every >= size
+                 and 4 * every * sum(b - a == every for a, b in
+                                     pairwise(self._stops())) >= size * size)
+        power = _power(step, nz, size, every) if leaps else None
         x = None if power is None else np.zeros(len(power))
-        snap_steps = sorted(self._snap_steps) + [n + 1]  # n + 1: none left
-        next_snap = 0      # index into snap_steps of the next snapshot due
         snapshots = []
         taken = 0          # records taken
         outflow_sum = 0.0  # y1(1) summed over the steps before k
         k = 0
-        while True:
+        for stop in self._stops():
+            if power is not None and stop - k == every:
+                x[:nz], x[nz:size], x[size] = z, y2, outflow_sum
+                x = power @ x
+                z, y2, outflow_sum = x[:nz], x[nz:size], float(x[size])
+                k = stop
+            while k < stop:
+                outflow_sum += float(z[-1])
+                z, y2 = step(z, y2)
+                k += 1
             if k % every == 0 or k == n:
                 j = taken % len(block)
                 block[j, :nz] = z
                 block[j, nz:] = y2
                 self._outflow[j] = outflow_sum
                 taken += 1
-                if j + 1 == len(block) or taken == self.n_records:
+                if j + 1 == len(block) or k == n:
                     self._flush(taken - j - 1, taken)
-            if snap_steps[next_snap] == k:
+            if k in self._snap_steps:
                 t = k * self.dt
                 state = SimState(z[:n0].copy(), z[n0:].copy(), y2.copy(), t)
                 snapshots.append(Snapshot(t_request=self._snap_steps[k], t=t,
                                           state=state))
-                next_snap += 1
-            if k == n:
-                break
-            if (power is not None and k % every == 0 and k + every <= n
-                    and snap_steps[next_snap] >= k + every):
-                x[:nz], x[nz:size], x[size] = z, y2, outflow_sum
-                x = power @ x
-                z, y2, outflow_sum = x[:nz], x[nz:size], float(x[size])
-                k += every
-            else:
-                outflow_sum += float(z[-1])
-                z, y2 = step(z, y2)
-                k += 1
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
         return SolutionRecord(
             mesh_s=self.mesh_s,

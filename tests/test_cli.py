@@ -208,6 +208,40 @@ def test_compare_fd_refuses_cell_peclet_above_two(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_compare_fd_refuses_step_above_single_rate_limit(tmp_path, capsys,
+                                                         monkeypatch):
+    # media substeps let simulate run dt_m = 4e-4 on 50/25, but the
+    # finite-difference solver is single-rate, with limit 1.624e-4: its
+    # gate refuses the config, exit 1, before the finite-element run
+    def no_run(*args, **kwargs):
+        raise AssertionError("stepped before the FD gate")
+
+    monkeypatch.setattr("stentsim.cli.run_simulation", no_run)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(f"""\
+params: paper_defaults
+mesh:
+  n_s: 50
+  n_m: 25
+time:
+  t_end: 0.008
+  dt_m: 4.0e-4
+  substep_ratio: 4
+  substep_domain: media
+scheme: monolithic
+output:
+  out_dir: {out}
+""")
+    cfg = parse_config(cfg_path)
+    cfg.scheme.check_cfl(cfg.params, cfg.params.l / 50, 1.0 / 25)
+    assert run(["compare-fd", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "stability allowance" in err
+    assert "cell Peclet number" not in err
+    assert not out.exists()
+
+
 def test_compare_alg_runs(tmp_path, capsys):
     cfg_path, out = make_config(tmp_path, n_s=6, n_m=4, steps=20,
                                 snapshots=False)
@@ -418,6 +452,32 @@ def test_study_output_keys_refused_before_reference(tmp_path, capsys,
     assert captured.err.startswith(f"error: output.{key}: ")
     assert "reference:" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-alg", "--ref-scale", "2"],
+    ["stepping-study", "--ratios", "1,2", "--ref-scale", "2"]])
+def test_study_last_stride_snapshot_at_t_end_accepted(tmp_path, capsys, argv):
+    # t_end/dt_m = 6460.0000004 is a whole number of steps to 1e-9, and
+    # the last stride snapshot, 6460*dt_m = 0.999999999936, is step 6460:
+    # t_end was added as an eleventh snapshot on that step and refused
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(f"""\
+params: paper_defaults
+mesh:
+  n_s: 10
+  n_m: 5
+time:
+  t_end: 1.0
+  dt_m: 1.547987616e-4
+scheme: alg1
+output:
+  out_dir: {out}
+""")
+    assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 0
+    assert "both land on step" not in capsys.readouterr().err
+    assert list(out.glob("*.csv"))
 
 
 def test_plot_time_series_and_profiles(tmp_path):
