@@ -151,7 +151,13 @@ def cmd_compare_fd(args) -> int:
     cfg = parse_config(args.config)
     out = Path(cfg.out_dir)
     scheme, snaps = cfg.scheme, list(cfg.snapshot_times)
-    # refuse an FD-invalid config before the finite-element run steps
+    # refuse an FD-invalid config before the finite-element run steps: the
+    # finite-difference solver is single-rate
+    if scheme.substep_ratio != 1:
+        raise ConfigError(f"time.substep_ratio: compare-fd compares with "
+                          f"the single-rate finite-difference solver and "
+                          f"needs substep_ratio 1, got "
+                          f"{scheme.substep_ratio}", key="time.substep_ratio")
     check_fd(cfg.params, cfg.n_s, cfg.n_m, scheme.dt_m)
     ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
     fem = run_simulation(cfg.params, ops, scheme, snaps,

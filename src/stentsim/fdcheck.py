@@ -57,10 +57,12 @@ def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
     """Refuse a finite-difference run that cannot be stable, before any
     stepping.
 
-    The step is gated on the finite-element solver's ``sharp_dt_limit``,
-    where this scheme is stable while the cell Peclet number pe*h_m is
-    at most 2; a larger one raises CflError, since the central advection
-    difference then grows at that limit, and so does a dt above it.
+    The step is gated on the finite-element solver's single-rate
+    ``sharp_dt_limit``, since this solver takes no substeps, and it is
+    stable there while the cell Peclet number pe*h_m is at most 2; a
+    larger one raises CflError, since the central advection difference
+    then grows at that limit, and so does a dt above it (keyed
+    ``time.dt_m``, the config key it comes from).
     """
     h_s = build_mesh(STENT, n_s, l=p.l).h
     h_m = build_mesh(MEDIA, n_m).h
@@ -73,8 +75,9 @@ def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
     limit = sharp_dt_limit(p, h_s, h_m)
     if dt > limit:
         raise CflError(
-            f"dt={dt:.6g} exceeds the stability allowance {limit:.6g}"
-        )
+            f"time.dt_m: dt={dt:.6g} exceeds the stability allowance "
+            f"{limit:.6g} of the single-rate finite-difference solver",
+            key="time.dt_m")
 
 
 class _FdStep:

@@ -81,9 +81,13 @@ the outflow sum q carried along, is one linear map G on x = [z; y2; q],
 so record_every steps are one product x <- P x with P = G^record_every,
 built once by repeated squaring (``_power``).  Two stops record_every
 apart are two record steps with no snapshot strictly inside, and the
-run leaps between them; every shorter gap is stepped.  Input size alone
-decides whether a run builds P (``RunRecorder`` documents the rule),
-and the results differ from stepping at roundoff only.
+run leaps between them; every shorter gap is stepped.  A multi-rate run
+that does not leap, such as one that records every step, takes dense
+steps instead when it is small enough: it builds G itself, the power of
+order 1, and takes each step as one product, which costs less than the
+kernel's substeps.  Input size alone decides which power a run builds,
+if any (``RunRecorder`` documents the rule), and the results differ
+from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -469,6 +473,15 @@ LEAP_MAX_SIZE = 2047
 # 32 (measured with 1 to 4 threads), not at 303, 404 or 408, so padded
 # leaps keep results independent of the thread count
 LEAP_PAD = 32
+# largest record width [z; y2] that takes a dense step, one product with
+# the step's map G (padded), in place of a multi-rate kernel step.  Per
+# step, best of 5 x 2000 calls at one BLAS thread, alg1 with 4 substeps
+# of either block, kernel against dense: N = 153 (100/25) 21-31 us
+# against 4-5 us, N = 303 23 against 16-18 us, N = 403 24-28 against
+# 17-29 us, N = 453 26-36 against 43-49 us.  A single-rate kernel step
+# costs 9-11 us, so dense pays there only up to about N = 200 (6.4 us at
+# N = 153, 12 us at N = 253), and ratio-1 runs keep stepping
+DENSE_MAX_SIZE = 400
 # entries of the power below this are set to 0 as it is built: a product
 # of two smaller ones is subnormal, and a 2048-order squaring that holds
 # them took 2 s instead of 0.4 s (OpenBLAS dgemm, one thread); a leap
@@ -542,16 +555,23 @@ class RunRecorder:
     Snapshot requests are snapped to the nearest step; two requests
     landing on the same step raise ValidationError.
 
-    The run advances from stop to stop (``_stops``).  A gap of
-    record_every steps is one product with the step's record_every-th
-    power (see the module docstring); every shorter gap is stepped.  A
-    run builds that power only when leaping pays, with N the record
-    width len(z) + len(y2):
-      N <= LEAP_MAX_SIZE, so its two (N+1)^2 buffers (padded) stay small;
-      16 * record_every >= N, so a leap costs less than its steps;
-      4 * record_every * (gaps of record_every) >= N^2, so the squarings
-      pay.
-    A run that records every step therefore never leaps.
+    The run advances from stop to stop (``_stops``).  A run may build a
+    power of the step (see the module docstring); each gap from one stop
+    to the next then takes as many products with it as fit and steps the
+    rest.  With N the record width len(z) + len(y2), the power's order is
+      record_every, a leap, when leaping pays:
+        N <= LEAP_MAX_SIZE, so its two (N+1)^2 buffers (padded) stay small;
+        16 * record_every >= N, so a leap costs less than its steps;
+        4 * record_every * (gaps of record_every) >= N^2, so the
+        squarings pay;
+      1, a dense step, when that pays instead:
+        substep_ratio > 1, since a single-rate kernel step costs little;
+        N <= DENSE_MAX_SIZE, so a product costs less than a kernel step;
+        n_steps >= 2 * N, so the N + 1 steps that build G pay;
+      none otherwise, and the run steps.
+    A run that records every step does not leap unless N <= 16; the
+    finite-difference solver, which is single-rate, never takes dense
+    steps.
     """
 
     def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
@@ -559,6 +579,7 @@ class RunRecorder:
                  monitor: BlockMonitor):
         every = whole_number(record_every, "record_every")
         self.dt = dt = cfg.dt_m
+        self.substep_ratio = cfg.substep_ratio
         self.pe = p.pe
         self.n_steps = n_steps = step_count(cfg.t_end, dt)
         self.mesh_s = mesh_s
@@ -602,32 +623,45 @@ class RunRecorder:
         stops = merge(records, sorted(self._snap_steps))
         return (k for k, _ in groupby(stops))
 
+    def _order(self, size):
+        """The order of the power the run builds, for record width size:
+        record_every if leaping pays, 1 if a dense step pays, None if the
+        run only steps (the rule is in the class docstring)."""
+        every = self.record_every
+        if (size <= LEAP_MAX_SIZE and 16 * every >= size
+                and 4 * every * sum(b - a == every for a, b in
+                                    pairwise(self._stops())) >= size * size):
+            return every
+        if (self.substep_ratio > 1 and size <= DENSE_MAX_SIZE
+                and self.n_steps >= 2 * size):
+            return 1
+        return None
+
     # a non-finite step, leap or record is the guard's to report, not numpy's
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, step, z, y2) -> SolutionRecord:
         """Advance (z, y2) by ``step(z, y2) -> (z, y2)`` over n_steps
-        steps and return the record.  From each stop to the next this
-        steps, or leaps if the run leaps and the two are record_every
-        apart, then takes the record and the snapshot due at the new
-        stop."""
+        steps and return the record.  If the run builds a power of the
+        step, each gap from one stop to the next takes as many products
+        with it as fit and steps the rest; otherwise it steps.  Then the
+        record and the snapshot due at the new stop are taken."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
         block = self._block
         size = block.shape[1]
-        leaps = (size <= LEAP_MAX_SIZE and 16 * every >= size
-                 and 4 * every * sum(b - a == every for a, b in
-                                     pairwise(self._stops())) >= size * size)
-        power = _power(step, nz, size, every) if leaps else None
+        order = self._order(size)
+        power = None if order is None else _power(step, nz, size, order)
         x = None if power is None else np.zeros(len(power))
         snapshots = []
         taken = 0          # records taken
         outflow_sum = 0.0  # y1(1) summed over the steps before k
         k = 0
         for stop in self._stops():
-            if power is not None and stop - k == every:
+            if power is not None and stop - k >= order:
                 x[:nz], x[nz:size], x[size] = z, y2, outflow_sum
-                x = power @ x
+                while stop - k >= order:
+                    x = power @ x
+                    k += order
                 z, y2, outflow_sum = x[:nz], x[nz:size], float(x[size])
-                k = stop
             while k < stop:
                 outflow_sum += float(z[-1])
                 z, y2 = step(z, y2)

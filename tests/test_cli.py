@@ -133,6 +133,20 @@ def test_leaping_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_dense_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # the same run with 4 stent substeps, which leave the media's step as
+    # it is, takes dense steps; it still exits 2 before any output is
+    # written
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda *args: None)
+    cfg_path, out = make_config(tmp_path, steps=4000, dt_scale=2.9,
+                                variant="alg1")
+    cfg_path.write_text(cfg_path.read_text().replace(
+        "  dt_m:", "  substep_ratio: 4\n  dt_m:"))
+    assert run(["simulate", "--config", str(cfg_path)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_t_end_not_whole_number_of_steps_refused(tmp_path, capsys):
     cfg_path, out = make_config(tmp_path, n_s=4, n_m=4)
     text = re.sub(r"t_end: .*", "t_end: 0.01", cfg_path.read_text())
@@ -190,13 +204,14 @@ def test_compare_fd_runs(tmp_path, capsys):
     assert "finite-difference" in capsys.readouterr().out
 
 
+def no_run(*args, **kwargs):
+    raise AssertionError("stepped before the FD gate")
+
+
 def test_compare_fd_refuses_cell_peclet_above_two(tmp_path, capsys,
                                                   monkeypatch):
     # pe*h_m = 5 on 8/6: the finite-difference gate refuses the config,
     # exit 1, before the finite-element run takes a step
-    def no_run(*args, **kwargs):
-        raise AssertionError("stepped before the FD gate")
-
     monkeypatch.setattr("stentsim.cli.run_simulation", no_run)
     cfg_path, out = make_config(tmp_path, n_s=8, n_m=6, steps=20,
                                 dt_scale=0.1)
@@ -208,15 +223,9 @@ def test_compare_fd_refuses_cell_peclet_above_two(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_compare_fd_refuses_step_above_single_rate_limit(tmp_path, capsys,
-                                                         monkeypatch):
-    # media substeps let simulate run dt_m = 4e-4 on 50/25, but the
-    # finite-difference solver is single-rate, with limit 1.624e-4: its
-    # gate refuses the config, exit 1, before the finite-element run
-    def no_run(*args, **kwargs):
-        raise AssertionError("stepped before the FD gate")
-
-    monkeypatch.setattr("stentsim.cli.run_simulation", no_run)
+def fd_config(tmp_path, dt_m, time_lines=""):
+    """A 50/25 monolithic config over 20 steps of dt_m, with time_lines
+    added to its time keys."""
     out = tmp_path / "out"
     cfg_path = tmp_path / "run.yaml"
     cfg_path.write_text(f"""\
@@ -225,20 +234,46 @@ mesh:
   n_s: 50
   n_m: 25
 time:
-  t_end: 0.008
-  dt_m: 4.0e-4
-  substep_ratio: 4
-  substep_domain: media
-scheme: monolithic
+  t_end: {20 * dt_m!r}
+  dt_m: {dt_m!r}
+{time_lines}scheme: monolithic
 output:
   out_dir: {out}
 """)
+    return cfg_path, out
+
+
+def test_compare_fd_refuses_step_above_single_rate_limit(tmp_path, capsys,
+                                                         monkeypatch):
+    # dt_m = 4e-4 on 50/25 is above the single-rate limit 1.624e-4 that
+    # both solvers share: the finite-difference gate refuses the config,
+    # exit 1, naming the key, before the finite-element run
+    monkeypatch.setattr("stentsim.cli.run_simulation", no_run)
+    cfg_path, out = fd_config(tmp_path, 4.0e-4)
+    assert run(["compare-fd", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: time.dt_m: dt=0.0004 exceeds the stability "
+                          "allowance 0.000162401 of the single-rate "
+                          "finite-difference solver")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt_m", [1.0e-4, 4.0e-4])
+def test_compare_fd_refuses_substeps(tmp_path, capsys, monkeypatch, dt_m):
+    # the finite-difference solver is single-rate: with 4 media substeps,
+    # dt_m = 1e-4 on 50/25 compared a multi-rate run with a single-rate
+    # one and exited 0, and 4e-4, which media substeps let simulate run,
+    # was refused on the FD step limit alone; both are refused on the
+    # substep ratio, exit 1, before the finite-element run
+    monkeypatch.setattr("stentsim.cli.run_simulation", no_run)
+    cfg_path, out = fd_config(tmp_path, dt_m, SUBSTEPS)
     cfg = parse_config(cfg_path)
     cfg.scheme.check_cfl(cfg.params, cfg.params.l / 50, 1.0 / 25)
     assert run(["compare-fd", "--config", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert "stability allowance" in err
-    assert "cell Peclet number" not in err
+    assert capsys.readouterr().err.startswith(
+        "error: time.substep_ratio: compare-fd compares with the "
+        "single-rate finite-difference solver and needs substep_ratio 1, "
+        "got 4")
     assert not out.exists()
 
 

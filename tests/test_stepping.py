@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from stentsim import CflError, InstabilityError, ValidationError, paper_params
 from stentsim.analysis import make_reference
-from stentsim.fdcheck import _FdStep, run_fd
+from stentsim.fdcheck import _FdStep, _trapezoid_monitor, run_fd
 from stentsim.fem import build_operators
 from stentsim.params import energy_growth_rate
 from stentsim.stepping import (
@@ -705,13 +705,25 @@ from stentsim import paper_params
 from stentsim.fem import build_operators
 from stentsim.stepping import SchemeConfig, run_simulation, sharp_dt_limit
 p = paper_params()
+
+
+def media4(ops, n):
+    dt = sharp_dt_limit(p, ops.mesh_s.h, ops.mesh_m.h, 4, "media") / 2
+    return SchemeConfig("alg1", dt, n * dt, substep_ratio=4,
+                        substep_domain="media")
+
+
 ops = build_operators(p, 20, 10)
-dt = sharp_dt_limit(p, ops.mesh_s.h, ops.mesh_m.h, 4, "media") / 2
-cfg = SchemeConfig("alg1", dt, 300 * dt, substep_ratio=4,
-                   substep_domain="media")
+ops_release = build_operators(p, 100, 25)
+dt = media4(ops, 1).dt_m
 out = []
 for ops, cfg, every in [
-        (ops, cfg, 1),
+        # a stepping run: alg1 with 4 media substeps on 20/10 (N = 43),
+        # every step recorded over 80 steps, under the 2N a dense run needs
+        (ops, media4(ops, 80), 1),
+        # a dense run, as the release benchmark records: 100/25 (N = 153,
+        # its map padded to 160) over 400 steps
+        (ops_release, media4(ops_release, 400), 1),
         # leaping runs: 20/10 every 50, and 200/100 every 517 as the study
         # reference records, whose power of order 404 is padded to 416
         (ops, SchemeConfig("monolithic", dt / 4, 2000 * dt / 4), 50),
@@ -726,8 +738,8 @@ np.save(sys.argv[1], np.concatenate(out))
 
 
 def test_results_do_not_depend_on_blas_thread_count(tmp_path):
-    # the kernel and the leaps are BLAS calls; one thread or two must give
-    # the same bits
+    # the kernel, the dense steps and the leaps are BLAS calls; one thread
+    # or two must give the same bits
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = {}
     for threads in ("1", "2"):
@@ -764,73 +776,124 @@ def step_calls(monkeypatch):
     return calls
 
 
+def leap_dt(setting):
+    """Half the sharp limit of the setting on 8/6."""
+    r, domain = SETTINGS[setting]
+    ops = small_ops()
+    return 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r, domain)
+
+
 def leap_case(variant, setting, snapshots):
     """8/6 over 2010 steps recorded every 50, with the given snapshot
     steps, at half the sharp limit; variant "fd" is the FD solver."""
     n, every = 2010, 50
     r, domain = SETTINGS[setting]
-    ops = small_ops()
-    dt = 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r, domain)
+    dt = leap_dt(setting)
     times = [k * dt for k in snapshots]
     if variant == "fd":
         return run_fd(P, 8, 6, dt, n * dt, times, record_every=every)
     cfg = SchemeConfig(variant, dt, n * dt, substep_ratio=r,
                        substep_domain=domain)
-    return run_simulation(P, ops, cfg, times, record_every=every)
+    return run_simulation(P, small_ops(), cfg, times, record_every=every)
+
+
+def stepped_case(variant, setting):
+    """leap_case's run by looping the solver's step directly, as
+    ``advance`` does: the 2011 records [z; y2], each step's outflow sum
+    sum_{j<k} y1^j(1) and the solver's monitor."""
+    r, domain = SETTINGS[setting]
+    ops, dt = small_ops(), leap_dt(setting)
+    if variant == "fd":
+        step = _FdStep(P, ops.mesh_s, ops.mesh_m, dt).step
+        monitor = _trapezoid_monitor(P, ops.mesh_s, ops.mesh_m)
+    else:
+        kern = _Kernel(P, ops, dt, r, domain)
+        monitor = kern.monitor
+
+        def step(z, y2):
+            return kern.macro_step(z, y2, variant)
+    s = initial_state(ops)
+    z, y2 = stacked(s), s.y2
+    records, outflow = [], [0.0]
+    for _ in range(2010):
+        records.append(np.concatenate([z, y2]))
+        outflow.append(outflow[-1] + z[-1])
+        z, y2 = step(z, y2)
+    records.append(np.concatenate([z, y2]))
+    return np.array(records), np.array(outflow), monitor
 
 
 @pytest.mark.parametrize("variant,setting", LEAP_CASES)
 def test_leaps_match_stepping(step_calls, variant, setting):
-    # the same run leaping and forced to step (a snapshot at every step
-    # leaves no interval to leap); bound, set before the first run: 1e-12
-    # of each series' largest |value|, and of the largest |mass| for the
-    # balance residual, which is a difference of masses
-    stepped = leap_case(variant, setting, range(2011))
-    assert len(step_calls) == 2010
+    # the same run leaping, and with a snapshot at every step, which
+    # leaves no interval to leap, against the solver's step looped
+    # directly; bound, set before the first run: 1e-12 of each series'
+    # largest |value|, and of the largest |mass| for the balance residual,
+    # which is a difference of masses
+    states, outflow, monitor = stepped_case(variant, setting)
+    steps = [*range(0, 2010, 50), 2010]
+    mass, stent_mass, energy = monitor.measure(states[steps])
+    n0, nz = 9, 16  # on 8/6, y0 has 9 nodes and y1 and y2 have 7 each
+    want = {"mass": mass, "stent_mass": stent_mass, "energy": energy,
+            "balance_residual": mass - mass[0] + P.pe * leap_dt(setting)
+            * outflow[steps],
+            "c_at_0": states[steps, n0 - 1], "c1_at_0": states[steps, n0],
+            "c1_at_1": states[steps, nz - 1]}
 
     def close(got, want, scale=None):
         bound = 1e-12 * np.max(np.abs(want if scale is None else scale))
         assert np.max(np.abs(got - want)) <= bound
 
-    # 24 step calls per set bit of 50 build the power, then the interval
-    # holding step 1234 and the 10-step tail step; a snapshot on the
-    # record step 1250 lies inside no interval and blocks no leap
-    for snap, calls in ((1234, 24 * 3 + 50 + 10), (1250, 24 * 3 + 10)):
+    # with a snapshot at every step, a multi-rate run takes dense steps:
+    # 24 step calls (N + 1) build the step's map; the others step.  When
+    # it leaps, 24 step calls per set bit of 50 build the power, then the
+    # interval holding step 1234 and the 10-step tail step; a snapshot on
+    # the record step 1250 lies inside no interval and blocks no leap
+    dense = 24 if SETTINGS[setting][0] > 1 else 2010
+    for snaps, calls in ((range(2011), dense),
+                         ([0, 1234, 2010], 24 * 3 + 50 + 10),
+                         ([0, 1250, 2010], 24 * 3 + 10)):
         step_calls.clear()
-        leap = leap_case(variant, setting, [0, snap, 2010])
+        rec = leap_case(variant, setting, snaps)
         assert len(step_calls) == calls
-        mon, ref = leap.monitors, stepped.monitors
-        np.testing.assert_array_equal(mon.t, ref.t)
+        assert rec.monitors.t.tolist() == [k * leap_dt(setting)
+                                           for k in steps]
         for name in ("mass", "stent_mass", "energy"):
-            close(getattr(mon, name), getattr(ref, name))
-        close(mon.balance_residual, ref.balance_residual, ref.mass)
+            close(getattr(rec.monitors, name), want[name])
+        close(rec.monitors.balance_residual, want["balance_residual"],
+              mass)
         for name in ("c_at_0", "c1_at_0", "c1_at_1"):
-            close(getattr(leap.interface, name),
-                  getattr(stepped.interface, name))
-        assert [s.t for s in leap.snapshots] == [
-            stepped.snapshots[k].t for k in (0, snap, 2010)]
-        for s, k in zip(leap.snapshots, (0, snap, 2010)):
-            for y in ("y0", "y1", "y2"):
-                close(getattr(s.state, y),
-                      getattr(stepped.snapshots[k].state, y))
+            close(getattr(rec.interface, name), want[name])
+        assert [s.t for s in rec.snapshots] == [k * leap_dt(setting)
+                                                for k in snaps]
+        for s, k in zip(rec.snapshots, snaps):
+            for y, part in (("y0", slice(0, n0)), ("y1", slice(n0, nz)),
+                            ("y2", slice(nz, None))):
+                close(getattr(s.state, y), states[k, part])
 
 
 def test_leap_rule_on_benchmark_shapes(step_calls):
-    # a run that records every step steps (release, 100/25 alg1 media4)
+    # a multi-rate run that records every step over 2N steps or more takes
+    # dense steps (release, 100/25 alg1 media4, N = 153): N + 1 step calls
+    # build the step's map, and no kernel step follows
     ops = build_operators(P, 100, 25)
     dt = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, 4, "media") / 1.05
-    run_simulation(P, ops, SchemeConfig("alg1", dt, 300 * dt,
+    run_simulation(P, ops, SchemeConfig("alg1", dt, 400 * dt,
                                         substep_ratio=4,
                                         substep_domain="media"), [])
-    assert len(step_calls) == 300
-    # the kernel probes: 2000 steps recorded at the ends only
-    for n_s, n_m in ((100, 25), (200, 100), (100, 100)):
+    assert len(step_calls) == 154
+    # the kernel probes, 2000 steps recorded at the ends only: single-rate
+    # runs step, and multi-rate ones take dense steps up to N = 400
+    for n_s, n_m, r, calls in ((100, 25, 1, 2000), (200, 100, 1, 2000),
+                               (100, 100, 1, 2000), (100, 25, 4, 154),
+                               (100, 100, 4, 304), (200, 100, 4, 2000)):
         step_calls.clear()
         ops = build_operators(P, n_s, n_m)
-        dt = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h) / 1.05
-        run_simulation(P, ops, SchemeConfig("monolithic", dt, 2000 * dt), [],
+        dt = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r) / 1.05
+        run_simulation(P, ops, SchemeConfig("alg1", dt, 2000 * dt,
+                                            substep_ratio=r), [],
                        record_every=2000)
-        assert len(step_calls) == 2000
+        assert len(step_calls) == calls
     # the study's reference, 200/100 over 103 456 steps recorded every 517
     # with the snapshots compare-alg takes on 50/25 at 6466 steps (every
     # 646 test steps, 16 reference steps each, and t_end): 404 step calls
@@ -856,6 +919,20 @@ def test_unstable_leaping_run_is_caught(monkeypatch, step_calls):
     with pytest.raises(InstabilityError, match="instability detected"):
         run_simulation(P, ops, cfg, [0.0], record_every=50)
     assert len(step_calls) == 34 * 3
+
+
+def test_unstable_dense_run_is_caught(monkeypatch, step_calls):
+    # with the gate switched off, an alg1 run at the step of
+    # test_unstable_step_is_caught_by_energy_guard, with 4 stent substeps
+    # that leave the media's step as it is, takes dense steps and still
+    # stops at the guard: 34 step calls (N + 1) build the step's map
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda *args: None)
+    ops = build_operators(P, 10, 10)
+    dt = 0.99 * classical_media_bound(ops)
+    cfg = SchemeConfig("alg1", dt, t_end=300 * dt, substep_ratio=4)
+    with pytest.raises(InstabilityError, match="instability detected"):
+        run_simulation(P, ops, cfg, [0.0])
+    assert len(step_calls) == 34
 
 
 def test_trajectories_of_variants_converge_first_order():
