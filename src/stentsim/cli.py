@@ -112,6 +112,10 @@ def cmd_simulate(args) -> int:
     mon = rec.monitors
     print(f"simulated t in [0, {cfg.scheme.t_end}] with {cfg.scheme.variant}, "
           f"dt_m={cfg.scheme.dt_m:.6g}, {len(rec.snapshots)} snapshots")
+    for snap in rec.snapshots:
+        if abs(snap.t - snap.t_request) > 1e-9 * cfg.scheme.dt_m:
+            print(f"snapshot requested at t={snap.t_request!r} taken at "
+                  f"t={snap.t!r}, the nearest step")
     print(f"final mass {mon.mass[-1]:.9g} (initial {mon.mass[0]:.9g}), "
           f"final energy {mon.energy[-1]:.9g}")
     print(f"max |mass balance residual| = "

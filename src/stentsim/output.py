@@ -119,6 +119,12 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """The polyline's "x,y x,y ..." at two decimals: the bytes of
+    f"{x:.2f},{y:.2f}" per point, formatted in one pass."""
+    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+
+
 def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",
                   y_label: str = "") -> Path:
     """Line chart of (label, t, y) series as a standalone SVG file.
@@ -211,7 +217,7 @@ def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",
         )
     for i, (label, t, y) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(t, y))
+        pts = _points(sx(t), sy(y))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -68,13 +68,13 @@ Recording: ``RunRecorder.run`` is the one time loop, for this solver
 and the finite-difference one.  It walks the run's stops, the record
 and snapshot steps in ascending order: up to each stop it adds y1(1) to
 the outflow sum and steps, then takes the record and snapshot due there.
-A record [z; y2] goes into a preallocated block of RECORD_BLOCK rows; each
-full block, and the last partial one, is measured in one shot by the
-solver's ``BlockMonitor`` (two matrix-vector products for the masses,
-the form's ``TridiagonalMatrix.quadratic`` for the energy), guarded,
-and stored.  The guards name the
-first failing record at its own t, so a run stops with the message a
-per-record check would give and before any output is written.
+A record [z; y2; q], q the outflow sum, is a row of a preallocated
+block of RECORD_BLOCK rows; each full block, and the last partial one,
+is measured in one shot by the solver's ``BlockMonitor`` (two
+matrix-vector products for the masses, the form's
+``TridiagonalMatrix.quadratic`` for the energy), guarded, and stored.
+The guards name the first failing record at its own t, so a run stops
+with the message a per-record check would give and before any output.
 
 A run that records rarely leaps from record to record.  The step, with
 the outflow sum q carried along, is one linear map G on x = [z; y2; q],
@@ -85,9 +85,12 @@ run leaps between them; every shorter gap is stepped.  A multi-rate run
 that does not leap, such as one that records every step, takes dense
 steps instead when it is small enough: it builds G itself, the power of
 order 1, and takes each step as one product, which costs less than the
-kernel's substeps.  Input size alone decides which power a run builds,
-if any (``RunRecorder`` documents the rule), and the results differ
-from stepping at roundoff only.
+kernel's substeps.  If every stop is a record step and P's order is
+record_every, as in a dense run that records every step, each record
+block after the first is one product X_next = X_prev @ Q^T with
+Q = P^RECORD_BLOCK.  Input size alone decides which power a run builds,
+if any, and whether it fills blocks (``RunRecorder`` documents the
+rules), and the results differ from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -489,6 +492,12 @@ DENSE_MAX_SIZE = 400
 LEAP_FLUSH = 1e-150
 
 
+def _flush_to_zero(a: np.ndarray, scratch: np.ndarray) -> None:
+    """Set the entries of a below LEAP_FLUSH to 0, in scratch's storage."""
+    np.greater_equal(np.abs(a, out=scratch), LEAP_FLUSH, out=scratch)
+    a *= scratch
+
+
 def _power(step, nz: int, size: int, every: int) -> np.ndarray:
     """G^every, where G is the map (z, y2, q) -> (step(z, y2), q + z[-1])
     on x = [z; y2; q] and z has nz entries, as the leading (size+1)^2
@@ -506,20 +515,16 @@ def _power(step, nz: int, size: int, every: int) -> np.ndarray:
             new[:nz], new[nz:size] = step(col[:nz], col[nz:size])
             new[size] = col[size] + col[nz - 1]
 
-    def flush(a, scratch):
-        np.greater_equal(np.abs(a, out=scratch), LEAP_FLUSH, out=scratch)
-        a *= scratch
-
     times_g(a, t)
     a, t = t, a
-    flush(a, t)
+    _flush_to_zero(a, t)
     for bit in bin(every)[3:]:
         np.matmul(a, a, out=t)
         a, t = t, a
         if bit == "1":
             times_g(a, t)
             a, t = t, a
-        flush(a, t)
+        _flush_to_zero(a, t)
     return a
 
 
@@ -572,6 +577,15 @@ class RunRecorder:
     A run that records every step does not leap unless N <= 16; the
     finite-difference solver, which is single-rate, never takes dense
     steps.
+
+    Block products fill each record block after the first with one
+    product with Q = P^RECORD_BLOCK, 8 squarings of P once the first
+    block is flushed, when P's order is record_every, every snapshot step
+    is a record step and the records on the grid of record_every past
+    the first block number at least 3 * m, m the padded order.  Basis
+    (one BLAS thread, best of 3 runs, against one product with P per
+    record): m = 64 pays from about 128 records, m = 160 from 384-480,
+    m = 416 (leaping every 32) from 1280, m = 768 (every 64) by 2300.
     """
 
     def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
@@ -605,14 +619,12 @@ class RunRecorder:
 
         self.n0 = mesh_s.n_elems + 1
         self.nz = self.n0 + mesh_m.n_elems + 1
+        self.size = self.nz + mesh_m.n_elems + 1
         records = np.append(np.arange(0, n_steps, every), n_steps)
         # rows: t, mass, stent mass, energy, balance residual, c(0-),
         # c1(0+), c1(1)
         self._out = np.empty((8, len(records)))
         np.multiply(records, dt, out=self._out[0])
-        b = min(RECORD_BLOCK, len(records))
-        self._block = np.empty((b, self.nz + mesh_m.n_elems + 1))
-        self._outflow = np.empty(b)
 
     def _stops(self):
         """The run's stops in ascending order, each once: the record steps
@@ -623,11 +635,11 @@ class RunRecorder:
         stops = merge(records, sorted(self._snap_steps))
         return (k for k, _ in groupby(stops))
 
-    def _order(self, size):
-        """The order of the power the run builds, for record width size:
-        record_every if leaping pays, 1 if a dense step pays, None if the
-        run only steps (the rule is in the class docstring)."""
-        every = self.record_every
+    def _order(self):
+        """The order of the power the run builds: record_every if leaping
+        pays, 1 if a dense step pays, None if the run only steps (the rule
+        is in the class docstring)."""
+        every, size = self.record_every, self.size
         if (size <= LEAP_MAX_SIZE and 16 * every >= size
                 and 4 * every * sum(b - a == every for a, b in
                                     pairwise(self._stops())) >= size * size):
@@ -637,6 +649,14 @@ class RunRecorder:
             return 1
         return None
 
+    def _fills_blocks(self, order, m):
+        """Whether block products fill the record blocks after the first,
+        for a power of order ``order`` padded to m (see the class doc)."""
+        every, n = self.record_every, self.n_steps
+        return (order == every
+                and all(k % every == 0 or k == n for k in self._snap_steps)
+                and n // every + 1 - RECORD_BLOCK >= 3 * m)
+
     # a non-finite step, leap or record is the guard's to report, not numpy's
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, step, z, y2) -> SolutionRecord:
@@ -644,39 +664,65 @@ class RunRecorder:
         steps and return the record.  If the run builds a power of the
         step, each gap from one stop to the next takes as many products
         with it as fit and steps the rest; otherwise it steps.  Then the
-        record and the snapshot due at the new stop are taken."""
+        record and the snapshot due at the new stop are taken.  If block
+        products fill the record blocks, each block after the first is
+        filled by one product with Q when the block before it is flushed,
+        and its stops take no step: a stop inside it only reads its row."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
-        block = self._block
-        size = block.shape[1]
-        order = self._order(size)
+        size = self.size
+        order = self._order()
         power = None if order is None else _power(step, nz, size, order)
-        x = None if power is None else np.zeros(len(power))
+        width = size + 1 if power is None else len(power)
+        # a row is a record [z; y2; q] padded to width, q the outflow sum
+        # y1(1) over the steps before its step; a partial last block is
+        # filled in full and sliced, so every product's shape stays padded
+        rows = np.zeros((min(RECORD_BLOCK, self._out.shape[1]), width))
+        blocks = power is not None and self._fills_blocks(order, width)
+        spare = np.empty_like(rows) if blocks else None
+        regular = n // every + 1  # records on a multiple of record_every
         snapshots = []
-        taken = 0          # records taken
-        outflow_sum = 0.0  # y1(1) summed over the steps before k
-        k = 0
+        x, q = None, 0.0  # x: the state [z; y2; q] if a row or product has it
+        taken = filled = k = 0  # records taken, records filled by blocks
         for stop in self._stops():
-            if power is not None and stop - k >= order:
-                x[:nz], x[nz:size], x[size] = z, y2, outflow_sum
+            j = taken % len(rows)
+            record = stop % every == 0 or stop == n
+            if taken < filled:  # a block product filled this record's row
+                k, x = stop, rows[j]
+            elif power is not None and stop - k >= order:
+                # x is set: such a gap follows a record or a dense step
                 while stop - k >= order:
-                    x = power @ x
                     k += order
-                z, y2, outflow_sum = x[:nz], x[nz:size], float(x[size])
-            while k < stop:
-                outflow_sum += float(z[-1])
-                z, y2 = step(z, y2)
-                k += 1
-            if k % every == 0 or k == n:
-                j = taken % len(block)
-                block[j, :nz] = z
-                block[j, nz:] = y2
-                self._outflow[j] = outflow_sum
+                    x = np.matmul(power, x, out=rows[j] if record
+                                  and k == stop else None)
+            if k < stop:
+                if x is not None:
+                    z, y2, q, x = x[:nz], x[nz:size], float(x[size]), None
+                while k < stop:
+                    q += float(z[-1])
+                    z, y2 = step(z, y2)
+                    k += 1
+            if record:
+                if x is None:
+                    x = rows[j]
+                    x[:nz], x[nz:size], x[size] = z, y2, q
                 taken += 1
-                if j + 1 == len(block) or k == n:
-                    self._flush(taken - j - 1, taken)
+                if j + 1 == len(rows) or k == n:
+                    self._flush(rows[:j + 1], taken - j - 1)
+                    if blocks and taken < regular:
+                        if taken == len(rows):  # power <- power^RECORD_BLOCK
+                            free = np.empty_like(power)
+                            for _ in range(RECORD_BLOCK.bit_length() - 1):
+                                np.matmul(power, power, out=free)
+                                power, free = free, power
+                                _flush_to_zero(power, free)
+                        np.matmul(rows, power.T, out=spare)
+                        rows, spare = spare, rows
+                        filled = min(taken + len(rows), regular)
             if k in self._snap_steps:
                 t = k * self.dt
-                state = SimState(z[:n0].copy(), z[n0:].copy(), y2.copy(), t)
+                s = np.concatenate([z, y2]) if x is None else x
+                state = SimState(s[:n0].copy(), s[n0:nz].copy(),
+                                 s[nz:size].copy(), t)
                 snapshots.append(Snapshot(t_request=self._snap_steps[k], t=t,
                                           state=state))
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
@@ -691,10 +737,11 @@ class RunRecorder:
             config=self.config,
         )
 
-    def _flush(self, lo, hi):
-        """Measure, guard and store records lo..hi-1, the block's rows."""
-        block = self._block[:hi - lo]
-        out = self._out[:, lo:hi]
+    def _flush(self, rows, lo):
+        """Measure, guard and store records lo, lo+1, ..., the rows."""
+        size = self.size
+        block = rows[:, :size]
+        out = self._out[:, lo:lo + len(rows)]
         t = out[0]
         mass, stent_mass, energy = self.monitor.measure(block)
         if lo == 0:
@@ -719,7 +766,7 @@ class RunRecorder:
             )
         out[1], out[2], out[3] = mass, stent_mass, energy
         np.subtract(mass, self._mass0, out=out[4])
-        out[4] += (self.pe * self.dt) * self._outflow[:hi - lo]
+        out[4] += (self.pe * self.dt) * rows[:, size]
         out[5] = block[:, self.n0 - 1]
         out[6] = block[:, self.n0]
         out[7] = block[:, self.nz - 1]

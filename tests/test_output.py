@@ -5,7 +5,7 @@ import pytest
 
 from stentsim import ValidationError, paper_params
 from stentsim.fem import build_operators
-from stentsim.output import emit_svg_plot, write_record_csv
+from stentsim.output import _points, emit_svg_plot, write_record_csv
 from stentsim.stepping import SchemeConfig, run_simulation, sharp_dt_limit
 
 P = paper_params()
@@ -175,6 +175,34 @@ def test_svg_constant_series_is_horizontal(tmp_path):
     pts = text.split('points="')[1].split('"')[0]
     ys = {pair.split(",")[1] for pair in pts.split()}
     assert len(ys) == 1
+
+
+def test_svg_polyline_matches_per_point_formula(tmp_path):
+    # the polyline is mapped and formatted one series at a time; its bytes
+    # are those of f"{sx(a):.2f},{sy(b):.2f}" with sx and sy evaluated on
+    # each point's numpy scalars.  Binary ties at .xx5 (.125, .375, ...)
+    # round half to even, and values just below 0 round to -0.00
+    edge = np.array([62.125, 62.375, 100.625, 0.875, -0.001, -0.0049,
+                     -0.0, 0.005, 1.005, 2.675])
+    assert _points(edge, edge[::-1]) == " ".join(
+        f"{a:.2f},{b:.2f}" for a, b in zip(edge, edge[::-1]))
+    assert _points(edge[4:7], edge[4:7]) == "-0.00,-0.00 " * 2 + "-0.00,-0.00"
+    # on t = k/1024 over [0, 1], sx(t) = 62 + 560 t is a multiple of 1/64,
+    # so many points sit on .xx5 ties
+    t = np.arange(1025) / 1024
+    y = np.sin(7.0 * t) * t
+    path = emit_svg_plot([("a", t, y), ("b", t, -2.0 * y)], tmp_path / "p.svg")
+    ml, mt, pw, ph = 62, 34, 560, 340  # the plot area's margins and size
+    y_lo, y_hi = min(y.min(), (-2.0 * y).min()), max(y.max(), (-2.0 * y).max())
+    pad = (y_hi - y_lo) * 0.05
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    want = [" ".join(f"{ml + (a - 0.0) / (1.0 - 0.0) * pw:.2f},"
+                     f"{mt + ph - (b - y_lo) / (y_hi - y_lo) * ph:.2f}"
+                     for a, b in zip(t, ys)) for ys in (y, -2.0 * y)]
+    got = [part.split('"')[0]
+           for part in path.read_text().split('points="')[1:]]
+    assert got == want
+    assert np.count_nonzero((ml + pw * t) * 8 % 2 == 1) == 64  # the ties
 
 
 def test_svg_empty_series_rejected(tmp_path):

@@ -15,6 +15,7 @@ from stentsim.fem import build_operators
 from stentsim.params import energy_growth_rate
 from stentsim.stepping import (
     RECORD_BLOCK,
+    RunRecorder,
     SchemeConfig,
     SimState,
     _Kernel,
@@ -724,6 +725,9 @@ for ops, cfg, every in [
         # a dense run, as the release benchmark records: 100/25 (N = 153,
         # its map padded to 160) over 400 steps
         (ops_release, media4(ops_release, 400), 1),
+        # the same over 1000 steps, whose records after the first 256
+        # fill three blocks by block products
+        (ops_release, media4(ops_release, 1000), 1),
         # leaping runs: 20/10 every 50, and 200/100 every 517 as the study
         # reference records, whose power of order 404 is padded to 416
         (ops, SchemeConfig("monolithic", dt / 4, 2000 * dt / 4), 50),
@@ -738,8 +742,8 @@ np.save(sys.argv[1], np.concatenate(out))
 
 
 def test_results_do_not_depend_on_blas_thread_count(tmp_path):
-    # the kernel, the dense steps and the leaps are BLAS calls; one thread
-    # or two must give the same bits
+    # the kernel, the dense steps, the leaps and the block products are
+    # BLAS calls; one thread or two must give the same bits
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = {}
     for threads in ("1", "2"):
@@ -783,10 +787,9 @@ def leap_dt(setting):
     return 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r, domain)
 
 
-def leap_case(variant, setting, snapshots):
-    """8/6 over 2010 steps recorded every 50, with the given snapshot
+def leap_case(variant, setting, snapshots, n=2010, every=50):
+    """8/6 over n steps recorded every ``every``, with the given snapshot
     steps, at half the sharp limit; variant "fd" is the FD solver."""
-    n, every = 2010, 50
     r, domain = SETTINGS[setting]
     dt = leap_dt(setting)
     times = [k * dt for k in snapshots]
@@ -797,9 +800,9 @@ def leap_case(variant, setting, snapshots):
     return run_simulation(P, small_ops(), cfg, times, record_every=every)
 
 
-def stepped_case(variant, setting):
+def stepped_case(variant, setting, n=2010):
     """leap_case's run by looping the solver's step directly, as
-    ``advance`` does: the 2011 records [z; y2], each step's outflow sum
+    ``advance`` does: the n + 1 records [z; y2], each step's outflow sum
     sum_{j<k} y1^j(1) and the solver's monitor."""
     r, domain = SETTINGS[setting]
     ops, dt = small_ops(), leap_dt(setting)
@@ -815,7 +818,7 @@ def stepped_case(variant, setting):
     s = initial_state(ops)
     z, y2 = stacked(s), s.y2
     records, outflow = [], [0.0]
-    for _ in range(2010):
+    for _ in range(n):
         records.append(np.concatenate([z, y2]))
         outflow.append(outflow[-1] + z[-1])
         z, y2 = step(z, y2)
@@ -823,20 +826,16 @@ def stepped_case(variant, setting):
     return np.array(records), np.array(outflow), monitor
 
 
-@pytest.mark.parametrize("variant,setting", LEAP_CASES)
-def test_leaps_match_stepping(step_calls, variant, setting):
-    # the same run leaping, and with a snapshot at every step, which
-    # leaves no interval to leap, against the solver's step looped
-    # directly; bound, set before the first run: 1e-12 of each series'
-    # largest |value|, and of the largest |mass| for the balance residual,
-    # which is a difference of masses
-    states, outflow, monitor = stepped_case(variant, setting)
-    steps = [*range(0, 2010, 50), 2010]
+def assert_matches_stepping(rec, stepped, dt, steps, snaps):
+    """rec's records at steps and its snapshots at snaps against the
+    stepped run (records, outflow sums, monitor); bound, set before the
+    first run: 1e-12 of each series' largest |value|, and of the largest
+    |mass| for the balance residual, which is a difference of masses."""
+    states, outflow, monitor = stepped
     mass, stent_mass, energy = monitor.measure(states[steps])
     n0, nz = 9, 16  # on 8/6, y0 has 9 nodes and y1 and y2 have 7 each
     want = {"mass": mass, "stent_mass": stent_mass, "energy": energy,
-            "balance_residual": mass - mass[0] + P.pe * leap_dt(setting)
-            * outflow[steps],
+            "balance_residual": mass - mass[0] + P.pe * dt * outflow[steps],
             "c_at_0": states[steps, n0 - 1], "c1_at_0": states[steps, n0],
             "c1_at_1": states[steps, nz - 1]}
 
@@ -844,6 +843,26 @@ def test_leaps_match_stepping(step_calls, variant, setting):
         bound = 1e-12 * np.max(np.abs(want if scale is None else scale))
         assert np.max(np.abs(got - want)) <= bound
 
+    assert rec.monitors.t.tolist() == [k * dt for k in steps]
+    for name in ("mass", "stent_mass", "energy"):
+        close(getattr(rec.monitors, name), want[name])
+    close(rec.monitors.balance_residual, want["balance_residual"], mass)
+    for name in ("c_at_0", "c1_at_0", "c1_at_1"):
+        close(getattr(rec.interface, name), want[name])
+    assert [s.t for s in rec.snapshots] == [k * dt for k in snaps]
+    for s, k in zip(rec.snapshots, snaps):
+        for y, part in (("y0", slice(0, n0)), ("y1", slice(n0, nz)),
+                        ("y2", slice(nz, None))):
+            close(getattr(s.state, y), states[k, part])
+
+
+@pytest.mark.parametrize("variant,setting", LEAP_CASES)
+def test_leaps_match_stepping(step_calls, variant, setting):
+    # the same run leaping, and with a snapshot at every step, which
+    # leaves no interval to leap, against the solver's step looped
+    # directly
+    stepped = stepped_case(variant, setting)
+    steps = [*range(0, 2010, 50), 2010]
     # with a snapshot at every step, a multi-rate run takes dense steps:
     # 24 step calls (N + 1) build the step's map; the others step.  When
     # it leaps, 24 step calls per set bit of 50 build the power, then the
@@ -856,32 +875,72 @@ def test_leaps_match_stepping(step_calls, variant, setting):
         step_calls.clear()
         rec = leap_case(variant, setting, snaps)
         assert len(step_calls) == calls
-        assert rec.monitors.t.tolist() == [k * leap_dt(setting)
-                                           for k in steps]
-        for name in ("mass", "stent_mass", "energy"):
-            close(getattr(rec.monitors, name), want[name])
-        close(rec.monitors.balance_residual, want["balance_residual"],
-              mass)
-        for name in ("c_at_0", "c1_at_0", "c1_at_1"):
-            close(getattr(rec.interface, name), want[name])
-        assert [s.t for s in rec.snapshots] == [k * leap_dt(setting)
-                                                for k in snaps]
-        for s, k in zip(rec.snapshots, snaps):
-            for y, part in (("y0", slice(0, n0)), ("y1", slice(n0, nz)),
-                            ("y2", slice(nz, None))):
-                close(getattr(s.state, y), states[k, part])
+        assert_matches_stepping(rec, stepped, leap_dt(setting), steps, snaps)
 
 
-def test_leap_rule_on_benchmark_shapes(step_calls):
+@pytest.fixture
+def block_fills(monkeypatch):
+    """A list of each run's answer to whether block products fill its
+    record blocks, for every run that builds a power."""
+    answers = []
+    fills = RunRecorder._fills_blocks
+
+    def spy(self, *args):
+        answers.append(fills(self, *args))
+        return answers[-1]
+
+    monkeypatch.setattr(RunRecorder, "_fills_blocks", spy)
+    return answers
+
+
+# (variant, setting, record_every): every step recorded takes dense steps;
+# every second step recorded leaps, and its last step, n = 1737, is one
+# step past the last record on the grid of 2
+BLOCK_CASES = [("alg1", "stent4", 1), ("alg2", "media4", 1),
+               ("monolithic", "media4", 1), ("monolithic", "r1", 2),
+               ("fd", "r1", 2)]
+
+
+@pytest.mark.parametrize("variant,setting,every", BLOCK_CASES)
+def test_block_products_match_stepping(step_calls, block_fills, variant,
+                                        setting, every):
+    # 869 records on the grid of record_every fill three blocks of
+    # RECORD_BLOCK and part of a fourth; blocks 2 to 4 are each one product
+    # with the power's RECORD_BLOCK-th power.  Snapshots on record steps
+    # inside blocks 1 to 4 are read from the blocks' rows.  24 step calls
+    # (N + 1) build the power, and a leaping run steps its last step
+    assert 3 * RECORD_BLOCK < 869 < 4 * RECORD_BLOCK
+    n = 868 * every + every - 1
+    steps = [*range(0, n + 1, every)] + ([n] if n % every else [])
+    snaps = [0, 100 * every, 300 * every, 600 * every, 800 * every, n]
+    rec = leap_case(variant, setting, snaps, n, every)
+    assert block_fills == [True]
+    assert len(step_calls) == 24 + (every - 1)
+    assert_matches_stepping(rec, stepped_case(variant, setting, n),
+                            leap_dt(setting), steps, snaps)
+
+
+def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     # a multi-rate run that records every step over 2N steps or more takes
     # dense steps (release, 100/25 alg1 media4, N = 153): N + 1 step calls
-    # build the step's map, and no kernel step follows
+    # build the step's map, and no kernel step follows.  Over 400 steps it
+    # fills under 3 * 160 records past its first block and builds no block
+    # power; over the release workload's 32 328 steps, with its 25
+    # snapshots, it does
     ops = build_operators(P, 100, 25)
-    dt = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, 4, "media") / 1.05
-    run_simulation(P, ops, SchemeConfig("alg1", dt, 400 * dt,
-                                        substep_ratio=4,
-                                        substep_domain="media"), [])
-    assert len(step_calls) == 154
+    n = stable_step_count(P, P.l / 100, 1.0 / 25, 20.0, 4, "media")
+    assert n == 32328
+    for steps, snaps, fills in ((400, [], False),
+                                (n, [20.0 * k / 24 for k in range(25)],
+                                 True)):
+        step_calls.clear()
+        block_fills.clear()
+        run_simulation(P, ops, SchemeConfig("alg1", 20.0 / n, steps * 20.0 / n,
+                                            substep_ratio=4,
+                                            substep_domain="media"), snaps)
+        assert len(step_calls) == 154
+        assert block_fills == [fills]
+    block_fills.clear()
     # the kernel probes, 2000 steps recorded at the ends only: single-rate
     # runs step, and multi-rate ones take dense steps up to N = 400
     for n_s, n_m, r, calls in ((100, 25, 1, 2000), (200, 100, 1, 2000),
@@ -906,6 +965,17 @@ def test_leap_rule_on_benchmark_shapes(step_calls):
     assert len(step_calls) == 404 * 3 + 10 * 517 + 56
     assert [round(s.t * 103456) for s in ref.snapshots] == [
         k * 16 * 646 for k in range(11)] + [103456]
+    # compare-fd's two runs, 100/100 over 103 321 steps recorded every 1000
+    # with a snapshot every 0.1, leap; neither, nor any run above, fills
+    # more than one block of records, so none builds a block power
+    n = stable_step_count(P, P.l / 100, 1.0 / 100, 1.0)
+    assert n == 103321
+    times = [k / 10 for k in range(11)]
+    run_simulation(P, build_operators(P, 100, 100),
+                   SchemeConfig("monolithic", 1.0 / n, 1.0), times,
+                   record_every=1000)
+    run_fd(P, 100, 100, 1.0 / n, 1.0, times, record_every=1000)
+    assert block_fills == [False] * 5
 
 
 def test_unstable_leaping_run_is_caught(monkeypatch, step_calls):
@@ -933,6 +1003,24 @@ def test_unstable_dense_run_is_caught(monkeypatch, step_calls):
     with pytest.raises(InstabilityError, match="instability detected"):
         run_simulation(P, ops, cfg, [0.0])
     assert len(step_calls) == 34
+
+
+def test_unstable_block_run_is_caught(monkeypatch, step_calls, block_fills):
+    # with the gate switched off, an alg1 run with 4 stent substeps at 1.02
+    # times the sharp limit grows slowly; recorded every step over 2000
+    # steps, it fills its blocks after the first by block products and
+    # still stops at the guard, which names record 341, in the second
+    # block, as stepping does: 34 step calls (N + 1) build the step's map
+    monkeypatch.setattr(SchemeConfig, "check_cfl", lambda *args: None)
+    ops = build_operators(P, 10, 10)
+    dt = 1.02 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, 4)
+    cfg = SchemeConfig("alg1", dt, t_end=2000 * dt, substep_ratio=4)
+    with pytest.raises(InstabilityError) as err:
+        run_simulation(P, ops, cfg, [0.0])
+    assert block_fills == [True]
+    assert len(step_calls) == 34
+    assert RECORD_BLOCK < 341 < 2 * RECORD_BLOCK
+    assert str(err.value).endswith(f"at t={341 * dt:.6g}")
 
 
 def test_trajectories_of_variants_converge_first_order():
