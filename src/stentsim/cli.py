@@ -15,13 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    compare_algorithms,
-    compare_records,
-    make_reference,
-    stepping_study,
-    convergence_study,
-)
+from .analysis import (compare_algorithms, compare_records,
+                       convergence_study, make_reference, stepping_study)
 from .config import dump_config, parse_config
 from .errors import CflError, ConfigError, NumericsError, ValidationError
 from .fdcheck import check_fd, run_fd
@@ -50,6 +45,15 @@ def _write_reports(path, keys, reports):
     path = write_table_csv(path, [*keys, "field", "norm", "absolute",
                                   "relative"], rows)
     print(f"wrote {path}")
+
+
+def _report_moved_snapshots(rec, dt):
+    """Print each snapshot of rec taken more than 1e-9 * dt from its
+    requested time, with both times."""
+    for snap in rec.snapshots:
+        if abs(snap.t - snap.t_request) > 1e-9 * dt:
+            print(f"snapshot requested at t={snap.t_request!r} taken at "
+                  f"t={snap.t!r}, the nearest step")
 
 
 def _study_t_end(cfg):
@@ -112,10 +116,7 @@ def cmd_simulate(args) -> int:
     mon = rec.monitors
     print(f"simulated t in [0, {cfg.scheme.t_end}] with {cfg.scheme.variant}, "
           f"dt_m={cfg.scheme.dt_m:.6g}, {len(rec.snapshots)} snapshots")
-    for snap in rec.snapshots:
-        if abs(snap.t - snap.t_request) > 1e-9 * cfg.scheme.dt_m:
-            print(f"snapshot requested at t={snap.t_request!r} taken at "
-                  f"t={snap.t!r}, the nearest step")
+    _report_moved_snapshots(rec, cfg.scheme.dt_m)
     print(f"final mass {mon.mass[-1]:.9g} (initial {mon.mass[0]:.9g}), "
           f"final energy {mon.energy[-1]:.9g}")
     print(f"max |mass balance residual| = "
@@ -168,6 +169,7 @@ def cmd_compare_fd(args) -> int:
                          record_every=cfg.record_every)
     fd = run_fd(cfg.params, cfg.n_s, cfg.n_m, scheme.dt_m, scheme.t_end,
                 snaps, record_every=cfg.record_every)
+    _report_moved_snapshots(fem, scheme.dt_m)  # both runs snap alike
     _write_reports(out / "fd_comparison.csv", (),
                    [("finite-difference vs finite-element", (),
                      compare_records(fd, fem))])
@@ -231,12 +233,9 @@ def cmd_plot(args) -> int:
             raise ConfigError(f"field {want!r} not present in {path}")
         plot_series = []
         for t in sorted(series):
-            pairs = sorted(series[t])
             label = (f"t={t:.6g}" if time_unit is None
                      else f"{t * time_unit / 3600.0:.6g} h")
-            plot_series.append((label,
-                                np.array([a for a, _ in pairs]),
-                                np.array([b for _, b in pairs])))
+            plot_series.append((label, *np.array(sorted(series[t])).T))
         labels = dict(title=f"{want} profiles", x_label="x", y_label=want)
     else:
         if args.field not in header:

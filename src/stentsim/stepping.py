@@ -65,32 +65,31 @@ step counts on the same limit.  A runaway run is still caught by an
 energy monitor that aborts loudly instead of writing non-finite output.
 
 Recording: ``RunRecorder.run`` is the one time loop, for this solver
-and the finite-difference one.  It walks the run's stops, the record
-and snapshot steps in ascending order: up to each stop it adds y1(1) to
-the outflow sum and steps, then takes the record and snapshot due there.
-A record [z; y2; q], q the outflow sum, is a row of a preallocated
-block of RECORD_BLOCK rows; each full block, and the last partial one,
-is measured in one shot by the solver's ``BlockMonitor`` (two
-matrix-vector products for the masses, the form's
-``TridiagonalMatrix.quadratic`` for the energy), guarded, and stored.
-The guards name the first failing record at its own t, so a run stops
-with the message a per-record check would give and before any output.
+and the finite-difference one.  Its state is one row x = [z; y2; q], q
+the outflow sum of y1(1) over the steps taken.  A record is such a row
+of a preallocated block of RECORD_BLOCK rows, taken every record_every
+steps and at n_steps.  The loop goes over the blocks: it reaches each
+record from the one before by ``advance``, through any snapshot
+strictly between them, then measures the block in one shot by the
+solver's ``BlockMonitor`` (two matrix-vector products for the masses,
+the form's ``TridiagonalMatrix.quadratic`` for the energy), guards it
+and stores it.  The guards name the first failing record at its own t,
+so a run stops with the message a per-record check would give and
+before any output.
 
-A run that records rarely leaps from record to record.  The step, with
-the outflow sum q carried along, is one linear map G on x = [z; y2; q],
-so record_every steps are one product x <- P x with P = G^record_every,
-built once by repeated squaring (``_power``).  Two stops record_every
-apart are two record steps with no snapshot strictly inside, and the
-run leaps between them; every shorter gap is stepped.  A multi-rate run
-that does not leap, such as one that records every step, takes dense
-steps instead when it is small enough: it builds G itself, the power of
-order 1, and takes each step as one product, which costs less than the
-kernel's substeps.  If every stop is a record step and P's order is
-record_every, as in a dense run that records every step, each record
+The step, with q carried along, is one linear map G on x, so ``advance``
+takes as many products x <- P x with a power P = G^order as fit, then
+steps the rest.  A run that records rarely builds P = G^record_every by
+repeated squaring (``_power``) and leaps each record interval with no
+snapshot strictly inside; a small multi-rate run that does not leap,
+such as one that records every step, builds G itself and takes each
+step as one product, which costs less than the kernel's substeps.  If
+P's order is record_every and every snapshot is on a record step, each
 block after the first is one product X_next = X_prev @ Q^T with
-Q = P^RECORD_BLOCK.  Input size alone decides which power a run builds,
-if any, and whether it fills blocks (``RunRecorder`` documents the
-rules), and the results differ from stepping at roundoff only.
+Q = P^RECORD_BLOCK, and only its snapshots are read from its rows.
+Input size alone decides which power a run builds, if any, and whether
+it fills blocks (``RunRecorder`` documents the rules); the results
+differ from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -98,8 +97,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from heapq import merge
-from itertools import chain, groupby, pairwise
 
 import numpy as np
 from scipy.linalg.blas import daxpy
@@ -498,13 +495,12 @@ def _flush_to_zero(a: np.ndarray, scratch: np.ndarray) -> None:
     a *= scratch
 
 
-def _power(step, nz: int, size: int, every: int) -> np.ndarray:
+def _power(step, nz: int, size: int, every: int):
     """G^every, where G is the map (z, y2, q) -> (step(z, y2), q + z[-1])
     on x = [z; y2; q] and z has nz entries, as the leading (size+1)^2
     block of a Fortran-ordered array padded with zeros to a multiple of
-    LEAP_PAD.  Left-to-right binary powering over the bits of every:
-    square, then multiply by G where the bit is set.  G is never stored;
-    since powers of G commute, G A is taken as step on each column of A."""
+    LEAP_PAD, by ``_raise``.  G is never stored; since powers of G
+    commute, G A is taken as step on each column of A."""
     m = -(-(size + 1) // LEAP_PAD) * LEAP_PAD
     a = np.zeros((m, m), order="F")
     np.fill_diagonal(a[:size + 1, :size + 1], 1.0)
@@ -516,9 +512,15 @@ def _power(step, nz: int, size: int, every: int) -> np.ndarray:
             new[size] = col[size] + col[nz - 1]
 
     times_g(a, t)
-    a, t = t, a
-    _flush_to_zero(a, t)
-    for bit in bin(every)[3:]:
+    _flush_to_zero(t, a)
+    return _raise(t, a, bin(every)[3:], times_g)
+
+
+def _raise(a, t, bits, times_g=None):
+    """Left-to-right binary powering of a over ``bits``, the binary digits
+    of the exponent after its leading 1: square, multiply by G (``times_g``)
+    where the bit is 1, and flush to zero, in the buffers a and t."""
+    for bit in bits:
         np.matmul(a, a, out=t)
         a, t = t, a
         if bit == "1":
@@ -560,23 +562,20 @@ class RunRecorder:
     Snapshot requests are snapped to the nearest step; two requests
     landing on the same step raise ValidationError.
 
-    The run advances from stop to stop (``_stops``).  A run may build a
-    power of the step (see the module docstring); each gap from one stop
-    to the next then takes as many products with it as fit and steps the
-    rest.  With N the record width len(z) + len(y2), the power's order is
+    A run may build a power of the step (see the module docstring).
+    With N the record width len(z) + len(y2), its order is
       record_every, a leap, when leaping pays:
         N <= LEAP_MAX_SIZE, so its two (N+1)^2 buffers (padded) stay small;
         16 * record_every >= N, so a leap costs less than its steps;
-        4 * record_every * (gaps of record_every) >= N^2, so the
-        squarings pay;
+        4 * record_every * (record intervals with no snapshot strictly
+        inside) >= N^2, so the squarings pay;
       1, a dense step, when that pays instead:
         substep_ratio > 1, since a single-rate kernel step costs little;
         N <= DENSE_MAX_SIZE, so a product costs less than a kernel step;
         n_steps >= 2 * N, so the N + 1 steps that build G pay;
       none otherwise, and the run steps.
-    A run that records every step does not leap unless N <= 16; the
-    finite-difference solver, which is single-rate, never takes dense
-    steps.
+    A run that records every step leaps only if N <= 16, and the
+    single-rate finite-difference solver never takes dense steps.
 
     Block products fill each record block after the first with one
     product with Q = P^RECORD_BLOCK, 8 squarings of P once the first
@@ -626,26 +625,20 @@ class RunRecorder:
         self._out = np.empty((8, len(records)))
         np.multiply(records, dt, out=self._out[0])
 
-    def _stops(self):
-        """The run's stops in ascending order, each once: the record steps
-        0, record_every, 2*record_every, ... and n_steps, merged with the
-        snapshot steps.  A generator: the schedule is never stored."""
-        records = chain(range(0, self.n_steps, self.record_every),
-                        (self.n_steps,))
-        stops = merge(records, sorted(self._snap_steps))
-        return (k for k, _ in groupby(stops))
-
     def _order(self):
         """The order of the power the run builds: record_every if leaping
         pays, 1 if a dense step pays, None if the run only steps (the rule
         is in the class docstring)."""
-        every, size = self.record_every, self.size
+        every, size, n = self.record_every, self.size, self.n_steps
+        # the record intervals of record_every steps with no snapshot
+        # strictly inside, which a leap crosses
+        leaps = n // every - len({k // every for k in self._snap_steps
+                                  if k % every and k // every < n // every})
         if (size <= LEAP_MAX_SIZE and 16 * every >= size
-                and 4 * every * sum(b - a == every for a, b in
-                                    pairwise(self._stops())) >= size * size):
+                and 4 * every * leaps >= size * size):
             return every
         if (self.substep_ratio > 1 and size <= DENSE_MAX_SIZE
-                and self.n_steps >= 2 * size):
+                and n >= 2 * size):
             return 1
         return None
 
@@ -661,70 +654,73 @@ class RunRecorder:
     @np.errstate(over="ignore", invalid="ignore")
     def run(self, step, z, y2) -> SolutionRecord:
         """Advance (z, y2) by ``step(z, y2) -> (z, y2)`` over n_steps
-        steps and return the record.  If the run builds a power of the
-        step, each gap from one stop to the next takes as many products
-        with it as fit and steps the rest; otherwise it steps.  Then the
-        record and the snapshot due at the new stop are taken.  If block
-        products fill the record blocks, each block after the first is
-        filled by one product with Q when the block before it is flushed,
-        and its stops take no step: a stop inside it only reads its row."""
+        steps and return the record, one block of records at a time (see
+        the module docstring)."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
-        size = self.size
+        size, n_records = self.size, self._out.shape[1]
         order = self._order()
         power = None if order is None else _power(step, nz, size, order)
         width = size + 1 if power is None else len(power)
         # a row is a record [z; y2; q] padded to width, q the outflow sum
         # y1(1) over the steps before its step; a partial last block is
         # filled in full and sliced, so every product's shape stays padded
-        rows = np.zeros((min(RECORD_BLOCK, self._out.shape[1]), width))
+        rows = np.zeros((min(RECORD_BLOCK, n_records), width))
+        inside = np.zeros(width)  # a snapshot strictly between two records
         blocks = power is not None and self._fills_blocks(order, width)
         spare = np.empty_like(rows) if blocks else None
         regular = n // every + 1  # records on a multiple of record_every
-        snapshots = []
-        x, q = None, 0.0  # x: the state [z; y2; q] if a row or product has it
-        taken = filled = k = 0  # records taken, records filled by blocks
-        for stop in self._stops():
-            j = taken % len(rows)
-            record = stop % every == 0 or stop == n
-            if taken < filled:  # a block product filled this record's row
-                k, x = stop, rows[j]
-            elif power is not None and stop - k >= order:
-                # x is set: such a gap follows a record or a dense step
-                while stop - k >= order:
-                    k += order
-                    x = np.matmul(power, x, out=rows[j] if record
-                                  and k == stop else None)
+
+        def advance(x, k, stop, out):
+            """The state x at step k advanced to step stop, into out: as
+            many products with the power as fit, then steps."""
+            while power is not None and stop - k >= order:
+                k += order
+                x = np.matmul(power, x, out=out if k == stop else None)
             if k < stop:
-                if x is not None:
-                    z, y2, q, x = x[:nz], x[nz:size], float(x[size]), None
+                z, y2, q = x[:nz], x[nz:size], float(x[size])
                 while k < stop:
                     q += float(z[-1])
                     z, y2 = step(z, y2)
                     k += 1
-            if record:
-                if x is None:
-                    x = rows[j]
-                    x[:nz], x[nz:size], x[size] = z, y2, q
-                taken += 1
-                if j + 1 == len(rows) or k == n:
-                    self._flush(rows[:j + 1], taken - j - 1)
-                    if blocks and taken < regular:
-                        if taken == len(rows):  # power <- power^RECORD_BLOCK
-                            free = np.empty_like(power)
-                            for _ in range(RECORD_BLOCK.bit_length() - 1):
-                                np.matmul(power, power, out=free)
-                                power, free = free, power
-                                _flush_to_zero(power, free)
-                        np.matmul(rows, power.T, out=spare)
-                        rows, spare = spare, rows
-                        filled = min(taken + len(rows), regular)
-            if k in self._snap_steps:
-                t = k * self.dt
-                s = np.concatenate([z, y2]) if x is None else x
-                state = SimState(s[:n0].copy(), s[n0:nz].copy(),
-                                 s[nz:size].copy(), t)
-                snapshots.append(Snapshot(t_request=self._snap_steps[k], t=t,
-                                          state=state))
+                out[:nz], out[nz:size], out[size] = z, y2, q
+            return out
+
+        snapshots = []
+        pending = iter([*sorted(self._snap_steps), n + 1])
+        snap = next(pending)
+
+        def take(s, k):  # the snapshot at step k from row s; the next one
+            t = k * self.dt
+            snapshots.append(Snapshot(self._snap_steps[k], t, SimState(
+                s[:n0].copy(), s[n0:nz].copy(), s[nz:size].copy(), t)))
+            return next(pending)
+
+        x, k = rows[0], 0
+        x[:nz], x[nz:size] = z, y2
+        filled = 0  # a block's records below this came from a block product
+        for lo in range(0, n_records, len(rows)):
+            hi = min(lo + len(rows), n_records)
+            # a filled block's snapshots all lie on its record steps
+            while snap <= (min(filled, hi) - 1) * every:
+                snap = take(rows[snap // every - lo], snap)
+            for i in range(max(lo, filled), hi):
+                stop = min(i * every, n)
+                while snap < stop:
+                    x, k = advance(x, k, snap, inside), snap
+                    snap = take(x, k)
+                x, k = advance(x, k, stop, rows[i - lo]), stop
+                if snap == stop:
+                    snap = take(x, k)
+            self._flush(rows[:hi - lo], lo)
+            if blocks and hi < regular:
+                if lo == 0:  # power <- power^RECORD_BLOCK
+                    power = _raise(power, np.empty_like(power),
+                                   bin(RECORD_BLOCK)[3:])
+                    order *= RECORD_BLOCK
+                np.matmul(rows, power.T, out=spare)
+                rows, spare = spare, rows
+                filled = min(hi + len(rows), regular)
+                x, k = rows[filled - 1 - hi], (filled - 1) * every
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
         return SolutionRecord(
             mesh_s=self.mesh_s,

@@ -67,24 +67,43 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert "final mass" in text
 
 
-@pytest.mark.parametrize("request_step,taken_step", [(20, 20), (10.3, 10)])
-def test_simulate_reports_moved_snapshots(tmp_path, capsys, request_step,
-                                          taken_step):
-    # a request off the step grid is taken at the nearest step and reported
-    # with both times; a request on the grid, as in every shipped config,
-    # prints nothing
+def moved_snapshot_lines(tmp_path, capsys, command, request_step,
+                         taken_step):
+    """The lines ``command`` prints about moved snapshots on a config
+    whose snapshots are requested at t = 0 and at request_step steps,
+    and the one line expected if that request is taken at taken_step."""
     cfg_path, out = make_config(tmp_path)
     dt = parse_config(cfg_path).scheme.dt_m
     requested = request_step * dt
     cfg_path.write_text(re.sub(r"snapshot_times: .*",
                                f"snapshot_times: [0.0, {requested!r}]",
                                cfg_path.read_text()))
-    assert run(["simulate", "--config", str(cfg_path)]) == 0
+    assert run([command, "--config", str(cfg_path)]) == 0
     moved = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("snapshot")]
-    assert moved == ([] if request_step == taken_step else [
-        f"snapshot requested at t={requested!r} taken at "
-        f"t={taken_step * dt!r}, the nearest step"])
+    return moved, (f"snapshot requested at t={requested!r} taken at "
+                   f"t={taken_step * dt!r}, the nearest step")
+
+
+@pytest.mark.parametrize("request_step,taken_step", [(20, 20), (10.3, 10)])
+def test_simulate_reports_moved_snapshots(tmp_path, capsys, request_step,
+                                          taken_step):
+    # a request off the step grid is taken at the nearest step and reported
+    # with both times; a request on the grid, as in every shipped config,
+    # prints nothing
+    moved, line = moved_snapshot_lines(tmp_path, capsys, "simulate",
+                                       request_step, taken_step)
+    assert moved == ([] if request_step == taken_step else [line])
+
+
+@pytest.mark.parametrize("request_step,taken_step", [(20, 20), (10.3, 10)])
+def test_compare_fd_reports_moved_snapshots(tmp_path, capsys, request_step,
+                                            taken_step):
+    # compare-fd reports as simulate does, once for its two runs, which
+    # snap their requests to the same steps
+    moved, line = moved_snapshot_lines(tmp_path, capsys, "compare-fd",
+                                       request_step, taken_step)
+    assert moved == ([] if request_step == taken_step else [line])
 
 
 def test_simulate_config_echo_roundtrips(tmp_path):

@@ -893,31 +893,55 @@ def block_fills(monkeypatch):
     return answers
 
 
-# (variant, setting, record_every): every step recorded takes dense steps;
-# every second step recorded leaps, and its last step, n = 1737, is one
-# step past the last record on the grid of 2
-BLOCK_CASES = [("alg1", "stent4", 1), ("alg2", "media4", 1),
-               ("monolithic", "media4", 1), ("monolithic", "r1", 2),
-               ("fd", "r1", 2)]
+# (variant, setting, record_every, records on the grid): every step
+# recorded takes dense steps; every second step recorded leaps, and its
+# last step, n, is one step past the last record on the grid of 2.  869
+# records on the grid fill three blocks of RECORD_BLOCK and part of a
+# fourth; 768 fill exactly three, and the off-grid last record, alone in a
+# fourth block, is stepped from the last row of the third
+BLOCK_CASES = [pytest.param(*case, 869, id="-".join(map(str, case)))
+               for case in (("alg1", "stent4", 1), ("alg2", "media4", 1),
+                            ("monolithic", "media4", 1),
+                            ("monolithic", "r1", 2), ("fd", "r1", 2))] + [
+    pytest.param(v, "r1", 2, 768, id=f"{v}-r1-2-768")
+    for v in ("monolithic", "fd")]
 
 
-@pytest.mark.parametrize("variant,setting,every", BLOCK_CASES)
+@pytest.mark.parametrize("variant,setting,every,grid", BLOCK_CASES)
 def test_block_products_match_stepping(step_calls, block_fills, variant,
-                                        setting, every):
-    # 869 records on the grid of record_every fill three blocks of
-    # RECORD_BLOCK and part of a fourth; blocks 2 to 4 are each one product
-    # with the power's RECORD_BLOCK-th power.  Snapshots on record steps
-    # inside blocks 1 to 4 are read from the blocks' rows.  24 step calls
-    # (N + 1) build the power, and a leaping run steps its last step
-    assert 3 * RECORD_BLOCK < 869 < 4 * RECORD_BLOCK
-    n = 868 * every + every - 1
+                                        setting, every, grid):
+    # blocks 2 onwards are each one product with the power's
+    # RECORD_BLOCK-th power.  Snapshots on record steps inside the filled
+    # blocks are read from the blocks' rows.  24 step calls (N + 1) build
+    # the power, and a leaping run steps its last step
+    assert 3 * RECORD_BLOCK == 768 < 869 < 4 * RECORD_BLOCK
+    n = grid * every - 1
     steps = [*range(0, n + 1, every)] + ([n] if n % every else [])
-    snaps = [0, 100 * every, 300 * every, 600 * every, 800 * every, n]
+    snaps = [0, 100 * every, 300 * every, 600 * every,
+             min(800, grid - 1) * every, n]
     rec = leap_case(variant, setting, snaps, n, every)
     assert block_fills == [True]
     assert len(step_calls) == 24 + (every - 1)
     assert_matches_stepping(rec, stepped_case(variant, setting, n),
                             leap_dt(setting), steps, snaps)
+
+
+# (n, record_every, snapshot steps): fewer steps than record_every, so the
+# only records are 0 and n; a snapshot strictly inside the last, partial
+# interval of a leaping run; a snapshot at step 0 only, leaping and, every
+# step recorded, filling blocks
+EDGE_CASES = [(30, 50, [13]), (2010, 50, [0, 2005]), (2010, 50, [0]),
+              (868, 1, [0])]
+
+
+@pytest.mark.parametrize("n,every,snaps", EDGE_CASES)
+@pytest.mark.parametrize("variant,setting", [("monolithic", "r1"),
+                                             ("alg1", "media4"),
+                                             ("fd", "r1")])
+def test_record_edges_match_stepping(variant, setting, n, every, snaps):
+    rec = leap_case(variant, setting, snaps, n, every)
+    assert_matches_stepping(rec, stepped_case(variant, setting, n),
+                            leap_dt(setting), [*range(0, n, every), n], snaps)
 
 
 def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
