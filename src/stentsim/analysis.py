@@ -204,6 +204,8 @@ def convergence_study(
     fixed multiple); the reference refines the finest level ref_refine
     more times.  Each level steps at the sharp stability limit, so dt
     scales with h^2 and the first-order time error stays subdominant.
+    A reference too large to allocate raises ValidationError (key
+    ``levels``).
     """
     if levels < 2:
         raise ValidationError("need at least two refinement levels")
@@ -219,7 +221,13 @@ def convergence_study(
         return make_reference(p, n_s, n_m, n_steps, t_end, snapshot_times,
                               variant)
 
-    ref = run(n_m0 * 2 ** (levels - 1 + ref_refine))
+    n_ref = n_m0 * 2 ** (levels - 1 + ref_refine)
+    try:  # the largest run, allocated before any step is taken
+        ref = run(n_ref)
+    except MemoryError as exc:
+        raise ValidationError(
+            f"the reference mesh of {stent_ratio * n_ref}/{n_ref} elements "
+            f"cannot be allocated ({exc})", key="levels") from None
     h_values, reports = [], []
     for level in range(levels):
         n_m = n_m0 * 2 ** level

@@ -134,11 +134,17 @@ def cmd_converge(args) -> int:
         raise ConfigError(
             f"mesh.n_s: converge refines n_s and n_m together and needs "
             f"n_s to be a multiple of n_m, got {cfg.n_s}/{cfg.n_m}")
-    table = convergence_study(
-        cfg.params, n_m0=cfg.n_m, levels=args.levels,
-        stent_ratio=cfg.n_s // cfg.n_m, t_end=t_end,
-        variant=cfg.scheme.variant,
-    )
+    try:
+        table = convergence_study(
+            cfg.params, n_m0=cfg.n_m, levels=args.levels,
+            stent_ratio=cfg.n_s // cfg.n_m, t_end=t_end,
+            variant=cfg.scheme.variant,
+        )
+    except ValidationError as exc:
+        if exc.key != "levels":
+            raise
+        raise ConfigError(f"--levels {args.levels}: {exc}",
+                          key="--levels") from None
     print(f"{'level':>5s} {'h_m':>10s} {'field':>5s} {'norm':>8s} "
           f"{'error':>13s} {'rate':>7s}")
     rows = table.rows()

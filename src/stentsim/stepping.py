@@ -69,27 +69,31 @@ and the finite-difference one.  Its state is one row x = [z; y2; q], q
 the outflow sum of y1(1) over the steps taken.  A record is such a row
 of a preallocated block of RECORD_BLOCK rows, taken every record_every
 steps and at n_steps.  The loop goes over the blocks: it reaches each
-record from the one before by ``advance``, through any snapshot
-strictly between them, then measures the block in one shot by the
-solver's ``BlockMonitor`` (two matrix-vector products for the masses,
-the form's ``TridiagonalMatrix.quadratic`` for the energy), guards it
-and stores it.  The guards name the first failing record at its own t,
-so a run stops with the message a per-record check would give and
-before any output.
+record from the one before by ``advance``, then measures the block in
+one shot by the solver's ``BlockMonitor`` (two matrix-vector products
+for the masses, the form's ``TridiagonalMatrix.quadratic`` for the
+energy), guards it and stores it.  The guards name the first failing
+record at its own t, so a run stops with the message a per-record check
+would give and before any output.
 
 The step, with q carried along, is one linear map G on x, so ``advance``
 takes as many products x <- P x with a power P = G^order as fit, then
 steps the rest.  A run that records rarely builds P = G^record_every by
-repeated squaring (``_power``) and leaps each record interval with no
-snapshot strictly inside; a small multi-rate run that does not leap,
-such as one that records every step, builds G itself and takes each
-step as one product, which costs less than the kernel's substeps.  If
-P's order is record_every and every snapshot is on a record step, each
-block after the first is one product X_next = X_prev @ Q^T with
-Q = P^RECORD_BLOCK, and only its snapshots are read from its rows.
-Input size alone decides which power a run builds, if any, and whether
-it fills blocks (``RunRecorder`` documents the rules); the results
-differ from stepping at roundoff only.
+repeated squaring (``_power``) and leaps each full record interval; a
+small multi-rate run that does not leap, such as one that records every
+step, builds G itself and takes each step as one product, which costs
+less than the kernel's substeps.  A leap never stops at a snapshot: a
+snapshot strictly inside a leapt interval is walked into a scratch row
+from the nearest earlier state, its record or the snapshot before it in
+the interval, by products with the rung R = G^(record_every // 2), the
+last prefix of P's build kept in its spare buffer, then steps.  So the
+records are the same bits with and without snapshot requests.  Elsewhere
+the loop steps through each snapshot on its way to the next record.  If
+P's order is record_every, each block after the first is one product
+X_next = X_prev @ Q^T with Q = P^RECORD_BLOCK, and its snapshots are
+read from, or walked from, its rows.  Input size alone decides which
+power a run builds, if any, and whether it fills blocks (``RunRecorder``
+documents the rules); the results differ from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -489,45 +493,50 @@ DENSE_MAX_SIZE = 400
 LEAP_FLUSH = 1e-150
 
 
-def _flush_to_zero(a: np.ndarray, scratch: np.ndarray) -> None:
-    """Set the entries of a below LEAP_FLUSH to 0, in scratch's storage."""
-    np.greater_equal(np.abs(a, out=scratch), LEAP_FLUSH, out=scratch)
-    a *= scratch
+def _flush_to_zero(a: np.ndarray) -> None:
+    """Set the entries of the Fortran-ordered a below LEAP_FLUSH to 0, in
+    place, LEAP_PAD columns at a time."""
+    mask = np.empty((len(a), LEAP_PAD), order="F")
+    for j in range(0, a.shape[1], LEAP_PAD):
+        cols = a[:, j:j + LEAP_PAD]
+        np.greater_equal(np.abs(cols, out=mask), LEAP_FLUSH, out=mask)
+        cols *= mask
 
 
 def _power(step, nz: int, size: int, every: int):
-    """G^every, where G is the map (z, y2, q) -> (step(z, y2), q + z[-1])
-    on x = [z; y2; q] and z has nz entries, as the leading (size+1)^2
-    block of a Fortran-ordered array padded with zeros to a multiple of
-    LEAP_PAD, by ``_raise``.  G is never stored; since powers of G
-    commute, G A is taken as step on each column of A."""
+    """G^every and its rung G^(every // 2), where G is the map
+    (z, y2, q) -> (step(z, y2), q + z[-1]) on x = [z; y2; q] and z has nz
+    entries, each as the leading (size+1)^2 block of a Fortran-ordered
+    array padded with zeros to a multiple of LEAP_PAD, by ``_raise``.  G
+    is never stored; since powers of G commute, G A is taken as step on
+    each column of A, in place.  The rung is meaningful for every >= 2."""
     m = -(-(size + 1) // LEAP_PAD) * LEAP_PAD
     a = np.zeros((m, m), order="F")
     np.fill_diagonal(a[:size + 1, :size + 1], 1.0)
-    t = np.zeros_like(a)
 
-    def times_g(a, out):
-        for col, new in zip(a.T[:size + 1], out.T):
-            new[:nz], new[nz:size] = step(col[:nz], col[nz:size])
-            new[size] = col[size] + col[nz - 1]
+    def times_g(a):
+        for col in a.T[:size + 1]:
+            col[size] += col[nz - 1]
+            col[:nz], col[nz:size] = step(col[:nz], col[nz:size])
 
-    times_g(a, t)
-    _flush_to_zero(t, a)
-    return _raise(t, a, bin(every)[3:], times_g)
+    times_g(a)
+    _flush_to_zero(a)
+    return _raise(a, np.zeros_like(a), bin(every)[3:], times_g)
 
 
 def _raise(a, t, bits, times_g=None):
     """Left-to-right binary powering of a over ``bits``, the binary digits
-    of the exponent after its leading 1: square, multiply by G (``times_g``)
-    where the bit is 1, and flush to zero, in the buffers a and t."""
+    of the exponent after its leading 1: square into the other buffer,
+    then multiply by G (``times_g``) where the bit is 1 and flush to zero,
+    both in place.  Returns the power and the other buffer, which holds
+    the last squaring's operand, the power's prefix of half its order."""
     for bit in bits:
         np.matmul(a, a, out=t)
         a, t = t, a
         if bit == "1":
-            times_g(a, t)
-            a, t = t, a
-        _flush_to_zero(a, t)
-    return a
+            times_g(a)
+        _flush_to_zero(a)
+    return a, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,21 +576,26 @@ class RunRecorder:
       record_every, a leap, when leaping pays:
         N <= LEAP_MAX_SIZE, so its two (N+1)^2 buffers (padded) stay small;
         16 * record_every >= N, so a leap costs less than its steps;
-        4 * record_every * (record intervals with no snapshot strictly
-        inside) >= N^2, so the squarings pay;
+        4 * (steps saved) >= N^2, so the squarings pay, where a leap saves
+        record_every steps per full record interval less the steps the
+        walks to that interval's snapshots still take after their
+        products with the rung;
       1, a dense step, when that pays instead:
         substep_ratio > 1, since a single-rate kernel step costs little;
         N <= DENSE_MAX_SIZE, so a product costs less than a kernel step;
         n_steps >= 2 * N, so the N + 1 steps that build G pay;
       none otherwise, and the run steps.
     A run that records every step leaps only if N <= 16, and the
-    single-rate finite-difference solver never takes dense steps.
+    single-rate finite-difference solver never takes dense steps.  The
+    rung, which shares the power's two buffers, is kept only by a
+    leaping run with a snapshot strictly inside a full record interval.
 
     Block products fill each record block after the first with one
     product with Q = P^RECORD_BLOCK, 8 squarings of P once the first
-    block is flushed, when P's order is record_every, every snapshot step
-    is a record step and the records on the grid of record_every past
-    the first block number at least 3 * m, m the padded order.  Basis
+    block is flushed, when P's order is record_every and the records on
+    the grid of record_every past the first block number at least 3 * m,
+    m the padded order.  A snapshot inside a filled block is walked from
+    its record's row before the next block product.  Basis
     (one BLAS thread, best of 3 runs, against one product with P per
     record): m = 64 pays from about 128 records, m = 160 from 384-480,
     m = 416 (leaping every 32) from 1280, m = 768 (every 64) by 2300.
@@ -625,17 +639,26 @@ class RunRecorder:
         self._out = np.empty((8, len(records)))
         np.multiply(records, dt, out=self._out[0])
 
+    def _walks(self):
+        """The snapshot steps strictly inside a full record interval, in
+        order: a leaping run walks each from the state before it."""
+        every, n = self.record_every, self.n_steps
+        return sorted(k for k in self._snap_steps
+                      if k % every and k < n - n % every)
+
     def _order(self):
         """The order of the power the run builds: record_every if leaping
         pays, 1 if a dense step pays, None if the run only steps (the rule
         is in the class docstring)."""
         every, size, n = self.record_every, self.size, self.n_steps
-        # the record intervals of record_every steps with no snapshot
-        # strictly inside, which a leap crosses
-        leaps = n // every - len({k // every for k in self._snap_steps
-                                  if k % every and k // every < n // every})
+        # the steps a leap saves: record_every per full interval, less
+        # those the snapshot walks still take after products with the rung
+        saved, k = every * (n // every), 0
+        for s in self._walks():
+            saved -= (s - max(k, s - s % every)) % (every // 2)
+            k = s
         if (size <= LEAP_MAX_SIZE and 16 * every >= size
-                and 4 * every * leaps >= size * size):
+                and 4 * saved >= size * size):
             return every
         if (self.substep_ratio > 1 and size <= DENSE_MAX_SIZE
                 and n >= 2 * size):
@@ -646,9 +669,7 @@ class RunRecorder:
         """Whether block products fill the record blocks after the first,
         for a power of order ``order`` padded to m (see the class doc)."""
         every, n = self.record_every, self.n_steps
-        return (order == every
-                and all(k % every == 0 or k == n for k in self._snap_steps)
-                and n // every + 1 - RECORD_BLOCK >= 3 * m)
+        return order == every and n // every + 1 - RECORD_BLOCK >= 3 * m
 
     # a non-finite step, leap or record is the guard's to report, not numpy's
     @np.errstate(over="ignore", invalid="ignore")
@@ -659,7 +680,13 @@ class RunRecorder:
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
         size, n_records = self.size, self._out.shape[1]
         order = self._order()
-        power = None if order is None else _power(step, nz, size, order)
+        power = rung = None
+        if order is not None:
+            power, rung = _power(step, nz, size, order)
+        leaps = order == every  # the power crosses each full interval
+        if not (leaps and self._walks()):
+            rung = None
+        half = every // 2
         width = size + 1 if power is None else len(power)
         # a row is a record [z; y2; q] padded to width, q the outflow sum
         # y1(1) over the steps before its step; a partial last block is
@@ -669,13 +696,16 @@ class RunRecorder:
         blocks = power is not None and self._fills_blocks(order, width)
         spare = np.empty_like(rows) if blocks else None
         regular = n // every + 1  # records on a multiple of record_every
+        last = (regular - 1) * every  # the last of them
 
-        def advance(x, k, stop, out):
+        def advance(x, k, stop, out, rung=None):
             """The state x at step k advanced to step stop, into out: as
-            many products with the power as fit, then steps."""
-            while power is not None and stop - k >= order:
-                k += order
-                x = np.matmul(power, x, out=out if k == stop else None)
+            many products with the power, then with the rung, as fit,
+            then steps."""
+            for a, o in ((power, order), (rung, half)):
+                while a is not None and stop - k >= o:
+                    k += o
+                    x = np.matmul(a, x, out=out if k == stop else None)
             if k < stop:
                 z, y2, q = x[:nz], x[nz:size], float(x[size])
                 while k < stop:
@@ -695,27 +725,43 @@ class RunRecorder:
                 s[:n0].copy(), s[n0:nz].copy(), s[nz:size].copy(), t)))
             return next(pending)
 
+        def reach(r):
+            """The step before which the record at step r takes its
+            snapshots: the next record's if the power crosses the interval
+            between them, else r + 1."""
+            return r + every if leaps and r < last else r + 1
+
+        def walk(x, k, end):
+            """Take the snapshots from step k, x the record there, up to
+            end, each walked from the state before it."""
+            nonlocal snap
+            while snap < end:
+                if snap > k:
+                    x, k = advance(x, k, snap, inside, rung), snap
+                snap = take(x, k)
+
         x, k = rows[0], 0
         x[:nz], x[nz:size] = z, y2
         filled = 0  # a block's records below this came from a block product
         for lo in range(0, n_records, len(rows)):
             hi = min(lo + len(rows), n_records)
-            # a filled block's snapshots all lie on its record steps
-            while snap <= (min(filled, hi) - 1) * every:
-                snap = take(rows[snap // every - lo], snap)
+            # the snapshots a block product's records reach, if any
+            end = reach((min(filled, hi) - 1) * every)
+            while snap < end:
+                r = snap - snap % every
+                walk(rows[r // every - lo], r, reach(r))
             for i in range(max(lo, filled), hi):
                 stop = min(i * every, n)
-                while snap < stop:
+                while snap < stop:  # an interval the power does not cross
                     x, k = advance(x, k, snap, inside), snap
                     snap = take(x, k)
                 x, k = advance(x, k, stop, rows[i - lo]), stop
-                if snap == stop:
-                    snap = take(x, k)
+                walk(x, k, reach(k))
             self._flush(rows[:hi - lo], lo)
             if blocks and hi < regular:
                 if lo == 0:  # power <- power^RECORD_BLOCK
                     power = _raise(power, np.empty_like(power),
-                                   bin(RECORD_BLOCK)[3:])
+                                   bin(RECORD_BLOCK)[3:])[0]
                     order *= RECORD_BLOCK
                 np.matmul(rows, power.T, out=spare)
                 rows, spare = spare, rows

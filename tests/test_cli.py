@@ -14,7 +14,7 @@ from stentsim.config import parse_config
 from stentsim.fem import build_operators
 from stentsim.output import emit_svg_plot
 from stentsim.params import paper_params
-from stentsim.stepping import SchemeConfig, sharp_dt_limit
+from stentsim.stepping import RunRecorder, SchemeConfig, sharp_dt_limit
 
 P = paper_params()
 ROOT = Path(__file__).resolve().parents[1]
@@ -405,6 +405,26 @@ def test_converge_refuses_mesh_it_cannot_refine(tmp_path, capsys, n_s, n_m):
                                 snapshots=False)
     assert run(["converge", "--config", str(cfg_path), "--levels", "2"]) == 1
     assert "mesh.n_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_converge_refuses_reference_it_cannot_allocate(tmp_path, capsys,
+                                                     monkeypatch):
+    # 45 levels from 4 media elements put the reference at 4 * 2**47 media
+    # and twice as many stent elements: its first array, 9 PB, exceeds any
+    # address space, so allocating it fails at once and touches no memory.
+    # numpy's MemoryError traceback became the CLI's error line
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run stepped before the reference was built")
+
+    monkeypatch.setattr(RunRecorder, "run", no_run)
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10,
+                                snapshots=False)
+    assert run(["converge", "--config", str(cfg_path), "--levels", "45"]) == 1
+    n_m = 4 * 2 ** 47
+    assert capsys.readouterr().err.startswith(
+        f"error: --levels 45: the reference mesh of {2 * n_m}/{n_m} elements "
+        f"cannot be allocated (Unable to allocate ")
     assert not out.exists()
 
 

@@ -863,14 +863,16 @@ def test_leaps_match_stepping(step_calls, variant, setting):
     # directly
     stepped = stepped_case(variant, setting)
     steps = [*range(0, 2010, 50), 2010]
-    # with a snapshot at every step, a multi-rate run takes dense steps:
-    # 24 step calls (N + 1) build the step's map; the others step.  When
-    # it leaps, 24 step calls per set bit of 50 build the power, then the
-    # interval holding step 1234 and the 10-step tail step; a snapshot on
-    # the record step 1250 lies inside no interval and blocks no leap
+    # with a snapshot at every step, each walk of one step saves none, so
+    # leaping would save 1 step per interval and does not pay; a multi-rate
+    # run takes dense steps: 24 step calls (N + 1) build the step's map;
+    # the others step.  When it leaps, 24 step calls per set bit of 50
+    # build the power, then the 10-step tail steps; the snapshot at 1234,
+    # 34 past its record, is walked by one product with the rung G^25 and
+    # 9 steps, and a snapshot on the record step 1250 is read off its row
     dense = 24 if SETTINGS[setting][0] > 1 else 2010
     for snaps, calls in ((range(2011), dense),
-                         ([0, 1234, 2010], 24 * 3 + 50 + 10),
+                         ([0, 1234, 2010], 24 * 3 + 9 + 10),
                          ([0, 1250, 2010], 24 * 3 + 10)):
         step_calls.clear()
         rec = leap_case(variant, setting, snaps)
@@ -944,6 +946,66 @@ def test_record_edges_match_stepping(variant, setting, n, every, snaps):
                             leap_dt(setting), [*range(0, n, every), n], snaps)
 
 
+# (record_every, snapshot steps, step calls) over 2010 steps of a leaping
+# run, whose rung is G^(every // 2).  Every 50: three snapshots in one
+# interval, 10, 35 and 45 past its record, take 10 steps, a rung product
+# from the first (into its own row) and 10 steps from the second;
+# snapshots 25 (the rung's order), 24 and 49 past their records take a
+# rung product, 24 steps, and a rung product and 24 steps; one in the
+# partial last interval is stepped on the way to the last record, 10
+# steps in all.  24 step calls per set bit of 50 build the power.  Every
+# 51: 50 past its record is two rung products of 25 and no step, 25 past
+# is one; the tail is 21 steps and 24 step calls per set bit of 51 build
+# the power
+WALK_CASES = [(50, [1210, 1235, 1245, 1325, 1424, 1549, 2005],
+               24 * 3 + 10 + 0 + 10 + 0 + 24 + 24 + 10),
+              (51, [51 * 20 + 50, 51 * 30 + 25], 24 * 4 + 21)]
+
+
+@pytest.mark.parametrize("every,snaps,calls", WALK_CASES)
+@pytest.mark.parametrize("variant,setting", [("monolithic", "r1"),
+                                             ("alg1", "media4"),
+                                             ("fd", "r1")])
+def test_snapshot_walks_match_stepping(step_calls, variant, setting, every,
+                                       snaps, calls):
+    # a snapshot strictly inside an interval that the power crosses is
+    # walked from the nearest earlier state, its record or the snapshot
+    # before it in the interval, and the records leap past it
+    rec = leap_case(variant, setting, snaps, every=every)
+    assert len(step_calls) == calls
+    assert_matches_stepping(rec, stepped_case(variant, setting),
+                            leap_dt(setting), [*range(0, 2010, every), 2010],
+                            snaps)
+
+
+# (variant, setting, n, record_every, snapshot steps, block fills):
+# leaping runs, FEM and FD, with the snapshots of WALK_CASES; and a run
+# every 2 that fills blocks, with snapshots strictly inside the last
+# interval of the first block, of a filled block (record 300), across two
+# filled blocks (record 511 to 512) and inside the partial last interval
+SNAPSHOT_FREE_CASES = [
+    ("alg1", "media4", 2010, 50, WALK_CASES[0][1], False),
+    ("fd", "r1", 2010, 50, WALK_CASES[0][1], False),
+    ("monolithic", "r1", 869 * 2 - 1, 2, [0, 511, 601, 1023, 1737], True)]
+
+
+@pytest.mark.parametrize("variant,setting,n,every,snaps,fills",
+                         SNAPSHOT_FREE_CASES)
+def test_records_do_not_depend_on_snapshots(block_fills, variant, setting, n,
+                                            every, snaps, fills):
+    # the records are the same bits with and without snapshot requests:
+    # the record chain never passes through a snapshot it leaps over
+    rec = leap_case(variant, setting, snaps, n, every)
+    bare = leap_case(variant, setting, [], n, every)
+    for series in ("monitors", "interface"):
+        got, want = getattr(rec, series), getattr(bare, series)
+        for name, values in vars(want).items():
+            assert np.array_equal(getattr(got, name), values), name
+    assert block_fills == [fills] * 2
+    assert_matches_stepping(rec, stepped_case(variant, setting, n),
+                            leap_dt(setting), [*range(0, n, every), n], snaps)
+
+
 def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     # a multi-rate run that records every step over 2N steps or more takes
     # dense steps (release, 100/25 alg1 media4, N = 153): N + 1 step calls
@@ -980,25 +1042,41 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     # the study's reference, 200/100 over 103 456 steps recorded every 517
     # with the snapshots compare-alg takes on 50/25 at 6466 steps (every
     # 646 test steps, 16 reference steps each, and t_end): 404 step calls
-    # per set bit of 517 build the power, then the 10 intervals holding a
-    # snapshot and the 56-step tail step
+    # per set bit of 517 build the power, then the 56-step tail steps.
+    # Snapshot k = 1..10, at k * 10336 = (20k - 1) * 517 + 517 - 4k, is
+    # walked from its record by one product with the rung G^258 and
+    # 259 - 4k steps, 2370 in all
     step_calls.clear()
     times = [k * 646 / 6466 for k in range(11)] + [1.0]
     ref = make_reference(P, 200, 100, 103456, 1.0, times)
     assert ref.config["record_every"] == 517
-    assert len(step_calls) == 404 * 3 + 10 * 517 + 56
+    assert len(step_calls) == 404 * 3 + sum(259 - 4 * k
+                                            for k in range(1, 11)) + 56
     assert [round(s.t * 103456) for s in ref.snapshots] == [
         k * 16 * 646 for k in range(11)] + [103456]
     # compare-fd's two runs, 100/100 over 103 321 steps recorded every 1000
     # with a snapshot every 0.1, leap; neither, nor any run above, fills
-    # more than one block of records, so none builds a block power
+    # more than one block of records, so none builds a block power.  Each
+    # takes 304 step calls per set bit of 1000 to build the power and 321
+    # for the tail.  Its snapshots at round(10332.1 k), k = 1..9, sit 332,
+    # 664, 996, 328, 660, 993, 325, 657 and 989 steps past their records;
+    # those past 500 take one product with the rung G^500 first
     n = stable_step_count(P, P.l / 100, 1.0 / 100, 1.0)
     assert n == 103321
     times = [k / 10 for k in range(11)]
-    run_simulation(P, build_operators(P, 100, 100),
-                   SchemeConfig("monolithic", 1.0 / n, 1.0), times,
-                   record_every=1000)
-    run_fd(P, 100, 100, 1.0 / n, 1.0, times, record_every=1000)
+    walked = 332 + 164 + 496 + 328 + 160 + 493 + 325 + 157 + 489
+    for run in (lambda: run_simulation(
+                    P, build_operators(P, 100, 100),
+                    SchemeConfig("monolithic", 1.0 / n, 1.0), times,
+                    record_every=1000),
+                lambda: run_fd(P, 100, 100, 1.0 / n, 1.0, times,
+                               record_every=1000)):
+        step_calls.clear()
+        rec = run()
+        assert len(step_calls) == 304 * 6 + walked + 321
+        assert [round(s.t * n) for s in rec.snapshots] == [
+            0, 10332, 20664, 30996, 41328, 51660, 61993, 72325, 82657, 92989,
+            n]
     assert block_fills == [False] * 5
 
 
