@@ -15,7 +15,8 @@ columns with ``tolist``, written through ``writelines``, in the bytes a
 tables go through the same writer, floats as '%.16e' and other values
 as ``str``; no table value holds a comma or a quote.  Charts
 are written as self-contained SVG with fixed formatting: identical input
-produces byte-identical files.
+produces byte-identical files.  Their title, axis and legend labels are
+XML-escaped, and non-finite data are refused.
 """
 
 from __future__ import annotations
@@ -115,6 +116,13 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
+def _escape(text: str) -> str:
+    """text with XML's markup characters escaped, as
+    ``xml.sax.saxutils.escape`` does; importing that module would load
+    urllib and ssl, about 40 ms and 2 MB, into every command."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
@@ -129,7 +137,9 @@ def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",
                   y_label: str = "") -> Path:
     """Line chart of (label, t, y) series as a standalone SVG file.
 
-    Deterministic: identical input yields byte-identical output.
+    Deterministic: identical input yields byte-identical output.  Raises
+    ValidationError, before any file is written, for a series that is
+    empty, ragged or not finite.
     """
     if not series:
         raise ValidationError("empty series")
@@ -141,7 +151,11 @@ def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",
             raise ValidationError(
                 f"series {label!r}: t and y must be equal-length and nonempty"
             )
-        cleaned.append((str(label), t, y))
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
+            raise ValidationError(
+                f"series {label!r}: t and y must be finite (nan or inf found)")
+        cleaned.append((_escape(str(label)), t, y))
+    title, x_label, y_label = map(_escape, (title, x_label, y_label))
 
     ml, mr, mt, mb = 62, 18, 34, 46
     pw = WIDTH - ml - mr

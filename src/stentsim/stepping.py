@@ -82,18 +82,19 @@ steps the rest.  A run that records rarely builds P = G^record_every by
 repeated squaring (``_power``) and leaps each full record interval; a
 small multi-rate run that does not leap, such as one that records every
 step, builds G itself and takes each step as one product, which costs
-less than the kernel's substeps.  A leap never stops at a snapshot: a
-snapshot strictly inside a leapt interval is walked into a scratch row
-from the nearest earlier state, its record or the snapshot before it in
-the interval, by products with the rung R = G^(record_every // 2), the
-last prefix of P's build kept in its spare buffer, then steps.  So the
-records are the same bits with and without snapshot requests.  Elsewhere
-the loop steps through each snapshot on its way to the next record.  If
-P's order is record_every, each block after the first is one product
-X_next = X_prev @ Q^T with Q = P^RECORD_BLOCK, and its snapshots are
-read from, or walked from, its rows.  Input size alone decides which
-power a run builds, if any, and whether it fills blocks (``RunRecorder``
-documents the rules); the results differ from stepping at roundoff only.
+less than the kernel's substeps.  If P's order is record_every, each
+block after the first is one product X_next = X_prev @ Q^T with
+Q = P^RECORD_BLOCK.  Snapshots follow one rule, however record i got
+into its row: the snapshots before record i + 1 are walked into a
+scratch row from the nearest earlier state, record i or the snapshot
+before it.  If P crosses the interval, the walk takes products with the
+rung R = G^(record_every // 2), the last prefix of P's build kept in its
+spare buffer, then steps, and record i + 1 is reached from record i; so
+the records are the same bits with and without snapshot requests.
+Otherwise record i + 1 is reached from the last snapshot walked.  Input
+size alone decides which power a run builds, if any, and whether it
+fills blocks (``RunRecorder`` documents the rules); the results differ
+from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -594,8 +595,9 @@ class RunRecorder:
     product with Q = P^RECORD_BLOCK, 8 squarings of P once the first
     block is flushed, when P's order is record_every and the records on
     the grid of record_every past the first block number at least 3 * m,
-    m the padded order.  A snapshot inside a filled block is walked from
-    its record's row before the next block product.  Basis
+    m the padded order.  A filled block's snapshots are walked from its
+    rows by the same rule as any other, and the loop passes over the
+    filled records before the next snapshot's.  Basis
     (one BLAS thread, best of 3 runs, against one product with P per
     record): m = 64 pays from about 128 records, m = 160 from 384-480,
     m = 416 (leaping every 32) from 1280, m = 768 (every 64) by 2300.
@@ -718,45 +720,34 @@ class RunRecorder:
         snapshots = []
         pending = iter([*sorted(self._snap_steps), n + 1])
         snap = next(pending)
-
-        def take(s, k):  # the snapshot at step k from row s; the next one
-            t = k * self.dt
-            snapshots.append(Snapshot(self._snap_steps[k], t, SimState(
-                s[:n0].copy(), s[n0:nz].copy(), s[nz:size].copy(), t)))
-            return next(pending)
-
-        def reach(r):
-            """The step before which the record at step r takes its
-            snapshots: the next record's if the power crosses the interval
-            between them, else r + 1."""
-            return r + every if leaps and r < last else r + 1
-
-        def walk(x, k, end):
-            """Take the snapshots from step k, x the record there, up to
-            end, each walked from the state before it."""
-            nonlocal snap
-            while snap < end:
-                if snap > k:
-                    x, k = advance(x, k, snap, inside, rung), snap
-                snap = take(x, k)
-
         x, k = rows[0], 0
         x[:nz], x[nz:size] = z, y2
         filled = 0  # a block's records below this came from a block product
         for lo in range(0, n_records, len(rows)):
             hi = min(lo + len(rows), n_records)
-            # the snapshots a block product's records reach, if any
-            end = reach((min(filled, hi) - 1) * every)
-            while snap < end:
-                r = snap - snap % every
-                walk(rows[r // every - lo], r, reach(r))
-            for i in range(max(lo, filled), hi):
-                stop = min(i * every, n)
-                while snap < stop:  # an interval the power does not cross
-                    x, k = advance(x, k, snap, inside), snap
-                    snap = take(x, k)
-                x, k = advance(x, k, stop, rows[i - lo]), stop
-                walk(x, k, reach(k))
+            i = lo
+            while i < hi:
+                # filled records before the next snapshot's are passed over,
+                # but for the last, from which an unfilled record is reached
+                i = max(i, min(filled - 1, snap // every))
+                row, stop = rows[i - lo], min(i * every, n)
+                if i >= filled:
+                    advance(x, k, stop, row)
+                # the snapshots before record i + 1, each walked from the
+                # nearest earlier state: the record or the snapshot before
+                crosses = leaps and stop < last
+                x, k = row, stop
+                while snap < (min(stop + every, n) if stop < n else n + 1):
+                    if snap > k:
+                        x, k = advance(x, k, snap, inside,
+                                       rung if crosses else None), snap
+                    t = k * self.dt
+                    snapshots.append(Snapshot(self._snap_steps[k], t, SimState(
+                        x[:n0].copy(), x[n0:nz].copy(), x[nz:size].copy(), t)))
+                    snap = next(pending)
+                if crosses:  # the power reaches record i + 1 from record i
+                    x, k = row, stop
+                i += 1
             self._flush(rows[:hi - lo], lo)
             if blocks and hi < regular:
                 if lo == 0:  # power <- power^RECORD_BLOCK
@@ -766,7 +757,6 @@ class RunRecorder:
                 np.matmul(rows, power.T, out=spare)
                 rows, spare = spare, rows
                 filled = min(hi + len(rows), regular)
-                x, k = rows[filled - 1 - hi], (filled - 1) * every
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
         return SolutionRecord(
             mesh_s=self.mesh_s,

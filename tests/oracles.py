@@ -15,6 +15,11 @@ per-record form of the block monitors the run recorder applies.
 The error-norm oracle measures one snapshot pair at a time, each L2
 norm a matvec and a dot product, the per-pair form of the block norms
 ``stentsim.analysis.compare_records`` takes.
+
+The semi-discrete oracle writes the finite-element system before time
+stepping as one dense linear ODE, from the assembled operators and the
+model constants alone, so that ``scipy.linalg.expm`` gives its exact
+solution in time.
 """
 
 import math
@@ -232,3 +237,32 @@ def error_norms_oracle(test, ref):
     return ErrorReport(c=field("y0", test.mesh_s, ref.mesh_s, True),
                        c1=field("y1", test.mesh_m, ref.mesh_m, True),
                        c2=field("y2", test.mesh_m, ref.mesh_m, False))
+
+
+def semidiscrete_matrix(p, ops):
+    """M of the semi-discrete system x' = M x, x = [y0; y1; y2]:
+
+        Psi_s y0' = -A y0 + delta*P y1[0] e_last
+        Psi_m y1' = -(1/phi) B y1 + (1/phi) delta*P y0[last] e_first
+                    + (da/(phi*K)) Psi_m y2
+        y2'       = (da/(1-phi)) y1 - (da/((1-phi)*K)) y2
+
+    dense, from the operators ``build_operators`` assembles."""
+    n0, n1 = ops.psi_s.dim, ops.psi_m.dim
+    nz = n0 + n1
+    dp = p.delta * p.p_tilde
+    k = np.zeros((nz, nz))
+    k[:n0, :n0] = dense(ops.mat_a)
+    k[n0:, n0:] = dense(ops.mat_b) / p.phi
+    k[n0 - 1, n0] = -dp
+    k[n0, n0 - 1] = -dp / p.phi
+    psi = np.zeros((nz, nz))
+    psi[:n0, :n0] = dense(ops.psi_s)
+    psi[n0:, n0:] = dense(ops.psi_m)
+    m = np.zeros((nz + n1, nz + n1))
+    m[:nz, :nz] = -np.linalg.solve(psi, k)
+    eye = np.eye(n1)
+    m[n0:nz, nz:] = p.da / (p.phi * p.k_part) * eye
+    m[nz:, n0:nz] = p.da / (1.0 - p.phi) * eye
+    m[nz:, nz:] = -p.da / ((1.0 - p.phi) * p.k_part) * eye
+    return m

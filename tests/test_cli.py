@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +593,34 @@ def test_plot_unknown_field(tmp_path, capsys):
     run(["simulate", "--config", str(cfg_path)])
     assert run(["plot", "--input", str(out / "interface.csv"),
                 "--field", "nope", "--out", str(tmp_path / "x.svg")]) == 1
+
+
+@pytest.mark.parametrize("rows", ["0,nan\n1,2\n", "0,1\n1,inf\n",
+                                  "nan,1\n1,2\n", "0,1\n1,-inf\n"])
+def test_plot_refuses_non_finite_values(tmp_path, capsys, rows):
+    # the CLI's error line and exit 1, naming the series, and no chart
+    data = tmp_path / "series.csv"
+    data.write_text("t,x\n" + rows)
+    svg = tmp_path / "x.svg"
+    assert run(["plot", "--input", str(data), "--field", "x",
+                "--out", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: series 'x': ") and "finite" in err
+    assert not svg.exists()
+
+
+def test_plot_escapes_labels(tmp_path):
+    # column names with XML's special characters give a well-formed chart
+    # whose title, y label and legend read the name as it is
+    data = tmp_path / "series.csv"
+    data.write_text("t,a&b,<c>\n0,1,2\n1,2,3\n")
+    for field in ("a&b", "<c>"):
+        svg = tmp_path / "x.svg"
+        assert run(["plot", "--input", str(data), "--field", field,
+                    "--out", str(svg)]) == 0
+        root = ET.parse(svg).getroot()
+        texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count(field) == 3
 
 
 @pytest.mark.parametrize("time_unit", [None, 4320.0])

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from stentsim import CflError, InstabilityError, ValidationError, paper_params
@@ -1139,6 +1140,41 @@ def test_trajectories_of_variants_converge_first_order():
                                recs["alg2"].snapshots[-1].state))
     assert gaps[0] > 0
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.25)
+
+
+def test_each_variant_is_first_order_in_time():
+    # each variant's own time error on 50/25 over unit time, at 14
+    # snapshots, against the exact-in-time solution of the semi-discrete
+    # system: expm of its matrix, built from the assembled operators and
+    # not from the kernel, so that a kernel defect cannot cancel.  Runs at
+    # n0, 2 n0, 4 n0 and 8 n0 steps.  Windows, set before the first run:
+    # every field's order over the finest pair in [0.9, 1.1], and alg1's c1
+    # error, from its fresh stent trace, above ten times monolithic's
+    ops = build_operators(P, 50, 25)
+    n0, n1 = ops.psi_s.dim, ops.psi_m.dim
+    intervals = 14
+    step = scipy.linalg.expm(oracles.semidiscrete_matrix(P, ops) / intervals)
+    exact = [np.concatenate([np.ones(n0), np.zeros(2 * n1)])]
+    for _ in range(intervals):
+        exact.append(step @ exact[-1])
+    times = [j / intervals for j in range(intervals + 1)]
+    base = stable_step_count(P, ops.mesh_s.h, ops.mesh_m.h, 1.0,
+                             multiple_of=intervals)
+    fields = (slice(0, n0), slice(n0, n0 + n1), slice(n0 + n1, None))
+    errors = {}
+    for variant in ("monolithic", "alg1", "alg2"):
+        for level in (1, 2, 4, 8):
+            n = level * base
+            rec = run_simulation(P, ops, SchemeConfig(variant, 1.0 / n, 1.0),
+                                 times, record_every=n // intervals)
+            diff = np.abs([np.concatenate([s.state.y0, s.state.y1,
+                                           s.state.y2]) for s in rec.snapshots]
+                          - np.array(exact))
+            errors[variant, level] = [diff[:, f].max() for f in fields]
+        orders = np.log2(np.divide(errors[variant, 4], errors[variant, 8]))
+        assert np.all((0.9 <= orders) & (orders <= 1.1)), (variant, orders)
+    for level in (1, 2, 4, 8):
+        assert errors["alg1", level][1] > 10 * errors["monolithic", level][1]
 
 
 def test_baseline_configuration_runs_to_completion():
