@@ -20,6 +20,10 @@ The semi-discrete oracle writes the finite-element system before time
 stepping as one dense linear ODE, from the assembled operators and the
 model constants alone, so that ``scipy.linalg.expm`` gives its exact
 solution in time.
+
+The record CSV oracle prints a record's three files value by value with
+'%.16e', the per-row form of the numpy formatter ``stentsim.output``
+writes them with.
 """
 
 import math
@@ -266,3 +270,34 @@ def semidiscrete_matrix(p, ops):
     m[nz:, n0:nz] = p.da / (1.0 - p.phi) * eye
     m[nz:, nz:] = -p.da / ((1.0 - p.phi) * p.k_part) * eye
     return m
+
+
+def record_csv_oracle(rec):
+    """The bytes of snapshots.csv, interface.csv and monitors.csv for the
+    record rec, each value printed by '%.16e', each line ended by \\r\\n."""
+    def line(*values):
+        return ",".join("%.16e" % v if isinstance(v, float) else v
+                        for v in values) + "\r\n"
+
+    snap = [line("t", "domain", "x", "field", "value")]
+    for s in sorted(rec.snapshots, key=lambda s: s.t):
+        for x, a, b in zip(rec.mesh_m.nodes.tolist(), s.state.y1.tolist(),
+                           s.state.y2.tolist()):
+            snap += [line(s.t, "m", x, "c1", a), line(s.t, "m", x, "c2", b)]
+        snap += [line(s.t, "s", x, "c", v)
+                 for x, v in zip(rec.mesh_s.nodes.tolist(),
+                                 s.state.y0.tolist())]
+
+    def table(header, *columns):
+        return "".join([line(*header.split(","))]
+                       + [line(*row) for row in
+                          zip(*(c.tolist() for c in columns))]).encode()
+
+    ifc, mon = rec.interface, rec.monitors
+    return {
+        "snapshots.csv": "".join(snap).encode(),
+        "interface.csv": table("t,c_at_0,c1_at_0,c1_at_1", ifc.t,
+                               ifc.c_at_0, ifc.c1_at_0, ifc.c1_at_1),
+        "monitors.csv": table("t,mass,energy,mass_balance_residual", mon.t,
+                              mon.mass, mon.energy, mon.balance_residual),
+    }

@@ -609,6 +609,23 @@ def test_plot_refuses_non_finite_values(tmp_path, capsys, rows):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("rows", ["-1e308,1\n1e308,2\n",
+                                  "0,-1e308\n1,1e308\n",
+                                  "0,0\n1,1.79e308\n"])
+def test_plot_refuses_range_that_overflows(tmp_path, capsys, rows):
+    # finite data whose t span, y span, or y span with its 5% margin is
+    # inf: the CLI's error line and exit 1, and no chart
+    data = tmp_path / "series.csv"
+    data.write_text("t,x\n" + rows)
+    svg = tmp_path / "x.svg"
+    assert run(["plot", "--input", str(data), "--field", "x",
+                "--out", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data range too wide to plot")
+    assert "overflows float64" in err
+    assert not svg.exists()
+
+
 def test_plot_escapes_labels(tmp_path):
     # column names with XML's special characters give a well-formed chart
     # whose title, y label and legend read the name as it is

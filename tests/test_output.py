@@ -1,11 +1,15 @@
 import csv
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from stentsim import ValidationError, paper_params
 from stentsim.fem import build_operators
-from stentsim.output import _points, emit_svg_plot, write_record_csv
+from stentsim.output import (_digits, _lines, _points, emit_svg_plot,
+                             write_record_csv)
 from stentsim.stepping import SchemeConfig, run_simulation, sharp_dt_limit
 
 P = paper_params()
@@ -140,6 +144,84 @@ def test_streamed_bytes_match_csv_writer(record, tmp_path):
         header, rows = expected[path.name]
         assert path.read_bytes() == writer_bytes(ref / path.name, header,
                                                  rows)
+
+
+def test_multirate_every_step_files_match_oracle(tmp_path):
+    # alg1 with media substeps, every step recorded: c1(1) starts at 0,
+    # holds values near 5e-17 and dips below zero, and the balance
+    # residual is negative
+    ops = build_operators(P, 20, 25)
+    dt = 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, 4, "media")
+    cfg = SchemeConfig("alg1", dt, t_end=600 * dt, substep_ratio=4,
+                       substep_domain="media")
+    rec = run_simulation(P, ops, cfg, [0.0, 300 * dt, 600 * dt])
+    c1_at_1 = rec.interface.c1_at_1
+    assert (c1_at_1 < 0).any() and (c1_at_1 == 0).any()
+    assert ((c1_at_1 != 0) & (np.abs(c1_at_1) < 1e-15)).any()
+    assert (rec.monitors.balance_residual < 0).any()
+    want = oracles.record_csv_oracle(rec)
+    for path in write_record_csv(rec, tmp_path):
+        assert path.read_bytes() == want[path.name]
+
+
+# ------------------------------------------------ the '%.16e' formatter
+
+
+def formatted(x):
+    """The fields the record writer prints for the values of x."""
+    return b"".join(_lines([np.asarray(x, dtype=float), b"\n"])).split(
+        b"\n")[:-1]
+
+
+def printed(x):
+    return [b"%.16e" % v for v in np.asarray(x, dtype=float).tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_formatter_matches_percent_on_any_float(values):
+    # nan, +-inf, +-0 and subnormals included
+    assert formatted(values) == printed(values)
+
+
+def test_formatter_matches_percent_on_random_bit_patterns():
+    bits = np.random.default_rng(23).integers(0, 2 ** 64, 100_000,
+                                              dtype=np.uint64)
+    x = bits.view(np.float64)
+    assert formatted(x) == printed(x)
+
+
+def test_formatter_matches_percent_at_powers_of_ten():
+    # 10**E and its neighbours: exponents of one to three digits, log10
+    # landing on either side of E, and rounding up to 10**17 digits
+    p10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    x = np.concatenate([p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf)])
+    x = np.concatenate([x, -x])
+    assert formatted(x) == printed(x)
+    # log10 misses E next to 10**E and some digits round up to 10**17;
+    # both are taken without '%', which gets only the exact ties
+    a = x[(x >= 1e-280) & (x < 1e280)]
+    _, _, decided = _digits(a)
+    for v in a[~decided].tolist():
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    top = np.finfo(float).max
+    edges = [top, -top, 5e-324, -5e-324, 1e-280, 1e280]
+    assert formatted(edges) == printed(edges)
+
+
+def test_formatter_falls_back_on_exact_ties():
+    # (2i+1) 2**-j with 18 significant digits ends in a 5 after the 17th:
+    # an exact tie, which only '%' can round
+    rng = np.random.default_rng(5)
+    i = rng.integers(0, 2 ** 40, 50_000)
+    j = rng.integers(1, 120, 50_000)
+    x = (2 * i + 1) * np.exp2(-j.astype(float))
+    ties = np.arange(13107, 2 ** 17, 16) * 2.0 + 1  # (2i+1) 2**-18 in (0.1, 1)
+    x = np.concatenate([x, ties * 2.0 ** -18])
+    _, _, decided = _digits(x)
+    assert not decided.all()
+    assert formatted(x) == printed(x)
 
 
 def test_empty_record_rejected(tmp_path):
