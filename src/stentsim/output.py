@@ -249,7 +249,7 @@ def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",
     Deterministic: identical input yields byte-identical output.  Raises
     ValidationError, before any file is written, for a series that is
     empty, ragged or not finite, and for data whose range (with y's 5%
-    margin) overflows float64.
+    margin) overflows float64 or is too narrow for float64 to tick.
     """
     if not series:
         raise ValidationError("empty series")
@@ -288,6 +288,13 @@ def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",
         raise ValidationError(
             f"data range too wide to plot ({data}): its span overflows "
             "float64")
+    # the ticks advance by at least a fifth of the span, so a span of 10
+    # float64 spacings at the axis's ends keeps each tick past the last
+    for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):
+        if hi - lo < 10 * np.spacing(max(abs(lo), abs(hi))):
+            raise ValidationError(
+                f"data range too narrow to plot ({data}): its span is under "
+                "10 float64 spacings")
 
     def sx(x):
         return ml + (x - x_lo) / (x_hi - x_lo) * pw

@@ -87,14 +87,16 @@ block after the first is one product X_next = X_prev @ Q^T with
 Q = P^RECORD_BLOCK.  Snapshots follow one rule, however record i got
 into its row: the snapshots before record i + 1 are walked into a
 scratch row from the nearest earlier state, record i or the snapshot
-before it.  If P crosses the interval, the walk takes products with the
-rung R = G^(record_every // 2), the last prefix of P's build kept in its
-spare buffer, then steps, and record i + 1 is reached from record i; so
-the records are the same bits with and without snapshot requests.
-Otherwise record i + 1 is reached from the last snapshot walked.  Input
-size alone decides which power a run builds, if any, and whether it
-fills blocks (``RunRecorder`` documents the rules); the results differ
-from stepping at roundoff only.
+before it.  If P crosses the interval, the walk takes products with two
+rungs, prefixes of P's build, as many as fit, then steps: R =
+G^(record_every // 2), kept in P's spare buffer, then a short S = G^p,
+p about sqrt(2 * record_every), copied as the build passes it.  Record
+i + 1 is then reached from record i, so the records are the same bits
+with and without snapshot requests.  Otherwise record i + 1 is reached
+from the last snapshot walked.  Input size and the snapshots alone
+decide which power a run builds, if any, which rungs it keeps and
+whether it fills blocks (``RunRecorder`` documents the rules); the
+results differ from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -470,9 +472,13 @@ def whole_number(value, key: str) -> int:
 
 # records per monitor block: a run measures its records one block at a time
 RECORD_BLOCK = 256
-# largest record width [z; y2] that leaps: the two buffers of its power
-# then hold at most 2048^2 float64 each, 64 MiB together
+# largest record width [z; y2] that leaps: the power is built in two
+# padded buffers, then of order 2048 at most, 64 MiB of float64 together
 LEAP_MAX_SIZE = 2047
+# float64 entries that the power's buffers may hold together, 64 MiB: a
+# leaping run's short rung takes a third buffer only where all three fit,
+# up to padded order 1664
+LEAP_MAX_ENTRIES = 2 * 2048 ** 2
 # the power's buffers are padded with zeros to a multiple of this order:
 # OpenBLAS's threaded dgemm gives the bits of one thread at multiples of
 # 32 (measured with 1 to 4 threads), not at 303, 404 or 408, so padded
@@ -504,14 +510,23 @@ def _flush_to_zero(a: np.ndarray) -> None:
         cols *= mask
 
 
-def _power(step, nz: int, size: int, every: int):
-    """G^every and its rung G^(every // 2), where G is the map
-    (z, y2, q) -> (step(z, y2), q + z[-1]) on x = [z; y2; q] and z has nz
-    entries, each as the leading (size+1)^2 block of a Fortran-ordered
-    array padded with zeros to a multiple of LEAP_PAD, by ``_raise``.  G
-    is never stored; since powers of G commute, G A is taken as step on
-    each column of A, in place.  The rung is meaningful for every >= 2."""
-    m = -(-(size + 1) // LEAP_PAD) * LEAP_PAD
+def _padded(size: int) -> int:
+    """The order of a power's buffers for a record width size: size + 1
+    rounded up to a multiple of LEAP_PAD."""
+    return -(-(size + 1) // LEAP_PAD) * LEAP_PAD
+
+
+def _power(step, nz: int, size: int, every: int, rungs=()):
+    """G^every and the rungs G^o, o in ``rungs``, as a list of (rung, o),
+    where G is the map (z, y2, q) -> (step(z, y2), q + z[-1]) on
+    x = [z; y2; q] and z has nz entries, each as the leading (size+1)^2
+    block of a Fortran-ordered array padded with zeros to order
+    ``_padded(size)``, by ``_raise``.  The orders are prefixes of every's
+    binary digits: every // 2, kept in the buffer the build frees, then
+    optionally a shorter one, copied into a buffer of its own as the build
+    passes it.  G is never stored; since powers of G commute, G A is taken
+    as step on each column of A, in place."""
+    m = _padded(size)
     a = np.zeros((m, m), order="F")
     np.fill_diagonal(a[:size + 1, :size + 1], 1.0)
 
@@ -522,21 +537,27 @@ def _power(step, nz: int, size: int, every: int):
 
     times_g(a)
     _flush_to_zero(a)
-    return _raise(a, np.zeros_like(a), bin(every)[3:], times_g)
+    short = {o.bit_length() - 1: np.empty_like(a) for o in rungs[1:]}
+    power, spare = _raise(a, np.zeros_like(a), bin(every)[3:], times_g, short)
+    return power, list(zip([spare, *short.values()], rungs))
 
 
-def _raise(a, t, bits, times_g=None):
+def _raise(a, t, bits, times_g=None, keep=None):
     """Left-to-right binary powering of a over ``bits``, the binary digits
     of the exponent after its leading 1: square into the other buffer,
     then multiply by G (``times_g``) where the bit is 1 and flush to zero,
-    both in place.  Returns the power and the other buffer, which holds
-    the last squaring's operand, the power's prefix of half its order."""
-    for bit in bits:
+    both in place.  ``keep`` maps a digit count i to a buffer that the
+    power after the first i digits is copied into.  Returns the power and
+    the other buffer, which holds the last squaring's operand, the power's
+    prefix of half its order."""
+    for i, bit in enumerate(bits, 1):
         np.matmul(a, a, out=t)
         a, t = t, a
         if bit == "1":
             times_g(a)
         _flush_to_zero(a)
+        if keep and i in keep:
+            np.copyto(keep[i], a)
     return a, t
 
 
@@ -573,23 +594,39 @@ class RunRecorder:
     landing on the same step raise ValidationError.
 
     A run may build a power of the step (see the module docstring).
-    With N the record width len(z) + len(y2), its order is
+    With N the record width len(z) + len(y2) and m the padded order of
+    the power's buffers, its order is
       record_every, a leap, when leaping pays:
-        N <= LEAP_MAX_SIZE, so its two (N+1)^2 buffers (padded) stay small;
+        N <= LEAP_MAX_SIZE, so its two m^2 buffers stay small;
         16 * record_every >= N, so a leap costs less than its steps;
         4 * (steps saved) >= N^2, so the squarings pay, where a leap saves
         record_every steps per full record interval less the steps the
         walks to that interval's snapshots still take after their
-        products with the rung;
+        products with the rungs;
       1, a dense step, when that pays instead:
         substep_ratio > 1, since a single-rate kernel step costs little;
         N <= DENSE_MAX_SIZE, so a product costs less than a kernel step;
         n_steps >= 2 * N, so the N + 1 steps that build G pay;
       none otherwise, and the run steps.
     A run that records every step leaps only if N <= 16, and the
-    single-rate finite-difference solver never takes dense steps.  The
-    rung, which shares the power's two buffers, is kept only by a
-    leaping run with a snapshot strictly inside a full record interval.
+    single-rate finite-difference solver never takes dense steps.
+
+    Rungs are kept only by a leaping run with a snapshot strictly inside
+    a full record interval.  Its walks take products with the rung
+    R = G^(record_every // 2), which shares the power's two buffers, then
+    with a short rung S = G^p in a third buffer, where p is the prefix
+    record_every >> s, s >= 2, of the power's build nearest
+    sqrt(2 * record_every), when
+        p >= 2, so a product with S replaces more than one step;
+        3 * m^2 <= LEAP_MAX_ENTRIES, so the three buffers fit the 64 MiB
+        that the two may take at N = LEAP_MAX_SIZE (m <= 1664);
+        blocks do not fill, since building Q takes a buffer of its own.
+    A walk then takes fewer than p steps.  Basis (one BLAS thread,
+    medians of 7 runs): compare-fd's runs at 100/100, every 1000 with 9
+    walks, took 108 ms without S and 69-71 ms with p = 15, 31 or 62 (76
+    ms at 125), the finite-difference one 81 and 57-58 ms (61 ms); of 15
+    runs of compare-alg's 200/100 reference, every 517 with 10 walks, 112
+    ms without S and 82, 80, 89 and 93 ms with p = 16, 32, 64 and 129.
 
     Block products fill each record block after the first with one
     product with Q = P^RECORD_BLOCK, 8 squarings of P once the first
@@ -648,30 +685,39 @@ class RunRecorder:
         return sorted(k for k in self._snap_steps
                       if k % every and k < n - n % every)
 
-    def _order(self):
-        """The order of the power the run builds: record_every if leaping
-        pays, 1 if a dense step pays, None if the run only steps (the rule
-        is in the class docstring)."""
+    def _plan(self):
+        """(order, fills, rungs): the order of the power the run builds,
+        record_every if leaping pays, 1 if a dense step pays, None if the
+        run only steps; whether block products fill its record blocks; and
+        the orders of the rungs its walks take products with (the rules
+        are in the class docstring)."""
         every, size, n = self.record_every, self.size, self.n_steps
+        m, walks = _padded(size), self._walks()
+        # whether blocks fill, for a power of order record_every
+        fills = n // every + 1 - RECORD_BLOCK >= 3 * m
+        rungs = ()
+        if walks:
+            root = math.sqrt(2 * every)
+            short = min((every >> s for s in range(2, every.bit_length())),
+                        key=lambda p: abs(p - root), default=1)
+            keeps = short >= 2 and not fills and 3 * m * m <= LEAP_MAX_ENTRIES
+            rungs = (every // 2, short) if keeps else (every // 2,)
         # the steps a leap saves: record_every per full interval, less
-        # those the snapshot walks still take after products with the rung
+        # those the snapshot walks still take after products with the rungs
         saved, k = every * (n // every), 0
-        for s in self._walks():
-            saved -= (s - max(k, s - s % every)) % (every // 2)
+        for s in walks:
+            left = s - max(k, s - s % every)
+            for o in rungs:
+                left %= o
+            saved -= left
             k = s
         if (size <= LEAP_MAX_SIZE and 16 * every >= size
                 and 4 * saved >= size * size):
-            return every
+            return every, fills, rungs
         if (self.substep_ratio > 1 and size <= DENSE_MAX_SIZE
                 and n >= 2 * size):
-            return 1
-        return None
-
-    def _fills_blocks(self, order, m):
-        """Whether block products fill the record blocks after the first,
-        for a power of order ``order`` padded to m (see the class doc)."""
-        every, n = self.record_every, self.n_steps
-        return order == every and n // every + 1 - RECORD_BLOCK >= 3 * m
+            return 1, fills and every == 1, ()
+        return None, False, ()
 
     # a non-finite step, leap or record is the guard's to report, not numpy's
     @np.errstate(over="ignore", invalid="ignore")
@@ -681,30 +727,26 @@ class RunRecorder:
         the module docstring)."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
         size, n_records = self.size, self._out.shape[1]
-        order = self._order()
-        power = rung = None
+        order, blocks, rungs = self._plan()
+        power = None
         if order is not None:
-            power, rung = _power(step, nz, size, order)
+            power, rungs = _power(step, nz, size, order, rungs)
         leaps = order == every  # the power crosses each full interval
-        if not (leaps and self._walks()):
-            rung = None
-        half = every // 2
         width = size + 1 if power is None else len(power)
         # a row is a record [z; y2; q] padded to width, q the outflow sum
         # y1(1) over the steps before its step; a partial last block is
         # filled in full and sliced, so every product's shape stays padded
         rows = np.zeros((min(RECORD_BLOCK, n_records), width))
         inside = np.zeros(width)  # a snapshot strictly between two records
-        blocks = power is not None and self._fills_blocks(order, width)
         spare = np.empty_like(rows) if blocks else None
         regular = n // every + 1  # records on a multiple of record_every
         last = (regular - 1) * every  # the last of them
 
-        def advance(x, k, stop, out, rung=None):
+        def advance(x, k, stop, out, rungs=()):
             """The state x at step k advanced to step stop, into out: as
-            many products with the power, then with the rung, as fit,
+            many products with the power, then with each rung, as fit,
             then steps."""
-            for a, o in ((power, order), (rung, half)):
+            for a, o in ((power, order), *rungs):
                 while a is not None and stop - k >= o:
                     k += o
                     x = np.matmul(a, x, out=out if k == stop else None)
@@ -740,7 +782,7 @@ class RunRecorder:
                 while snap < (min(stop + every, n) if stop < n else n + 1):
                     if snap > k:
                         x, k = advance(x, k, snap, inside,
-                                       rung if crosses else None), snap
+                                       rungs if crosses else ()), snap
                     t = k * self.dt
                     snapshots.append(Snapshot(self._snap_steps[k], t, SimState(
                         x[:n0].copy(), x[n0:nz].copy(), x[nz:size].copy(), t)))

@@ -626,6 +626,28 @@ def test_plot_refuses_range_that_overflows(tmp_path, capsys, rows):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("rows", ["1e17,1\n",
+                                  "1e17,1\n1.0000000000000002e17,2\n",
+                                  "0,1e17\n1,1.0000000000000002e17\n"])
+def test_plot_refuses_range_too_narrow_to_tick(tmp_path, rows):
+    # a single time point past 2^53, where t + 1 == t, and spans of one
+    # float64 spacing in t or in y: the CLI's error line and exit 1, and no
+    # chart.  Such spans left a tick loop that never advanced, and the
+    # single point a chart of nan coordinates; a subprocess with a timeout
+    # shows the refusal comes back
+    data = tmp_path / "series.csv"
+    data.write_text("t,x\n" + rows)
+    svg = tmp_path / "x.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stentsim.cli", "plot", "--input", str(data),
+         "--field", "x", "--out", str(svg)],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: data range too narrow to plot")
+    assert "10 float64 spacings" in proc.stderr
+    assert not svg.exists()
+
+
 def test_plot_escapes_labels(tmp_path):
     # column names with XML's special characters give a well-formed chart
     # whose title, y label and legend read the name as it is

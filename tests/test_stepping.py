@@ -10,11 +10,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from stentsim import CflError, InstabilityError, ValidationError, paper_params
+from stentsim import stepping
 from stentsim.analysis import make_reference
 from stentsim.fdcheck import _FdStep, _trapezoid_monitor, run_fd
-from stentsim.fem import build_operators
+from stentsim.fem import MEDIA, STENT, build_mesh, build_operators
 from stentsim.params import energy_growth_rate
 from stentsim.stepping import (
+    LEAP_MAX_ENTRIES,
     RECORD_BLOCK,
     RunRecorder,
     SchemeConfig,
@@ -719,7 +721,7 @@ ops = build_operators(p, 20, 10)
 ops_release = build_operators(p, 100, 25)
 dt = media4(ops, 1).dt_m
 out = []
-for ops, cfg, every in [
+for ops, cfg, every, *walks in [
         # a stepping run: alg1 with 4 media substeps on 20/10 (N = 43),
         # every step recorded over 80 steps, under the 2N a dense run needs
         (ops, media4(ops, 80), 1),
@@ -733,18 +735,26 @@ for ops, cfg, every in [
         # reference records, whose power of order 404 is padded to 416
         (ops, SchemeConfig("monolithic", dt / 4, 2000 * dt / 4), 50),
         (build_operators(p, 200, 100), SchemeConfig(
-            "monolithic", 1.0 / 103456, 80 * 517 / 103456), 517)]:
-    rec = run_simulation(p, ops, cfg, [cfg.t_end], record_every=every)
-    s, m = rec.snapshots[-1].state, rec.monitors
-    out += [s.y0, s.y1, s.y2, m.mass, m.stent_mass, m.energy,
-            m.balance_residual]
+            "monolithic", 1.0 / 103456, 80 * 517 / 103456), 517),
+        # the same every 517 with two snapshots walked by products with
+        # the rungs G^258 and G^32
+        (build_operators(p, 200, 100), SchemeConfig(
+            "monolithic", 1.0 / 103456, 80 * 517 / 103456), 517, 10336,
+         20672)]:
+    times = [k * cfg.dt_m for k in walks] + [cfg.t_end]
+    rec = run_simulation(p, ops, cfg, times, record_every=every)
+    m = rec.monitors
+    out += [m.mass, m.stent_mass, m.energy, m.balance_residual]
+    for snap in rec.snapshots:
+        out += [snap.state.y0, snap.state.y1, snap.state.y2]
 np.save(sys.argv[1], np.concatenate(out))
 """
 
 
 def test_results_do_not_depend_on_blas_thread_count(tmp_path):
-    # the kernel, the dense steps, the leaps and the block products are
-    # BLAS calls; one thread or two must give the same bits
+    # the kernel, the dense steps, the leaps, the walks' rung products and
+    # the block products are BLAS calls; one thread or two must give the
+    # same bits
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = {}
     for threads in ("1", "2"):
@@ -870,7 +880,8 @@ def test_leaps_match_stepping(step_calls, variant, setting):
     # the others step.  When it leaps, 24 step calls per set bit of 50
     # build the power, then the 10-step tail steps; the snapshot at 1234,
     # 34 past its record, is walked by one product with the rung G^25 and
-    # 9 steps, and a snapshot on the record step 1250 is read off its row
+    # 9 steps, too few for the short rung G^12, and a snapshot on the
+    # record step 1250 is read off its row
     dense = 24 if SETTINGS[setting][0] > 1 else 2010
     for snaps, calls in ((range(2011), dense),
                          ([0, 1234, 2010], 24 * 3 + 9 + 10),
@@ -886,13 +897,15 @@ def block_fills(monkeypatch):
     """A list of each run's answer to whether block products fill its
     record blocks, for every run that builds a power."""
     answers = []
-    fills = RunRecorder._fills_blocks
+    plan = RunRecorder._plan
 
-    def spy(self, *args):
-        answers.append(fills(self, *args))
-        return answers[-1]
+    def spy(self):
+        order, fills, rungs = plan(self)
+        if order is not None:
+            answers.append(fills)
+        return order, fills, rungs
 
-    monkeypatch.setattr(RunRecorder, "_fills_blocks", spy)
+    monkeypatch.setattr(RunRecorder, "_plan", spy)
     return answers
 
 
@@ -948,19 +961,27 @@ def test_record_edges_match_stepping(variant, setting, n, every, snaps):
 
 
 # (record_every, snapshot steps, step calls) over 2010 steps of a leaping
-# run, whose rung is G^(every // 2).  Every 50: three snapshots in one
-# interval, 10, 35 and 45 past its record, take 10 steps, a rung product
-# from the first (into its own row) and 10 steps from the second;
-# snapshots 25 (the rung's order), 24 and 49 past their records take a
-# rung product, 24 steps, and a rung product and 24 steps; one in the
-# partial last interval is stepped on the way to the last record, 10
+# run, whose rungs are R = G^(every // 2) and S = G^p, p the prefix of
+# every's build nearest sqrt(2 * every): 12 for every 50, 51 and 100.
+# Every 50: three snapshots in one interval, 10, 35 and 45 past its
+# record, take 10 steps (fewer than 12), an R product from the first
+# (into its own row) and 10 steps from the second; snapshots 25 (R's
+# order), 24 and 49 past their records take an R product, two S
+# products, and an R product and two S products, and no step; one in
+# the partial last interval is stepped on the way to the last record, 10
 # steps in all.  24 step calls per set bit of 50 build the power.  Every
-# 51: 50 past its record is two rung products of 25 and no step, 25 past
-# is one; the tail is 21 steps and 24 step calls per set bit of 51 build
-# the power
+# 51: 50 past its record is two R products of 25 and no step, 25 past is
+# one; the tail is 21 steps and 24 step calls per set bit of 51 build
+# the power.  Every 100: 12 past its record is one S product; 25 on from
+# there two S products and a step; 62 on an R product and an S product;
+# 63 past the next record R, S and a step; 49 past the next four S
+# products and a step; the tail 10 steps, and 24 step calls per set bit
+# of 100 build the power
 WALK_CASES = [(50, [1210, 1235, 1245, 1325, 1424, 1549, 2005],
-               24 * 3 + 10 + 0 + 10 + 0 + 24 + 24 + 10),
-              (51, [51 * 20 + 50, 51 * 30 + 25], 24 * 4 + 21)]
+               24 * 3 + 10 + 0 + 10 + 0 + 0 + 0 + 10),
+              (51, [51 * 20 + 50, 51 * 30 + 25], 24 * 4 + 21),
+              (100, [1112, 1137, 1199, 1263, 1349, 2005],
+               24 * 3 + 0 + 1 + 0 + 1 + 1 + 10)]
 
 
 @pytest.mark.parametrize("every,snaps,calls", WALK_CASES)
@@ -980,14 +1001,16 @@ def test_snapshot_walks_match_stepping(step_calls, variant, setting, every,
 
 
 # (variant, setting, n, record_every, snapshot steps, block fills):
-# leaping runs, FEM and FD, with the snapshots of WALK_CASES; and a run
+# leaping runs, FEM and FD, with the snapshots of WALK_CASES; a run
 # every 2 that fills blocks, with snapshots strictly inside the last
 # interval of the first block, of a filled block (record 300), across two
-# filled blocks (record 511 to 512) and inside the partial last interval
+# filled blocks (record 511 to 512) and inside the partial last interval;
+# and a run every 100 whose walks end on products with the short rung
 SNAPSHOT_FREE_CASES = [
     ("alg1", "media4", 2010, 50, WALK_CASES[0][1], False),
     ("fd", "r1", 2010, 50, WALK_CASES[0][1], False),
-    ("monolithic", "r1", 869 * 2 - 1, 2, [0, 511, 601, 1023, 1737], True)]
+    ("monolithic", "r1", 869 * 2 - 1, 2, [0, 511, 601, 1023, 1737], True),
+    ("monolithic", "r1", 2010, 100, WALK_CASES[2][1], False)]
 
 
 @pytest.mark.parametrize("variant,setting,n,every,snaps,fills",
@@ -1045,14 +1068,17 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     # 646 test steps, 16 reference steps each, and t_end): 404 step calls
     # per set bit of 517 build the power, then the 56-step tail steps.
     # Snapshot k = 1..10, at k * 10336 = (20k - 1) * 517 + 517 - 4k, is
-    # walked from its record by one product with the rung G^258 and
-    # 259 - 4k steps, 2370 in all
+    # walked from its record by one product with the rung G^258, then
+    # products with the short rung G^32 (517 >> 4, the prefix nearest
+    # sqrt(1034) = 32.2): 7 for k <= 8 and 6 for k = 9, 10, and the
+    # (259 - 4k) % 32 steps left, 31 + 27 + ... + 3 + 31 + 27 = 194 in all
+    # (2370 with the rung G^258 alone)
     step_calls.clear()
     times = [k * 646 / 6466 for k in range(11)] + [1.0]
     ref = make_reference(P, 200, 100, 103456, 1.0, times)
     assert ref.config["record_every"] == 517
-    assert len(step_calls) == 404 * 3 + sum(259 - 4 * k
-                                            for k in range(1, 11)) + 56
+    assert len(step_calls) == 404 * 3 + 194 + 56 == 1462
+    assert 194 == sum((259 - 4 * k) % 32 for k in range(1, 11))
     assert [round(s.t * 103456) for s in ref.snapshots] == [
         k * 16 * 646 for k in range(11)] + [103456]
     # compare-fd's two runs, 100/100 over 103 321 steps recorded every 1000
@@ -1061,11 +1087,17 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     # takes 304 step calls per set bit of 1000 to build the power and 321
     # for the tail.  Its snapshots at round(10332.1 k), k = 1..9, sit 332,
     # 664, 996, 328, 660, 993, 325, 657 and 989 steps past their records;
-    # those past 500 take one product with the rung G^500 first
+    # those past 500 take one product with the rung G^500 first, and each
+    # then takes products with the short rung G^31 (1000 >> 5, the prefix
+    # nearest sqrt(2000) = 44.7) and steps the rest modulo 31: 22 + 9 +
+    # 0 + 18 + 5 + 28 + 15 + 2 + 24 = 123 steps in all (2944 with the rung
+    # G^500 alone)
     n = stable_step_count(P, P.l / 100, 1.0 / 100, 1.0)
     assert n == 103321
     times = [k / 10 for k in range(11)]
-    walked = 332 + 164 + 496 + 328 + 160 + 493 + 325 + 157 + 489
+    walked = 22 + 9 + 0 + 18 + 5 + 28 + 15 + 2 + 24
+    assert walked == sum(r % 31 for r in (332, 164, 496, 328, 160, 493, 325,
+                                          157, 489))
     for run in (lambda: run_simulation(
                     P, build_operators(P, 100, 100),
                     SchemeConfig("monolithic", 1.0 / n, 1.0), times,
@@ -1074,11 +1106,78 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
                                record_every=1000)):
         step_calls.clear()
         rec = run()
-        assert len(step_calls) == 304 * 6 + walked + 321
+        assert len(step_calls) == 304 * 6 + walked + 321 == 2268
         assert [round(s.t * n) for s in rec.snapshots] == [
             0, 10332, 20664, 30996, 41328, 51660, 61993, 72325, 82657, 92989,
             n]
     assert block_fills == [False] * 5
+
+
+def planned(n_s, n_m, n, every, snaps, variant="monolithic", ratio=1):
+    """RunRecorder._plan of a run on n_s/n_m over n steps of 1/n, recorded
+    every ``every`` with snapshots at the given steps; nothing is built."""
+    cfg = SchemeConfig(variant, 1.0 / n, 1.0, substep_ratio=ratio)
+    rec = RunRecorder("fem", P, cfg, build_mesh(STENT, n_s, l=P.l),
+                      build_mesh(MEDIA, n_m), [k / n for k in snaps], every,
+                      None)
+    return rec._plan()
+
+
+def test_short_rung_rule_on_sizes():
+    # (order, block fills, rung orders).  compare-fd's runs and the study
+    # reference keep the short rungs G^31 and G^32
+    crosscheck = [round(10332.1 * k) for k in range(11)]
+    assert planned(100, 100, 103321, 1000, crosscheck) == (1000, False,
+                                                           (500, 31))
+    assert planned(200, 100, 103456, 517, [10336 * k for k in range(11)]) == (
+        517, False, (258, 32))
+    # the memory rule: the three padded buffers must fit the entries that
+    # two take at LEAP_MAX_SIZE.  N = n_s + 2 n_m + 3 = 1663 pads to 1664,
+    # whose three buffers fit; N = 1664 pads to 1696, whose do not.  A
+    # million steps every 1000, with one walk, leap at either size
+    assert 3 * 1664 ** 2 <= LEAP_MAX_ENTRIES < 3 * 1696 ** 2
+    for n_s, rungs in ((1000, (500, 31)), (1001, (500,))):
+        assert planned(n_s, 330, 10 ** 6, 1000, [1500]) == (1000, False,
+                                                            rungs)
+    # no walk, no rung: snapshots on records and in the partial last
+    # interval only
+    assert planned(100, 100, 103321, 1000, [0, 5000, 103100]) == (
+        1000, False, ())
+    # every 8 on 8/6 (m = 32): the short rung would be G^2, but over 3200
+    # steps 145 records past the first block, at least 3 * 32, fill
+    # blocks, and Q's build takes the third buffer; over 1600 steps they
+    # do not fill, and the rung is kept
+    assert planned(8, 6, 3200, 8, [1603]) == (8, True, (4,))
+    assert planned(8, 6, 1600, 8, [1203]) == (8, False, (4, 2))
+    # below every 8 no prefix of order 2 or more lies two digits down
+    assert planned(8, 6, 1600, 7, [1203]) == (7, False, (3,))
+    # a multi-rate run on 100/25 (N = 153) over 2000 steps recorded at
+    # the ends: its walk to step 1001 leaves the leap too little to save,
+    # so it takes dense steps and keeps no rung
+    assert planned(100, 25, 2000, 2000, [1001], "alg1", 4) == (1, False, ())
+
+
+def test_only_walking_leaps_build_the_short_rung(monkeypatch):
+    # a spy on _raise: the digit counts after which it copies the power
+    # into a rung buffer, one entry per call
+    kept = []
+    raise_ = stepping._raise
+
+    def spy(a, t, bits, times_g=None, keep=None):
+        kept.append(sorted(keep or ()))
+        return raise_(a, t, bits, times_g, keep)
+
+    monkeypatch.setattr(stepping, "_raise", spy)
+    # a leaping run with a walk copies G^12 after 3 digits of 50's build
+    leap_case("monolithic", "r1", [0, 1213, 2010])
+    assert kept == [[3]]
+    # dense steps, a leaping run without walks, and a block-filling run
+    # with one (its _power build and its Q build) copy none
+    kept.clear()
+    leap_case("alg1", "media4", range(2011))
+    leap_case("monolithic", "r1", [0, 1250, 2005])
+    leap_case("fd", "r1", [1603], 3200, 8)
+    assert kept == [[], [], [], []]
 
 
 def test_unstable_leaping_run_is_caught(monkeypatch, step_calls):
