@@ -208,7 +208,8 @@ def convergence_study(
     ``levels``).
     """
     if levels < 2:
-        raise ValidationError("need at least two refinement levels")
+        raise ValidationError("need at least two refinement levels",
+                              key="levels")
     if ref_refine < 1:
         raise ValidationError("reference must be finer than the finest level")
     snapshot_times = [i * t_end / n_snapshots for i in range(n_snapshots + 1)]

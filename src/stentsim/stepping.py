@@ -68,32 +68,32 @@ Recording: ``RunRecorder.run`` is the one time loop, for this solver
 and the finite-difference one.  Its state is one row x = [z; y2; q], q
 the outflow sum of y1(1) over the steps taken.  A record is such a row
 of a preallocated block of RECORD_BLOCK rows, taken every record_every
-steps and at n_steps.  The loop goes over the blocks: it reaches each
-record from the one before by ``advance``, then measures the block in
-one shot by the solver's ``BlockMonitor`` (two matrix-vector products
-for the masses, the form's ``TridiagonalMatrix.quadratic`` for the
-energy), guards it and stores it.  The guards name the first failing
-record at its own t, so a run stops with the message a per-record check
-would give and before any output.
+steps and at n_steps.  The loop goes over the blocks.  A records pass
+reaches each record from the one before it by ``advance``; the block is
+then measured in one shot by the solver's ``BlockMonitor`` (two
+matrix-vector products for the masses, the form's
+``TridiagonalMatrix.quadratic`` for the energy), guarded and stored;
+then a snapshots pass takes the block's snapshots.  The guards name the
+first failing record at its own t, so a run stops with the message a
+per-record check would give and before any output.
 
 The step, with q carried along, is one linear map G on x, so ``advance``
-takes as many products x <- P x with a power P = G^order as fit, then
-steps the rest.  A run that records rarely builds P = G^record_every by
-repeated squaring (``_power``) and leaps each full record interval; a
-small multi-rate run that does not leap, such as one that records every
-step, builds G itself and takes each step as one product, which costs
-less than the kernel's substeps.  If P's order is record_every, each
-block after the first is one product X_next = X_prev @ Q^T with
-Q = P^RECORD_BLOCK.  Snapshots follow one rule, however record i got
-into its row: the snapshots before record i + 1 are walked into a
-scratch row from the nearest earlier state, record i or the snapshot
-before it.  If P crosses the interval, the walk takes products with two
-rungs, prefixes of P's build, as many as fit, then steps: R =
+takes as many products x <- A x as fit with the power P = G^order, then
+with each rung, then steps the rest.  A run that records rarely builds
+P = G^record_every by repeated squaring (``_power``) and leaps each full
+record interval; a small multi-rate run that does not leap, such as one
+that records every step, builds G itself and takes each step as one
+product, which costs less than the kernel's substeps.  If P's order is
+record_every, each block after the first is one product
+X_next = X_prev @ Q^T with Q = P^RECORD_BLOCK.  A state short of a full
+leap is walked: each snapshot off the record grid, into a scratch row,
+from its record or the snapshot before it in the interval, and an
+off-grid last record from the record before it.  A leaping run's walks
+take products with two rungs, prefixes of P's build: R =
 G^(record_every // 2), kept in P's spare buffer, then a short S = G^p,
-p about sqrt(2 * record_every), copied as the build passes it.  Record
-i + 1 is then reached from record i, so the records are the same bits
-with and without snapshot requests.  Otherwise record i + 1 is reached
-from the last snapshot walked.  Input size and the snapshots alone
+p about sqrt(2 * record_every), copied as the build passes it.  No
+record is reached through a snapshot, so the records are the same bits
+with and without snapshot requests.  Input size and the snapshots alone
 decide which power a run builds, if any, which rungs it keeps and
 whether it fills blocks (``RunRecorder`` documents the rules); the
 results differ from stepping at roundoff only.
@@ -472,12 +472,10 @@ def whole_number(value, key: str) -> int:
 
 # records per monitor block: a run measures its records one block at a time
 RECORD_BLOCK = 256
-# largest record width [z; y2] that leaps: the power is built in two
-# padded buffers, then of order 2048 at most, 64 MiB of float64 together
-LEAP_MAX_SIZE = 2047
 # float64 entries that the power's buffers may hold together, 64 MiB: a
-# leaping run's short rung takes a third buffer only where all three fit,
-# up to padded order 1664
+# run leaps only where its two padded buffers fit, up to order 2048, and
+# its short rung takes a third buffer only where all three fit, up to
+# order 1664
 LEAP_MAX_ENTRIES = 2 * 2048 ** 2
 # the power's buffers are padded with zeros to a multiple of this order:
 # OpenBLAS's threaded dgemm gives the bits of one thread at multiples of
@@ -597,12 +595,12 @@ class RunRecorder:
     With N the record width len(z) + len(y2) and m the padded order of
     the power's buffers, its order is
       record_every, a leap, when leaping pays:
-        N <= LEAP_MAX_SIZE, so its two m^2 buffers stay small;
+        2 * m^2 <= LEAP_MAX_ENTRIES, so its two buffers fit 64 MiB
+        (m <= 2048, N <= 2047);
         16 * record_every >= N, so a leap costs less than its steps;
         4 * (steps saved) >= N^2, so the squarings pay, where a leap saves
-        record_every steps per full record interval less the steps the
-        walks to that interval's snapshots still take after their
-        products with the rungs;
+        all n_steps steps less those that its walks still take after
+        their products with the rungs;
       1, a dense step, when that pays instead:
         substep_ratio > 1, since a single-rate kernel step costs little;
         N <= DENSE_MAX_SIZE, so a product costs less than a kernel step;
@@ -611,15 +609,15 @@ class RunRecorder:
     A run that records every step leaps only if N <= 16, and the
     single-rate finite-difference solver never takes dense steps.
 
-    Rungs are kept only by a leaping run with a snapshot strictly inside
-    a full record interval.  Its walks take products with the rung
-    R = G^(record_every // 2), which shares the power's two buffers, then
-    with a short rung S = G^p in a third buffer, where p is the prefix
-    record_every >> s, s >= 2, of the power's build nearest
-    sqrt(2 * record_every), when
+    Rungs are kept only by a leaping run that walks: one with a snapshot
+    off the record grid before n_steps, or with n_steps off that grid.
+    Its walks take products with the rung R = G^(record_every // 2),
+    which shares the power's two buffers, then with a short rung S = G^p
+    in a third buffer, where p is the prefix record_every >> s, s >= 2,
+    of the power's build nearest sqrt(2 * record_every), when
         p >= 2, so a product with S replaces more than one step;
         3 * m^2 <= LEAP_MAX_ENTRIES, so the three buffers fit the 64 MiB
-        that the two may take at N = LEAP_MAX_SIZE (m <= 1664);
+        that the two may take (m <= 1664);
         blocks do not fill, since building Q takes a buffer of its own.
     A walk then takes fewer than p steps.  Basis (one BLAS thread,
     medians of 7 runs): compare-fd's runs at 100/100, every 1000 with 9
@@ -632,9 +630,8 @@ class RunRecorder:
     product with Q = P^RECORD_BLOCK, 8 squarings of P once the first
     block is flushed, when P's order is record_every and the records on
     the grid of record_every past the first block number at least 3 * m,
-    m the padded order.  A filled block's snapshots are walked from its
-    rows by the same rule as any other, and the loop passes over the
-    filled records before the next snapshot's.  Basis
+    m the padded order.  The records pass skips the filled records, and
+    the snapshots pass walks from their rows as from any others.  Basis
     (one BLAS thread, best of 3 runs, against one product with P per
     record): m = 64 pays from about 128 records, m = 160 from 384-480,
     m = 416 (leaping every 32) from 1280, m = 768 (every 64) by 2300.
@@ -672,18 +669,18 @@ class RunRecorder:
         self.n0 = mesh_s.n_elems + 1
         self.nz = self.n0 + mesh_m.n_elems + 1
         self.size = self.nz + mesh_m.n_elems + 1
+        # records every record_every steps and at n_steps; rows: t, mass,
+        # stent mass, energy, balance residual, c(0-), c1(0+), c1(1)
+        n_records = -(-n_steps // every) + 1
+        try:
+            self._out = np.empty((8, n_records))
+        except (MemoryError, ValueError) as exc:
+            raise ValidationError(
+                f"the record of {n_records:.6g} records ({n_steps:.6g} "
+                f"steps, record_every {every}) cannot be allocated ({exc})",
+                key="record_every") from None
         records = np.append(np.arange(0, n_steps, every), n_steps)
-        # rows: t, mass, stent mass, energy, balance residual, c(0-),
-        # c1(0+), c1(1)
-        self._out = np.empty((8, len(records)))
         np.multiply(records, dt, out=self._out[0])
-
-    def _walks(self):
-        """The snapshot steps strictly inside a full record interval, in
-        order: a leaping run walks each from the state before it."""
-        every, n = self.record_every, self.n_steps
-        return sorted(k for k in self._snap_steps
-                      if k % every and k < n - n % every)
 
     def _plan(self):
         """(order, fills, rungs): the order of the power the run builds,
@@ -692,7 +689,15 @@ class RunRecorder:
         the orders of the rungs its walks take products with (the rules
         are in the class docstring)."""
         every, size, n = self.record_every, self.size, self.n_steps
-        m, walks = _padded(size), self._walks()
+        m = _padded(size)
+        # the walks (start, stop): each snapshot off the record grid from
+        # its record or the snapshot before it in the interval, and an
+        # off-grid n from its record
+        snaps = sorted(k for k in self._snap_steps if k % every and k < n)
+        walks = [(max(a, b - b % every), b)
+                 for a, b in zip([0, *snaps], snaps)]
+        if n % every:
+            walks.append((n - n % every, n))
         # whether blocks fill, for a power of order record_every
         fills = n // every + 1 - RECORD_BLOCK >= 3 * m
         rungs = ()
@@ -702,16 +707,15 @@ class RunRecorder:
                         key=lambda p: abs(p - root), default=1)
             keeps = short >= 2 and not fills and 3 * m * m <= LEAP_MAX_ENTRIES
             rungs = (every // 2, short) if keeps else (every // 2,)
-        # the steps a leap saves: record_every per full interval, less
-        # those the snapshot walks still take after products with the rungs
-        saved, k = every * (n // every), 0
-        for s in walks:
-            left = s - max(k, s - s % every)
+        # the steps a leap saves: all n, less those the walks still take
+        # after products with the rungs
+        saved = n
+        for start, stop in walks:
+            left = stop - start
             for o in rungs:
                 left %= o
             saved -= left
-            k = s
-        if (size <= LEAP_MAX_SIZE and 16 * every >= size
+        if (2 * m * m <= LEAP_MAX_ENTRIES and 16 * every >= size
                 and 4 * saved >= size * size):
             return every, fills, rungs
         if (self.substep_ratio > 1 and size <= DENSE_MAX_SIZE
@@ -731,18 +735,16 @@ class RunRecorder:
         power = None
         if order is not None:
             power, rungs = _power(step, nz, size, order, rungs)
-        leaps = order == every  # the power crosses each full interval
         width = size + 1 if power is None else len(power)
         # a row is a record [z; y2; q] padded to width, q the outflow sum
         # y1(1) over the steps before its step; a partial last block is
         # filled in full and sliced, so every product's shape stays padded
         rows = np.zeros((min(RECORD_BLOCK, n_records), width))
-        inside = np.zeros(width)  # a snapshot strictly between two records
+        inside = np.zeros(width)  # a snapshot off the record grid
         spare = np.empty_like(rows) if blocks else None
         regular = n // every + 1  # records on a multiple of record_every
-        last = (regular - 1) * every  # the last of them
 
-        def advance(x, k, stop, out, rungs=()):
+        def advance(x, k, stop, out):
             """The state x at step k advanced to step stop, into out: as
             many products with the power, then with each rung, as fit,
             then steps."""
@@ -762,35 +764,32 @@ class RunRecorder:
         snapshots = []
         pending = iter([*sorted(self._snap_steps), n + 1])
         snap = next(pending)
-        x, k = rows[0], 0
-        x[:nz], x[nz:size] = z, y2
-        filled = 0  # a block's records below this came from a block product
+        rows[0, :nz], rows[0, nz:size] = z, y2
+        x, k = None, -1  # the last snapshot's state and step
+        # the records below this are in their rows: the initial state,
+        # then those that a block product filled
+        filled = 1
         for lo in range(0, n_records, len(rows)):
             hi = min(lo + len(rows), n_records)
-            i = lo
-            while i < hi:
-                # filled records before the next snapshot's are passed over,
-                # but for the last, from which an unfilled record is reached
-                i = max(i, min(filled - 1, snap // every))
-                row, stop = rows[i - lo], min(i * every, n)
-                if i >= filled:
-                    advance(x, k, stop, row)
-                # the snapshots before record i + 1, each walked from the
-                # nearest earlier state: the record or the snapshot before
-                crosses = leaps and stop < last
-                x, k = row, stop
-                while snap < (min(stop + every, n) if stop < n else n + 1):
-                    if snap > k:
-                        x, k = advance(x, k, snap, inside,
-                                       rungs if crosses else ()), snap
-                    t = k * self.dt
-                    snapshots.append(Snapshot(self._snap_steps[k], t, SimState(
-                        x[:n0].copy(), x[n0:nz].copy(), x[nz:size].copy(), t)))
-                    snap = next(pending)
-                if crosses:  # the power reaches record i + 1 from record i
-                    x, k = row, stop
-                i += 1
+            # each record from the one before it; rows[-1] holds the last
+            # record of the block before
+            for i in range(max(lo, filled), hi):
+                advance(rows[i - 1 - lo], (i - 1) * every, min(i * every, n),
+                        rows[i - lo])
             self._flush(rows[:hi - lo], lo)
+            # the block's snapshots: each is read off its record's row, or
+            # walked from the record or the snapshot before it
+            while snap < (n + 1 if hi == n_records else min(hi * every, n)):
+                i = n_records - 1 if snap == n else snap // every
+                start = min(i * every, n)  # its record's step
+                if k < start:  # no snapshot since that record
+                    x, k = rows[i - lo], start
+                if snap > k:
+                    x, k = advance(x, k, snap, inside), snap
+                t = snap * self.dt
+                snapshots.append(Snapshot(self._snap_steps[snap], t, SimState(
+                    x[:n0].copy(), x[n0:nz].copy(), x[nz:size].copy(), t)))
+                snap = next(pending)
             if blocks and hi < regular:
                 if lo == 0:  # power <- power^RECORD_BLOCK
                     power = _raise(power, np.empty_like(power),

@@ -429,6 +429,53 @@ def test_converge_refuses_reference_it_cannot_allocate(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare-fd"])
+@pytest.mark.parametrize("dt,count,reason", [
+    ("1.0e-17", "1e+17", "(Unable to allocate "),
+    ("1.0e-300", "1e+300", "(Maximum allowed ")])
+def test_run_refuses_record_it_cannot_allocate(tmp_path, capsys, monkeypatch,
+                                               command, dt, count, reason):
+    # unit time on 8/4 in steps of 1e-17 or 1e-300 passes the stability
+    # gate, but its record of one row per step cannot be allocated: numpy
+    # refuses the 1e17 records as a MemoryError and the 1e300 as a
+    # ValueError, at once and without touching memory.  Both became the
+    # CLI's error line, before any step and any output
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run stepped before its record was allocated")
+
+    monkeypatch.setattr(RunRecorder, "run", no_run)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(f"""\
+params: paper_defaults
+mesh:
+  n_s: 8
+  n_m: 4
+time:
+  t_end: 1
+  dt_m: {dt}
+scheme: monolithic
+output:
+  out_dir: {out}
+""")
+    assert run([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: the record of {count} records ({count} steps, record_every "
+        f"1) cannot be allocated {reason}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["1", "0", "-3"])
+def test_converge_refuses_too_few_levels_by_flag(tmp_path, capsys, levels):
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10,
+                                snapshots=False)
+    assert run(["converge", "--config", str(cfg_path), "--levels",
+                levels]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --levels {levels}: need at least two refinement levels\n")
+    assert not out.exists()
+
+
 CONFIG_NAMES = ("release.yaml", "study.yaml", "crosscheck.yaml",
                 "convergence.yaml")
 

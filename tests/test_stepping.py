@@ -876,13 +876,16 @@ def test_leaps_match_stepping(step_calls, variant, setting):
     steps = [*range(0, 2010, 50), 2010]
     # with a snapshot at every step, each walk of one step saves none, so
     # leaping would save 1 step per interval and does not pay; a multi-rate
-    # run takes dense steps: 24 step calls (N + 1) build the step's map;
-    # the others step.  When it leaps, 24 step calls per set bit of 50
-    # build the power, then the 10-step tail steps; the snapshot at 1234,
-    # 34 past its record, is walked by one product with the rung G^25 and
-    # 9 steps, too few for the short rung G^12, and a snapshot on the
-    # record step 1250 is read off its row
-    dense = 24 if SETTINGS[setting][0] > 1 else 2010
+    # run takes dense steps: 24 step calls (N + 1) build the step's map.
+    # The others step: 2010 steps reach the records, each from the one
+    # before, and each snapshot off the record grid is stepped from the
+    # snapshot before it, 49 per full interval and 9 in the last, 1969 in
+    # all.  When it leaps, 24 step calls per set bit of 50 build the power;
+    # the snapshot at 1234, 34 past its record, is walked by one product
+    # with the rung G^25 and 9 steps, too few for the short rung G^12; the
+    # last step, 10 past its record, is walked by 10 steps; and a snapshot
+    # on the record step 1250 is read off its row
+    dense = 24 if SETTINGS[setting][0] > 1 else 2010 + 1969
     for snaps, calls in ((range(2011), dense),
                          ([0, 1234, 2010], 24 * 3 + 9 + 10),
                          ([0, 1250, 2010], 24 * 3 + 10)):
@@ -914,7 +917,7 @@ def block_fills(monkeypatch):
 # last step, n, is one step past the last record on the grid of 2.  869
 # records on the grid fill three blocks of RECORD_BLOCK and part of a
 # fourth; 768 fill exactly three, and the off-grid last record, alone in a
-# fourth block, is stepped from the last row of the third
+# fourth block, is walked from the last row of the third
 BLOCK_CASES = [pytest.param(*case, 869, id="-".join(map(str, case)))
                for case in (("alg1", "stent4", 1), ("alg2", "media4", 1),
                             ("monolithic", "media4", 1),
@@ -929,7 +932,8 @@ def test_block_products_match_stepping(step_calls, block_fills, variant,
     # blocks 2 onwards are each one product with the power's
     # RECORD_BLOCK-th power.  Snapshots on record steps inside the filled
     # blocks are read from the blocks' rows.  24 step calls (N + 1) build
-    # the power, and a leaping run steps its last step
+    # the power, and a leaping run walks its last step, one past its
+    # record, by one product with the rung G^1 and no step
     assert 3 * RECORD_BLOCK == 768 < 869 < 4 * RECORD_BLOCK
     n = grid * every - 1
     steps = [*range(0, n + 1, every)] + ([n] if n % every else [])
@@ -937,7 +941,7 @@ def test_block_products_match_stepping(step_calls, block_fills, variant,
              min(800, grid - 1) * every, n]
     rec = leap_case(variant, setting, snaps, n, every)
     assert block_fills == [True]
-    assert len(step_calls) == 24 + (every - 1)
+    assert len(step_calls) == 24
     assert_matches_stepping(rec, stepped_case(variant, setting, n),
                             leap_dt(setting), steps, snaps)
 
@@ -968,23 +972,26 @@ def test_record_edges_match_stepping(variant, setting, n, every, snaps):
 # (into its own row) and 10 steps from the second; snapshots 25 (R's
 # order), 24 and 49 past their records take an R product, two S
 # products, and an R product and two S products, and no step; one in
-# the partial last interval is stepped on the way to the last record, 10
-# steps in all.  24 step calls per set bit of 50 build the power.  Every
-# 51: 50 past its record is two R products of 25 and no step, 25 past is
-# one; the tail is 21 steps and 24 step calls per set bit of 51 build
-# the power.  Every 100: 12 past its record is one S product; 25 on from
-# there two S products and a step; 62 on an R product and an S product;
-# 63 past the next record R, S and a step; 49 past the next four S
-# products and a step; the tail 10 steps, and 24 step calls per set bit
-# of 100 build the power
+# the partial last interval, 5 past its record, takes 5 steps, and the
+# last step, 10 past the same record, 10 steps.  24 step calls per set
+# bit of 50 build the power.  Every 51: 50 past its record is two R
+# products of 25 and no step, 25 past is one; the last step, 21 past
+# its record, is an S product and 9 steps, and 24 step calls per set bit
+# of 51 build the power.  Every 100: 12 past its record is one S product;
+# 25 on from there two S products and a step; 62 on an R product and an
+# S product; 63 past the next record R, S and a step; 49 past the next
+# four S products and a step; 5 past the last record 5 steps, and the
+# last step 10; 24 step calls per set bit of 100 build the power
 WALK_CASES = [(50, [1210, 1235, 1245, 1325, 1424, 1549, 2005],
-               24 * 3 + 10 + 0 + 10 + 0 + 0 + 0 + 10),
-              (51, [51 * 20 + 50, 51 * 30 + 25], 24 * 4 + 21),
+               24 * 3 + 10 + 0 + 10 + 0 + 0 + 0 + 5 + 10),
+              (51, [51 * 20 + 50, 51 * 30 + 25], 24 * 4 + 0 + 0 + 9),
               (100, [1112, 1137, 1199, 1263, 1349, 2005],
-               24 * 3 + 0 + 1 + 0 + 1 + 1 + 10)]
+               24 * 3 + 0 + 1 + 0 + 1 + 1 + 5 + 10)]
 
 
-@pytest.mark.parametrize("every,snaps,calls", WALK_CASES)
+# ids without the step calls, so that a moved pin keeps its test's name
+@pytest.mark.parametrize("every,snaps,calls", WALK_CASES, ids=[
+    f"{every}-snaps{i}" for i, (every, *_) in enumerate(WALK_CASES)])
 @pytest.mark.parametrize("variant,setting", [("monolithic", "r1"),
                                              ("alg1", "media4"),
                                              ("fd", "r1")])
@@ -1005,27 +1012,41 @@ def test_snapshot_walks_match_stepping(step_calls, variant, setting, every,
 # every 2 that fills blocks, with snapshots strictly inside the last
 # interval of the first block, of a filled block (record 300), across two
 # filled blocks (record 511 to 512) and inside the partial last interval;
-# and a run every 100 whose walks end on products with the short rung
+# a run every 100 whose walks end on products with the short rung; over
+# 120 steps, too few for a leap to pay with or without snapshots, a
+# stepping run and a dense run with a snapshot at every step; and a
+# leaping run whose snapshots lie only in the partial last interval
 SNAPSHOT_FREE_CASES = [
     ("alg1", "media4", 2010, 50, WALK_CASES[0][1], False),
     ("fd", "r1", 2010, 50, WALK_CASES[0][1], False),
     ("monolithic", "r1", 869 * 2 - 1, 2, [0, 511, 601, 1023, 1737], True),
-    ("monolithic", "r1", 2010, 100, WALK_CASES[2][1], False)]
+    ("monolithic", "r1", 2010, 100, WALK_CASES[2][1], False),
+    ("monolithic", "r1", 120, 50, range(121), False),
+    ("alg1", "media4", 120, 50, range(121), False),
+    ("monolithic", "r1", 2010, 50, [2003, 2005], False)]
 
 
 @pytest.mark.parametrize("variant,setting,n,every,snaps,fills",
                          SNAPSHOT_FREE_CASES)
-def test_records_do_not_depend_on_snapshots(block_fills, variant, setting, n,
+def test_records_do_not_depend_on_snapshots(monkeypatch, variant, setting, n,
                                             every, snaps, fills):
     # the records are the same bits with and without snapshot requests:
-    # the record chain never passes through a snapshot it leaps over
+    # each record is reached from the one before it, never through a
+    # snapshot, so the run's plan alone decides them
+    plans, plan = [], RunRecorder._plan
+
+    def spy(self):
+        plans.append(plan(self))
+        return plans[-1]
+
+    monkeypatch.setattr(RunRecorder, "_plan", spy)
     rec = leap_case(variant, setting, snaps, n, every)
     bare = leap_case(variant, setting, [], n, every)
     for series in ("monitors", "interface"):
         got, want = getattr(rec, series), getattr(bare, series)
         for name, values in vars(want).items():
             assert np.array_equal(getattr(got, name), values), name
-    assert block_fills == [fills] * 2
+    assert plans[0] == plans[1] and plans[0][1] == fills
     assert_matches_stepping(rec, stepped_case(variant, setting, n),
                             leap_dt(setting), [*range(0, n, every), n], snaps)
 
@@ -1066,32 +1087,35 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     # the study's reference, 200/100 over 103 456 steps recorded every 517
     # with the snapshots compare-alg takes on 50/25 at 6466 steps (every
     # 646 test steps, 16 reference steps each, and t_end): 404 step calls
-    # per set bit of 517 build the power, then the 56-step tail steps.
-    # Snapshot k = 1..10, at k * 10336 = (20k - 1) * 517 + 517 - 4k, is
-    # walked from its record by one product with the rung G^258, then
-    # products with the short rung G^32 (517 >> 4, the prefix nearest
-    # sqrt(1034) = 32.2): 7 for k <= 8 and 6 for k = 9, 10, and the
-    # (259 - 4k) % 32 steps left, 31 + 27 + ... + 3 + 31 + 27 = 194 in all
-    # (2370 with the rung G^258 alone)
+    # per set bit of 517 build the power.  Snapshot k = 1..10, at
+    # k * 10336 = (20k - 1) * 517 + 517 - 4k, is walked from its record by
+    # one product with the rung G^258, then products with the short rung
+    # G^32 (517 >> 4, the prefix nearest sqrt(1034) = 32.2): 7 for k <= 8
+    # and 6 for k = 9, 10, and the (259 - 4k) % 32 steps left, 31 + 27 +
+    # ... + 3 + 31 + 27 = 194 in all (2370 with the rung G^258 alone).
+    # The last step, 56 past its record, is walked by one product with
+    # G^32 and 24 steps
     step_calls.clear()
     times = [k * 646 / 6466 for k in range(11)] + [1.0]
     ref = make_reference(P, 200, 100, 103456, 1.0, times)
     assert ref.config["record_every"] == 517
-    assert len(step_calls) == 404 * 3 + 194 + 56 == 1462
+    assert 103456 % 517 == 56 == 32 + 24
+    assert len(step_calls) == 404 * 3 + 194 + 24 == 1430
     assert 194 == sum((259 - 4 * k) % 32 for k in range(1, 11))
     assert [round(s.t * 103456) for s in ref.snapshots] == [
         k * 16 * 646 for k in range(11)] + [103456]
     # compare-fd's two runs, 100/100 over 103 321 steps recorded every 1000
     # with a snapshot every 0.1, leap; neither, nor any run above, fills
     # more than one block of records, so none builds a block power.  Each
-    # takes 304 step calls per set bit of 1000 to build the power and 321
-    # for the tail.  Its snapshots at round(10332.1 k), k = 1..9, sit 332,
-    # 664, 996, 328, 660, 993, 325, 657 and 989 steps past their records;
-    # those past 500 take one product with the rung G^500 first, and each
-    # then takes products with the short rung G^31 (1000 >> 5, the prefix
-    # nearest sqrt(2000) = 44.7) and steps the rest modulo 31: 22 + 9 +
-    # 0 + 18 + 5 + 28 + 15 + 2 + 24 = 123 steps in all (2944 with the rung
-    # G^500 alone)
+    # takes 304 step calls per set bit of 1000 to build the power.  Its
+    # snapshots at round(10332.1 k), k = 1..9, sit 332, 664, 996, 328,
+    # 660, 993, 325, 657 and 989 steps past their records; those past 500
+    # take one product with the rung G^500 first, and each then takes
+    # products with the short rung G^31 (1000 >> 5, the prefix nearest
+    # sqrt(2000) = 44.7) and steps the rest modulo 31: 22 + 9 + 0 + 18 +
+    # 5 + 28 + 15 + 2 + 24 = 123 steps in all (2944 with the rung G^500
+    # alone).  The last step, 321 = 10 * 31 + 11 past its record, is
+    # walked by 10 products with G^31 and 11 steps
     n = stable_step_count(P, P.l / 100, 1.0 / 100, 1.0)
     assert n == 103321
     times = [k / 10 for k in range(11)]
@@ -1106,7 +1130,7 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
                                record_every=1000)):
         step_calls.clear()
         rec = run()
-        assert len(step_calls) == 304 * 6 + walked + 321 == 2268
+        assert len(step_calls) == 304 * 6 + walked + 11 == 1958
         assert [round(s.t * n) for s in rec.snapshots] == [
             0, 10332, 20664, 30996, 41328, 51660, 61993, 72325, 82657, 92989,
             n]
@@ -1131,18 +1155,34 @@ def test_short_rung_rule_on_sizes():
                                                            (500, 31))
     assert planned(200, 100, 103456, 517, [10336 * k for k in range(11)]) == (
         517, False, (258, 32))
-    # the memory rule: the three padded buffers must fit the entries that
-    # two take at LEAP_MAX_SIZE.  N = n_s + 2 n_m + 3 = 1663 pads to 1664,
-    # whose three buffers fit; N = 1664 pads to 1696, whose do not.  A
-    # million steps every 1000, with one walk, leap at either size
+    # the memory rules: a run leaps only where the power's two padded
+    # buffers fit LEAP_MAX_ENTRIES, and keeps the short rung only where
+    # three do.  N = n_s + 2 n_m + 3 = 1663 pads to 1664, whose three
+    # buffers fit; N = 1664 pads to 1696, whose do not; N = 2047 pads to
+    # 2048, whose two fit; N = 2048 pads to 2080, whose do not.  Two
+    # million steps every 1000, with one walk, leap at the first three
+    # sizes, since they save more than N^2 / 4 steps
     assert 3 * 1664 ** 2 <= LEAP_MAX_ENTRIES < 3 * 1696 ** 2
-    for n_s, rungs in ((1000, (500, 31)), (1001, (500,))):
-        assert planned(n_s, 330, 10 ** 6, 1000, [1500]) == (1000, False,
-                                                            rungs)
-    # no walk, no rung: snapshots on records and in the partial last
-    # interval only
-    assert planned(100, 100, 103321, 1000, [0, 5000, 103100]) == (
+    assert 2 * 2048 ** 2 <= LEAP_MAX_ENTRIES < 2 * 2080 ** 2
+    for n_s, n_m, plan in ((1000, 330, (1000, False, (500, 31))),
+                           (1001, 330, (1000, False, (500,))),
+                           (1044, 500, (1000, False, (500,))),
+                           (1045, 500, (None, False, ()))):
+        assert planned(n_s, n_m, 2 * 10 ** 6, 1000, [1500]) == plan
+    # no walk, no rung: snapshots on records only, and the last step on
+    # the record grid
+    assert planned(100, 100, 103000, 1000, [0, 5000, 103000]) == (
         1000, False, ())
+    # an off-grid last step is walked: with no snapshot off the grid, the
+    # run keeps both rungs
+    assert planned(100, 100, 103321, 1000, [0, 5000]) == (
+        1000, False, (500, 31))
+    # the stepping and dense runs of SNAPSHOT_FREE_CASES, with a snapshot
+    # at every step or none: over 120 steps on 8/6 a leap saves under
+    # N^2 / 4 = 132.25 steps
+    for snaps in (range(121), []):
+        assert planned(8, 6, 120, 50, snaps) == (None, False, ())
+        assert planned(8, 6, 120, 50, snaps, "alg1", 4) == (1, False, ())
     # every 8 on 8/6 (m = 32): the short rung would be G^2, but over 3200
     # steps 145 records past the first block, at least 3 * 32, fill
     # blocks, and Q's build takes the third buffer; over 1600 steps they
@@ -1171,11 +1211,12 @@ def test_only_walking_leaps_build_the_short_rung(monkeypatch):
     # a leaping run with a walk copies G^12 after 3 digits of 50's build
     leap_case("monolithic", "r1", [0, 1213, 2010])
     assert kept == [[3]]
-    # dense steps, a leaping run without walks, and a block-filling run
-    # with one (its _power build and its Q build) copy none
+    # dense steps, a leaping run without walks (its snapshots and its last
+    # step on the record grid), and a block-filling run with one (its
+    # _power build and its Q build) copy none
     kept.clear()
     leap_case("alg1", "media4", range(2011))
-    leap_case("monolithic", "r1", [0, 1250, 2005])
+    leap_case("monolithic", "r1", [0, 1250, 2000], 2000)
     leap_case("fd", "r1", [1603], 3200, 8)
     assert kept == [[], [], [], []]
 
