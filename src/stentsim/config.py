@@ -32,7 +32,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError, ValidationError
-from .params import ModelParams, validate_params
+from .params import ModelParams, number_hint, validate_params
 from .stepping import SchemeConfig, check_snapshot_times, whole_number
 
 
@@ -108,7 +108,8 @@ def _typed(value, kind, path: str):
                 int: (number and isinstance(value, int), "an integer"),
                 str: (isinstance(value, str), "a string")}[kind]
     if not ok:
-        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        hint = number_hint(value) if kind is float else ""
+        raise ConfigError(f"{path}: expected {what}, got {value!r}{hint}")
     return float(value) if kind is float else value
 
 

@@ -44,8 +44,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
+from ._blas import daxpy
 from .errors import CflError
 from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh
 from .params import ModelParams

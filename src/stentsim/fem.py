@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
 
+from ._blas import dgbmv
 from .errors import ValidationError
 from .params import ModelParams
 

@@ -65,6 +65,26 @@ class ModelParams:
             )
 
 
+def number_hint(value) -> str:
+    """A hint to append to a "not a number" refusal of ``value``: empty
+    unless it is a string that float() reads as a finite number.  YAML 1.1
+    reads a float as a number only with a dot and, if it has an exponent,
+    a signed one, so an unquoted 4.0e3 or 1e-3 arrives as a string."""
+    if not isinstance(value, str):
+        return ""
+    try:
+        number = float(value)
+    except ValueError:
+        return ""
+    if not math.isfinite(number):
+        return ""
+    mantissa, e, exponent = repr(number).partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    return (f" (YAML 1.1 reads a float without a dot, or with an unsigned "
+            f"exponent, as a string; write {mantissa}{e}{exponent})")
+
+
 def validate_params(raw: dict, use_paper_defaults: bool = False) -> ModelParams:
     """Build a validated ModelParams from a name->value mapping.
 
@@ -80,7 +100,8 @@ def validate_params(raw: dict, use_paper_defaults: bool = False) -> ModelParams:
         if name in raw:
             value = raw[name]
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} must be a number, got {value!r}")
+                raise ParameterError(f"{name} must be a number, got "
+                                     f"{value!r}{number_hint(value)}")
             values[name] = float(value)
         elif use_paper_defaults:
             values[name] = PAPER_DEFAULTS[name]

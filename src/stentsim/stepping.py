@@ -106,9 +106,8 @@ import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._blas import daxpy, dpttrf, dpttrs
 from .errors import CflError, InstabilityError, SingularMatrixError, ValidationError
 from .fem import MEDIA, STENT, FemOperators, Mesh1D, TridiagonalMatrix
 from .params import ModelParams, energy_growth_rate
@@ -238,9 +237,13 @@ def initial_state(ops: FemOperators) -> SimState:
 
 def step_count(t_end: float, dt: float) -> int:
     """Number of steps of size dt that end exactly at t_end; raises
-    ValidationError (key dt_m) unless t_end/dt is a whole number to 1e-9
-    relative, so a run never stops short of its requested time."""
+    ValidationError (key dt_m) unless t_end/dt is a finite whole number to
+    1e-9 relative, so a run never stops short of its requested time."""
     ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValidationError(
+            f"t_end/dt = {t_end!r}/{dt!r} overflows float64: it is not a "
+            f"finite number of steps", key="dt_m")
     n = round(ratio)
     if abs(ratio - n) > 1e-9 * ratio:
         raise ValidationError(

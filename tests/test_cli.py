@@ -465,6 +465,31 @@ output:
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare-fd"])
+def test_run_refuses_step_count_that_overflows(tmp_path, capsys, command):
+    # t_end/dt_m = 1e300/1e-300 is inf in float64: refused while the config
+    # is read, where it used to end in an OverflowError traceback
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(f"""\
+params: paper_defaults
+mesh:
+  n_s: 5
+  n_m: 5
+time:
+  t_end: 1.0e+300
+  dt_m: 1.0e-300
+scheme: monolithic
+output:
+  out_dir: {out}
+""")
+    assert run([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: time.dt_m: t_end/dt = 1e+300/1e-300 overflows float64: it is "
+        "not a finite number of steps\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("levels", ["1", "0", "-3"])
 def test_converge_refuses_too_few_levels_by_flag(tmp_path, capsys, levels):
     cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10,

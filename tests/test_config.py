@@ -221,6 +221,33 @@ def test_snapshot_times_must_be_numbers(tmp_path):
                                                           times)))
 
 
+YAML_HINT = (" (YAML 1.1 reads a float without a dot, or with an unsigned "
+             "exponent, as a string; write {})")
+DEFAULTS_WITH = "params: {{use_paper_defaults: true, da: {}}}"
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("  t_end: 1.0", "  t_end: 4.0e3", "time.t_end: expected a number, got "
+     "'4.0e3'" + YAML_HINT.format("4000.0")),
+    ("  dt_m: 1.25e-4", "  dt_m: 1e-4", "time.dt_m: expected a number, got "
+     "'1e-4'" + YAML_HINT.format("0.0001")),
+    ("[0.0, 0.5, 1.0]", "[0.0, 5e-1]", "output.snapshot_times: expected a "
+     "number, got '5e-1'" + YAML_HINT.format("0.5")),
+    ("params: paper_defaults", DEFAULTS_WITH.format("1e-300"), "params: da "
+     "must be a number, got '1e-300'" + YAML_HINT.format("1.0e-300")),
+    ("  t_end: 1.0", "  t_end: fast",
+     "time.t_end: expected a number, got 'fast'"),
+    ("params: paper_defaults", DEFAULTS_WITH.format("4.0e3x"),
+     "params: da must be a number, got '4.0e3x'"),
+], ids=["t_end", "dt_m", "snapshot_times", "params", "word", "no-float"])
+def test_float_read_as_string_refused_with_hint(tmp_path, old, new, message):
+    # the refusal stays; a string float() reads gets the YAML 1.1 hint
+    text = GOOD.format(out=tmp_path / "o")
+    assert old in text
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        parse_config(write_cfg(tmp_path, text.replace(old, new)))
+
+
 PAPER = ("params=ModelParams(delta=4e-07, p_tilde=45000.0, pe=0.1044, "
          "da=0.0162, k_part=15.0, phi=0.61, l=0.028), ")
 # repr(parse_config(path)) of each shipped config, as parsed before the

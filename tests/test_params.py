@@ -8,6 +8,7 @@ from stentsim import (
     paper_params,
     validate_params,
 )
+from stentsim.params import number_hint
 from stentsim.stepping import sharp_dt_limit
 
 FULL = {
@@ -76,6 +77,21 @@ def test_unknown_and_nonnumeric_names_rejected():
         validate_params(dict(FULL, pe=True))
     with pytest.raises(ParameterError, match="^da must be a number, got '0.5'"):
         validate_params(dict(FULL, da="0.5"))
+
+
+@pytest.mark.parametrize("value,hint", [
+    ("4.0e3", " (YAML 1.1 reads a float without a dot, or with an unsigned "
+              "exponent, as a string; write 4000.0)"),
+    ("1e+300", " (YAML 1.1 reads a float without a dot, or with an unsigned "
+               "exponent, as a string; write 1.0e+300)"),
+    ("fast", ""), ("inf", ""), ("1e999", ""), (4.0, ""), (None, ""),
+])
+def test_number_hint_for_floats_read_as_strings(value, hint):
+    assert number_hint(value) == hint
+    if isinstance(value, str):
+        with pytest.raises(ParameterError) as err:
+            validate_params(dict(FULL, pe=value))
+        assert str(err.value) == f"pe must be a number, got {value!r}{hint}"
 
 
 def test_derived_constants_default_set():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -290,6 +291,16 @@ def test_t_end_must_be_whole_number_of_steps():
         with pytest.raises(ValidationError, match="whole number") as err:
             SchemeConfig("monolithic", dt, t_end=t_end)
         assert err.value.key == "dt_m"
+
+
+def test_step_count_refuses_ratio_that_overflows():
+    # 1e300 / 1e-300 is inf in float64, which round() cannot take
+    with pytest.raises(ValidationError, match=re.escape(
+            "t_end/dt = 1e+300/1e-300 overflows float64: it is not a finite "
+            "number of steps")) as err:
+        SchemeConfig("monolithic", 1e-300, t_end=1e300)
+    assert err.value.key == "dt_m"
+    assert step_count(1e300, 1e-8) == round(1e308)
 
 
 # ------------------------------------------------- sharp limit is sharp
