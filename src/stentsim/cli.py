@@ -213,6 +213,28 @@ def cmd_stepping_study(args) -> int:
     return 0
 
 
+def _malformed(path, line, row, columns) -> ConfigError:
+    return ConfigError(f"{path}, line {line}: malformed row "
+                       f"{','.join(row)!r}: expected numbers for {columns}")
+
+
+def _bad_row(path, header, names, exc) -> ConfigError:
+    """The refusal of a CSV that numpy failed to read (exc): it names the
+    first data row whose columns names are missing or not numbers, or
+    passes numpy's message on when every row reads."""
+    cols = [header.index(name) for name in names]
+    with path.open() as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for row in filter(None, rows):
+            try:
+                for c in cols:
+                    float(row[c])
+            except (IndexError, ValueError):
+                return _malformed(path, rows.line_num, row, " and ".join(names))
+    return ConfigError(f"{path}: {exc}")
+
+
 def cmd_plot(args) -> int:
     path = Path(args.input)
     if not path.exists():
@@ -229,12 +251,17 @@ def cmd_plot(args) -> int:
         want = args.field
         series = {}
         with path.open() as fh:
-            for row in csv.DictReader(fh):
-                if row["field"] != want:
-                    continue
-                series.setdefault(float(row["t"]), []).append(
-                    (float(row["x"]), float(row["value"]))
-                )
+            rows = csv.reader(fh)
+            next(rows)
+            for row in filter(None, rows):
+                try:
+                    if row[3] != want:
+                        continue
+                    series.setdefault(float(row[0]), []).append(
+                        (float(row[2]), float(row[4])))
+                except (IndexError, ValueError):
+                    raise _malformed(path, rows.line_num, row,
+                                     "t, x and value") from None
         if not series:
             raise ConfigError(f"field {want!r} not present in {path}")
         plot_series = []
@@ -250,9 +277,12 @@ def cmd_plot(args) -> int:
             )
         if "t" not in header:
             raise ConfigError(f"{path} has no t column to plot against")
-        t, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                          usecols=(header.index("t"),
-                                   header.index(args.field))).T
+        names = ("t", args.field)
+        try:
+            t, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                              usecols=[header.index(n) for n in names]).T
+        except ValueError as exc:
+            raise _bad_row(path, header, names, exc) from None
         x_label = "t"
         if time_unit is not None:
             t, x_label = t * time_unit / 3600.0, "hours"

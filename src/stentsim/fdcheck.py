@@ -34,9 +34,10 @@ wall diagonal entry.  One step is then
 
 with every source from level k.  T is a ``TridiagonalMatrix`` whose
 band is written here from the stencils above, so T z is its ``matvec``
-and each source term one ``daxpy``.  No finite-element assembly enters
-this module's numerics, and the monitors use trapezoid quadrature on
-nodal values.
+and each source term one ``axpy``, as in the finite-element kernel; a
+block of states steps as the columns of 2-D arrays.  No finite-element
+assembly enters this module's numerics, and the monitors use trapezoid
+quadrature on nodal values.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ import math
 
 import numpy as np
 
-from ._blas import daxpy
 from .errors import CflError
 from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh
 from .params import ModelParams
 from .stepping import (BlockMonitor, RunRecorder, SchemeConfig,
-                       SolutionRecord, sharp_dt_limit)
+                       SolutionRecord, axpy, sharp_dt_limit)
 
 
 def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
@@ -116,11 +116,12 @@ class _FdStep:
         self.ode_gain = dt * p.da / (1.0 - p.phi)
 
     def step(self, z, c2):
-        """One step from (z, c2); returns the new (z, c2)."""
+        """One step from (z, c2), one state or a block of states as the
+        columns of 2-D arrays; returns the new (z, c2)."""
         n0 = self.n0
         zn = self.op.matvec(z)
-        daxpy(c2, zn[n0:], a=self.coef_c2)
-        return zn, daxpy(z[n0:], self.ode_decay * c2, a=self.ode_gain)
+        axpy(c2, zn[n0:], self.coef_c2)
+        return zn, axpy(z[n0:], self.ode_decay * c2, self.ode_gain)
 
 
 def _trapezoid_monitor(p: ModelParams, mesh_s, mesh_m) -> BlockMonitor:

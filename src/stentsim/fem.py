@@ -90,15 +90,25 @@ class TridiagonalMatrix:
         return self.band.shape[1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """One BLAS ``dgbmv``.  It computes one more row than the matrix
-        has (BLAS wants kl + ku + 1 = 3, a one-element mesh has 2); only
-        that dropped row reads the lower corner, and none the upper."""
+        """M x for a vector x, or for each column of a 2-D x.
+
+        A vector takes one BLAS ``dgbmv``.  It computes one more row than
+        the matrix has (BLAS wants kl + ku + 1 = 3, a one-element mesh has
+        2); only that dropped row reads the lower corner, and none the
+        upper.  A block takes three band multiply-adds in numpy, with
+        x's memory order; they read no corner, and differ from ``dgbmv``
+        at roundoff, since OpenBLAS fuses multiply-adds."""
         n = self.band.shape[1]
         if len(x) != n:
             raise ValidationError(
                 f"dimension mismatch: matrix is {n}, vector is {len(x)}"
             )
-        return dgbmv(n + 1, n, 1, 1, 1.0, self.band, x)[:n]
+        if x.ndim == 1:
+            return dgbmv(n + 1, n, 1, 1, 1.0, self.band, x)[:n]
+        out = self.diag[:, None] * x
+        out[:-1] += self.upper[:, None] * x[1:]
+        out[1:] += self.lower[:, None] * x[:-1]
+        return out
 
     def quadratic(self, rows: np.ndarray) -> np.ndarray:
         """x . (M x) for each row x of a 2-D array, in two einsums (diagonal

@@ -51,7 +51,12 @@ waits for those substeps, the other is applied before them.  Every
 variant and substep setting runs through these few calls, so results
 are deterministic and independent of the BLAS thread count, but differ
 at roundoff from an elementwise numpy evaluation of the same formulas,
-since OpenBLAS fuses multiply-adds.
+since OpenBLAS fuses multiply-adds.  The same code steps a block of
+states, the columns of 2-D z and y2, as the power's build does: there
+the matvec is three band multiply-adds and each daxpy a numpy update
+(``axpy``), with a row of per-column factors for the corrections, and
+the solve one ``dpttrs`` with many right-hand sides, so a block differs
+from one-state steps at roundoff.
 
 Stability: one rule, ``sharp_dt_limit``, the explicit-Euler limit of
 the consistent-mass system.  The largest generalized eigenvalue of
@@ -80,7 +85,8 @@ per-record check would give and before any output.
 The step, with q carried along, is one linear map G on x, so ``advance``
 takes as many products x <- A x as fit with the power P = G^order, then
 with each rung, then steps the rest.  A run that records rarely builds
-P = G^record_every by repeated squaring (``_power``) and leaps each full
+P = G^record_every by repeated squaring (``_power``), multiplying by G
+by stepping a block of P's columns at a time, and leaps each full
 record interval; a small multi-rate run that does not leap, such as one
 that records every step, builds G itself and takes each step as one
 product, which costs less than the kernel's substeps.  If P's order is
@@ -295,6 +301,16 @@ def stable_step_count(
     return n
 
 
+def axpy(x: np.ndarray, y: np.ndarray, a) -> np.ndarray:
+    """y += a * x in place, returned: one BLAS ``daxpy`` for a state, and
+    numpy for a block of states as the columns of a 2-D y, where a may be
+    a row of one factor per column and x one column for them all."""
+    if y.ndim == 1:
+        return daxpy(x, y, a=a)
+    y += a * (x if x.ndim == 2 else x[:, None])
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class _MassFactor:
     """The LDL^T factor (d, e) of a symmetric positive tridiagonal matrix,
@@ -311,7 +327,9 @@ class _MassFactor:
         return cls(d, e)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Psi^-1 rhs, computed in rhs's own storage: rhs is overwritten."""
+        """Psi^-1 rhs, for a vector or each column of a 2-D rhs, computed
+        in rhs's own storage when it is contiguous in Fortran order: rhs
+        is overwritten."""
         x, info = dpttrs(self.d, self.e, rhs, overwrite_b=1)
         if info != 0:  # pragma: no cover - only reachable on bad arguments
             raise SingularMatrixError("matrix numerically singular")
@@ -344,7 +362,9 @@ class _Kernel:
     substeps run on that block alone.  All variants route through here,
     so a multi-rate run with ratio 1 is bitwise identical to repeated
     single steps.  Each block of ``upd`` is one expression over the
-    assembled bands, and ``upd_s``/``upd_m`` are views of its band.
+    assembled bands, and ``upd_s``/``upd_m`` are views of its band.  A
+    block of states, as the columns of 2-D z and y2, takes the same
+    steps, column by column.
     """
 
     def __init__(
@@ -412,16 +432,17 @@ class _Kernel:
         the media source reads the substep's new y2 if fresh_y2."""
         src = self.src_m * trace_s
         for _ in range(self.r_m - 1):
-            y2n = daxpy(y1, self.ode_decay * y2, a=self.ode_gain)
+            y2n = axpy(y1, self.ode_decay * y2, self.ode_gain)
             rhs = self.upd_m.matvec(y1)
             rhs[0] += src
             y1[:] = self.fac_m.solve(rhs)
-            daxpy(y2n if fresh_y2 else y2, y1, a=self.coef_y2)
+            axpy(y2n if fresh_y2 else y2, y1, self.coef_y2)
             y2 = y2n
         return y2
 
     def macro_step(self, z, y2, variant):
-        """One macro step from (z, y2); returns the new (z, y2).
+        """One macro step from (z, y2); returns the new (z, y2).  z and y2
+        are one state, or a block of states as the columns of 2-D arrays.
 
         monolithic feeds both subdomains level-k traces and the old y2;
         alg1 feeds the media the new stent trace and the new y2; alg2
@@ -430,17 +451,17 @@ class _Kernel:
         trace_s, trace_w = z[n0 - 1], z[n0]
         zn = self.fac.solve(self.upd.matvec(z))
         y0n, y1n = zn[:n0], zn[n0:]
-        y2n = daxpy(z[n0:], self.ode_decay * y2, a=self.ode_gain)
+        y2n = axpy(z[n0:], self.ode_decay * y2, self.ode_gain)
         fresh_y2 = variant != "monolithic"
-        daxpy(y2n if fresh_y2 else y2, y1n, a=self.coef_y2)
+        axpy(y2n if fresh_y2 else y2, y1n, self.coef_y2)
         if variant == "alg1":
             self._stent_steps(y0n, trace_w)
-            daxpy(self.g_m, y1n, a=y0n[-1] - trace_s)
+            axpy(self.g_m, y1n, y0n[-1] - trace_s)
             y2n = self._media_steps(y1n, y2n, y0n[-1], fresh_y2)
         else:
             y2n = self._media_steps(y1n, y2n, trace_s, fresh_y2)
             if variant == "alg2":
-                daxpy(self.g_s, y0n, a=y1n[0] - trace_w)
+                axpy(self.g_s, y0n, y1n[0] - trace_w)
                 trace_w = y1n[0]
             self._stent_steps(y0n, trace_w)
         return zn, y2n
@@ -485,6 +506,16 @@ LEAP_MAX_ENTRIES = 2 * 2048 ** 2
 # 32 (measured with 1 to 4 threads), not at 303, 404 or 408, so padded
 # leaps keep results independent of the thread count
 LEAP_PAD = 32
+# columns of a power's buffer that one step call advances as a block when
+# its build multiplies by G.  Best of 5 multiplications of an identity by
+# G, monolithic, one BLAS thread, at orders m = 160, 416 and 1312: one
+# column a call took 1.09, 4.07 and 25.9 ms, blocks of 32 columns 0.56,
+# 1.91 and 19.2 ms, 64 0.34, 2.05 and 22.5 ms, 128 0.35, 2.00 and 23.3
+# ms, 256 0.51, 2.02 and 23.1 ms, and the whole matrix 0.34, 2.03 and
+# 26.3 ms with 9.6 MB more peak memory at 1312.  compare-fd at 100/100 (m
+# = 320), best of 11 rounds: 52-55 ms for blocks of 16 to 256 columns
+# (52 at 128), 97 ms for one column a call and 56 ms for the whole matrix
+STEP_BLOCK = 4 * LEAP_PAD
 # largest record width [z; y2] that takes a dense step, one product with
 # the step's map G (padded), in place of a multi-rate kernel step.  Per
 # step, best of 5 x 2000 calls at one BLAS thread, alg1 with 4 substeps
@@ -526,15 +557,18 @@ def _power(step, nz: int, size: int, every: int, rungs=()):
     binary digits: every // 2, kept in the buffer the build frees, then
     optionally a shorter one, copied into a buffer of its own as the build
     passes it.  G is never stored; since powers of G commute, G A is taken
-    as step on each column of A, in place."""
+    in place as step on A's first size + 1 columns, STEP_BLOCK columns to a
+    call.  Each column is stepped alone, so the result does not depend on
+    the block width."""
     m = _padded(size)
     a = np.zeros((m, m), order="F")
     np.fill_diagonal(a[:size + 1, :size + 1], 1.0)
 
     def times_g(a):
-        for col in a.T[:size + 1]:
-            col[size] += col[nz - 1]
-            col[:nz], col[nz:size] = step(col[:nz], col[nz:size])
+        for j in range(0, size + 1, STEP_BLOCK):
+            cols = a[:, j:min(j + STEP_BLOCK, size + 1)]
+            cols[size] += cols[nz - 1]
+            cols[:nz], cols[nz:size] = step(cols[:nz], cols[nz:size])
 
     times_g(a)
     _flush_to_zero(a)
@@ -607,7 +641,12 @@ class RunRecorder:
       1, a dense step, when that pays instead:
         substep_ratio > 1, since a single-rate kernel step costs little;
         N <= DENSE_MAX_SIZE, so a product costs less than a kernel step;
-        n_steps >= 2 * N, so the N + 1 steps that build G pay;
+        n_steps >= 2 * N, so that building G pays.  The clause dates from
+        builds of N + 1 kernel steps; a build in blocks of STEP_BLOCK
+        columns costs about 40, 140 and 200 multi-rate kernel steps at N =
+        153, 303 and 403 (alg1, 4 media substeps, best of 7, one BLAS
+        thread; 290, 440 and 560 one column a call), so it asks more than
+        the build needs, and it is kept so that no plan moves;
       none otherwise, and the run steps.
     A run that records every step leaps only if N <= 16, and the
     single-rate finite-difference solver never takes dense steps.

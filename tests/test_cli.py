@@ -681,6 +681,35 @@ def test_plot_refuses_non_finite_values(tmp_path, capsys, rows):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("text,field,line,row", [
+    ("t,x\n0,1\n1,abc\n", "x", 3, "1,abc"),
+    ("t,x\n0,1\n1\n2,3\n", "x", 3, "1"),
+    ("t,x,y\n0,1,2\n\n1,,3\n", "x", 4, "1,,3"),
+    ("t,domain,x,field,value\n0,m,0,c1,1\n0,m,1,c1,zz\n", "c1", 3,
+     "0,m,1,c1,zz"),
+    ("t,domain,x,field,value\n0,m,0,c1,1\n0,m,1\n", "c1", 3, "0,m,1"),
+    ("t,domain,x,field,value\n0,m,0,c1,1\nq,m,1,c1,2\n", "c1", 3,
+     "q,m,1,c1,2")])
+def test_plot_refuses_malformed_rows(tmp_path, text, field, line, row):
+    # a value that does not read as a number, a missing one and a short
+    # row, in the wide and the long format: the CLI's error line naming
+    # the file, the line and the row, exit 1 and no chart, where these
+    # ended in numpy's or float()'s traceback
+    data = tmp_path / "series.csv"
+    data.write_text(text)
+    svg = tmp_path / "x.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stentsim.cli", "plot", "--input", str(data),
+         "--field", field, "--out", str(svg)],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: {data}, line {line}: malformed row {row!r}: expected "
+        f"numbers for ")
+    assert "Traceback" not in proc.stderr
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("rows", ["-1e308,1\n1e308,2\n",
                                   "0,-1e308\n1,1e308\n",
                                   "0,0\n1,1.79e308\n"])

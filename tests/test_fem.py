@@ -242,6 +242,36 @@ def test_matvec_matches_dense_at_smallest_dims(n):
         assert_matvec_matches_dense(m, given, rng.standard_normal(n))
 
 
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_block_matvec_matches_dense(n):
+    # a 2-D x, C-ordered, Fortran-ordered and a column slice of a larger
+    # Fortran-ordered buffer (as a power's build passes it), against the
+    # dense product column by column, to 4 ulps of each entry's sum of
+    # |terms|; the band corners are never read, and the result keeps x's
+    # memory order
+    rng = np.random.default_rng(100 + n)
+    m, given = random_tridiagonal(rng, n)
+    m.band[0, 0] = m.band[2, -1] = np.nan
+    buf = np.asfortranarray(rng.standard_normal((n + 3, 7)))
+    for x in (rng.standard_normal((n, 5)),
+              np.asfortranarray(rng.standard_normal((n, 5))), buf[:n, 2:]):
+        got = m.matvec(x)
+        assert got.shape == x.shape
+        assert got.flags.f_contiguous == (x.strides[0] < x.strides[1])
+        bound = 4 * np.finfo(float).eps * (np.abs(given) @ np.abs(x))
+        assert np.all(np.abs(got - given @ x) <= bound)
+        for j in range(x.shape[1]):
+            np.testing.assert_allclose(got[:, j], m.matvec(x[:, j].copy()),
+                                       rtol=0, atol=bound[:, j].max())
+
+
+def test_block_matvec_refuses_row_count_mismatch():
+    m, _ = random_tridiagonal(np.random.default_rng(0), 5)
+    for rows in (4, 6):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            m.matvec(np.zeros((rows, 3), order="F"))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=40),
        st.integers(min_value=0, max_value=2**31))

@@ -788,13 +788,15 @@ LEAP_CASES = [(v, s) for v in ("monolithic", "alg1", "alg2")
 
 @pytest.fixture
 def step_calls(monkeypatch):
-    """A list that grows by one at each call of either solver's step."""
+    """A list of the states each call of either solver's step advances: 1
+    for a state, and its column count for a block of states, so that its
+    sum counts the states stepped."""
     calls = []
 
     def counted(step):
-        def wrapper(self, *args):
-            calls.append(1)
-            return step(self, *args)
+        def wrapper(self, z, *args):
+            calls.append(z.shape[1] if z.ndim == 2 else 1)
+            return step(self, z, *args)
         return wrapper
 
     monkeypatch.setattr(_Kernel, "macro_step", counted(_Kernel.macro_step))
@@ -822,21 +824,25 @@ def leap_case(variant, setting, snapshots, n=2010, every=50):
     return run_simulation(P, small_ops(), cfg, times, record_every=every)
 
 
+def solver_step(variant, setting, ops, dt):
+    """The step of the variant's solver on ops at dt, and its monitor;
+    variant "fd" is the FD solver."""
+    if variant == "fd":
+        return (_FdStep(P, ops.mesh_s, ops.mesh_m, dt).step,
+                _trapezoid_monitor(P, ops.mesh_s, ops.mesh_m))
+    kern = _Kernel(P, ops, dt, *SETTINGS[setting])
+
+    def step(z, y2):
+        return kern.macro_step(z, y2, variant)
+    return step, kern.monitor
+
+
 def stepped_case(variant, setting, n=2010):
     """leap_case's run by looping the solver's step directly, as
     ``advance`` does: the n + 1 records [z; y2], each step's outflow sum
     sum_{j<k} y1^j(1) and the solver's monitor."""
-    r, domain = SETTINGS[setting]
-    ops, dt = small_ops(), leap_dt(setting)
-    if variant == "fd":
-        step = _FdStep(P, ops.mesh_s, ops.mesh_m, dt).step
-        monitor = _trapezoid_monitor(P, ops.mesh_s, ops.mesh_m)
-    else:
-        kern = _Kernel(P, ops, dt, r, domain)
-        monitor = kern.monitor
-
-        def step(z, y2):
-            return kern.macro_step(z, y2, variant)
+    ops = small_ops()
+    step, monitor = solver_step(variant, setting, ops, leap_dt(setting))
     s = initial_state(ops)
     z, y2 = stacked(s), s.y2
     records, outflow = [], [0.0]
@@ -902,8 +908,56 @@ def test_leaps_match_stepping(step_calls, variant, setting):
                          ([0, 1250, 2010], 24 * 3 + 10)):
         step_calls.clear()
         rec = leap_case(variant, setting, snaps)
-        assert len(step_calls) == calls
+        assert sum(step_calls) == calls
         assert_matches_stepping(rec, stepped, leap_dt(setting), steps, snaps)
+
+
+@pytest.mark.parametrize("variant,setting", LEAP_CASES)
+def test_block_step_matches_column_steps(variant, setting):
+    # a block of states, the columns of 2-D arrays sliced from a
+    # Fortran-ordered buffer as the power's build passes them, steps as
+    # each column does alone, to 8 ulps of the column's largest entry: a
+    # block's matvec and updates are numpy, which does not fuse
+    # multiply-adds as the one-state path's BLAS calls do
+    ops = small_ops()
+    step, _ = solver_step(variant, setting, ops, leap_dt(setting))
+    nz, ny = 16, 7
+    buf = np.asfortranarray(
+        np.random.default_rng(3).standard_normal((nz + ny + 9, 11)))
+    z, y2 = buf[:nz], buf[nz:nz + ny]
+    before = buf.copy()
+    got_z, got_y2 = step(z, y2)
+    assert np.array_equal(buf, before)  # the block is read, not written
+    for j in range(buf.shape[1]):
+        want_z, want_y2 = step(z[:, j].copy(), y2[:, j].copy())
+        for got, want in ((got_z[:, j], want_z), (got_y2[:, j], want_y2)):
+            assert got.shape == want.shape
+            bound = 8 * np.finfo(float).eps * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("variant,setting", [("monolithic", "r1"),
+                                             ("alg1", "media4"),
+                                             ("alg2", "stent4"),
+                                             ("fd", "r1")])
+def test_power_does_not_depend_on_step_block(monkeypatch, variant, setting):
+    # each column of the power's build is stepped alone, so the power and
+    # its rungs are the same bits whatever the block width: one column a
+    # call, 7 (which does not divide the 304 columns on 100/100),
+    # STEP_BLOCK and the whole matrix in one call
+    ops = build_operators(P, 100, 100)
+    r, domain = SETTINGS[setting]
+    dt = 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r, domain)
+    step, _ = solver_step(variant, setting, ops, dt)
+    assert stepping.STEP_BLOCK == 128
+    builds = []
+    for width in (1, 7, 128, 304):
+        monkeypatch.setattr(stepping, "STEP_BLOCK", width)
+        power, rungs = stepping._power(step, 202, 303, 50, (25, 12))
+        builds.append([power] + [a for a, _ in rungs])
+    for build in builds[1:]:
+        for got, want in zip(build, builds[0]):
+            assert np.array_equal(got, want)
 
 
 @pytest.fixture
@@ -952,7 +1006,7 @@ def test_block_products_match_stepping(step_calls, block_fills, variant,
              min(800, grid - 1) * every, n]
     rec = leap_case(variant, setting, snaps, n, every)
     assert block_fills == [True]
-    assert len(step_calls) == 24
+    assert sum(step_calls) == 24
     assert_matches_stepping(rec, stepped_case(variant, setting, n),
                             leap_dt(setting), steps, snaps)
 
@@ -1012,7 +1066,7 @@ def test_snapshot_walks_match_stepping(step_calls, variant, setting, every,
     # walked from the nearest earlier state, its record or the snapshot
     # before it in the interval, and the records leap past it
     rec = leap_case(variant, setting, snaps, every=every)
-    assert len(step_calls) == calls
+    assert sum(step_calls) == calls
     assert_matches_stepping(rec, stepped_case(variant, setting),
                             leap_dt(setting), [*range(0, 2010, every), 2010],
                             snaps)
@@ -1080,7 +1134,7 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
         run_simulation(P, ops, SchemeConfig("alg1", 20.0 / n, steps * 20.0 / n,
                                             substep_ratio=4,
                                             substep_domain="media"), snaps)
-        assert len(step_calls) == 154
+        assert sum(step_calls) == 154
         assert block_fills == [fills]
     block_fills.clear()
     # the kernel probes, 2000 steps recorded at the ends only: single-rate
@@ -1094,7 +1148,7 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
         run_simulation(P, ops, SchemeConfig("alg1", dt, 2000 * dt,
                                             substep_ratio=r), [],
                        record_every=2000)
-        assert len(step_calls) == calls
+        assert sum(step_calls) == calls
     # the study's reference, 200/100 over 103 456 steps recorded every 517
     # with the snapshots compare-alg takes on 50/25 at 6466 steps (every
     # 646 test steps, 16 reference steps each, and t_end): 404 step calls
@@ -1111,7 +1165,7 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     ref = make_reference(P, 200, 100, 103456, 1.0, times)
     assert ref.config["record_every"] == 517
     assert 103456 % 517 == 56 == 32 + 24
-    assert len(step_calls) == 404 * 3 + 194 + 24 == 1430
+    assert sum(step_calls) == 404 * 3 + 194 + 24 == 1430
     assert 194 == sum((259 - 4 * k) % 32 for k in range(1, 11))
     assert [round(s.t * 103456) for s in ref.snapshots] == [
         k * 16 * 646 for k in range(11)] + [103456]
@@ -1141,7 +1195,10 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
                                record_every=1000)):
         step_calls.clear()
         rec = run()
-        assert len(step_calls) == 304 * 6 + walked + 11 == 1958
+        assert sum(step_calls) == 304 * 6 + walked + 11 == 1958
+        # each multiplication by G steps the 304 columns in ceil(304 / 128)
+        # = 3 block calls; the walks step one state a call
+        assert [w for w in step_calls if w > 1] == [128, 128, 48] * 6
         assert [round(s.t * n) for s in rec.snapshots] == [
             0, 10332, 20664, 30996, 41328, 51660, 61993, 72325, 82657, 92989,
             n]
@@ -1159,13 +1216,21 @@ def planned(n_s, n_m, n, every, snaps, variant="monolithic", ratio=1):
 
 
 def test_short_rung_rule_on_sizes():
-    # (order, block fills, rung orders).  compare-fd's runs and the study
-    # reference keep the short rungs G^31 and G^32
+    # (order, block fills, rung orders).  The benchmark's runs, with their
+    # snapshot steps, keep the plans they had when the power's build
+    # stepped one column a call: compare-fd's runs and the study reference
+    # keep the short rungs G^31 and G^32, the study's 50/25 runs G^8; the
+    # release run, every step recorded with an hourly snapshot, takes
+    # dense steps and fills blocks
     crosscheck = [round(10332.1 * k) for k in range(11)]
     assert planned(100, 100, 103321, 1000, crosscheck) == (1000, False,
                                                            (500, 31))
     assert planned(200, 100, 103456, 517, [10336 * k for k in range(11)]) == (
         517, False, (258, 32))
+    tested = [646 * k for k in range(11)] + [6466]
+    assert planned(50, 25, 6466, 32, tested, "alg1") == (32, False, (16, 8))
+    hourly = [1347 * k for k in range(25)]
+    assert planned(100, 25, 32328, 1, hourly, "alg1", 4) == (1, True, ())
     # the memory rules: a run leaps only where the power's two padded
     # buffers fit LEAP_MAX_ENTRIES, and keeps the short rung only where
     # three do.  N = n_s + 2 n_m + 3 = 1663 pads to 1664, whose three
@@ -1242,7 +1307,7 @@ def test_unstable_leaping_run_is_caught(monkeypatch, step_calls):
     cfg = SchemeConfig("monolithic", dt, t_end=3000 * dt)
     with pytest.raises(InstabilityError, match="instability detected"):
         run_simulation(P, ops, cfg, [0.0], record_every=50)
-    assert len(step_calls) == 34 * 3
+    assert sum(step_calls) == 34 * 3
 
 
 def test_unstable_dense_run_is_caught(monkeypatch, step_calls):
@@ -1256,7 +1321,7 @@ def test_unstable_dense_run_is_caught(monkeypatch, step_calls):
     cfg = SchemeConfig("alg1", dt, t_end=300 * dt, substep_ratio=4)
     with pytest.raises(InstabilityError, match="instability detected"):
         run_simulation(P, ops, cfg, [0.0])
-    assert len(step_calls) == 34
+    assert sum(step_calls) == 34
 
 
 def test_unstable_block_run_is_caught(monkeypatch, step_calls, block_fills):
@@ -1272,7 +1337,7 @@ def test_unstable_block_run_is_caught(monkeypatch, step_calls, block_fills):
     with pytest.raises(InstabilityError) as err:
         run_simulation(P, ops, cfg, [0.0])
     assert block_fills == [True]
-    assert len(step_calls) == 34
+    assert sum(step_calls) == 34
     assert RECORD_BLOCK < 341 < 2 * RECORD_BLOCK
     assert str(err.value).endswith(f"at t={341 * dt:.6g}")
 
