@@ -56,6 +56,20 @@ def _report_moved_snapshots(rec, dt):
                   f"t={snap.t!r}, the nearest step")
 
 
+def _directory(path, key: str) -> Path:
+    """path as a Path, refused with a ConfigError keyed ``key`` if it or
+    its nearest existing ancestor is a file, so that nothing is computed
+    for a directory that cannot be made."""
+    path = Path(path)
+    for known in (path, *path.parents):
+        if known.exists():
+            if not known.is_dir():
+                raise ConfigError(f"{key}: {known} is a file, not a "
+                                  f"directory", key=key)
+            break
+    return path
+
+
 def _study_t_end(cfg):
     """The config's t_end, refused if 0: a study compares runs in time.
     A substep_ratio other than 1 is refused too, since every study run is
@@ -105,7 +119,7 @@ def _reference(cfg, scale, tests):
 
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
-    out = Path(cfg.out_dir)
+    out = _directory(cfg.out_dir, "output.out_dir")
     ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
     rec = run_simulation(
         cfg.params, ops, cfg.scheme, list(cfg.snapshot_times),
@@ -128,7 +142,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = parse_config(args.config)
-    out = Path(cfg.out_dir)
+    out = _directory(cfg.out_dir, "output.out_dir")
     t_end = _study_t_end(cfg)
     if cfg.n_s % cfg.n_m:
         raise ConfigError(
@@ -160,7 +174,7 @@ def cmd_converge(args) -> int:
 
 def cmd_compare_fd(args) -> int:
     cfg = parse_config(args.config)
-    out = Path(cfg.out_dir)
+    out = _directory(cfg.out_dir, "output.out_dir")
     scheme, snaps = cfg.scheme, list(cfg.snapshot_times)
     # refuse an FD-invalid config before the finite-element run steps: the
     # finite-difference solver is single-rate
@@ -184,11 +198,12 @@ def cmd_compare_fd(args) -> int:
 
 def cmd_compare_alg(args) -> int:
     cfg = parse_config(args.config)
+    out = _directory(cfg.out_dir, "output.out_dir")
     ref, n_steps, snaps = _reference(cfg, args.ref_scale,
                                      [("test mesh", cfg.n_s)])
     reports = compare_algorithms(cfg.params, ref, cfg.n_s, cfg.n_m,
                                  n_steps, cfg.scheme.t_end, snaps)
-    _write_reports(Path(cfg.out_dir) / "algorithm_comparison.csv",
+    _write_reports(out / "algorithm_comparison.csv",
                    ("variant",),
                    [(name, (name,), rep) for name, rep in reports.items()])
     return 0
@@ -196,6 +211,7 @@ def cmd_compare_alg(args) -> int:
 
 def cmd_stepping_study(args) -> int:
     cfg = parse_config(args.config)
+    out = _directory(cfg.out_dir, "output.out_dir")
     n_s_ref = args.ref_scale * cfg.n_s
     for q in args.ratios:
         if n_s_ref % (q * cfg.n_m):
@@ -207,7 +223,7 @@ def cmd_stepping_study(args) -> int:
     reports = stepping_study(cfg.params, ref, cfg.n_m, args.ratios, n_steps,
                              cfg.scheme.t_end, snaps,
                              variant=cfg.scheme.variant)
-    _write_reports(Path(cfg.out_dir) / "stepping_study.csv", ("ratio",),
+    _write_reports(out / "stepping_study.csv", ("ratio",),
                    [(f"stent/media element ratio {q} (n_s={q * cfg.n_m})",
                      (q,), rep) for q, rep in reports.items()])
     return 0
@@ -236,9 +252,30 @@ def _bad_row(path, header, names, exc) -> ConfigError:
 
 
 def cmd_plot(args) -> int:
-    path = Path(args.input)
+    path, out = Path(args.input), Path(args.out)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
+    if path.is_dir():
+        raise ConfigError(f"--input: {path} is a directory, not a CSV file",
+                          key="--input")
+    if out.is_dir():
+        raise ConfigError(f"--out: {out} is a directory, not an SVG file",
+                          key="--out")
+    _directory(out.parent, "--out")
+    try:
+        plot_series, labels = _plot_series(path, args.field)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--input: {path} is not UTF-8 text ({exc})",
+                          key="--input") from None
+    out = emit_svg_plot(plot_series, out, **labels)
+    print(f"wrote {out}")
+    return 0
+
+
+def _plot_series(path, field):
+    """The series of path's CSV to plot for the field, and the chart's
+    labels: a profile per snapshot time from the long format, or the
+    field's column against t."""
     with path.open() as fh:
         header = next(csv.reader([fh.readline()]), [])
         if not fh.readline().strip():
@@ -248,14 +285,13 @@ def cmd_plot(args) -> int:
     time_unit = parse_config(echo).time_unit if echo.exists() else None
     if header[:5] == ["t", "domain", "x", "field", "value"]:
         # long-format snapshots: one profile per snapshot time
-        want = args.field
         series = {}
         with path.open() as fh:
             rows = csv.reader(fh)
             next(rows)
             for row in filter(None, rows):
                 try:
-                    if row[3] != want:
+                    if row[3] != field:
                         continue
                     series.setdefault(float(row[0]), []).append(
                         (float(row[2]), float(row[4])))
@@ -263,21 +299,21 @@ def cmd_plot(args) -> int:
                     raise _malformed(path, rows.line_num, row,
                                      "t, x and value") from None
         if not series:
-            raise ConfigError(f"field {want!r} not present in {path}")
+            raise ConfigError(f"field {field!r} not present in {path}")
         plot_series = []
         for t in sorted(series):
             label = (f"t={t:.6g}" if time_unit is None
                      else f"{t * time_unit / 3600.0:.6g} h")
             plot_series.append((label, *np.array(sorted(series[t])).T))
-        labels = dict(title=f"{want} profiles", x_label="x", y_label=want)
+        labels = dict(title=f"{field} profiles", x_label="x", y_label=field)
     else:
-        if args.field not in header:
+        if field not in header:
             raise ConfigError(
-                f"column {args.field!r} not in {path} (has {header})"
+                f"column {field!r} not in {path} (has {header})"
             )
         if "t" not in header:
             raise ConfigError(f"{path} has no t column to plot against")
-        names = ("t", args.field)
+        names = ("t", field)
         try:
             t, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
                               usecols=[header.index(n) for n in names]).T
@@ -286,11 +322,9 @@ def cmd_plot(args) -> int:
         x_label = "t"
         if time_unit is not None:
             t, x_label = t * time_unit / 3600.0, "hours"
-        plot_series = [(args.field, t, y)]
-        labels = dict(title=args.field, x_label=x_label, y_label=args.field)
-    out = emit_svg_plot(plot_series, args.out, **labels)
-    print(f"wrote {out}")
-    return 0
+        plot_series = [(field, t, y)]
+        labels = dict(title=field, x_label=x_label, y_label=field)
+    return plot_series, labels
 
 
 def _positive_int(text):

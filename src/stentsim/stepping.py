@@ -84,24 +84,22 @@ per-record check would give and before any output.
 
 The step, with q carried along, is one linear map G on x, so ``advance``
 takes as many products x <- A x as fit with the power P = G^order, then
-with each rung, then steps the rest.  A run that records rarely builds
-P = G^record_every by repeated squaring (``_power``), multiplying by G
-by stepping a block of P's columns at a time, and leaps each full
-record interval; a small multi-rate run that does not leap, such as one
-that records every step, builds G itself and takes each step as one
-product, which costs less than the kernel's substeps.  If P's order is
-record_every, each block after the first is one product
-X_next = X_prev @ Q^T with Q = P^RECORD_BLOCK.  A state short of a full
-leap is walked: each snapshot off the record grid, into a scratch row,
-from its record or the snapshot before it in the interval, and an
-off-grid last record from the record before it.  A leaping run's walks
-take products with two rungs, prefixes of P's build: R =
-G^(record_every // 2), kept in P's spare buffer, then a short S = G^p,
-p about sqrt(2 * record_every), copied as the build passes it.  No
-record is reached through a snapshot, so the records are the same bits
-with and without snapshot requests.  Input size and the snapshots alone
-decide which power a run builds, if any, which rungs it keeps and
-whether it fills blocks (``RunRecorder`` documents the rules); the
+with each rung, then steps the rest.  A run whose plan builds makes P =
+G^record_every by repeated squaring (``_power``), multiplying by G by
+stepping a block of P's columns at a time, and leaps each full record
+interval; at record_every 1, P is G itself and each step one product.
+Each record block after the first may be filled by one product X_next =
+X_prev @ Q^T with Q = P^RECORD_BLOCK.  A state short of a full leap is
+walked: each snapshot off the record grid, into a scratch row, from its
+record or the snapshot before it in the interval, and an off-grid last
+record from the record before it.  A leaping run's walks take products
+with rungs, prefixes of P's build: R = G^(record_every // 2), kept in
+P's spare buffer, then a short S = G^p, p = record_every >> s, copied as
+the build passes it.  No record is reached through a snapshot, so the
+records are the same bits with and without snapshot requests.  One
+comparison of fixed prices over the solver, input size and the
+snapshots alone decides whether a run builds, which rungs it keeps and
+whether it fills blocks (``RunRecorder`` documents the prices); the
 results differ from stepping at roundoff only.
 """
 
@@ -498,8 +496,8 @@ def whole_number(value, key: str) -> int:
 RECORD_BLOCK = 256
 # float64 entries that the power's buffers may hold together, 64 MiB: a
 # run leaps only where its two padded buffers fit, up to order 2048, and
-# its short rung takes a third buffer only where all three fit, up to
-# order 1664
+# its short rung or Q's build takes a third buffer only where all three
+# fit, up to order 1664
 LEAP_MAX_ENTRIES = 2 * 2048 ** 2
 # the power's buffers are padded with zeros to a multiple of this order:
 # OpenBLAS's threaded dgemm gives the bits of one thread at multiples of
@@ -516,15 +514,15 @@ LEAP_PAD = 32
 # = 320), best of 11 rounds: 52-55 ms for blocks of 16 to 256 columns
 # (52 at 128), 97 ms for one column a call and 56 ms for the whole matrix
 STEP_BLOCK = 4 * LEAP_PAD
-# largest record width [z; y2] that takes a dense step, one product with
-# the step's map G (padded), in place of a multi-rate kernel step.  Per
-# step, best of 5 x 2000 calls at one BLAS thread, alg1 with 4 substeps
-# of either block, kernel against dense: N = 153 (100/25) 21-31 us
-# against 4-5 us, N = 303 23 against 16-18 us, N = 403 24-28 against
-# 17-29 us, N = 453 26-36 against 43-49 us.  A single-rate kernel step
-# costs 9-11 us, so dense pays there only up to about N = 200 (6.4 us at
-# N = 153, 12 us at N = 253), and ratio-1 runs keep stepping
-DENSE_MAX_SIZE = 400
+# the prices of a run's plan, in ns (RunRecorder documents their basis): a
+# step as the record loop takes it, by solver, (a + b * N) times
+# (substep_ratio + 2) / 3 for a record width N; per entry of the padded
+# power, a product with it and a multiplication of it by G; and a
+# multiply-add of a matrix product, for the squarings and block fills
+STEP_NS = {"fem": (7500.0, 14.5), "fd": (5400.0, 6.7)}
+MATVEC_NS = 0.33
+TIMES_G_NS = 17.0
+MADD_NS = 0.045
 # entries of the power below this are set to 0 as it is built: a product
 # of two smaller ones is subnormal, and a 2048-order squaring that holds
 # them took 2 s instead of 0.4 s (OpenBLAS dgemm, one thread); a leap
@@ -581,18 +579,18 @@ def _raise(a, t, bits, times_g=None, keep=None):
     """Left-to-right binary powering of a over ``bits``, the binary digits
     of the exponent after its leading 1: square into the other buffer,
     then multiply by G (``times_g``) where the bit is 1 and flush to zero,
-    both in place.  ``keep`` maps a digit count i to a buffer that the
-    power after the first i digits is copied into.  Returns the power and
-    the other buffer, which holds the last squaring's operand, the power's
-    prefix of half its order."""
-    for i, bit in enumerate(bits, 1):
+    both in place.  ``keep`` maps a digit count i, 0 for a itself, to a
+    buffer that the power after the first i digits is copied into.
+    Returns the power and the other buffer, which holds the last
+    squaring's operand, the power's prefix of half its order."""
+    for i, bit in enumerate(bits):
+        if keep and i in keep:
+            np.copyto(keep[i], a)
         np.matmul(a, a, out=t)
         a, t = t, a
         if bit == "1":
             times_g(a)
         _flush_to_zero(a)
-        if keep and i in keep:
-            np.copyto(keep[i], a)
     return a, t
 
 
@@ -628,55 +626,43 @@ class RunRecorder:
     Snapshot requests are snapped to the nearest step; two requests
     landing on the same step raise ValidationError.
 
-    A run may build a power of the step (see the module docstring).
-    With N the record width len(z) + len(y2) and m the padded order of
-    the power's buffers, its order is
-      record_every, a leap, when leaping pays:
-        2 * m^2 <= LEAP_MAX_ENTRIES, so its two buffers fit 64 MiB
-        (m <= 2048, N <= 2047);
-        16 * record_every >= N, so a leap costs less than its steps;
-        4 * (steps saved) >= N^2, so the squarings pay, where a leap saves
-        all n_steps steps less those that its walks still take after
-        their products with the rungs;
-      1, a dense step, when that pays instead:
-        substep_ratio > 1, since a single-rate kernel step costs little;
-        N <= DENSE_MAX_SIZE, so a product costs less than a kernel step;
-        n_steps >= 2 * N, so that building G pays.  The clause dates from
-        builds of N + 1 kernel steps; a build in blocks of STEP_BLOCK
-        columns costs about 40, 140 and 200 multi-rate kernel steps at N =
-        153, 303 and 403 (alg1, 4 media substeps, best of 7, one BLAS
-        thread; 290, 440 and 560 one column a call), so it asks more than
-        the build needs, and it is kept so that no plan moves;
-      none otherwise, and the run steps.
-    A run that records every step leaps only if N <= 16, and the
-    single-rate finite-difference solver never takes dense steps.
+    A run may build a power of the step (see the module docstring).  Its
+    plan is the cheapest by fixed prices of stepping and of building P =
+    G^record_every (at record_every 1, G itself: dense steps), with N
+    the record width len(z) + len(y2) and m the padded order:
+      stepping costs n_steps steps;
+      P costs its build, bit_length(record_every) - 1 squarings of m^3
+      multiply-adds and one multiplication by G per set bit; a product
+      per record on the grid, or, with block fills, per record of the
+      first block, then Q's 8 squarings and RECORD_BLOCK * m^2
+      multiply-adds per filled block; and the walks, priced exactly from
+      their lengths as products with each rung in turn, then steps.
+    A run that walks keeps the rung R = G^(record_every // 2), free in
+    P's spare buffer, and the plan tries each short rung S = G^p, p =
+    record_every >> s for s >= 2, and none.  A run builds only where
+    n_steps >= 2 * N, a floor that keeps short runs on the kernel's bits,
+    and 2 * m^2 <= LEAP_MAX_ENTRIES, so the two buffers fit 64 MiB (m <=
+    2048); S or block fills, which take a third buffer, only where 3 * m^2
+    <= LEAP_MAX_ENTRIES (m <= 1664).
 
-    Rungs are kept only by a leaping run that walks: one with a snapshot
-    off the record grid before n_steps, or with n_steps off that grid.
-    Its walks take products with the rung R = G^(record_every // 2),
-    which shares the power's two buffers, then with a short rung S = G^p
-    in a third buffer, where p is the prefix record_every >> s, s >= 2,
-    of the power's build nearest sqrt(2 * record_every), when
-        p >= 2, so a product with S replaces more than one step;
-        3 * m^2 <= LEAP_MAX_ENTRIES, so the three buffers fit the 64 MiB
-        that the two may take (m <= 1664);
-        blocks do not fill, since building Q takes a buffer of its own.
-    A walk then takes fewer than p steps.  Basis (one BLAS thread,
-    medians of 7 runs): compare-fd's runs at 100/100, every 1000 with 9
-    walks, took 108 ms without S and 69-71 ms with p = 15, 31 or 62 (76
-    ms at 125), the finite-difference one 81 and 57-58 ms (61 ms); of 15
-    runs of compare-alg's 200/100 reference, every 517 with 10 walks, 112
-    ms without S and 82, 80, 89 and 93 ms with p = 16, 32, 64 and 129.
-
-    Block products fill each record block after the first with one
-    product with Q = P^RECORD_BLOCK, 8 squarings of P once the first
-    block is flushed, when P's order is record_every and the records on
-    the grid of record_every past the first block number at least 3 * m,
-    m the padded order.  The records pass skips the filled records, and
-    the snapshots pass walks from their rows as from any others.  Basis
-    (one BLAS thread, best of 3 runs, against one product with P per
-    record): m = 64 pays from about 128 records, m = 160 from 384-480,
-    m = 416 (leaping every 32) from 1280, m = 768 (every 64) by 2300.
+    The prices (STEP_NS, MATVEC_NS, TIMES_G_NS, MADD_NS) were measured
+    once, best of 5 at one BLAS thread on a 2-core x86-64 host, and are
+    never measured at run time, so a plan does not depend on the host.
+    A step as the record loop takes it recording every step: 8.0, 10.0,
+    13.6 and 25.2 us at N = 23, 153, 453 and 1003 (5.6 to 18 us
+    recording every 1000th), about twice that with 4 substeps of either
+    block.  The finite-difference step, timed beside the finite-element
+    one (monolithic, 3000 steps, best of 5): 0.73 to 0.58 of its time at
+    N = 23 to 1003 recording every step and 0.67 to 0.51 every 1000th,
+    priced by those shares of the finite-element price, as 5.4 us + 6.7
+    ns * N against 7.5 us + 14.5 ns * N.  A product: 0.21 to 0.36 ns per
+    entry at m = 160 to 1312 (2.4 us at m = 32).  A multiplication by G:
+    15 to 18 ns per entry at m = 160 to 1312.  A squaring or block fill:
+    33 to 61 ps per multiply-add at m = 160 to 1312.  Runs of 3 took, as
+    priced: criterion 3's n_s = 800 pair (N = 1003, 103 330 steps every
+    2066, both solvers) 2.35-2.38 s stepping and 0.98-1.00 s leaping; the
+    400/25 release run (N = 453, every step) 1.73-1.82 s stepping and
+    1.31-1.39 s dense with block fills.
     """
 
     def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
@@ -684,6 +670,7 @@ class RunRecorder:
                  monitor: BlockMonitor):
         every = whole_number(record_every, "record_every")
         self.dt = dt = cfg.dt_m
+        self.solver = solver
         self.substep_ratio = cfg.substep_ratio
         self.pe = p.pe
         self.n_steps = n_steps = step_count(cfg.t_end, dt)
@@ -726,44 +713,50 @@ class RunRecorder:
 
     def _plan(self):
         """(order, fills, rungs): the order of the power the run builds,
-        record_every if leaping pays, 1 if a dense step pays, None if the
-        run only steps; whether block products fill its record blocks; and
-        the orders of the rungs its walks take products with (the rules
-        are in the class docstring)."""
-        every, size, n = self.record_every, self.size, self.n_steps
-        m = _padded(size)
-        # the walks (start, stop): each snapshot off the record grid from
-        # its record or the snapshot before it in the interval, and an
+        record_every, or None if the run only steps; whether block
+        products fill its record blocks; and the orders of the rungs its
+        walks take products with.  The cheapest plan by the prices (see
+        the class docstring) among stepping and, past the floor and
+        within the memory clauses, the power with each set of rungs and
+        with block fills."""
+        every, n, (a, b) = self.record_every, self.n_steps, STEP_NS[self.solver]
+        size, m, regular = self.size, _padded(self.size), n // every + 1
+        # the walks' lengths: each snapshot off the record grid from its
+        # record or the snapshot before it in the interval, and an
         # off-grid n from its record
         snaps = sorted(k for k in self._snap_steps if k % every and k < n)
-        walks = [(max(a, b - b % every), b)
-                 for a, b in zip([0, *snaps], snaps)]
-        if n % every:
-            walks.append((n - n % every, n))
-        # whether blocks fill, for a power of order record_every
-        fills = n // every + 1 - RECORD_BLOCK >= 3 * m
-        rungs = ()
-        if walks:
-            root = math.sqrt(2 * every)
-            short = min((every >> s for s in range(2, every.bit_length())),
-                        key=lambda p: abs(p - root), default=1)
-            keeps = short >= 2 and not fills and 3 * m * m <= LEAP_MAX_ENTRIES
-            rungs = (every // 2, short) if keeps else (every // 2,)
-        # the steps a leap saves: all n, less those the walks still take
-        # after products with the rungs
-        saved = n
-        for start, stop in walks:
-            left = stop - start
-            for o in rungs:
-                left %= o
-            saved -= left
-        if (2 * m * m <= LEAP_MAX_ENTRIES and 16 * every >= size
-                and 4 * saved >= size * size):
-            return every, fills, rungs
-        if (self.substep_ratio > 1 and size <= DENSE_MAX_SIZE
-                and n >= 2 * size):
-            return 1, fills and every == 1, ()
-        return None, False, ()
+        walks = [t - max(s, t - t % every) for s, t in zip([0, *snaps], snaps)]
+        walks += [n % every] if n % every else []
+        step = (a + b * size) * (self.substep_ratio + 2) / 3
+
+        def leap(rungs, fills):
+            """The power's price: its build, a product per record that no
+            block fills, Q's 8 squarings and the filled blocks, and the
+            walks."""
+            reached = min(regular, RECORD_BLOCK) if fills else regular
+            squarings = every.bit_length() - 1 + 8 * fills
+            filled = (regular - 1) // RECORD_BLOCK * RECORD_BLOCK * fills
+            price = m * m * (bin(every).count("1") * TIMES_G_NS
+                             + (reached - 1) * MATVEC_NS
+                             + (squarings * m + filled) * MADD_NS)
+            for left in walks:
+                for o in rungs:
+                    price += left // o * MATVEC_NS * m * m
+                    left %= o
+                price += left * step
+            return price
+
+        plans = {(None, False, ()): n * step}
+        if n >= 2 * size and 2 * m * m <= LEAP_MAX_ENTRIES:
+            # a short rung or Q's build takes a third buffer
+            third = 3 * m * m <= LEAP_MAX_ENTRIES
+            half = (every // 2,) if walks else ()
+            shifts = range(2, every.bit_length() if half and third else 2)
+            for rungs in [half, *((*half, every >> s) for s in shifts)]:
+                plans[every, False, rungs] = leap(rungs, False)
+            if third and regular > RECORD_BLOCK:
+                plans[every, True, half] = leap(half, True)
+        return min(plans, key=plans.get)
 
     # a non-finite step, leap or record is the guard's to report, not numpy's
     @np.errstate(over="ignore", invalid="ignore")

@@ -347,6 +347,29 @@ def test_converge_runs(tmp_path, capsys):
     assert "rate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,snapshots", [
+    (["simulate"], True), (["compare-fd"], True),
+    (["compare-alg", "--ref-scale", "2"], False),
+    (["stepping-study", "--ref-scale", "2"], False),
+    (["converge", "--levels", "2"], False)],
+    ids=["simulate", "compare-fd", "compare-alg", "stepping-study",
+         "converge"])
+def test_commands_refuse_out_dir_that_is_a_file(tmp_path, capsys,
+                                                monkeypatch, argv, snapshots):
+    # an out_dir that names a file is refused before the first step, with
+    # the error line keyed output.out_dir and exit 1; nothing is written
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10,
+                                snapshots=snapshots)
+    out.write_text("a file\n")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(RunRecorder, "run", no_run)
+    assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output.out_dir: {out} is a file, not a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert out.read_text() == "a file\n"
+
+
 FLOAT = r"-?\d\.\d{16}e[+-]\d{2}"  # 17 significant digits
 # a regex per table column; relative errors and rates may be empty
 COLUMNS = {"variant": "(alg1|alg2|monolithic)", "ratio": "[12]",
@@ -689,15 +712,37 @@ def test_plot_refuses_non_finite_values(tmp_path, capsys, rows):
      "0,m,1,c1,zz"),
     ("t,domain,x,field,value\n0,m,0,c1,1\n0,m,1\n", "c1", 3, "0,m,1"),
     ("t,domain,x,field,value\n0,m,0,c1,1\nq,m,1,c1,2\n", "c1", 3,
-     "q,m,1,c1,2")])
+     "q,m,1,c1,2"),
+    # the input (bytes, or None for a directory), the case in place of
+    # the line, and the flag that the error line names in place of the row
+    pytest.param(None, "x", "input is a directory", "--input",
+                 id="input-directory"),
+    pytest.param(b"\xff\xfet,x\n0,1\n", "x", "input is not UTF-8",
+                 "--input", id="input-not-utf8"),
+    pytest.param(b"t,x\n0,1\n1,\xff\n", "x", "input is not UTF-8",
+                 "--input", id="input-not-utf8-in-a-row"),
+    pytest.param(b"t,x\n0,1\n", "x", "out is a directory", "--out",
+                 id="out-directory"),
+    pytest.param(b"t,x\n0,1\n", "x", "out lies under a file", "--out",
+                 id="out-under-file")])
 def test_plot_refuses_malformed_rows(tmp_path, text, field, line, row):
     # a value that does not read as a number, a missing one and a short
     # row, in the wide and the long format: the CLI's error line naming
     # the file, the line and the row, exit 1 and no chart, where these
-    # ended in numpy's or float()'s traceback
-    data = tmp_path / "series.csv"
-    data.write_text(text)
-    svg = tmp_path / "x.svg"
+    # ended in numpy's or float()'s traceback.  So do an input that is a
+    # directory or not UTF-8 text, and an output that is a directory or
+    # lies under a file, with an error line naming the flag
+    data, svg = tmp_path / "series.csv", tmp_path / "x.svg"
+    if text is None:
+        data.mkdir()
+    else:
+        data.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if line == "out is a directory":
+        svg.mkdir()
+    elif line == "out lies under a file":
+        (tmp_path / "taken").write_text("")
+        svg = tmp_path / "taken" / "x.svg"
+    before = sorted(tmp_path.rglob("*"))
     proc = subprocess.run(
         [sys.executable, "-m", "stentsim.cli", "plot", "--input", str(data),
          "--field", field, "--out", str(svg)],
@@ -705,9 +750,9 @@ def test_plot_refuses_malformed_rows(tmp_path, text, field, line, row):
     assert proc.returncode == 1
     assert proc.stderr.startswith(
         f"error: {data}, line {line}: malformed row {row!r}: expected "
-        f"numbers for ")
+        f"numbers for " if isinstance(line, int) else f"error: {row}: ")
     assert "Traceback" not in proc.stderr
-    assert not svg.exists()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("rows", ["-1e308,1\n1e308,2\n",

@@ -602,7 +602,9 @@ def test_unstable_step_is_caught_by_energy_guard(monkeypatch):
 
 def test_nonfinite_guard_names_first_bad_record(monkeypatch):
     # the guard runs once per block of RECORD_BLOCK records and still names
-    # the first non-finite record: step 300, inside the second block
+    # the first non-finite record: step 300, inside the second block.  The
+    # run is held to stepping, so that the poisoned call is a step (its own
+    # plan builds G and fills blocks)
     step = _Kernel.macro_step
     calls = []
 
@@ -612,6 +614,7 @@ def test_nonfinite_guard_names_first_bad_record(monkeypatch):
         return (z * np.nan, y2) if len(calls) == 300 else (z, y2)
 
     monkeypatch.setattr(_Kernel, "macro_step", poisoned)
+    monkeypatch.setattr(RunRecorder, "_plan", lambda self: (None, False, ()))
     ops = small_ops()
     dt = safe_dt(ops)
     assert RECORD_BLOCK < 300 < 2 * RECORD_BLOCK
@@ -886,29 +889,21 @@ def assert_matches_stepping(rec, stepped, dt, steps, snaps):
 
 @pytest.mark.parametrize("variant,setting", LEAP_CASES)
 def test_leaps_match_stepping(step_calls, variant, setting):
-    # the same run leaping, and with a snapshot at every step, which
-    # leaves no interval to leap, against the solver's step looped
-    # directly
+    # the same run leaping, and with a snapshot at every step, against the
+    # solver's step looped directly.  24 step calls per set bit of 50
+    # build the power, and no walk steps: on 8/6 a product with the padded
+    # power (m = 32) is priced 0.34 us against 8 us or more for a step, so
+    # the short rung is G itself.  The snapshot at 1234, 34 past its
+    # record, is walked by a product with the rung G^25 and 9 with G; each
+    # snapshot off the record grid in the first case by one product with G
+    # from the snapshot before it; the last step, 10 past its record, by
+    # 10 with G; and a snapshot on the record step 1250 is read off its row
     stepped = stepped_case(variant, setting)
     steps = [*range(0, 2010, 50), 2010]
-    # with a snapshot at every step, each walk of one step saves none, so
-    # leaping would save 1 step per interval and does not pay; a multi-rate
-    # run takes dense steps: 24 step calls (N + 1) build the step's map.
-    # The others step: 2010 steps reach the records, each from the one
-    # before, and each snapshot off the record grid is stepped from the
-    # snapshot before it, 49 per full interval and 9 in the last, 1969 in
-    # all.  When it leaps, 24 step calls per set bit of 50 build the power;
-    # the snapshot at 1234, 34 past its record, is walked by one product
-    # with the rung G^25 and 9 steps, too few for the short rung G^12; the
-    # last step, 10 past its record, is walked by 10 steps; and a snapshot
-    # on the record step 1250 is read off its row
-    dense = 24 if SETTINGS[setting][0] > 1 else 2010 + 1969
-    for snaps, calls in ((range(2011), dense),
-                         ([0, 1234, 2010], 24 * 3 + 9 + 10),
-                         ([0, 1250, 2010], 24 * 3 + 10)):
+    for snaps in (range(2011), [0, 1234, 2010], [0, 1250, 2010]):
         step_calls.clear()
         rec = leap_case(variant, setting, snaps)
-        assert sum(step_calls) == calls
+        assert sum(step_calls) == 24 * 3
         assert_matches_stepping(rec, stepped, leap_dt(setting), steps, snaps)
 
 
@@ -1029,42 +1024,60 @@ def test_record_edges_match_stepping(variant, setting, n, every, snaps):
                             leap_dt(setting), [*range(0, n, every), n], snaps)
 
 
-# (record_every, snapshot steps, step calls) over 2010 steps of a leaping
-# run, whose rungs are R = G^(every // 2) and S = G^p, p the prefix of
-# every's build nearest sqrt(2 * every): 12 for every 50, 51 and 100.
-# Every 50: three snapshots in one interval, 10, 35 and 45 past its
-# record, take 10 steps (fewer than 12), an R product from the first
-# (into its own row) and 10 steps from the second; snapshots 25 (R's
-# order), 24 and 49 past their records take an R product, two S
-# products, and an R product and two S products, and no step; one in
-# the partial last interval, 5 past its record, takes 5 steps, and the
-# last step, 10 past the same record, 10 steps.  24 step calls per set
-# bit of 50 build the power.  Every 51: 50 past its record is two R
-# products of 25 and no step, 25 past is one; the last step, 21 past
-# its record, is an S product and 9 steps, and 24 step calls per set bit
-# of 51 build the power.  Every 100: 12 past its record is one S product;
-# 25 on from there two S products and a step; 62 on an R product and an
-# S product; 63 past the next record R, S and a step; 49 past the next
-# four S products and a step; 5 past the last record 5 steps, and the
-# last step 10; 24 step calls per set bit of 100 build the power
-WALK_CASES = [(50, [1210, 1235, 1245, 1325, 1424, 1549, 2005],
-               24 * 3 + 10 + 0 + 10 + 0 + 0 + 0 + 5 + 10),
-              (51, [51 * 20 + 50, 51 * 30 + 25], 24 * 4 + 0 + 0 + 9),
-              (100, [1112, 1137, 1199, 1263, 1349, 2005],
-               24 * 3 + 0 + 1 + 0 + 1 + 1 + 5 + 10)]
+# (record_every, snapshot steps, step calls, rungs) over 2010 steps of a
+# leaping run on 8/6, 24 step calls per set bit of every building the
+# power.  With rungs None, the run's rungs are R = G^(every // 2) and the
+# short rung of the cheapest walks by the prices.  Every 50: snapshots 10,
+# 35 and 45 past one record, 25 (R's order), 24 and 49 past others, 5
+# past the last record, and the last step 10 past it, walked by an R
+# product where one fits and products with the short rung G for the rest.
+# Every 51: 50 past its record is two R products of 25, 25 past is one,
+# and the last step, 21 past its record, is 7 products with the short
+# rung G^3, which costs less than 21 with G.  Every 100: 12, 25 on, 62 on,
+# 63 past, 49 past, 5 past and the last step 10 past, walked by R
+# products and products with G.  No walk steps.
+#
+# The same walks with the plan held to R and S = G^12 end in steps after
+# their products, as compare-fd's and the study reference's walks do on
+# wider meshes, where a product with the power costs more than a few
+# steps.  Every 50: three snapshots in one interval, 10, 35 and 45 past
+# its record, take 10 steps (fewer than 12), an R product from the first
+# (into its own row) and 10 steps from the second; snapshots 25, 24 and
+# 49 past their records take an R product, two S products, and an R
+# product and two S products, and no step; one in the partial last
+# interval, 5 past its record, takes 5 steps, and the last step, 10 past
+# the same record, 10 steps.  A snapshot at 1234, 34 past its record,
+# takes an R product and 9 steps.  Every 51: the last step, 21 past its
+# record, is an S product and 9 steps.  Every 100: 12 past its record is
+# one S product; 25 on from there two S products and a step; 62 on an R
+# product and an S product; 63 past the next record R, S and a step; 49
+# past the next four S products and a step; 5 past the last record 5
+# steps, and the last step 10
+WALK_CASES = [(50, [1210, 1235, 1245, 1325, 1424, 1549, 2005], 24 * 3, None),
+              (51, [51 * 20 + 50, 51 * 30 + 25], 24 * 4, None),
+              (100, [1112, 1137, 1199, 1263, 1349, 2005], 24 * 3, None)]
+WALK_CASES += [
+    (50, WALK_CASES[0][1], 24 * 3 + 10 + 10 + 5 + 10, (25, 12)),
+    (50, [0, 1234, 2010], 24 * 3 + 9 + 10, (25, 12)),
+    (51, WALK_CASES[1][1], 24 * 4 + 9, (25, 12)),
+    (100, WALK_CASES[2][1], 24 * 3 + 1 + 1 + 1 + 5 + 10, (50, 12))]
 
 
 # ids without the step calls, so that a moved pin keeps its test's name
-@pytest.mark.parametrize("every,snaps,calls", WALK_CASES, ids=[
+@pytest.mark.parametrize("every,snaps,calls,rungs", WALK_CASES, ids=[
     f"{every}-snaps{i}" for i, (every, *_) in enumerate(WALK_CASES)])
 @pytest.mark.parametrize("variant,setting", [("monolithic", "r1"),
                                              ("alg1", "media4"),
                                              ("fd", "r1")])
-def test_snapshot_walks_match_stepping(step_calls, variant, setting, every,
-                                       snaps, calls):
+def test_snapshot_walks_match_stepping(monkeypatch, step_calls, variant,
+                                       setting, every, snaps, calls, rungs):
     # a snapshot strictly inside an interval that the power crosses is
     # walked from the nearest earlier state, its record or the snapshot
-    # before it in the interval, and the records leap past it
+    # before it in the interval, and the records leap past it; a walk
+    # steps on from the state its products reach, carrying the outflow sum
+    if rungs is not None:
+        monkeypatch.setattr(RunRecorder, "_plan",
+                            lambda self: (every, False, rungs))
     rec = leap_case(variant, setting, snaps, every=every)
     assert sum(step_calls) == calls
     assert_matches_stepping(rec, stepped_case(variant, setting),
@@ -1078,9 +1091,11 @@ def test_snapshot_walks_match_stepping(step_calls, variant, setting, every,
 # interval of the first block, of a filled block (record 300), across two
 # filled blocks (record 511 to 512) and inside the partial last interval;
 # a run every 100 whose walks end on products with the short rung; over
-# 120 steps, too few for a leap to pay with or without snapshots, a
-# stepping run and a dense run with a snapshot at every step; and a
-# leaping run whose snapshots lie only in the partial last interval
+# 120 steps, leaping runs with a snapshot at every step, each walked by one
+# product with G from the snapshot before it; a leaping run whose
+# snapshots lie only in the partial last interval; and over 40 steps,
+# under the floor of 2N = 46 steps, stepping runs with a snapshot at
+# every step
 SNAPSHOT_FREE_CASES = [
     ("alg1", "media4", 2010, 50, WALK_CASES[0][1], False),
     ("fd", "r1", 2010, 50, WALK_CASES[0][1], False),
@@ -1088,7 +1103,9 @@ SNAPSHOT_FREE_CASES = [
     ("monolithic", "r1", 2010, 100, WALK_CASES[2][1], False),
     ("monolithic", "r1", 120, 50, range(121), False),
     ("alg1", "media4", 120, 50, range(121), False),
-    ("monolithic", "r1", 2010, 50, [2003, 2005], False)]
+    ("monolithic", "r1", 2010, 50, [2003, 2005], False),
+    ("monolithic", "r1", 40, 50, range(41), False),
+    ("alg1", "media4", 40, 50, range(41), False)]
 
 
 @pytest.mark.parametrize("variant,setting,n,every,snaps,fills",
@@ -1117,12 +1134,13 @@ def test_records_do_not_depend_on_snapshots(monkeypatch, variant, setting, n,
 
 
 def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
-    # a multi-rate run that records every step over 2N steps or more takes
-    # dense steps (release, 100/25 alg1 media4, N = 153): N + 1 step calls
-    # build the step's map, and no kernel step follows.  Over 400 steps it
-    # fills under 3 * 160 records past its first block and builds no block
-    # power; over the release workload's 32 328 steps, with its 25
-    # snapshots, it does
+    # a multi-rate run that records every step takes dense steps (release,
+    # 100/25 alg1 media4, N = 153): N + 1 step calls build the step's map,
+    # and no kernel step follows.  Over 400 steps, priced 3.8 ms dense
+    # against 7.8 ms stepping, Q's build would cost more than the 145
+    # products it saves (4.4 ms), so no block fills; over the release
+    # workload's 32 328 steps, with its 25 snapshots, blocks fill (41 ms,
+    # against 274 ms dense and 628 ms stepping)
     ops = build_operators(P, 100, 25)
     n = stable_step_count(P, P.l / 100, 1.0 / 25, 20.0, 4, "media")
     assert n == 32328
@@ -1137,11 +1155,15 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
         assert sum(step_calls) == 154
         assert block_fills == [fills]
     block_fills.clear()
-    # the kernel probes, 2000 steps recorded at the ends only: single-rate
-    # runs step, and multi-rate ones take dense steps up to N = 400
-    for n_s, n_m, r, calls in ((100, 25, 1, 2000), (200, 100, 1, 2000),
-                               (100, 100, 1, 2000), (100, 25, 4, 154),
-                               (100, 100, 4, 304), (200, 100, 4, 2000)):
+    # the kernel probes, 2000 steps recorded at the ends only, leap where
+    # the price says so: 154, 304 and 404 step calls per set bit of 2000
+    # build the power.  Priced in ms, leaping against stepping: 100/25
+    # single-rate 4.5 against 19.4 and multi-rate 4.5 against 38.9; 100/100
+    # 25.2 against 23.8 and 47.6; 200/100 50.1 against 26.7 and 53.4
+    assert bin(2000).count("1") == 6
+    for n_s, n_m, r, calls in ((100, 25, 1, 154 * 6), (200, 100, 1, 2000),
+                               (100, 100, 1, 2000), (100, 25, 4, 154 * 6),
+                               (100, 100, 4, 304 * 6), (200, 100, 4, 404 * 6)):
         step_calls.clear()
         ops = build_operators(P, n_s, n_m)
         dt = sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r) / 1.05
@@ -1155,7 +1177,8 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     # per set bit of 517 build the power.  Snapshot k = 1..10, at
     # k * 10336 = (20k - 1) * 517 + 517 - 4k, is walked from its record by
     # one product with the rung G^258, then products with the short rung
-    # G^32 (517 >> 4, the prefix nearest sqrt(1034) = 32.2): 7 for k <= 8
+    # G^32 (517 >> 4, whose walks are priced 56.8 ms for the whole run
+    # against 58.4 with G^64 and 59.7 with G^16): 7 for k <= 8
     # and 6 for k = 9, 10, and the (259 - 4k) % 32 steps left, 31 + 27 +
     # ... + 3 + 31 + 27 = 194 in all (2370 with the rung G^258 alone).
     # The last step, 56 past its record, is walked by one product with
@@ -1171,106 +1194,147 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
         k * 16 * 646 for k in range(11)] + [103456]
     # compare-fd's two runs, 100/100 over 103 321 steps recorded every 1000
     # with a snapshot every 0.1, leap; neither, nor any run above, fills
-    # more than one block of records, so none builds a block power.  Each
-    # takes 304 step calls per set bit of 1000 to build the power.  Its
-    # snapshots at round(10332.1 k), k = 1..9, sit 332, 664, 996, 328,
-    # 660, 993, 325, 657 and 989 steps past their records; those past 500
-    # take one product with the rung G^500 first, and each then takes
-    # products with the short rung G^31 (1000 >> 5, the prefix nearest
-    # sqrt(2000) = 44.7) and steps the rest modulo 31: 22 + 9 + 0 + 18 +
-    # 5 + 28 + 15 + 2 + 24 = 123 steps in all (2944 with the rung G^500
-    # alone).  The last step, 321 = 10 * 31 + 11 past its record, is
-    # walked by 10 products with G^31 and 11 steps
+    # more than one block of records, so none of the seven leaps builds a
+    # block power.  Each takes 304 step calls per set bit of 1000 to build
+    # the power.  Its snapshots at round(10332.1 k), k = 1..9, sit 332,
+    # 664, 996, 328, 660, 993, 325, 657 and 989 steps past their records;
+    # those past 500 take one product with the rung G^500 first, and each
+    # then takes products with the short rung and steps the rest.  The
+    # finite-element run takes G^31 (1000 >> 5, priced 32.41 ms for the
+    # run against 32.46 with G^62): 22 + 9 + 0 + 18 + 5 + 28 + 15 + 2 + 24
+    # = 123 steps in all (2944 with the rung G^500 alone), and the last
+    # step, 321 = 10 * 31 + 11 past its record, 10 products with G^31 and
+    # 11 steps.  The finite-difference run, whose step is priced about half
+    # as much, takes G^62 (priced 31.17 ms against 31.81 with G^31; both
+    # took 22-24 ms): 278 steps, and 5 products with G^62 and 11 steps for
+    # the last step
     n = stable_step_count(P, P.l / 100, 1.0 / 100, 1.0)
     assert n == 103321
     times = [k / 10 for k in range(11)]
-    walked = 22 + 9 + 0 + 18 + 5 + 28 + 15 + 2 + 24
-    assert walked == sum(r % 31 for r in (332, 164, 496, 328, 160, 493, 325,
-                                          157, 489))
-    for run in (lambda: run_simulation(
-                    P, build_operators(P, 100, 100),
-                    SchemeConfig("monolithic", 1.0 / n, 1.0), times,
-                    record_every=1000),
-                lambda: run_fd(P, 100, 100, 1.0 / n, 1.0, times,
-                               record_every=1000)):
+    past = (332, 164, 496, 328, 160, 493, 325, 157, 489)
+    assert sum(r % 31 for r in past) == 22 + 9 + 0 + 18 + 5 + 28 + 15 + 2 + 24
+    assert sum(r % 62 for r in past) == 278
+    assert 321 % 31 == 321 % 62 == 11
+    for run, walked in ((lambda: run_simulation(
+                            P, build_operators(P, 100, 100),
+                            SchemeConfig("monolithic", 1.0 / n, 1.0), times,
+                            record_every=1000), 123),
+                        (lambda: run_fd(P, 100, 100, 1.0 / n, 1.0, times,
+                                        record_every=1000), 278)):
         step_calls.clear()
         rec = run()
-        assert sum(step_calls) == 304 * 6 + walked + 11 == 1958
+        assert sum(step_calls) == 304 * 6 + walked + 11
         # each multiplication by G steps the 304 columns in ceil(304 / 128)
         # = 3 block calls; the walks step one state a call
         assert [w for w in step_calls if w > 1] == [128, 128, 48] * 6
         assert [round(s.t * n) for s in rec.snapshots] == [
             0, 10332, 20664, 30996, 41328, 51660, 61993, 72325, 82657, 92989,
             n]
-    assert block_fills == [False] * 5
+    assert block_fills == [False] * 7
 
 
 def planned(n_s, n_m, n, every, snaps, variant="monolithic", ratio=1):
     """RunRecorder._plan of a run on n_s/n_m over n steps of 1/n, recorded
-    every ``every`` with snapshots at the given steps; nothing is built."""
+    every ``every`` with snapshots at the given steps; nothing is built.
+    Variant "fd" plans the finite-difference solver's run."""
+    solver, variant = ("fd", "monolithic") if variant == "fd" else ("fem",
+                                                                   variant)
     cfg = SchemeConfig(variant, 1.0 / n, 1.0, substep_ratio=ratio)
-    rec = RunRecorder("fem", P, cfg, build_mesh(STENT, n_s, l=P.l),
+    rec = RunRecorder(solver, P, cfg, build_mesh(STENT, n_s, l=P.l),
                       build_mesh(MEDIA, n_m), [k / n for k in snaps], every,
                       None)
     return rec._plan()
 
 
 def test_short_rung_rule_on_sizes():
-    # (order, block fills, rung orders).  The benchmark's runs, with their
-    # snapshot steps, keep the plans they had when the power's build
-    # stepped one column a call: compare-fd's runs and the study reference
-    # keep the short rungs G^31 and G^32, the study's 50/25 runs G^8; the
-    # release run, every step recorded with an hourly snapshot, takes
-    # dense steps and fills blocks
+    # (order, block fills, rung orders), the cheapest plan by the prices.
+    # The benchmark's runs, with their snapshot steps: compare-fd's
+    # finite-element run and the study reference keep the short rungs G^31
+    # and G^32, and its finite-difference run, whose step is priced at
+    # 5.4 us + 6.7 ns * N against 7.5 us + 14.5 ns * N, takes G^62 (31.17
+    # ms against 31.81 with G^31); the study's 50/25 runs take G^4 (priced
+    # 2.07 ms, against 2.08 with G^2 and 2.23 with G^8); the release run,
+    # every step recorded with an hourly snapshot, takes dense steps and
+    # fills blocks
     crosscheck = [round(10332.1 * k) for k in range(11)]
     assert planned(100, 100, 103321, 1000, crosscheck) == (1000, False,
                                                            (500, 31))
+    assert planned(100, 100, 103321, 1000, crosscheck, "fd") == (
+        1000, False, (500, 62))
+    # configs/crosscheck.yaml's 103 330 steps: both runs take G^62,
+    # finite-element 31.65 ms against 32.33 with G^31, finite-difference
+    # 30.69 against 31.79
+    shipped = [10333 * k for k in range(11)]
+    for variant in ("monolithic", "fd"):
+        assert planned(100, 100, 103330, 1000, shipped, variant) == (
+            1000, False, (500, 62))
     assert planned(200, 100, 103456, 517, [10336 * k for k in range(11)]) == (
         517, False, (258, 32))
     tested = [646 * k for k in range(11)] + [6466]
-    assert planned(50, 25, 6466, 32, tested, "alg1") == (32, False, (16, 8))
+    assert planned(50, 25, 6466, 32, tested, "alg1") == (32, False, (16, 4))
     hourly = [1347 * k for k in range(25)]
     assert planned(100, 25, 32328, 1, hourly, "alg1", 4) == (1, True, ())
+    # criterion 3's n_s = 800 pair (N = 1003, 103 330 steps recorded every
+    # 2066, a snapshot every 0.1) leaps, priced 0.61 s against 2.28 s
+    # stepping; criterion 6's release run (400/25 single-rate, N = 453,
+    # 129 310 steps, every step recorded) fills blocks, 1.40 s against
+    # 1.82 s stepping and 9.8 s dense without fills.  The pair's
+    # finite-difference run keeps no short rung: its walks, 3k steps past
+    # their records for k = 1..9 and the last step 30 past its record, are
+    # priced cheaper in steps, 16 at 0.19 ms against 0.35 ms for a product
+    # with G^16 (m = 1024); the finite-element run's 16 steps, 0.35 ms,
+    # cost a little more than that product
+    assert planned(800, 100, 103330, 2066, shipped) == (2066, False,
+                                                        (1033, 16))
+    assert planned(800, 100, 103330, 2066, shipped, "fd") == (2066, False,
+                                                              (1033,))
+    assert planned(400, 25, 129310, 1, []) == (1, True, ())
+    # the floor: runs of fewer than 2N steps step, as the bitwise tests'
+    # 25- and 30-step runs on 8/6 (N = 23) do, where G would be priced
+    # cheaper
+    assert planned(8, 6, 25, 1, [25], "alg1") == (None, False, ())
+    assert planned(8, 6, 30, 1, [30], "alg1", 3) == (None, False, ())
     # the memory rules: a run leaps only where the power's two padded
-    # buffers fit LEAP_MAX_ENTRIES, and keeps the short rung only where
+    # buffers fit LEAP_MAX_ENTRIES, and keeps a short rung only where
     # three do.  N = n_s + 2 n_m + 3 = 1663 pads to 1664, whose three
     # buffers fit; N = 1664 pads to 1696, whose do not; N = 2047 pads to
     # 2048, whose two fit; N = 2048 pads to 2080, whose do not.  Two
-    # million steps every 1000, with one walk, leap at the first three
-    # sizes, since they save more than N^2 / 4 steps
+    # million steps every 1000 leap at the first three sizes, and the walk
+    # to step 1999, 499 past G^500, takes the short rung G^125 where it fits
     assert 3 * 1664 ** 2 <= LEAP_MAX_ENTRIES < 3 * 1696 ** 2
     assert 2 * 2048 ** 2 <= LEAP_MAX_ENTRIES < 2 * 2080 ** 2
-    for n_s, n_m, plan in ((1000, 330, (1000, False, (500, 31))),
+    for n_s, n_m, plan in ((1000, 330, (1000, False, (500, 125))),
                            (1001, 330, (1000, False, (500,))),
                            (1044, 500, (1000, False, (500,))),
                            (1045, 500, (None, False, ()))):
-        assert planned(n_s, n_m, 2 * 10 ** 6, 1000, [1500]) == plan
+        assert planned(n_s, n_m, 2 * 10 ** 6, 1000, [1999]) == plan
     # no walk, no rung: snapshots on records only, and the last step on
     # the record grid
     assert planned(100, 100, 103000, 1000, [0, 5000, 103000]) == (
         1000, False, ())
-    # an off-grid last step is walked: with no snapshot off the grid, the
-    # run keeps both rungs
+    # an off-grid last step is walked: its 321 steps take 5 products with
+    # G^62 and 11 steps, priced below 10 with G^31 and 11 steps
     assert planned(100, 100, 103321, 1000, [0, 5000]) == (
-        1000, False, (500, 31))
-    # the stepping and dense runs of SNAPSHOT_FREE_CASES, with a snapshot
-    # at every step or none: over 120 steps on 8/6 a leap saves under
-    # N^2 / 4 = 132.25 steps
-    for snaps in (range(121), []):
-        assert planned(8, 6, 120, 50, snaps) == (None, False, ())
-        assert planned(8, 6, 120, 50, snaps, "alg1", 4) == (1, False, ())
-    # every 8 on 8/6 (m = 32): the short rung would be G^2, but over 3200
-    # steps 145 records past the first block, at least 3 * 32, fill
-    # blocks, and Q's build takes the third buffer; over 1600 steps they
-    # do not fill, and the rung is kept
+        1000, False, (500, 62))
+    # the stepping runs of SNAPSHOT_FREE_CASES, with a snapshot at every
+    # step or none, lie under the floor; over 120 steps on 8/6 the runs
+    # leap, and a walk of one step is one product with G
+    for snaps in (range(41), []):
+        assert planned(8, 6, 40, 50, snaps) == (None, False, ())
+        assert planned(8, 6, 40, 50, snaps, "alg1", 4) == (None, False, ())
+    assert planned(8, 6, 120, 50, range(121)) == (50, False, (25, 1))
+    # every 8 on 8/6 (m = 32): over 3200 steps, 401 records fill blocks,
+    # and Q's build takes the third buffer; over 1600 steps, 201 records
+    # do not fill a second block, and the walk of 3 past G^4 takes the
+    # short rung G itself; every 7 takes G^3 and G
     assert planned(8, 6, 3200, 8, [1603]) == (8, True, (4,))
-    assert planned(8, 6, 1600, 8, [1203]) == (8, False, (4, 2))
-    # below every 8 no prefix of order 2 or more lies two digits down
-    assert planned(8, 6, 1600, 7, [1203]) == (7, False, (3,))
+    assert planned(8, 6, 1600, 8, [1203]) == (8, False, (4, 1))
+    assert planned(8, 6, 1600, 7, [1203]) == (7, False, (3, 1))
     # a multi-rate run on 100/25 (N = 153) over 2000 steps recorded at
-    # the ends: its walk to step 1001 leaves the leap too little to save,
-    # so it takes dense steps and keeps no rung
-    assert planned(100, 25, 2000, 2000, [1001], "alg1", 4) == (1, False, ())
+    # the ends leaps; its walk to step 1001 is a product with G^1000 and
+    # one with G (8.4 us against a 19 us step)
+    assert planned(100, 25, 2000, 2000, [1001], "alg1", 4) == (
+        2000, False, (1000, 1))
 
 
 def test_only_walking_leaps_build_the_short_rung(monkeypatch):
@@ -1284,14 +1348,17 @@ def test_only_walking_leaps_build_the_short_rung(monkeypatch):
         return raise_(a, t, bits, times_g, keep)
 
     monkeypatch.setattr(stepping, "_raise", spy)
-    # a leaping run with a walk copies G^12 after 3 digits of 50's build
+    # leaping runs with a walk copy their short rung: G before the first
+    # digit of 50's build, and G^3, for the walk of 21 steps to the last
+    # step, after the first digit of 51's
     leap_case("monolithic", "r1", [0, 1213, 2010])
-    assert kept == [[3]]
+    leap_case("monolithic", "r1", [51 * 30 + 25], every=51)
+    assert kept == [[0], [1]]
     # dense steps, a leaping run without walks (its snapshots and its last
     # step on the record grid), and a block-filling run with one (its
     # _power build and its Q build) copy none
     kept.clear()
-    leap_case("alg1", "media4", range(2011))
+    leap_case("alg1", "media4", [0], 200, 1)
     leap_case("monolithic", "r1", [0, 1250, 2000], 2000)
     leap_case("fd", "r1", [1603], 3200, 8)
     assert kept == [[], [], [], []]
