@@ -10,6 +10,7 @@ from .params import (
     validate_params,
 )
 from .errors import (
+    AllocationError,
     CflError,
     ConfigError,
     InstabilityError,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import AllocationError, ValidationError
 from .fem import assemble_mass, build_operators
 from .params import ModelParams
 from .stepping import (
@@ -225,7 +225,7 @@ def convergence_study(
     n_ref = n_m0 * 2 ** (levels - 1 + ref_refine)
     try:  # the largest run, allocated before any step is taken
         ref = run(n_ref)
-    except MemoryError as exc:
+    except (MemoryError, AllocationError) as exc:
         raise ValidationError(
             f"the reference mesh of {stent_ratio * n_ref}/{n_ref} elements "
             f"cannot be allocated ({exc})", key="levels") from None

@@ -18,7 +18,8 @@ import numpy as np
 from .analysis import (compare_algorithms, compare_records,
                        convergence_study, make_reference, stepping_study)
 from .config import dump_config, parse_config
-from .errors import CflError, ConfigError, NumericsError, ValidationError
+from .errors import (AllocationError, CflError, ConfigError, NumericsError,
+                     ValidationError)
 from .fdcheck import check_fd, run_fd
 from .fem import build_operators
 from .output import emit_svg_plot, write_record_csv, write_table_csv
@@ -113,14 +114,32 @@ def _reference(cfg, scale, tests):
     n_ref = stable_step_count(p, p.l / n_s_ref, 1.0 / n_m_ref, t_end,
                               multiple_of=n_steps)
     print(f"reference: {n_s_ref}/{n_m_ref} elements, {n_ref} steps")
-    ref = make_reference(p, n_s_ref, n_m_ref, n_ref, t_end, snaps)
+    try:  # the run's arrays, allocated before its first step
+        ref = make_reference(p, n_s_ref, n_m_ref, n_ref, t_end, snaps)
+    except (MemoryError, AllocationError) as exc:
+        raise ConfigError(f"--ref-scale {scale}: the reference of "
+                          f"{n_s_ref}/{n_m_ref} elements cannot be allocated "
+                          f"({exc})", key="--ref-scale") from None
     return ref, n_steps, snaps
+
+
+def _operators(cfg):
+    """The config's operators, built once its step passes the stability
+    gate, which needs only the mesh widths; a mesh that numpy cannot
+    allocate is refused with a ConfigError naming the mesh keys."""
+    cfg.scheme.check_cfl(cfg.params, cfg.params.l / cfg.n_s, 1.0 / cfg.n_m)
+    try:
+        return build_operators(cfg.params, cfg.n_s, cfg.n_m)
+    except MemoryError as exc:
+        raise ConfigError(f"mesh.n_s, mesh.n_m: the mesh of {cfg.n_s}/"
+                          f"{cfg.n_m} elements cannot be allocated ({exc})",
+                          key="mesh.n_s") from None
 
 
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     out = _directory(cfg.out_dir, "output.out_dir")
-    ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
+    ops = _operators(cfg)
     rec = run_simulation(
         cfg.params, ops, cfg.scheme, list(cfg.snapshot_times),
         record_every=cfg.record_every,
@@ -184,7 +203,7 @@ def cmd_compare_fd(args) -> int:
                           f"needs substep_ratio 1, got "
                           f"{scheme.substep_ratio}", key="time.substep_ratio")
     check_fd(cfg.params, cfg.n_s, cfg.n_m, scheme.dt_m)
-    ops = build_operators(cfg.params, cfg.n_s, cfg.n_m)
+    ops = _operators(cfg)
     fem = run_simulation(cfg.params, ops, scheme, snaps,
                          record_every=cfg.record_every)
     fd = run_fd(cfg.params, cfg.n_s, cfg.n_m, scheme.dt_m, scheme.t_end,

@@ -18,6 +18,7 @@ Schema (keys and nesting are normative):
     output:
       out_dir: out/run1
       snapshot_times: [0.0, 0.5, 1.0] # optional, default [0, t_end]
+                                      # ([0] if t_end is 0)
       record_every: 1                 # optional, default 1
     time_unit: 4320.0                 # optional, seconds per unit of t;
                                       # plot then draws time in hours
@@ -157,7 +158,8 @@ def config_from_dict(tree: dict) -> RunConfig:
     except ValidationError as exc:  # exc.key names the SchemeConfig field
         path = "scheme" if exc.key == "variant" else f"time.{exc.key}"
         raise ConfigError(f"{path}: {exc}") from None
-    snapshot_times = keys.get("output.snapshot_times", (0.0, scheme.t_end))
+    snapshot_times = keys.get("output.snapshot_times",
+                              (0.0, scheme.t_end) if scheme.t_end else (0.0,))
     try:
         check_snapshot_times(snapshot_times, scheme.t_end)
     except ValidationError as exc:

@@ -28,6 +28,10 @@ class CflError(ValidationError):
     """Requested time step violates the explicit-stepping stability bound."""
 
 
+class AllocationError(ValidationError):
+    """A run's arrays are too large for numpy to allocate."""
+
+
 class NumericsError(RuntimeError):
     """Numerical failure during a run (blow-up, singular solve)."""
 

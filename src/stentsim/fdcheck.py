@@ -64,8 +64,7 @@ def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
     then grows at that limit, and so does a dt above it (keyed
     ``time.dt_m``, the config key it comes from).
     """
-    h_s = build_mesh(STENT, n_s, l=p.l).h
-    h_m = build_mesh(MEDIA, n_m).h
+    h_s, h_m = p.l / n_s, 1.0 / n_m  # the meshes' widths, none allocated
     if p.pe * h_m > 2.0:
         raise CflError(
             f"cell Peclet number pe*h_m={p.pe * h_m:.6g} exceeds 2: the "

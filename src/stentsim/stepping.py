@@ -83,24 +83,28 @@ first failing record at its own t, so a run stops with the message a
 per-record check would give and before any output.
 
 The step, with q carried along, is one linear map G on x, so ``advance``
-takes as many products x <- A x as fit with the power P = G^order, then
-with each rung, then steps the rest.  A run whose plan builds makes P =
-G^record_every by repeated squaring (``_power``), multiplying by G by
-stepping a block of P's columns at a time, and leaps each full record
-interval; at record_every 1, P is G itself and each step one product.
-Each record block after the first may be filled by one product X_next =
-X_prev @ Q^T with Q = P^RECORD_BLOCK.  A state short of a full leap is
+takes as many products x <- A x as fit with the power G^order, then
+with each rung, then steps the rest.  A run whose plan builds makes the
+power by one left-to-right binary powering (``_power``), multiplying by
+G by stepping a block of its columns at a time; the rungs are prefixes
+of that build.  A leaping run builds P = G^record_every and leaps each
+full record interval; at record_every 1, P is G itself and each step one
+product.  A run that fills record blocks builds Q = P^RECORD_BLOCK, the
+same build carried 8 squarings further, and keeps P as the build passes
+it: the first block's records are products with P, and each later block
+is one product X_next = X_prev @ Q^T.  A state short of a full leap is
 walked: each snapshot off the record grid, into a scratch row, from its
 record or the snapshot before it in the interval, and an off-grid last
-record from the record before it.  A leaping run's walks take products
-with rungs, prefixes of P's build: R = G^(record_every // 2), kept in
-P's spare buffer, then a short S = G^p, p = record_every >> s, copied as
-the build passes it.  No record is reached through a snapshot, so the
-records are the same bits with and without snapshot requests.  One
+record from the record before it.  Walks take products with the rungs
+below P: R = G^(record_every // 2), left in P's spare buffer, and a
+short S = G^p, p = record_every >> s, copied as the build passes it.  No
+record is reached through a snapshot, so the records on the grid are the
+same bits with and without snapshot requests; an off-grid last record
+takes the plan's rungs, which the snapshots help to choose.  One
 comparison of fixed prices over the solver, input size and the
-snapshots alone decides whether a run builds, which rungs it keeps and
-whether it fills blocks (``RunRecorder`` documents the prices); the
-results differ from stepping at roundoff only.
+snapshots alone decides whether a run builds, to which order and with
+which rungs (``RunRecorder`` documents the prices); the results differ
+from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -112,7 +116,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._blas import daxpy, dpttrf, dpttrs
-from .errors import CflError, InstabilityError, SingularMatrixError, ValidationError
+from .errors import (AllocationError, CflError, InstabilityError,
+                     SingularMatrixError, ValidationError)
 from .fem import MEDIA, STENT, FemOperators, Mesh1D, TridiagonalMatrix
 from .params import ModelParams, energy_growth_rate
 
@@ -494,10 +499,9 @@ def whole_number(value, key: str) -> int:
 
 # records per monitor block: a run measures its records one block at a time
 RECORD_BLOCK = 256
-# float64 entries that the power's buffers may hold together, 64 MiB: a
-# run leaps only where its two padded buffers fit, up to order 2048, and
-# its short rung or Q's build takes a third buffer only where all three
-# fit, up to order 1664
+# float64 entries that the power's buffers may hold together, 64 MiB: the
+# build's two padded buffers and a copy of each rung but the power's half,
+# so two fit up to order 2048 and three up to order 1664
 LEAP_MAX_ENTRIES = 2 * 2048 ** 2
 # the power's buffers are padded with zeros to a multiple of this order:
 # OpenBLAS's threaded dgemm gives the bits of one thread at multiples of
@@ -546,18 +550,19 @@ def _padded(size: int) -> int:
     return -(-(size + 1) // LEAP_PAD) * LEAP_PAD
 
 
-def _power(step, nz: int, size: int, every: int, rungs=()):
-    """G^every and the rungs G^o, o in ``rungs``, as a list of (rung, o),
+def _power(step, nz: int, size: int, order: int, rungs=()):
+    """G^order, then the rungs G^o, o in ``rungs``, as a list of (A, o),
     where G is the map (z, y2, q) -> (step(z, y2), q + z[-1]) on
     x = [z; y2; q] and z has nz entries, each as the leading (size+1)^2
     block of a Fortran-ordered array padded with zeros to order
-    ``_padded(size)``, by ``_raise``.  The orders are prefixes of every's
-    binary digits: every // 2, kept in the buffer the build frees, then
-    optionally a shorter one, copied into a buffer of its own as the build
-    passes it.  G is never stored; since powers of G commute, G A is taken
-    in place as step on A's first size + 1 columns, STEP_BLOCK columns to a
-    call.  Each column is stepped alone, so the result does not depend on
-    the block width."""
+    ``_padded(size)``.  Left-to-right binary powering: per digit of order
+    after its leading 1, square into the other buffer, then multiply by G
+    where the digit is 1 and flush to zero, both in place.  The rungs are
+    prefixes of the build: G^(order // 2) is left in the buffer the build
+    frees, and each other one is copied as the build passes it.  G is
+    never stored; since powers of G commute, G A is taken in place as step
+    on A's first size + 1 columns, STEP_BLOCK columns to a call, each
+    column alone, so the result does not depend on the block width."""
     m = _padded(size)
     a = np.zeros((m, m), order="F")
     np.fill_diagonal(a[:size + 1, :size + 1], 1.0)
@@ -570,28 +575,17 @@ def _power(step, nz: int, size: int, every: int, rungs=()):
 
     times_g(a)
     _flush_to_zero(a)
-    short = {o.bit_length() - 1: np.empty_like(a) for o in rungs[1:]}
-    power, spare = _raise(a, np.zeros_like(a), bin(every)[3:], times_g, short)
-    return power, list(zip([spare, *short.values()], rungs))
-
-
-def _raise(a, t, bits, times_g=None, keep=None):
-    """Left-to-right binary powering of a over ``bits``, the binary digits
-    of the exponent after its leading 1: square into the other buffer,
-    then multiply by G (``times_g``) where the bit is 1 and flush to zero,
-    both in place.  ``keep`` maps a digit count i, 0 for a itself, to a
-    buffer that the power after the first i digits is copied into.
-    Returns the power and the other buffer, which holds the last
-    squaring's operand, the power's prefix of half its order."""
-    for i, bit in enumerate(bits):
-        if keep and i in keep:
-            np.copyto(keep[i], a)
+    t, done = np.zeros_like(a), 1  # done: the order of the power in a
+    kept = {o: np.empty_like(a) for o in rungs if o != order // 2}
+    for bit in bin(order)[3:]:
+        if done in kept:
+            np.copyto(kept[done], a)
         np.matmul(a, a, out=t)
-        a, t = t, a
+        a, t, done = t, a, 2 * done + int(bit)
         if bit == "1":
             times_g(a)
         _flush_to_zero(a)
-    return a, t
+    return [(a, order), *((kept.get(o, t), o) for o in rungs)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,23 +621,26 @@ class RunRecorder:
     landing on the same step raise ValidationError.
 
     A run may build a power of the step (see the module docstring).  Its
-    plan is the cheapest by fixed prices of stepping and of building P =
-    G^record_every (at record_every 1, G itself: dense steps), with N
-    the record width len(z) + len(y2) and m the padded order:
+    plan, (order, rungs), is the cheapest by fixed prices of stepping and
+    of building G^order, with N the record width len(z) + len(y2) and m
+    the padded order:
       stepping costs n_steps steps;
-      P costs its build, bit_length(record_every) - 1 squarings of m^3
+      G^order costs its build, bit_length(order) - 1 squarings of m^3
       multiply-adds and one multiplication by G per set bit; a product
-      per record on the grid, or, with block fills, per record of the
-      first block, then Q's 8 squarings and RECORD_BLOCK * m^2
+      with P = G^record_every (at record_every 1, G itself: dense steps)
+      per record on the grid, or, where the order is Q's, record_every *
+      RECORD_BLOCK, per record of the first block and RECORD_BLOCK * m^2
       multiply-adds per filled block; and the walks, priced exactly from
       their lengths as products with each rung in turn, then steps.
-    A run that walks keeps the rung R = G^(record_every // 2), free in
-    P's spare buffer, and the plan tries each short rung S = G^p, p =
-    record_every >> s for s >= 2, and none.  A run builds only where
-    n_steps >= 2 * N, a floor that keeps short runs on the kernel's bits,
-    and 2 * m^2 <= LEAP_MAX_ENTRIES, so the two buffers fit 64 MiB (m <=
-    2048); S or block fills, which take a third buffer, only where 3 * m^2
-    <= LEAP_MAX_ENTRIES (m <= 1664).
+    A leaping run that walks keeps the rung R = G^(record_every // 2), and
+    a block-filling run keeps P; the plan tries each with each short rung
+    S = G^p, p = record_every >> s for s >= 1 below them, and none.  A run
+    builds only where n_steps >= 2 * N, a floor that keeps short runs on
+    the kernel's bits, and within one memory clause: (2 + c) * m^2 <=
+    LEAP_MAX_ENTRIES, where the build's two buffers hold the power and the
+    rung order // 2, and c counts the other rungs, each copied into a
+    buffer of its own.  So a run leaps with R alone up to m = 2048 and
+    keeps S, or fills blocks, up to m = 1664.
 
     The prices (STEP_NS, MATVEC_NS, TIMES_G_NS, MADD_NS) were measured
     once, best of 5 at one BLAS thread on a 2-core x86-64 host, and are
@@ -698,13 +695,23 @@ class RunRecorder:
         self.n0 = mesh_s.n_elems + 1
         self.nz = self.n0 + mesh_m.n_elems + 1
         self.size = self.nz + mesh_m.n_elems + 1
+        order, _ = self.plan = self._plan()
         # records every record_every steps and at n_steps; rows: t, mass,
         # stent mass, energy, balance residual, c(0-), c1(0+), c1(1)
         n_records = -(-n_steps // every) + 1
         try:
             self._out = np.empty((8, n_records))
+            # a row is a record [z; y2; q] padded to the power's order, q
+            # the outflow sum y1(1) over the steps before its step; a
+            # partial last block is filled in full and sliced, so every
+            # product's shape stays padded
+            width = _padded(self.size) if order else self.size + 1
+            self._rows = np.zeros((min(RECORD_BLOCK, n_records), width))
+            self._spare = (np.empty_like(self._rows) if (order or 0) > every
+                           else None)
+            self._inside = np.zeros(width)  # a snapshot off the record grid
         except (MemoryError, ValueError) as exc:
-            raise ValidationError(
+            raise AllocationError(
                 f"the record of {n_records:.6g} records ({n_steps:.6g} "
                 f"steps, record_every {every}) cannot be allocated ({exc})",
                 key="record_every") from None
@@ -712,13 +719,16 @@ class RunRecorder:
         np.multiply(records, dt, out=self._out[0])
 
     def _plan(self):
-        """(order, fills, rungs): the order of the power the run builds,
-        record_every, or None if the run only steps; whether block
-        products fill its record blocks; and the orders of the rungs its
-        walks take products with.  The cheapest plan by the prices (see
-        the class docstring) among stepping and, past the floor and
-        within the memory clauses, the power with each set of rungs and
-        with block fills."""
+        """(order, rungs): the order of the power the run builds, or None
+        if the run only steps, and the orders of the rungs that ``advance``
+        takes products with after it, prefixes of the power's build.  The
+        run fills record blocks iff order exceeds record_every.  The
+        cheapest plan by the prices (see the class docstring) among
+        stepping and, past the floor and within the memory clause, the
+        power P = G^record_every with R = G^(record_every // 2) where the
+        run walks, and Q = P^RECORD_BLOCK with P where more than
+        RECORD_BLOCK records lie on the grid, each with and without each
+        short rung S where the run walks."""
         every, n, (a, b) = self.record_every, self.n_steps, STEP_NS[self.solver]
         size, m, regular = self.size, _padded(self.size), n // every + 1
         # the walks' lengths: each snapshot off the record grid from its
@@ -729,33 +739,35 @@ class RunRecorder:
         walks += [n % every] if n % every else []
         step = (a + b * size) * (self.substep_ratio + 2) / 3
 
-        def leap(rungs, fills):
+        def price(order, rungs):
             """The power's price: its build, a product per record that no
-            block fills, Q's 8 squarings and the filled blocks, and the
-            walks."""
+            block fills, the filled blocks, and the walks."""
+            fills, squarings = order > every, order.bit_length() - 1
             reached = min(regular, RECORD_BLOCK) if fills else regular
-            squarings = every.bit_length() - 1 + 8 * fills
             filled = (regular - 1) // RECORD_BLOCK * RECORD_BLOCK * fills
-            price = m * m * (bin(every).count("1") * TIMES_G_NS
-                             + (reached - 1) * MATVEC_NS
-                             + (squarings * m + filled) * MADD_NS)
+            cost = m * m * (bin(order).count("1") * TIMES_G_NS
+                            + (reached - 1) * MATVEC_NS
+                            + (squarings * m + filled) * MADD_NS)
             for left in walks:
                 for o in rungs:
-                    price += left // o * MATVEC_NS * m * m
+                    cost += left // o * MATVEC_NS * m * m
                     left %= o
-                price += left * step
-            return price
+                cost += left * step
+            return cost
 
-        plans = {(None, False, ()): n * step}
-        if n >= 2 * size and 2 * m * m <= LEAP_MAX_ENTRIES:
-            # a short rung or Q's build takes a third buffer
-            third = 3 * m * m <= LEAP_MAX_ENTRIES
-            half = (every // 2,) if walks else ()
-            shifts = range(2, every.bit_length() if half and third else 2)
-            for rungs in [half, *((*half, every >> s) for s in shifts)]:
-                plans[every, False, rungs] = leap(rungs, False)
-            if third and regular > RECORD_BLOCK:
-                plans[every, True, half] = leap(half, True)
+        plans = {(None, ()): n * step}
+        if n >= 2 * size:
+            short = [every >> s for s in range(1, every.bit_length()) if walks]
+            builds = [(every, (every // 2,) if walks else ())]
+            if regular > RECORD_BLOCK:
+                builds.append((every * RECORD_BLOCK, (every,)))
+            for order, top in builds:
+                for rungs in [top, *(top + (s,) for s in short
+                                     if s not in top)]:
+                    # the buffer pair, and a copy of each rung but order // 2
+                    copies = sum(o != order // 2 for o in rungs)
+                    if (2 + copies) * m * m <= LEAP_MAX_ENTRIES:
+                        plans[order, rungs] = price(order, rungs)
         return min(plans, key=plans.get)
 
     # a non-finite step, leap or record is the guard's to report, not numpy's
@@ -766,25 +778,17 @@ class RunRecorder:
         the module docstring)."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
         size, n_records = self.size, self._out.shape[1]
-        order, blocks, rungs = self._plan()
-        power = None
-        if order is not None:
-            power, rungs = _power(step, nz, size, order, rungs)
-        width = size + 1 if power is None else len(power)
-        # a row is a record [z; y2; q] padded to width, q the outflow sum
-        # y1(1) over the steps before its step; a partial last block is
-        # filled in full and sliced, so every product's shape stays padded
-        rows = np.zeros((min(RECORD_BLOCK, n_records), width))
-        inside = np.zeros(width)  # a snapshot off the record grid
-        spare = np.empty_like(rows) if blocks else None
+        rows, spare, inside = self._rows, self._spare, self._inside
+        # the power, then its rungs: advance's products, highest order first
+        ladder = _power(step, nz, size, *self.plan) if self.plan[0] else []
         regular = n // every + 1  # records on a multiple of record_every
 
         def advance(x, k, stop, out):
             """The state x at step k advanced to step stop, into out: as
             many products with the power, then with each rung, as fit,
             then steps."""
-            for a, o in ((power, order), *rungs):
-                while a is not None and stop - k >= o:
+            for a, o in ladder:
+                while stop - k >= o:
                     k += o
                     x = np.matmul(a, x, out=out if k == stop else None)
             if k < stop:
@@ -825,12 +829,8 @@ class RunRecorder:
                 snapshots.append(Snapshot(self._snap_steps[snap], t, SimState(
                     x[:n0].copy(), x[n0:nz].copy(), x[nz:size].copy(), t)))
                 snap = next(pending)
-            if blocks and hi < regular:
-                if lo == 0:  # power <- power^RECORD_BLOCK
-                    power = _raise(power, np.empty_like(power),
-                                   bin(RECORD_BLOCK)[3:])[0]
-                    order *= RECORD_BLOCK
-                np.matmul(rows, power.T, out=spare)
+            if spare is not None and hi < regular:
+                np.matmul(rows, ladder[0][0].T, out=spare)
                 rows, spare = spare, rows
                 filled = min(hi + len(rows), regular)
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out

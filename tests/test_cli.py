@@ -513,6 +513,72 @@ output:
     assert not out.exists()
 
 
+# (argv, n_s, dt_m, the error line's start): 2 000 000 000 stent elements
+# at a step of 1e-4 are refused by the stability gate, which simulate and
+# compare-fd apply before they build a mesh; 10**15 pass it at 3e-28, but
+# their first array, 8 PB, exceeds any address space, so allocating it
+# fails at once and touches no memory; so does the first array of a
+# reference 10**13 times finer than 50/25
+HUGE = "the mesh of 1000000000000000/25 elements cannot be allocated "
+REF = 10 ** 13
+OVERSIZE = [
+    (["simulate"], 2000000000, "1.0e-4",
+     "error: dt_m=0.0001 exceeds the stability allowance 8.16666e-17"),
+    (["compare-fd"], 2000000000, "1.0e-4",
+     "error: time.dt_m: dt=0.0001 exceeds the stability allowance "
+     "8.16666e-17"),
+    (["simulate"], 10 ** 15, "3.0e-28", f"error: mesh.n_s, mesh.n_m: {HUGE}"),
+    (["compare-fd"], 10 ** 15, "3.0e-28",
+     f"error: mesh.n_s, mesh.n_m: {HUGE}"),
+    (["compare-alg", "--ref-scale", str(REF)], 50, "1.0e-4",
+     f"error: --ref-scale {REF}: the reference of {50 * REF}/{25 * REF} "
+     f"elements cannot be allocated (Unable to allocate "),
+    (["stepping-study", "--ref-scale", str(REF)], 50, "1.0e-4",
+     f"error: --ref-scale {REF}: the reference of {50 * REF}/{25 * REF} "
+     f"elements cannot be allocated (Unable to allocate ")]
+
+
+@pytest.mark.parametrize("argv,n_s,dt,message", OVERSIZE,
+                         ids=[f"{a[0]}-{n}" for a, n, *_ in OVERSIZE])
+def test_run_refuses_mesh_it_cannot_allocate(tmp_path, capsys, monkeypatch,
+                                             argv, n_s, dt, message):
+    # these used to end in numpy's MemoryError traceback, in the mesh's
+    # nodes or the reference's record rows; now each is the CLI's error
+    # line, exit 1, before any step and any output
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run stepped before its arrays were allocated")
+
+    monkeypatch.setattr(RunRecorder, "run", no_run)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(f"""\
+params: paper_defaults
+mesh:
+  n_s: {n_s}
+  n_m: 25
+time:
+  t_end: {dt}
+  dt_m: {dt}
+scheme: monolithic
+output:
+  out_dir: {out}
+""")
+    assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare-fd"])
+def test_run_of_no_steps_takes_one_default_snapshot(tmp_path, capsys,
+                                                    command):
+    # t_end 0 without snapshot_times: the default requests step 0 once,
+    # where it used to request it twice and be refused
+    cfg_path, out = make_config(tmp_path, steps=0, snapshots=False)
+    assert run([command, "--config", str(cfg_path)]) == 0
+    assert out.is_dir()
+
+
 @pytest.mark.parametrize("levels", ["1", "0", "-3"])
 def test_converge_refuses_too_few_levels_by_flag(tmp_path, capsys, levels):
     cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10,

@@ -38,6 +38,19 @@ def test_paper_defaults_expand(tmp_path):
     assert cfg.time_unit is None
 
 
+@pytest.mark.parametrize("t_end,snapshots", [("1.0", (0.0, 1.0)),
+                                              ("0.0", (0.0,))])
+def test_default_snapshots(tmp_path, t_end, snapshots):
+    # without snapshot_times a run takes snapshots at 0 and t_end, or at 0
+    # alone when t_end is 0: two requests on step 0 would be refused
+    text = GOOD.format(out=tmp_path / "o").replace(
+        "  snapshot_times: [0.0, 0.5, 1.0]\n", "").replace(
+        "t_end: 1.0", f"t_end: {t_end}")
+    cfg = parse_config(write_cfg(tmp_path, text))
+    assert "output.snapshot_times" not in cfg.set_keys
+    assert cfg.snapshot_times == snapshots
+
+
 def test_inline_params_with_overrides(tmp_path):
     text = GOOD.format(out=tmp_path / "o").replace(
         "params: paper_defaults",

@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from stentsim import CflError, InstabilityError, ValidationError, paper_params
+from stentsim import (AllocationError, CflError, InstabilityError,
+                      ValidationError, paper_params)
 from stentsim import stepping
 from stentsim.analysis import make_reference
 from stentsim.fdcheck import _FdStep, _trapezoid_monitor, run_fd
@@ -614,7 +615,7 @@ def test_nonfinite_guard_names_first_bad_record(monkeypatch):
         return (z * np.nan, y2) if len(calls) == 300 else (z, y2)
 
     monkeypatch.setattr(_Kernel, "macro_step", poisoned)
-    monkeypatch.setattr(RunRecorder, "_plan", lambda self: (None, False, ()))
+    monkeypatch.setattr(RunRecorder, "_plan", lambda self: (None, ()))
     ops = small_ops()
     dt = safe_dt(ops)
     assert RECORD_BLOCK < 300 < 2 * RECORD_BLOCK
@@ -948,25 +949,32 @@ def test_power_does_not_depend_on_step_block(monkeypatch, variant, setting):
     builds = []
     for width in (1, 7, 128, 304):
         monkeypatch.setattr(stepping, "STEP_BLOCK", width)
-        power, rungs = stepping._power(step, 202, 303, 50, (25, 12))
-        builds.append([power] + [a for a, _ in rungs])
+        builds.append([a for a, _ in stepping._power(step, 202, 303, 50,
+                                                     (25, 12))])
     for build in builds[1:]:
         for got, want in zip(build, builds[0]):
             assert np.array_equal(got, want)
+    # a block-filling build passes P = G^50 and G^12 on its way to Q =
+    # P^RECORD_BLOCK, and keeps them as the same bits as P's own build
+    ladder = stepping._power(step, 202, 303, 50 * RECORD_BLOCK, (50, 12))
+    assert [o for _, o in ladder] == [50 * RECORD_BLOCK, 50, 12]
+    assert np.array_equal(ladder[1][0], builds[0][0])
+    assert np.array_equal(ladder[2][0], builds[0][2])
 
 
 @pytest.fixture
 def block_fills(monkeypatch):
     """A list of each run's answer to whether block products fill its
-    record blocks, for every run that builds a power."""
+    record blocks, for every run that builds a power: whether the power's
+    order exceeds record_every."""
     answers = []
     plan = RunRecorder._plan
 
     def spy(self):
-        order, fills, rungs = plan(self)
+        order, rungs = plan(self)
         if order is not None:
-            answers.append(fills)
-        return order, fills, rungs
+            answers.append(order > self.record_every)
+        return order, rungs
 
     monkeypatch.setattr(RunRecorder, "_plan", spy)
     return answers
@@ -989,11 +997,12 @@ BLOCK_CASES = [pytest.param(*case, 869, id="-".join(map(str, case)))
 @pytest.mark.parametrize("variant,setting,every,grid", BLOCK_CASES)
 def test_block_products_match_stepping(step_calls, block_fills, variant,
                                         setting, every, grid):
-    # blocks 2 onwards are each one product with the power's
-    # RECORD_BLOCK-th power.  Snapshots on record steps inside the filled
-    # blocks are read from the blocks' rows.  24 step calls (N + 1) build
-    # the power, and a leaping run walks its last step, one past its
-    # record, by one product with the rung G^1 and no step
+    # blocks 2 onwards are each one product with Q = P^RECORD_BLOCK, and
+    # the first block's records products with P, which Q's build copies
+    # as it passes it.  Snapshots on record steps inside the filled blocks
+    # are read from the blocks' rows.  24 step calls (N + 1) build Q, and
+    # a leaping run walks its last step, one past its record, by one
+    # product with the short rung G and no step
     assert 3 * RECORD_BLOCK == 768 < 869 < 4 * RECORD_BLOCK
     n = grid * every - 1
     steps = [*range(0, n + 1, every)] + ([n] if n % every else [])
@@ -1077,7 +1086,7 @@ def test_snapshot_walks_match_stepping(monkeypatch, step_calls, variant,
     # steps on from the state its products reach, carrying the outflow sum
     if rungs is not None:
         monkeypatch.setattr(RunRecorder, "_plan",
-                            lambda self: (every, False, rungs))
+                            lambda self: (every, rungs))
     rec = leap_case(variant, setting, snaps, every=every)
     assert sum(step_calls) == calls
     assert_matches_stepping(rec, stepped_case(variant, setting),
@@ -1112,9 +1121,10 @@ SNAPSHOT_FREE_CASES = [
                          SNAPSHOT_FREE_CASES)
 def test_records_do_not_depend_on_snapshots(monkeypatch, variant, setting, n,
                                             every, snaps, fills):
-    # the records are the same bits with and without snapshot requests:
-    # each record is reached from the one before it, never through a
-    # snapshot, so the run's plan alone decides them
+    # the records are the same bits with and without snapshot requests
+    # where the run keeps one plan with and without them, as these runs
+    # do: each record is reached from the one before it, never through a
+    # snapshot, so the plan alone decides them
     plans, plan = [], RunRecorder._plan
 
     def spy(self):
@@ -1128,7 +1138,7 @@ def test_records_do_not_depend_on_snapshots(monkeypatch, variant, setting, n,
         got, want = getattr(rec, series), getattr(bare, series)
         for name, values in vars(want).items():
             assert np.array_equal(getattr(got, name), values), name
-    assert plans[0] == plans[1] and plans[0][1] == fills
+    assert plans[0] == plans[1] and ((plans[0][0] or 0) > every) == fills
     assert_matches_stepping(rec, stepped_case(variant, setting, n),
                             leap_dt(setting), [*range(0, n, every), n], snaps)
 
@@ -1233,6 +1243,22 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
     assert block_fills == [False] * 7
 
 
+def test_record_rows_are_allocated_with_the_record():
+    # a run of one step on a mesh of 10**15 elements a side: its record of
+    # 2 records fits, but its rows of 3e15 values do not, and are refused
+    # with it, before the run builds or steps anything
+    mesh_s, mesh_m = (dataclasses.replace(build_mesh(d, 2, l=P.l),
+                                          n_elems=10 ** 15)
+                      for d in (STENT, MEDIA))
+    with pytest.raises(AllocationError) as err:
+        RunRecorder("fem", P, SchemeConfig("monolithic", 1.0, 1.0), mesh_s,
+                    mesh_m, [], 1, None)
+    assert str(err.value).startswith(
+        "the record of 2 records (1 steps, record_every 1) cannot be "
+        "allocated (Unable to allocate ")
+    assert err.value.key == "record_every"
+
+
 def planned(n_s, n_m, n, every, snaps, variant="monolithic", ratio=1):
     """RunRecorder._plan of a run on n_s/n_m over n steps of 1/n, recorded
     every ``every`` with snapshots at the given steps; nothing is built.
@@ -1247,7 +1273,8 @@ def planned(n_s, n_m, n, every, snaps, variant="monolithic", ratio=1):
 
 
 def test_short_rung_rule_on_sizes():
-    # (order, block fills, rung orders), the cheapest plan by the prices.
+    # (order, rung orders), the cheapest plan by the prices; a plan fills
+    # blocks where its order exceeds record_every.
     # The benchmark's runs, with their snapshot steps: compare-fd's
     # finite-element run and the study reference keep the short rungs G^31
     # and G^32, and its finite-difference run, whose step is priced at
@@ -1255,25 +1282,30 @@ def test_short_rung_rule_on_sizes():
     # ms against 31.81 with G^31); the study's 50/25 runs take G^4 (priced
     # 2.07 ms, against 2.08 with G^2 and 2.23 with G^8); the release run,
     # every step recorded with an hourly snapshot, takes dense steps and
-    # fills blocks
+    # fills blocks: it builds Q = G^256 and keeps G as its rung
     crosscheck = [round(10332.1 * k) for k in range(11)]
-    assert planned(100, 100, 103321, 1000, crosscheck) == (1000, False,
-                                                           (500, 31))
-    assert planned(100, 100, 103321, 1000, crosscheck, "fd") == (
-        1000, False, (500, 62))
+    assert planned(100, 100, 103321, 1000, crosscheck) == (1000, (500, 31))
+    assert planned(100, 100, 103321, 1000, crosscheck, "fd") == (1000,
+                                                                 (500, 62))
     # configs/crosscheck.yaml's 103 330 steps: both runs take G^62,
     # finite-element 31.65 ms against 32.33 with G^31, finite-difference
     # 30.69 against 31.79
     shipped = [10333 * k for k in range(11)]
     for variant in ("monolithic", "fd"):
         assert planned(100, 100, 103330, 1000, shipped, variant) == (
-            1000, False, (500, 62))
+            1000, (500, 62))
     assert planned(200, 100, 103456, 517, [10336 * k for k in range(11)]) == (
-        517, False, (258, 32))
+        517, (258, 32))
     tested = [646 * k for k in range(11)] + [6466]
-    assert planned(50, 25, 6466, 32, tested, "alg1") == (32, False, (16, 4))
+    assert planned(50, 25, 6466, 32, tested, "alg1") == (32, (16, 4))
     hourly = [1347 * k for k in range(25)]
-    assert planned(100, 25, 32328, 1, hourly, "alg1", 4) == (1, True, ())
+    assert planned(100, 25, 32328, 1, hourly, "alg1", 4) == (256, (1,))
+    # configs/release.yaml (100/25 alg1 media4, 32 400 steps every 10)
+    # fills blocks by Q = G^2560, and walks its snapshots at steps 225 and
+    # 675, 5 past their records, by one product each with the short rung
+    # G^5, the prefix that a build of P alone leaves in its spare buffer
+    released = [0, 225, 675, 1350, 8100, 32400]
+    assert planned(100, 25, 32400, 10, released, "alg1", 4) == (2560, (10, 5))
     # criterion 3's n_s = 800 pair (N = 1003, 103 330 steps recorded every
     # 2066, a snapshot every 0.1) leaps, priced 0.61 s against 2.28 s
     # stepping; criterion 6's release run (400/25 single-rate, N = 453,
@@ -1284,84 +1316,87 @@ def test_short_rung_rule_on_sizes():
     # priced cheaper in steps, 16 at 0.19 ms against 0.35 ms for a product
     # with G^16 (m = 1024); the finite-element run's 16 steps, 0.35 ms,
     # cost a little more than that product
-    assert planned(800, 100, 103330, 2066, shipped) == (2066, False,
-                                                        (1033, 16))
-    assert planned(800, 100, 103330, 2066, shipped, "fd") == (2066, False,
-                                                              (1033,))
-    assert planned(400, 25, 129310, 1, []) == (1, True, ())
+    assert planned(800, 100, 103330, 2066, shipped) == (2066, (1033, 16))
+    assert planned(800, 100, 103330, 2066, shipped, "fd") == (2066, (1033,))
+    assert planned(400, 25, 129310, 1, []) == (256, (1,))
     # the floor: runs of fewer than 2N steps step, as the bitwise tests'
     # 25- and 30-step runs on 8/6 (N = 23) do, where G would be priced
     # cheaper
-    assert planned(8, 6, 25, 1, [25], "alg1") == (None, False, ())
-    assert planned(8, 6, 30, 1, [30], "alg1", 3) == (None, False, ())
-    # the memory rules: a run leaps only where the power's two padded
-    # buffers fit LEAP_MAX_ENTRIES, and keeps a short rung only where
-    # three do.  N = n_s + 2 n_m + 3 = 1663 pads to 1664, whose three
+    assert planned(8, 6, 25, 1, [25], "alg1") == (None, ())
+    assert planned(8, 6, 30, 1, [30], "alg1", 3) == (None, ())
+    # the memory clause: a run builds only where the power's two padded
+    # buffers and a copy of each rung but the power's half fit
+    # LEAP_MAX_ENTRIES, so it keeps a short rung beside R only where three
+    # do.  N = n_s + 2 n_m + 3 = 1663 pads to 1664, whose three
     # buffers fit; N = 1664 pads to 1696, whose do not; N = 2047 pads to
     # 2048, whose two fit; N = 2048 pads to 2080, whose do not.  Two
     # million steps every 1000 leap at the first three sizes, and the walk
     # to step 1999, 499 past G^500, takes the short rung G^125 where it fits
     assert 3 * 1664 ** 2 <= LEAP_MAX_ENTRIES < 3 * 1696 ** 2
     assert 2 * 2048 ** 2 <= LEAP_MAX_ENTRIES < 2 * 2080 ** 2
-    for n_s, n_m, plan in ((1000, 330, (1000, False, (500, 125))),
-                           (1001, 330, (1000, False, (500,))),
-                           (1044, 500, (1000, False, (500,))),
-                           (1045, 500, (None, False, ()))):
+    for n_s, n_m, plan in ((1000, 330, (1000, (500, 125))),
+                           (1001, 330, (1000, (500,))),
+                           (1044, 500, (1000, (500,))),
+                           (1045, 500, (None, ()))):
         assert planned(n_s, n_m, 2 * 10 ** 6, 1000, [1999]) == plan
     # no walk, no rung: snapshots on records only, and the last step on
     # the record grid
-    assert planned(100, 100, 103000, 1000, [0, 5000, 103000]) == (
-        1000, False, ())
+    assert planned(100, 100, 103000, 1000, [0, 5000, 103000]) == (1000, ())
     # an off-grid last step is walked: its 321 steps take 5 products with
     # G^62 and 11 steps, priced below 10 with G^31 and 11 steps
-    assert planned(100, 100, 103321, 1000, [0, 5000]) == (
-        1000, False, (500, 62))
+    assert planned(100, 100, 103321, 1000, [0, 5000]) == (1000, (500, 62))
     # the stepping runs of SNAPSHOT_FREE_CASES, with a snapshot at every
     # step or none, lie under the floor; over 120 steps on 8/6 the runs
     # leap, and a walk of one step is one product with G
     for snaps in (range(41), []):
-        assert planned(8, 6, 40, 50, snaps) == (None, False, ())
-        assert planned(8, 6, 40, 50, snaps, "alg1", 4) == (None, False, ())
-    assert planned(8, 6, 120, 50, range(121)) == (50, False, (25, 1))
-    # every 8 on 8/6 (m = 32): over 3200 steps, 401 records fill blocks,
-    # and Q's build takes the third buffer; over 1600 steps, 201 records
-    # do not fill a second block, and the walk of 3 past G^4 takes the
-    # short rung G itself; every 7 takes G^3 and G
-    assert planned(8, 6, 3200, 8, [1603]) == (8, True, (4,))
-    assert planned(8, 6, 1600, 8, [1203]) == (8, False, (4, 1))
-    assert planned(8, 6, 1600, 7, [1203]) == (7, False, (3, 1))
+        assert planned(8, 6, 40, 50, snaps) == (None, ())
+        assert planned(8, 6, 40, 50, snaps, "alg1", 4) == (None, ())
+    assert planned(8, 6, 120, 50, range(121)) == (50, (25, 1))
+    # every 8 on 8/6 (m = 32): over 3200 steps, 401 records fill blocks by
+    # Q = G^2048, whose build keeps P = G^8 and, for the walk of 3 steps,
+    # the short rung G, three products priced below three steps; over 1600
+    # steps, 201 records do not fill a second block, and the walk of 3
+    # past G^4 takes the short rung G itself; every 7 takes G^3 and G
+    assert planned(8, 6, 3200, 8, [1603]) == (2048, (8, 1))
+    assert planned(8, 6, 1600, 8, [1203]) == (8, (4, 1))
+    assert planned(8, 6, 1600, 7, [1203]) == (7, (3, 1))
     # a multi-rate run on 100/25 (N = 153) over 2000 steps recorded at
     # the ends leaps; its walk to step 1001 is a product with G^1000 and
     # one with G (8.4 us against a 19 us step)
     assert planned(100, 25, 2000, 2000, [1001], "alg1", 4) == (
-        2000, False, (1000, 1))
+        2000, (1000, 1))
 
 
 def test_only_walking_leaps_build_the_short_rung(monkeypatch):
-    # a spy on _raise: the digit counts after which it copies the power
-    # into a rung buffer, one entry per call
-    kept = []
-    raise_ = stepping._raise
+    # a spy on _power: the orders of the rungs each build copies into a
+    # buffer of its own, every rung but the power's half, which the
+    # build's last squaring leaves in its spare buffer; one entry a build
+    copied = []
+    power = stepping._power
 
-    def spy(a, t, bits, times_g=None, keep=None):
-        kept.append(sorted(keep or ()))
-        return raise_(a, t, bits, times_g, keep)
+    def spy(step, nz, size, order, rungs=()):
+        copied.append([o for o in rungs if o != order // 2])
+        return power(step, nz, size, order, rungs)
 
-    monkeypatch.setattr(stepping, "_raise", spy)
-    # leaping runs with a walk copy their short rung: G before the first
-    # digit of 50's build, and G^3, for the walk of 21 steps to the last
-    # step, after the first digit of 51's
+    monkeypatch.setattr(stepping, "_power", spy)
+    # leaping runs with a walk copy their short rung: G for 50's walks,
+    # and G^3, for the walk of 21 steps to the last step, for 51's
     leap_case("monolithic", "r1", [0, 1213, 2010])
     leap_case("monolithic", "r1", [51 * 30 + 25], every=51)
-    assert kept == [[0], [1]]
-    # dense steps, a leaping run without walks (its snapshots and its last
-    # step on the record grid), and a block-filling run with one (its
-    # _power build and its Q build) copy none
-    kept.clear()
+    assert copied == [[1], [3]]
+    # dense steps without block fills and a leaping run without walks (its
+    # snapshots and its last step on the record grid) copy none
+    copied.clear()
     leap_case("alg1", "media4", [0], 200, 1)
     leap_case("monolithic", "r1", [0, 1250, 2000], 2000)
+    assert copied == [[], []]
+    # a block-filling run builds Q and copies P as the build passes it,
+    # G itself when every step is recorded, and the short rung G only
+    # where a walk takes it, here of 3 steps to the snapshot at 1603
+    copied.clear()
+    leap_case("alg1", "media4", [0], 868, 1)
     leap_case("fd", "r1", [1603], 3200, 8)
-    assert kept == [[], [], [], []]
+    assert copied == [[1], [8, 1]]
 
 
 def test_unstable_leaping_run_is_caught(monkeypatch, step_calls):
