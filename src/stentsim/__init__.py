@@ -29,6 +29,7 @@ from .fem import (
     assemble_stiffness,
     build_mesh,
     build_operators,
+    mesh_widths,
 )
 from .stepping import (
     SchemeConfig,

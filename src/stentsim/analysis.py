@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationError, ValidationError
-from .fem import assemble_mass, build_operators
+from .fem import assemble_mass, build_operators, mesh_widths
 from .params import ModelParams
 from .stepping import (
     SchemeConfig,
@@ -217,7 +217,7 @@ def convergence_study(
     def run(n_m):
         # sharp-limit step count, landing the snapshots on the step grid
         n_s = stent_ratio * n_m
-        n_steps = stable_step_count(p, p.l / n_s, 1.0 / n_m, t_end,
+        n_steps = stable_step_count(p, *mesh_widths(p, n_s, n_m), t_end,
                                     multiple_of=n_snapshots)
         return make_reference(p, n_s, n_m, n_steps, t_end, snapshot_times,
                               variant)

@@ -21,7 +21,7 @@ from .config import dump_config, parse_config
 from .errors import (AllocationError, CflError, ConfigError, NumericsError,
                      ValidationError)
 from .fdcheck import check_fd, run_fd
-from .fem import build_operators
+from .fem import build_operators, mesh_widths
 from .output import emit_svg_plot, write_record_csv, write_table_csv
 from .stepping import run_simulation, stable_step_count, step_count
 
@@ -103,7 +103,7 @@ def _reference(cfg, scale, tests):
     p, t_end, dt = cfg.params, _study_t_end(cfg), cfg.scheme.dt_m
     for name, n_s in tests:
         try:
-            cfg.scheme.check_cfl(p, p.l / n_s, 1.0 / cfg.n_m)
+            cfg.scheme.check_cfl(p, *mesh_widths(p, n_s, cfg.n_m))
         except CflError as exc:
             raise CflError(f"{name} (n_s/n_m = {n_s}/{cfg.n_m}): "
                            f"{exc}") from None
@@ -111,7 +111,7 @@ def _reference(cfg, scale, tests):
     stride = max(1, n_steps // 10)
     snaps = [k * dt for k in (*range(0, n_steps, stride), n_steps)]
     n_s_ref, n_m_ref = scale * cfg.n_s, scale * cfg.n_m
-    n_ref = stable_step_count(p, p.l / n_s_ref, 1.0 / n_m_ref, t_end,
+    n_ref = stable_step_count(p, *mesh_widths(p, n_s_ref, n_m_ref), t_end,
                               multiple_of=n_steps)
     print(f"reference: {n_s_ref}/{n_m_ref} elements, {n_ref} steps")
     try:  # the run's arrays, allocated before its first step
@@ -125,12 +125,15 @@ def _reference(cfg, scale, tests):
 
 def _operators(cfg):
     """The config's operators, built once its step passes the stability
-    gate, which needs only the mesh widths; a mesh that numpy cannot
-    allocate is refused with a ConfigError naming the mesh keys."""
-    cfg.scheme.check_cfl(cfg.params, cfg.params.l / cfg.n_s, 1.0 / cfg.n_m)
+    gate, which needs only the mesh widths, so that an unstable step on a
+    huge mesh allocates nothing (``run_simulation`` gates the built
+    operators again); a mesh that numpy cannot allocate is refused with a
+    ConfigError naming the mesh keys."""
+    p = cfg.params
+    cfg.scheme.check_cfl(p, *mesh_widths(p, cfg.n_s, cfg.n_m))
     try:
-        return build_operators(cfg.params, cfg.n_s, cfg.n_m)
-    except MemoryError as exc:
+        return build_operators(p, cfg.n_s, cfg.n_m)
+    except (MemoryError, AllocationError) as exc:
         raise ConfigError(f"mesh.n_s, mesh.n_m: the mesh of {cfg.n_s}/"
                           f"{cfg.n_m} elements cannot be allocated ({exc})",
                           key="mesh.n_s") from None

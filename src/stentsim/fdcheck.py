@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from .errors import CflError
-from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh
+from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh, mesh_widths
 from .params import ModelParams
 from .stepping import (BlockMonitor, RunRecorder, SchemeConfig,
                        SolutionRecord, axpy, sharp_dt_limit)
@@ -64,7 +64,7 @@ def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
     then grows at that limit, and so does a dt above it (keyed
     ``time.dt_m``, the config key it comes from).
     """
-    h_s, h_m = p.l / n_s, 1.0 / n_m  # the meshes' widths, none allocated
+    h_s, h_m = mesh_widths(p, n_s, n_m)
     if p.pe * h_m > 2.0:
         raise CflError(
             f"cell Peclet number pe*h_m={p.pe * h_m:.6g} exceeds 2: the "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import dgbmv
-from .errors import ValidationError
+from .errors import AllocationError, ValidationError
 from .params import ModelParams
 
 STENT = "stent"
@@ -48,9 +48,19 @@ def build_mesh(domain: str, n_elems: int, l: float | None = None) -> Mesh1D:
         a, b = 0.0, 1.0
     else:
         raise ValidationError(f"unknown domain {domain!r}")
-    nodes = np.linspace(a, b, n_elems + 1)
+    try:
+        nodes = np.linspace(a, b, n_elems + 1)
+    except (MemoryError, ValueError) as exc:  # ValueError past numpy's size
+        raise AllocationError(str(exc)) from None  # numpy's own message
     return Mesh1D(domain=domain, a=a, b=b, n_elems=n_elems,
                   h=(b - a) / n_elems, nodes=nodes)
+
+
+def mesh_widths(p: ModelParams, n_s: int, n_m: int) -> tuple[float, float]:
+    """The element widths (h_s, h_m) of ``build_operators``' stent and
+    media meshes, the same bits as their ``Mesh1D.h``, with no mesh
+    allocated: the stability gate needs only these."""
+    return p.l / n_s, 1.0 / n_m
 
 
 @dataclass(frozen=True, eq=False)

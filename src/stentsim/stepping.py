@@ -501,7 +501,7 @@ def whole_number(value, key: str) -> int:
 RECORD_BLOCK = 256
 # float64 entries that the power's buffers may hold together, 64 MiB: the
 # build's two padded buffers and a copy of each rung but the power's half,
-# so two fit up to order 2048 and three up to order 1664
+# so two fit up to order 2048, three up to 1664 and four up to 1440
 LEAP_MAX_ENTRIES = 2 * 2048 ** 2
 # the power's buffers are padded with zeros to a multiple of this order:
 # OpenBLAS's threaded dgemm gives the bits of one thread at multiples of
@@ -639,8 +639,9 @@ class RunRecorder:
     the kernel's bits, and within one memory clause: (2 + c) * m^2 <=
     LEAP_MAX_ENTRIES, where the build's two buffers hold the power and the
     rung order // 2, and c counts the other rungs, each copied into a
-    buffer of its own.  So a run leaps with R alone up to m = 2048 and
-    keeps S, or fills blocks, up to m = 1664.
+    buffer of its own.  So a run leaps with R alone up to m = 2048, leaps
+    with S or fills blocks up to m = 1664, and fills blocks with S, four
+    buffers, up to m = 1440.
 
     The prices (STEP_NS, MATVEC_NS, TIMES_G_NS, MADD_NS) were measured
     once, best of 5 at one BLAS thread on a 2-core x86-64 host, and are
@@ -722,13 +723,11 @@ class RunRecorder:
         """(order, rungs): the order of the power the run builds, or None
         if the run only steps, and the orders of the rungs that ``advance``
         takes products with after it, prefixes of the power's build.  The
-        run fills record blocks iff order exceeds record_every.  The
-        cheapest plan by the prices (see the class docstring) among
-        stepping and, past the floor and within the memory clause, the
-        power P = G^record_every with R = G^(record_every // 2) where the
-        run walks, and Q = P^RECORD_BLOCK with P where more than
-        RECORD_BLOCK records lie on the grid, each with and without each
-        short rung S where the run walks."""
+        cheapest by the prices (see the class docstring) of stepping and,
+        past the floor and within the memory clause, (record_every, R)
+        and, where more than RECORD_BLOCK records lie on the grid, the
+        block-filling (record_every * RECORD_BLOCK, P), with and without
+        each short rung S where the run walks, and R only there."""
         every, n, (a, b) = self.record_every, self.n_steps, STEP_NS[self.solver]
         size, m, regular = self.size, _padded(self.size), n // every + 1
         # the walks' lengths: each snapshot off the record grid from its

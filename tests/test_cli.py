@@ -521,6 +521,11 @@ output:
 # reference 10**13 times finer than 50/25
 HUGE = "the mesh of 1000000000000000/25 elements cannot be allocated "
 REF = 10 ** 13
+# 2**62 stent elements pass the gate at dt 1e-35, but their nodes exceed
+# numpy's largest array, which it refuses with a ValueError, not a
+# MemoryError; so do those of a reference 2**57 times finer than 50/25
+TOO_BIG = "cannot be allocated (array is too big; "
+BIG_REF = 2 ** 57
 OVERSIZE = [
     (["simulate"], 2000000000, "1.0e-4",
      "error: dt_m=0.0001 exceeds the stability allowance 8.16666e-17"),
@@ -530,16 +535,26 @@ OVERSIZE = [
     (["simulate"], 10 ** 15, "3.0e-28", f"error: mesh.n_s, mesh.n_m: {HUGE}"),
     (["compare-fd"], 10 ** 15, "3.0e-28",
      f"error: mesh.n_s, mesh.n_m: {HUGE}"),
+    (["simulate"], 2 ** 62, "1.0e-35",
+     f"error: mesh.n_s, mesh.n_m: the mesh of {2 ** 62}/25 elements "
+     f"{TOO_BIG}"),
+    (["compare-fd"], 2 ** 62, "1.0e-35",
+     f"error: mesh.n_s, mesh.n_m: the mesh of {2 ** 62}/25 elements "
+     f"{TOO_BIG}"),
     (["compare-alg", "--ref-scale", str(REF)], 50, "1.0e-4",
      f"error: --ref-scale {REF}: the reference of {50 * REF}/{25 * REF} "
      f"elements cannot be allocated (Unable to allocate "),
     (["stepping-study", "--ref-scale", str(REF)], 50, "1.0e-4",
      f"error: --ref-scale {REF}: the reference of {50 * REF}/{25 * REF} "
-     f"elements cannot be allocated (Unable to allocate ")]
+     f"elements cannot be allocated (Unable to allocate "),
+    (["compare-alg", "--ref-scale", str(BIG_REF)], 50, "1.0e-4",
+     f"error: --ref-scale {BIG_REF}: the reference of {50 * BIG_REF}/"
+     f"{25 * BIG_REF} elements {TOO_BIG}")]
 
 
 @pytest.mark.parametrize("argv,n_s,dt,message", OVERSIZE,
-                         ids=[f"{a[0]}-{n}" for a, n, *_ in OVERSIZE])
+                         ids=[f"{a[0]}-{n * int(a[-1] if a[1:] else 1)}"
+                              for a, n, *_ in OVERSIZE])
 def test_run_refuses_mesh_it_cannot_allocate(tmp_path, capsys, monkeypatch,
                                              argv, n_s, dt, message):
     # these used to end in numpy's MemoryError traceback, in the mesh's

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stentsim import SingularMatrixError, ValidationError, paper_params
+from stentsim import (AllocationError, SingularMatrixError, ValidationError,
+                      paper_params)
 from stentsim.fem import (
     MEDIA,
     STENT,
@@ -13,6 +14,7 @@ from stentsim.fem import (
     assemble_stiffness,
     build_mesh,
     build_operators,
+    mesh_widths,
 )
 from stentsim import stepping
 from stentsim.stepping import _Kernel, _MassFactor, _stack, sharp_dt_limit
@@ -47,6 +49,24 @@ def test_empty_mesh_rejected():
         build_mesh(MEDIA, 0)
     with pytest.raises(ValidationError):
         build_mesh(STENT, 3)  # missing thickness
+
+
+@pytest.mark.parametrize("n_s,n_m", [(1, 1), (7, 3), (100, 25), (800, 100),
+                                     (1237, 100)])
+def test_mesh_widths_are_the_meshes_widths(n_s, n_m):
+    # the stability gate reads these widths before any mesh is built, so
+    # they must be the built meshes' widths bit for bit
+    ops = build_operators(P, n_s, n_m)
+    assert mesh_widths(P, n_s, n_m) == (ops.mesh_s.h, ops.mesh_m.h)
+
+
+def test_mesh_too_large_to_allocate_is_refused():
+    # past numpy's largest array (a ValueError) or any address space (a
+    # MemoryError), the nodes are refused with numpy's message
+    with pytest.raises(AllocationError, match="array is too big"):
+        build_mesh(MEDIA, 2 ** 62)
+    with pytest.raises(AllocationError, match="Unable to allocate"):
+        build_mesh(STENT, 10 ** 15, l=P.l)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])

@@ -1339,6 +1339,14 @@ def test_short_rung_rule_on_sizes():
                            (1044, 500, (1000, (500,))),
                            (1045, 500, (None, ()))):
         assert planned(n_s, n_m, 2 * 10 ** 6, 1000, [1999]) == plan
+    # a block-filling run copies P, so it keeps a short rung beside it
+    # only where four buffers fit: N = 1439 pads to 1440, whose four fit;
+    # N = 1440 pads to 1472, whose do not.  20 000 records every 64 fill
+    # blocks by Q = G^16384 at both sizes, and the walk of 48 steps to
+    # step 64 048 takes G^32 where it fits
+    assert 4 * 1440 ** 2 <= LEAP_MAX_ENTRIES < 4 * 1472 ** 2
+    for n_s, plan in ((1236, (16384, (64, 32))), (1237, (16384, (64,)))):
+        assert planned(n_s, 100, 64 * 20000, 64, [64048]) == plan
     # no walk, no rung: snapshots on records only, and the last step on
     # the record grid
     assert planned(100, 100, 103000, 1000, [0, 5000, 103000]) == (1000, ())
@@ -1368,15 +1376,27 @@ def test_short_rung_rule_on_sizes():
 
 
 def test_only_walking_leaps_build_the_short_rung(monkeypatch):
-    # a spy on _power: the orders of the rungs each build copies into a
-    # buffer of its own, every rung but the power's half, which the
-    # build's last squaring leaves in its spare buffer; one entry a build
+    # a spy on _power that watches np.copyto while a build runs: the
+    # orders of the rungs it returns in buffers that the build copied a
+    # prefix into, one entry a build.  The rung order // 2 is the buffer
+    # that the build's last squaring frees, so it is never a copy
     copied = []
-    power = stepping._power
+    power, copyto = stepping._power, np.copyto
 
     def spy(step, nz, size, order, rungs=()):
-        copied.append([o for o in rungs if o != order // 2])
-        return power(step, nz, size, order, rungs)
+        filled = []
+
+        def watched(dst, src, *args, **kwargs):
+            filled.append(dst)
+            return copyto(dst, src, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "copyto", watched)
+            ladder = power(step, nz, size, order, rungs)
+        copied.append([o for a, o in ladder[1:]
+                       if any(a is dst for dst in filled)])
+        assert len(filled) == len(copied[-1])  # no other buffer copied
+        return ladder
 
     monkeypatch.setattr(stepping, "_power", spy)
     # leaping runs with a walk copy their short rung: G for 50's walks,
