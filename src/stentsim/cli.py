@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -57,17 +58,31 @@ def _report_moved_snapshots(rec, dt):
                   f"t={snap.t!r}, the nearest step")
 
 
-def _directory(path, key: str) -> Path:
+def _directory(path, key: str, file_name: str = "") -> Path:
     """path as a Path, refused with a ConfigError keyed ``key`` if it or
-    its nearest existing ancestor is a file, so that nothing is computed
-    for a directory that cannot be made."""
+    its nearest existing ancestor is a file, or if the OS cannot name it,
+    or the file file_name in it: a null byte, a failed lookup or a name
+    longer than its file system allows.  So nothing is computed for a
+    directory that cannot be made or a file that cannot be written."""
     path = Path(path)
-    for known in (path, *path.parents):
-        if known.exists():
-            if not known.is_dir():
-                raise ConfigError(f"{key}: {known} is a file, not a "
-                                  f"directory", key=key)
-            break
+    target = path / file_name
+    if "\0" in str(target):
+        raise ConfigError(f"{key}: {str(target)!r} holds a null byte",
+                          key=key)
+    try:
+        known = next(p for p in (path, *path.parents) if p.exists())
+        limit = os.pathconf(known, "PC_NAME_MAX")
+    except OSError as exc:
+        raise ConfigError(f"{key}: {target} cannot be looked up "
+                          f"({exc.strerror})", key=key) from None
+    if not known.is_dir():
+        raise ConfigError(f"{key}: {known} is a file, not a directory",
+                          key=key)
+    for name in map(os.fsencode, target.relative_to(known).parts):
+        if len(name) > limit:
+            raise ConfigError(f"{key}: {target} has a name of {len(name)} "
+                              f"bytes, above the {limit} its file system "
+                              f"allows", key=key)
     return path
 
 
@@ -280,10 +295,10 @@ def cmd_plot(args) -> int:
     if path.is_dir():
         raise ConfigError(f"--input: {path} is a directory, not a CSV file",
                           key="--input")
+    _directory(out.parent, "--out", out.name)
     if out.is_dir():
         raise ConfigError(f"--out: {out} is a directory, not an SVG file",
                           key="--out")
-    _directory(out.parent, "--out")
     try:
         plot_series, labels = _plot_series(path, args.field)
     except UnicodeDecodeError as exc:

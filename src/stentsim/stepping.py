@@ -92,15 +92,15 @@ full record interval; at record_every 1, P is G itself and each step one
 product.  A run that fills record blocks builds Q = P^RECORD_BLOCK, the
 same build carried 8 squarings further, and keeps P as the build passes
 it: the first block's records are products with P, and each later block
-is one product X_next = X_prev @ Q^T.  A state short of a full leap is
-walked: each snapshot off the record grid, into a scratch row, from its
-record or the snapshot before it in the interval, and an off-grid last
-record from the record before it.  Walks take products with the rungs
-below P: R = G^(record_every // 2), left in P's spare buffer, and a
-short S = G^p, p = record_every >> s, copied as the build passes it.  No
-record is reached through a snapshot, so the records on the grid are the
-same bits with and without snapshot requests; an off-grid last record
-takes the plan's rungs, which the snapshots help to choose.  One
+is one product X_next = X_prev @ Q^T, written over X_prev.  A state off
+the record grid, a snapshot or an off-grid last record, is walked from
+the record at or before it: a snapshot into a scratch row, the last
+record into its own.  Walks take products with the rungs below P: R =
+G^(record_every // 2), left in the build's other buffer, and a short S =
+G^p, p = record_every >> s, copied as the build passes it.  No state is
+reached through a snapshot, so the records on the grid are the same bits
+with and without snapshot requests; a snapshot and an off-grid last
+record take the plan's rungs, which the snapshots help to choose.  One
 comparison of fixed prices over the solver, input size and the
 snapshots alone decides whether a run builds, to which order and with
 which rungs (``RunRecorder`` documents the prices); the results differ
@@ -630,8 +630,9 @@ class RunRecorder:
       with P = G^record_every (at record_every 1, G itself: dense steps)
       per record on the grid, or, where the order is Q's, record_every *
       RECORD_BLOCK, per record of the first block and RECORD_BLOCK * m^2
-      multiply-adds per filled block; and the walks, priced exactly from
-      their lengths as products with each rung in turn, then steps.
+      multiply-adds per filled block; and the walks, one from its record
+      to each state off the record grid, priced exactly from their
+      lengths as products with each rung in turn, then steps.
     A leaping run that walks keeps the rung R = G^(record_every // 2), and
     a block-filling run keeps P; the plan tries each with each short rung
     S = G^p, p = record_every >> s for s >= 1 below them, and none.  A run
@@ -708,8 +709,6 @@ class RunRecorder:
             # product's shape stays padded
             width = _padded(self.size) if order else self.size + 1
             self._rows = np.zeros((min(RECORD_BLOCK, n_records), width))
-            self._spare = (np.empty_like(self._rows) if (order or 0) > every
-                           else None)
             self._inside = np.zeros(width)  # a snapshot off the record grid
         except (MemoryError, ValueError) as exc:
             raise AllocationError(
@@ -727,15 +726,12 @@ class RunRecorder:
         past the floor and within the memory clause, (record_every, R)
         and, where more than RECORD_BLOCK records lie on the grid, the
         block-filling (record_every * RECORD_BLOCK, P), with and without
-        each short rung S where the run walks, and R only there."""
+        each short rung S where the run walks, and R only there.  A walk
+        goes to each state off the record grid, a snapshot or an off-grid
+        n, from the record at or before it: k % record_every steps."""
         every, n, (a, b) = self.record_every, self.n_steps, STEP_NS[self.solver]
         size, m, regular = self.size, _padded(self.size), n // every + 1
-        # the walks' lengths: each snapshot off the record grid from its
-        # record or the snapshot before it in the interval, and an
-        # off-grid n from its record
-        snaps = sorted(k for k in self._snap_steps if k % every and k < n)
-        walks = [t - max(s, t - t % every) for s, t in zip([0, *snaps], snaps)]
-        walks += [n % every] if n % every else []
+        walks = [k % every for k in sorted({*self._snap_steps, n}) if k % every]
         step = (a + b * size) * (self.substep_ratio + 2) / 3
 
         def price(order, rungs):
@@ -777,7 +773,7 @@ class RunRecorder:
         the module docstring)."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
         size, n_records = self.size, self._out.shape[1]
-        rows, spare, inside = self._rows, self._spare, self._inside
+        rows, inside = self._rows, self._inside
         # the power, then its rungs: advance's products, highest order first
         ladder = _power(step, nz, size, *self.plan) if self.plan[0] else []
         regular = n // every + 1  # records on a multiple of record_every
@@ -803,7 +799,6 @@ class RunRecorder:
         pending = iter([*sorted(self._snap_steps), n + 1])
         snap = next(pending)
         rows[0, :nz], rows[0, nz:size] = z, y2
-        x, k = None, -1  # the last snapshot's state and step
         # the records below this are in their rows: the initial state,
         # then those that a block product filled
         filled = 1
@@ -816,21 +811,18 @@ class RunRecorder:
                         rows[i - lo])
             self._flush(rows[:hi - lo], lo)
             # the block's snapshots: each is read off its record's row, or
-            # walked from the record or the snapshot before it
+            # walked from it
             while snap < (n + 1 if hi == n_records else min(hi * every, n)):
                 i = n_records - 1 if snap == n else snap // every
-                start = min(i * every, n)  # its record's step
-                if k < start:  # no snapshot since that record
-                    x, k = rows[i - lo], start
-                if snap > k:
-                    x, k = advance(x, k, snap, inside), snap
+                x = rows[i - lo]
+                if snap > i * every:
+                    x = advance(x, i * every, snap, inside)
                 t = snap * self.dt
                 snapshots.append(Snapshot(self._snap_steps[snap], t, SimState(
                     x[:n0].copy(), x[n0:nz].copy(), x[nz:size].copy(), t)))
                 snap = next(pending)
-            if spare is not None and hi < regular:
-                np.matmul(rows, ladder[0][0].T, out=spare)
-                rows, spare = spare, rows
+            if (self.plan[0] or 0) > every and hi < regular:
+                np.matmul(rows, ladder[0][0].T, out=rows)
                 filled = min(hi + len(rows), regular)
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
         return SolutionRecord(

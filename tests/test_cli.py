@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import re
 import subprocess
@@ -347,13 +348,18 @@ def test_converge_runs(tmp_path, capsys):
     assert "rate" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv,snapshots", [
+# the five run commands' arguments, and whether the command takes the
+# config's snapshot_times
+RUN_COMMANDS = pytest.mark.parametrize("argv,snapshots", [
     (["simulate"], True), (["compare-fd"], True),
     (["compare-alg", "--ref-scale", "2"], False),
     (["stepping-study", "--ref-scale", "2"], False),
     (["converge", "--levels", "2"], False)],
     ids=["simulate", "compare-fd", "compare-alg", "stepping-study",
          "converge"])
+
+
+@RUN_COMMANDS
 def test_commands_refuse_out_dir_that_is_a_file(tmp_path, capsys,
                                                 monkeypatch, argv, snapshots):
     # an out_dir that names a file is refused before the first step, with
@@ -368,6 +374,93 @@ def test_commands_refuse_out_dir_that_is_a_file(tmp_path, capsys,
         f"error: output.out_dir: {out} is a file, not a directory\n")
     assert sorted(tmp_path.rglob("*")) == before
     assert out.read_text() == "a file\n"
+
+
+LONG_NAME = "a" * 300  # above the 255 bytes a Linux file system allows
+
+
+def unnameable(tmp_path, case):
+    """A path under tmp_path that the OS cannot name, and the end of the
+    refusal that names it: a null byte, a name too long under a missing
+    directory, and one too long to look up under tmp_path itself."""
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    return {
+        "null": (f"{tmp_path}/a\0b", "holds a null byte"),
+        "long": (f"{tmp_path}/new/{LONG_NAME}",
+                 f"has a name of 300 bytes, above the {limit} its file "
+                 f"system allows"),
+        "long-lookup": (f"{tmp_path}/{LONG_NAME}/run",
+                        "cannot be looked up (File name too long)"),
+    }[case]
+
+
+@RUN_COMMANDS
+@pytest.mark.parametrize("case", ["null", "long", "long-lookup"])
+def test_commands_refuse_out_dir_the_os_cannot_name(tmp_path, capsys,
+                                                    monkeypatch, argv,
+                                                    snapshots, case):
+    # an out_dir with a null byte or a name longer than the file system
+    # allows is refused before the first step, keyed output.out_dir, with
+    # exit 1 and no file made
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10,
+                                snapshots=snapshots)
+    out_dir, reason = unnameable(tmp_path, case)
+    cfg_path.write_text(cfg_path.read_text().replace(
+        f"out_dir: {out}", f"out_dir: {json.dumps(out_dir)}"))
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(RunRecorder, "run", no_run)
+    assert run([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output.out_dir: ") and err.endswith(
+        f" {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("case", ["null", "long", "long-lookup"])
+def test_plot_refuses_out_the_os_cannot_name(tmp_path, capsys, case):
+    # so is a plot --out, whether the long name is its file's or a
+    # directory's above it, before the CSV is read
+    data = tmp_path / "one.csv"
+    data.write_text("t,x\n0,1\n1,2\n")
+    out, reason = unnameable(tmp_path, case)
+    before = sorted(tmp_path.rglob("*"))
+    for svg in (out, out + "/x.svg"):
+        assert run(["plot", "--input", str(data), "--field", "x", "--out",
+                    svg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.endswith(
+            f" {reason}\n"), err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare-fd",
+                                     "compare-alg", "stepping-study",
+                                     "converge", "plot"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_commands_refuse_config_they_cannot_read(tmp_path, capsys, command,
+                                                 kind):
+    # a config that is a directory, or whose bytes are not UTF-8, is
+    # refused naming the file, with exit 1; plot reads the config echo
+    # beside its CSV through the same parser
+    config = tmp_path / "config_echo.yaml"
+    if kind == "directory":
+        config.mkdir()
+        reason = "is a directory, not a YAML file"
+    else:
+        config.write_bytes(b"params: paper_defaults\n# \xff\n")
+        reason = "is not UTF-8 text ('utf-8' codec can't decode byte 0xff"
+    if command == "plot":
+        data = tmp_path / "one.csv"
+        data.write_text("t,x\n0,1\n1,2\n")
+        argv = ["plot", "--input", str(data), "--field", "x", "--out",
+                str(tmp_path / "x.svg")]
+    else:
+        argv = [command, "--config", str(config)]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config {config} {reason}")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 FLOAT = r"-?\d\.\d{16}e[+-]\d{2}"  # 17 significant digits

@@ -784,8 +784,6 @@ def test_results_do_not_depend_on_blas_thread_count(tmp_path):
 
 # ------------------------------------------------------------------ leaps
 
-SETTINGS = {"r1": (1, "stent"), "stent4": (4, "stent"),
-            "media4": (4, "media")}
 LEAP_CASES = [(v, s) for v in ("monolithic", "alg1", "alg2")
               for s in SETTINGS] + [("fd", "r1")]
 
@@ -896,9 +894,10 @@ def test_leaps_match_stepping(step_calls, variant, setting):
     # power (m = 32) is priced 0.34 us against 8 us or more for a step, so
     # the short rung is G itself.  The snapshot at 1234, 34 past its
     # record, is walked by a product with the rung G^25 and 9 with G; each
-    # snapshot off the record grid in the first case by one product with G
-    # from the snapshot before it; the last step, 10 past its record, by
-    # 10 with G; and a snapshot on the record step 1250 is read off its row
+    # snapshot off the record grid in the first case from its record, by a
+    # product with G^25 where one fits and products with G; the last step,
+    # 10 past its record, by 10 with G; and a snapshot on the record step
+    # 1250 is read off its row
     stepped = stepped_case(variant, setting)
     steps = [*range(0, 2010, 50), 2010]
     for snaps in (range(2011), [0, 1234, 2010], [0, 1250, 2010]):
@@ -1035,41 +1034,47 @@ def test_record_edges_match_stepping(variant, setting, n, every, snaps):
 
 # (record_every, snapshot steps, step calls, rungs) over 2010 steps of a
 # leaping run on 8/6, 24 step calls per set bit of every building the
-# power.  With rungs None, the run's rungs are R = G^(every // 2) and the
-# short rung of the cheapest walks by the prices.  Every 50: snapshots 10,
-# 35 and 45 past one record, 25 (R's order), 24 and 49 past others, 5
-# past the last record, and the last step 10 past it, walked by an R
-# product where one fits and products with the short rung G for the rest.
-# Every 51: 50 past its record is two R products of 25, 25 past is one,
-# and the last step, 21 past its record, is 7 products with the short
-# rung G^3, which costs less than 21 with G.  Every 100: 12, 25 on, 62 on,
-# 63 past, 49 past, 5 past and the last step 10 past, walked by R
-# products and products with G.  No walk steps.
+# power.  Each snapshot off the record grid, and the last step, is walked
+# from its own record.  With rungs None, the run's rungs are R =
+# G^(every // 2) and the short rung of the cheapest walks by the prices.
+# Every 50: snapshots 10, 35 and 45 past one record, 25 (R's order), 24
+# and 49 past others, 5 past the last record, and the last step 10 past
+# it, walked by an R product where one fits and products with the short
+# rung G for the rest.  Every 51: 50 past its record is two R products of
+# 25, 25 past is one, and the last step, 21 past its record, is 7
+# products with the short rung G^3, which costs less than 21 with G.
+# Every 100: 12, 37, 99, 63, 49 and 5 past their records and the last
+# step 10 past, walked by R products and products with G; no walk steps.
+# The finite-difference run, whose step is priced about half as much,
+# takes the short rung G^3 there: 4, 12, R and 16, R and 4, 16, 1 and 3
+# products with it, and 0 + 1 + 1 + 1 + 1 + 2 + 1 steps.
 #
 # The same walks with the plan held to R and S = G^12 end in steps after
 # their products, as compare-fd's and the study reference's walks do on
 # wider meshes, where a product with the power costs more than a few
 # steps.  Every 50: three snapshots in one interval, 10, 35 and 45 past
-# its record, take 10 steps (fewer than 12), an R product from the first
-# (into its own row) and 10 steps from the second; snapshots 25, 24 and
-# 49 past their records take an R product, two S products, and an R
-# product and two S products, and no step; one in the partial last
-# interval, 5 past its record, takes 5 steps, and the last step, 10 past
-# the same record, 10 steps.  A snapshot at 1234, 34 past its record,
-# takes an R product and 9 steps.  Every 51: the last step, 21 past its
-# record, is an S product and 9 steps.  Every 100: 12 past its record is
-# one S product; 25 on from there two S products and a step; 62 on an R
-# product and an S product; 63 past the next record R, S and a step; 49
-# past the next four S products and a step; 5 past the last record 5
-# steps, and the last step 10
+# its record, take 10 steps, an R product and 10 steps, and an R product,
+# an S product and 8 steps; snapshots 25, 24 and 49 past their records
+# take an R product, two S products, and an R product and two S
+# products, and no step; one in the partial last interval, 5 past its
+# record, takes 5 steps, and the last step, 10 past the same record, 10
+# steps.  A snapshot at 1234, 34 past its record, takes an R product and
+# 9 steps.  Every 51: the last step, 21 past its record, is an S product
+# and 9 steps.  Every 100: 12 past its record is one S product; 37 past
+# three S products and a step; 99 past R, four S products and a step; 63
+# past R, S and a step; 49 past four S products and a step; 5 past the
+# last record 5 steps, and the last step 10.  A case's step calls are a
+# dict by solver where the two differ
 WALK_CASES = [(50, [1210, 1235, 1245, 1325, 1424, 1549, 2005], 24 * 3, None),
               (51, [51 * 20 + 50, 51 * 30 + 25], 24 * 4, None),
-              (100, [1112, 1137, 1199, 1263, 1349, 2005], 24 * 3, None)]
+              (100, [1112, 1137, 1199, 1263, 1349, 2005],
+               {"fem": 24 * 3, "fd": 24 * 3 + 0 + 1 + 1 + 1 + 1 + 2 + 1},
+               None)]
 WALK_CASES += [
-    (50, WALK_CASES[0][1], 24 * 3 + 10 + 10 + 5 + 10, (25, 12)),
+    (50, WALK_CASES[0][1], 24 * 3 + 10 + 10 + 8 + 5 + 10, (25, 12)),
     (50, [0, 1234, 2010], 24 * 3 + 9 + 10, (25, 12)),
     (51, WALK_CASES[1][1], 24 * 4 + 9, (25, 12)),
-    (100, WALK_CASES[2][1], 24 * 3 + 1 + 1 + 1 + 5 + 10, (50, 12))]
+    (100, WALK_CASES[2][1], 24 * 3 + 1 + 1 + 1 + 1 + 5 + 10, (50, 12))]
 
 
 # ids without the step calls, so that a moved pin keeps its test's name
@@ -1081,17 +1086,45 @@ WALK_CASES += [
 def test_snapshot_walks_match_stepping(monkeypatch, step_calls, variant,
                                        setting, every, snaps, calls, rungs):
     # a snapshot strictly inside an interval that the power crosses is
-    # walked from the nearest earlier state, its record or the snapshot
-    # before it in the interval, and the records leap past it; a walk
-    # steps on from the state its products reach, carrying the outflow sum
+    # walked from its record, and the records leap past it; a walk steps
+    # on from the state its products reach, carrying the outflow sum
     if rungs is not None:
         monkeypatch.setattr(RunRecorder, "_plan",
                             lambda self: (every, rungs))
+    if isinstance(calls, dict):
+        calls = calls["fd" if variant == "fd" else "fem"]
     rec = leap_case(variant, setting, snaps, every=every)
     assert sum(step_calls) == calls
     assert_matches_stepping(rec, stepped_case(variant, setting),
                             leap_dt(setting), [*range(0, 2010, every), 2010],
                             snaps)
+
+
+@pytest.mark.parametrize("variant", ["monolithic", "alg1", "fd"])
+def test_snapshot_does_not_depend_on_earlier_snapshots(monkeypatch,
+                                                       variant):
+    # a snapshot is walked from its own record, so its bits do not depend
+    # on which other snapshots share its interval: on 20/10 with the plan
+    # held to R = G^25 and S = G^12, step 1235 is reached from record 1200
+    # by an R product and 10 steps, alone or after a snapshot at 1210
+    monkeypatch.setattr(RunRecorder, "_plan", lambda self: (50, (25, 12)))
+    ops = build_operators(P, 20, 10)
+    dt = 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h)
+
+    def last_snapshot(steps):
+        times = [k * dt for k in steps]
+        if variant == "fd":
+            rec = run_fd(P, 20, 10, dt, 2010 * dt, times, record_every=50)
+        else:
+            rec = run_simulation(P, ops, SchemeConfig(variant, dt, 2010 * dt),
+                                 times, record_every=50)
+        return rec.snapshots[-1]
+
+    alone, after = last_snapshot([1235]), last_snapshot([1210, 1235])
+    assert alone.t == after.t
+    for y in ("y0", "y1", "y2"):
+        assert (getattr(alone.state, y).tobytes()
+                == getattr(after.state, y).tobytes()), y
 
 
 # (variant, setting, n, record_every, snapshot steps, block fills):
@@ -1100,8 +1133,8 @@ def test_snapshot_walks_match_stepping(monkeypatch, step_calls, variant,
 # interval of the first block, of a filled block (record 300), across two
 # filled blocks (record 511 to 512) and inside the partial last interval;
 # a run every 100 whose walks end on products with the short rung; over
-# 120 steps, leaping runs with a snapshot at every step, each walked by one
-# product with G from the snapshot before it; a leaping run whose
+# 120 steps, leaping runs with a snapshot at every step, each walked from
+# its record by products with G^25 and G; a leaping run whose
 # snapshots lie only in the partial last interval; and over 40 steps,
 # under the floor of 2N = 46 steps, stepping runs with a snapshot at
 # every step
