@@ -213,8 +213,13 @@ def cmd_compare_fd(args) -> int:
     cfg = parse_config(args.config)
     out = _directory(cfg.out_dir, "output.out_dir")
     scheme, snaps = cfg.scheme, list(cfg.snapshot_times)
-    # refuse an FD-invalid config before the finite-element run steps: the
-    # finite-difference solver is single-rate
+    # refuse what the comparison cannot use before the finite-element run
+    # steps: it pairs the runs' snapshots, and the finite-difference
+    # solver is single-rate
+    if not snaps:
+        raise ConfigError("output.snapshot_times: compare-fd compares the "
+                          "two runs at their snapshots and needs at least "
+                          "one, got []", key="output.snapshot_times")
     if scheme.substep_ratio != 1:
         raise ConfigError(f"time.substep_ratio: compare-fd compares with "
                           f"the single-rate finite-difference solver and "
@@ -271,70 +276,76 @@ def _malformed(path, line, row, columns) -> ConfigError:
                        f"{','.join(row)!r}: expected numbers for {columns}")
 
 
-def _bad_row(path, header, names, exc) -> ConfigError:
-    """The refusal of a CSV that numpy failed to read (exc): it names the
-    first data row whose columns names are missing or not numbers, or
-    passes numpy's message on when every row reads."""
+def _bad_row(fh, path, header, names, exc) -> ConfigError:
+    """The refusal of path's CSV, open as fh, that numpy failed to read
+    (exc): it names the first data row whose columns names are missing or
+    not numbers, or passes numpy's message on when every row reads."""
     cols = [header.index(name) for name in names]
-    with path.open() as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        for row in filter(None, rows):
-            try:
-                for c in cols:
-                    float(row[c])
-            except (IndexError, ValueError):
-                return _malformed(path, rows.line_num, row, " and ".join(names))
+    fh.seek(0)
+    rows = csv.reader(fh)
+    next(rows)
+    for row in filter(None, rows):
+        try:
+            for c in cols:
+                float(row[c])
+        except (IndexError, ValueError):
+            return _malformed(path, rows.line_num, row, " and ".join(names))
     return ConfigError(f"{path}: {exc}")
 
 
 def cmd_plot(args) -> int:
     path, out = Path(args.input), Path(args.out)
-    if not path.exists():
-        raise ConfigError(f"input file not found: {path}")
-    if path.is_dir():
-        raise ConfigError(f"--input: {path} is a directory, not a CSV file",
-                          key="--input")
-    _directory(out.parent, "--out", out.name)
-    if out.is_dir():
-        raise ConfigError(f"--out: {out} is a directory, not an SVG file",
-                          key="--out")
+    # the input is refused by what its open raises, with no look-up first
     try:
-        plot_series, labels = _plot_series(path, args.field)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"--input: {path} is not UTF-8 text ({exc})",
+        fh = path.open(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"input file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"--input: {path} is a directory, not a CSV file",
                           key="--input") from None
+    except OSError as exc:
+        raise ConfigError(f"--input: {path} cannot be read ({exc.strerror})",
+                          key="--input") from None
+    with fh:
+        _directory(out.parent, "--out", out.name)
+        if out.is_dir():
+            raise ConfigError(f"--out: {out} is a directory, not an SVG "
+                              f"file", key="--out")
+        try:
+            plot_series, labels = _plot_series(fh, path, args.field)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"--input: {path} is not UTF-8 text ({exc})",
+                              key="--input") from None
     out = emit_svg_plot(plot_series, out, **labels)
     print(f"wrote {out}")
     return 0
 
 
-def _plot_series(path, field):
-    """The series of path's CSV to plot for the field, and the chart's
-    labels: a profile per snapshot time from the long format, or the
-    field's column against t."""
-    with path.open() as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        if not fh.readline().strip():
-            raise ConfigError(f"no data rows in {path}")
+def _plot_series(fh, path, field):
+    """The series of path's CSV, open as fh, to plot for the field, and
+    the chart's labels: a profile per snapshot time from the long format,
+    or the field's column against t."""
+    header = next(csv.reader([fh.readline()]), [])
+    if not any(line.strip() for line in fh):
+        raise ConfigError(f"no data rows in {path}")
+    fh.seek(0)
     # the config echo simulate writes beside its CSVs gives the time unit
     echo = path.with_name("config_echo.yaml")
     time_unit = parse_config(echo).time_unit if echo.exists() else None
     if header[:5] == ["t", "domain", "x", "field", "value"]:
         # long-format snapshots: one profile per snapshot time
         series = {}
-        with path.open() as fh:
-            rows = csv.reader(fh)
-            next(rows)
-            for row in filter(None, rows):
-                try:
-                    if row[3] != field:
-                        continue
-                    series.setdefault(float(row[0]), []).append(
-                        (float(row[2]), float(row[4])))
-                except (IndexError, ValueError):
-                    raise _malformed(path, rows.line_num, row,
-                                     "t, x and value") from None
+        rows = csv.reader(fh)
+        next(rows)
+        for row in filter(None, rows):
+            try:
+                if row[3] != field:
+                    continue
+                series.setdefault(float(row[0]), []).append(
+                    (float(row[2]), float(row[4])))
+            except (IndexError, ValueError):
+                raise _malformed(path, rows.line_num, row,
+                                 "t, x and value") from None
         if not series:
             raise ConfigError(f"field {field!r} not present in {path}")
         plot_series = []
@@ -352,10 +363,10 @@ def _plot_series(path, field):
             raise ConfigError(f"{path} has no t column to plot against")
         names = ("t", field)
         try:
-            t, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+            t, y = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2,
                               usecols=[header.index(n) for n in names]).T
         except ValueError as exc:
-            raise _bad_row(path, header, names, exc) from None
+            raise _bad_row(fh, path, header, names, exc) from None
         x_label = "t"
         if time_unit is not None:
             t, x_label = t * time_unit / 3600.0, "hours"

@@ -132,16 +132,21 @@ def _params(raw) -> ModelParams:
 
 
 def parse_config(path) -> RunConfig:
-    """Load and validate a YAML run configuration."""
+    """Load and validate a YAML run configuration.  A file that cannot be
+    read is refused by what its read raises, with no look-up before it."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    if path.is_dir():
-        raise ConfigError(f"config {path} is a directory, not a YAML file")
     try:
         text = path.read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(
+            f"config {path} is a directory, not a YAML file") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(
+            f"config {path} cannot be read ({exc.strerror})") from None
     try:
         tree = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import CflError
 from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh, mesh_widths
-from .params import ModelParams
+from .params import ModelParams, energy_growth_rate
 from .stepping import (BlockMonitor, RunRecorder, SchemeConfig,
                        SolutionRecord, axpy, sharp_dt_limit)
 
@@ -125,7 +125,8 @@ class _FdStep:
 
 def _trapezoid_monitor(p: ModelParams, mesh_s, mesh_m) -> BlockMonitor:
     """Trapezoid-rule mass, stent mass and squared L2 norms of the record
-    [c; c1; c2]; the energy form is diagonal."""
+    [c; c1; c2]; the energy form is diagonal, and its envelope grows at
+    the finite-element run's ``energy_growth_rate``."""
     def weights(mesh):
         w = np.full(mesh.n_elems + 1, mesh.h)
         w[0] = w[-1] = mesh.h / 2.0
@@ -135,7 +136,8 @@ def _trapezoid_monitor(p: ModelParams, mesh_s, mesh_m) -> BlockMonitor:
     form = np.zeros((3, len(w_s) + 2 * len(w_m)), order="F")
     form[1] = np.concatenate([w_s, w_m, w_m])
     mass = np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m])
-    return BlockMonitor(mass, w_s, TridiagonalMatrix(form))
+    return BlockMonitor(mass, w_s, TridiagonalMatrix(form),
+                        energy_growth_rate(p))
 
 
 def run_fd(

@@ -66,8 +66,9 @@ further; a substepped subdomain gets ``substep_ratio`` times its own
 limit.  ``SchemeConfig`` refuses a macro step above ``cfl_safety`` times
 that limit before the first step, and requires t_end to be a whole
 number of macro steps (``step_count``).  ``stable_step_count`` plans
-step counts on the same limit.  A runaway run is still caught by an
-energy monitor that aborts loudly instead of writing non-finite output.
+step counts on the same limit.  A runaway run of either solver is still
+caught by an energy monitor that aborts loudly instead of writing
+non-finite output.
 
 Recording: ``RunRecorder.run`` is the one time loop, for this solver
 and the finite-difference one.  Its state is one row x = [z; y2; q], q
@@ -78,9 +79,14 @@ reaches each record from the one before it by ``advance``; the block is
 then measured in one shot by the solver's ``BlockMonitor`` (two
 matrix-vector products for the masses, the form's
 ``TridiagonalMatrix.quadratic`` for the energy), guarded and stored;
-then a snapshots pass takes the block's snapshots.  The guards name the
-first failing record at its own t, so a run stops with the message a
-per-record check would give and before any output.
+then a snapshots pass hands out the block's snapshots, each by one
+``advance`` call into a row of its own, which copies the state through
+where there is nothing to walk.  One guard serves both solvers: a record
+fails if its mass or energy is non-finite or its energy exceeds
+ENERGY_GUARD_FACTOR times the envelope E(0)*exp(2*growth*t), growth the
+monitor's rate.  The guard names the first failing record at its own t,
+so a run stops with the message a per-record check would give and
+before any output.
 
 The step, with q carried along, is one linear map G on x, so ``advance``
 takes as many products x <- A x as fit with the power G^order, then
@@ -92,19 +98,19 @@ full record interval; at record_every 1, P is G itself and each step one
 product.  A run that fills record blocks builds Q = P^RECORD_BLOCK, the
 same build carried 8 squarings further, and keeps P as the build passes
 it: the first block's records are products with P, and each later block
-is one product X_next = X_prev @ Q^T, written over X_prev.  A state off
-the record grid, a snapshot or an off-grid last record, is walked from
-the record at or before it: a snapshot into a scratch row, the last
-record into its own.  Walks take products with the rungs below P: R =
-G^(record_every // 2), left in the build's other buffer, and a short S =
-G^p, p = record_every >> s, copied as the build passes it.  No state is
-reached through a snapshot, so the records on the grid are the same bits
-with and without snapshot requests; a snapshot and an off-grid last
-record take the plan's rungs, which the snapshots help to choose.  One
-comparison of fixed prices over the solver, input size and the
-snapshots alone decides whether a run builds, to which order and with
-which rungs (``RunRecorder`` documents the prices); the results differ
-from stepping at roundoff only.
+is one product X_next = X_prev @ Q^T, written over X_prev.  Every record
+row is padded to a power's order, whatever the plan.  A state off the
+record grid, a snapshot or an off-grid last record, is walked from the
+record at or before it into its own row.  Walks take products with the
+rungs below P: R = G^(record_every // 2), left in the build's other
+buffer, and a short S = G^p, p = record_every >> s, copied as the build
+passes it.  No state is reached through a snapshot, so the records on
+the grid are the same bits with and without snapshot requests; a
+snapshot and an off-grid last record take the plan's rungs, which the
+snapshots help to choose.  One comparison of fixed prices over the
+solver, input size and the snapshots alone decides whether a run builds,
+to which order and with which rungs (``RunRecorder`` documents the
+prices); the results differ from stepping at roundoff only.
 """
 
 from __future__ import annotations
@@ -594,14 +600,15 @@ class BlockMonitor:
     records at once (one row each).
 
     The mass is s @ mass_weights, the stent mass y0 @ stent_weights and
-    the energy the quadratic form s . (form s).  The energy guard reads
-    growth; without it only the non-finite guard runs.
+    the energy the quadratic form s . (form s).  growth is the rate of
+    the energy envelope E(0)*exp(2*growth*t) that ``RunRecorder`` guards,
+    the same guard for both solvers.
     """
 
     mass_weights: np.ndarray
     stent_weights: np.ndarray
     form: TridiagonalMatrix
-    growth: float | None = None
+    growth: float
 
     def measure(self, block: np.ndarray):
         """Mass, stent mass and energy of each row of block."""
@@ -614,11 +621,14 @@ class RunRecorder:
     """The time loop of a run and the record it produces, for the
     finite-element and the finite-difference solver alike.
 
-    The guards raise InstabilityError for the first record of a block
-    whose mass or energy is non-finite or whose energy leaves
-    ENERGY_GUARD_FACTOR times the growth envelope E(0)*exp(2*growth*t).
-    Snapshot requests are snapped to the nearest step; two requests
-    landing on the same step raise ValidationError.
+    One guard, the same for both solvers, raises InstabilityError for the
+    first record of a block whose mass or energy is non-finite or whose
+    energy leaves ENERGY_GUARD_FACTOR times the growth envelope
+    E(0)*exp(2*growth*t), growth the ``BlockMonitor``'s rate.  Snapshot
+    requests are snapped to the nearest step; two requests landing on the
+    same step raise ValidationError.  Each snapshot is handed out by one
+    ``advance`` call from the record at or before it, into a row of its
+    own that its ``SimState`` holds slices of.
 
     A run may build a power of the step (see the module docstring).  Its
     plan, (order, rungs), is the cheapest by fixed prices of stepping and
@@ -697,19 +707,19 @@ class RunRecorder:
         self.n0 = mesh_s.n_elems + 1
         self.nz = self.n0 + mesh_m.n_elems + 1
         self.size = self.nz + mesh_m.n_elems + 1
-        order, _ = self.plan = self._plan()
+        self.regular = n_steps // every + 1  # records on the grid
+        self.plan = self._plan()
         # records every record_every steps and at n_steps; rows: t, mass,
         # stent mass, energy, balance residual, c(0-), c1(0+), c1(1)
         n_records = -(-n_steps // every) + 1
         try:
             self._out = np.empty((8, n_records))
-            # a row is a record [z; y2; q] padded to the power's order, q
-            # the outflow sum y1(1) over the steps before its step; a
-            # partial last block is filled in full and sliced, so every
-            # product's shape stays padded
-            width = _padded(self.size) if order else self.size + 1
-            self._rows = np.zeros((min(RECORD_BLOCK, n_records), width))
-            self._inside = np.zeros(width)  # a snapshot off the record grid
+            # a row is a record [z; y2; q] padded to a power's order, q the
+            # outflow sum y1(1) over the steps before its step; a partial
+            # last block is filled in full and sliced, so every product's
+            # shape stays padded
+            self._rows = np.zeros((min(RECORD_BLOCK, n_records),
+                                   _padded(self.size)))
         except (MemoryError, ValueError) as exc:
             raise AllocationError(
                 f"the record of {n_records:.6g} records ({n_steps:.6g} "
@@ -730,7 +740,7 @@ class RunRecorder:
         goes to each state off the record grid, a snapshot or an off-grid
         n, from the record at or before it: k % record_every steps."""
         every, n, (a, b) = self.record_every, self.n_steps, STEP_NS[self.solver]
-        size, m, regular = self.size, _padded(self.size), n // every + 1
+        size, m, regular = self.size, _padded(self.size), self.regular
         walks = [k % every for k in sorted({*self._snap_steps, n}) if k % every]
         step = (a + b * size) * (self.substep_ratio + 2) / 3
 
@@ -772,26 +782,27 @@ class RunRecorder:
         steps and return the record, one block of records at a time (see
         the module docstring)."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
-        size, n_records = self.size, self._out.shape[1]
-        rows, inside = self._rows, self._inside
+        size, n_records, regular = self.size, self._out.shape[1], self.regular
+        rows = self._rows
+        order, rungs = self.plan
+        fills = (order or 0) > every
         # the power, then its rungs: advance's products, highest order first
-        ladder = _power(step, nz, size, *self.plan) if self.plan[0] else []
-        regular = n // every + 1  # records on a multiple of record_every
+        ladder = _power(step, nz, size, order, rungs) if order else []
 
         def advance(x, k, stop, out):
             """The state x at step k advanced to step stop, into out: as
             many products with the power, then with each rung, as fit,
-            then steps."""
+            then steps; x is copied through where there is nothing to
+            walk."""
             for a, o in ladder:
                 while stop - k >= o:
                     k += o
                     x = np.matmul(a, x, out=out if k == stop else None)
-            if k < stop:
+            if x is not out:
                 z, y2, q = x[:nz], x[nz:size], float(x[size])
-                while k < stop:
+                for _ in range(k, stop):
                     q += float(z[-1])
                     z, y2 = step(z, y2)
-                    k += 1
                 out[:nz], out[nz:size], out[size] = z, y2, q
             return out
 
@@ -810,18 +821,17 @@ class RunRecorder:
                 advance(rows[i - 1 - lo], (i - 1) * every, min(i * every, n),
                         rows[i - lo])
             self._flush(rows[:hi - lo], lo)
-            # the block's snapshots: each is read off its record's row, or
-            # walked from it
+            # the block's snapshots, each walked from the record at or
+            # before it into a row of its own
             while snap < (n + 1 if hi == n_records else min(hi * every, n)):
                 i = n_records - 1 if snap == n else snap // every
-                x = rows[i - lo]
-                if snap > i * every:
-                    x = advance(x, i * every, snap, inside)
+                x = advance(rows[i - lo], min(i * every, n), snap,
+                            np.empty(rows.shape[1]))
                 t = snap * self.dt
                 snapshots.append(Snapshot(self._snap_steps[snap], t, SimState(
-                    x[:n0].copy(), x[n0:nz].copy(), x[nz:size].copy(), t)))
+                    x[:n0], x[n0:nz], x[nz:size], t)))
                 snap = next(pending)
-            if (self.plan[0] or 0) > every and hi < regular:
+            if fills and hi < regular:
                 np.matmul(rows, ladder[0][0].T, out=rows)
                 filled = min(hi + len(rows), regular)
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
@@ -846,12 +856,9 @@ class RunRecorder:
         if lo == 0:
             self._mass0, self._energy0 = mass[0], energy[0]
         finite = np.isfinite(mass) & np.isfinite(energy)
-        bad = ~finite
-        growth = self.monitor.growth
-        if growth is not None:
-            envelope = self._energy0 * np.exp(np.minimum(2.0 * growth * t,
-                                                         700.0))
-            bad |= energy > ENERGY_GUARD_FACTOR * envelope
+        envelope = self._energy0 * np.exp(
+            np.minimum(2.0 * self.monitor.growth * t, 700.0))
+        bad = ~finite | (energy > ENERGY_GUARD_FACTOR * envelope)
         if bad.any():
             i = int(np.argmax(bad))
             if not finite[i]:

@@ -318,6 +318,22 @@ def test_compare_fd_refuses_substeps(tmp_path, capsys, monkeypatch, dt_m):
     assert not out.exists()
 
 
+def test_compare_fd_refuses_empty_snapshot_times(tmp_path, capsys,
+                                                 monkeypatch):
+    # the comparison pairs the two runs' snapshots: with none requested,
+    # both runs stepped to t_end before the command exited 1 on disjoint
+    # snapshot time sets; it is refused, keyed output.snapshot_times, with
+    # exit 1, before any step and with no out_dir
+    monkeypatch.setattr(RunRecorder, "run", no_run)
+    cfg_path, out = make_config(tmp_path, steps=20, snapshots=False,
+                                extra="  snapshot_times: []\n")
+    assert run(["compare-fd", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: output.snapshot_times: compare-fd compares the two runs at "
+        "their snapshots and needs at least one, got []\n")
+    assert not out.exists()
+
+
 def test_compare_alg_runs(tmp_path, capsys):
     cfg_path, out = make_config(tmp_path, n_s=6, n_m=4, steps=20,
                                 snapshots=False)
@@ -460,6 +476,26 @@ def test_commands_refuse_config_they_cannot_read(tmp_path, capsys, command,
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith(
         f"error: config {config} {reason}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["simulate", "plot"])
+def test_commands_refuse_input_name_too_long(tmp_path, capsys, command):
+    # a --config or plot --input whose name is longer than the file system
+    # allows is refused by its open, with exit 1 and no file made, where
+    # the look-up before the open raised OSError (File name too long)
+    name = tmp_path / LONG_NAME
+    if command == "plot":
+        argv = ["plot", "--input", f"{name}.csv", "--field", "x", "--out",
+                str(tmp_path / "x.svg")]
+        refused = f"--input: {name}.csv"
+    else:
+        argv = [command, "--config", f"{name}.yaml"]
+        refused = f"config {name}.yaml"
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {refused} cannot be read (File name too long)\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -855,6 +891,37 @@ def test_plot_time_series_and_profiles(tmp_path):
     assert run(["plot", "--input", str(out / "snapshots.csv"),
                 "--field", "c1", "--out", str(svg2)]) == 0
     assert svg2.read_text().count("<polyline") == 3  # one per snapshot
+
+
+def test_plot_reads_utf8_input_whatever_the_locale(tmp_path):
+    # the input is read as UTF-8 under the C locale too, where its text
+    # was refused as not UTF-8 ('ascii' codec can't decode byte 0xc3)
+    data, svg = tmp_path / "notes.csv", tmp_path / "x.svg"
+    data.write_bytes("t,x,note\n0,1,caf\u00e9\n1,2,th\u00e9\n".encode())
+    env = {**src_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stentsim.cli", "plot", "--input", str(data),
+         "--field", "x", "--out", str(svg)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert svg.read_text().count("<polyline") == 1
+
+
+def test_plot_reads_rows_after_a_blank_line(tmp_path, capsys):
+    # a blank line before the data rows is skipped, as one between them
+    # is; the input was refused for "no data rows" when its second line
+    # was blank
+    data, svg = tmp_path / "gap.csv", tmp_path / "x.svg"
+    data.write_text("t,x\n\n0,1\n1,2\n")
+    assert run(["plot", "--input", str(data), "--field", "x", "--out",
+                str(svg)]) == 0
+    (line,) = re.findall(r'points="([^"]*)"', svg.read_text())
+    assert len(line.split()) == 2
+    data.write_text("t,x\n\n\n")
+    assert run(["plot", "--input", str(data), "--field", "x", "--out",
+                str(svg)]) == 1
+    assert capsys.readouterr().err == f"error: no data rows in {data}\n"
 
 
 def test_plot_unknown_field(tmp_path, capsys):

@@ -626,6 +626,28 @@ def test_nonfinite_guard_names_first_bad_record(monkeypatch):
         f"instability detected: non-finite state at t={300 * dt:.6g}")
 
 
+def test_growing_fd_run_is_caught_by_energy_guard(monkeypatch):
+    # the finite-difference run has the same energy guard: a step poisoned
+    # to grow the state by 5% stays finite over all 2000 steps, and the
+    # run stops at the first record outside the envelope, where it used to
+    # run to its end.  The run is held to stepping, so every poisoned call
+    # is a step
+    step = _FdStep.step
+
+    def poisoned(self, z, c2):
+        z, c2 = step(self, z, c2)
+        return 1.05 * z, 1.05 * c2
+
+    monkeypatch.setattr(_FdStep, "step", poisoned)
+    monkeypatch.setattr(RunRecorder, "_plan", lambda self: (None, ()))
+    dt = leap_dt("r1")
+    with pytest.raises(InstabilityError) as err:
+        run_fd(P, 8, 6, dt, 2000 * dt, [0.0])
+    assert str(err.value) == (
+        "instability detected: energy 0.342313 exceeds 10.0x the growth "
+        "envelope 0.0338595 at t=0.0364623")
+
+
 # ------------------------------------------------------------ run recorder
 
 # (n_steps, record_every): 1, 255, 256 and 257 records, and a record_every
