@@ -35,7 +35,6 @@ from .stepping import (
     SchemeConfig,
     SimState,
     SolutionRecord,
-    initial_state,
     run_simulation,
     sharp_dt_limit,
     stable_step_count,

@@ -255,15 +255,13 @@ def make_reference(
     t_end: float,
     snapshot_times,
     variant: str = "monolithic",
-    record_every: int | None = None,
 ) -> SolutionRecord:
-    """One run of n_steps equal steps to t_end: the fine-grid reference
-    and every test run of the accuracy studies."""
+    """One run of n_steps equal steps to t_end, recorded about 200 times:
+    the fine-grid reference and every test run of the accuracy studies."""
     ops = build_operators(p, n_s, n_m)
     cfg = SchemeConfig(variant, t_end / n_steps, t_end=t_end)
-    if record_every is None:
-        record_every = max(1, n_steps // 200)
-    return run_simulation(p, ops, cfg, snapshot_times, record_every=record_every)
+    return run_simulation(p, ops, cfg, snapshot_times,
+                          record_every=max(1, n_steps // 200))
 
 
 def stepping_study(

@@ -61,9 +61,10 @@ def _report_moved_snapshots(rec, dt):
 def _directory(path, key: str, file_name: str = "") -> Path:
     """path as a Path, refused with a ConfigError keyed ``key`` if it or
     its nearest existing ancestor is a file, or if the OS cannot name it,
-    or the file file_name in it: a null byte, a failed lookup or a name
-    longer than its file system allows.  So nothing is computed for a
-    directory that cannot be made or a file that cannot be written."""
+    or the file file_name in it: a null byte, a failed lookup, a name
+    that the file system's encoding cannot encode or one longer than its
+    file system allows.  So nothing is computed for a directory that
+    cannot be made or a file that cannot be written."""
     path = Path(path)
     target = path / file_name
     if "\0" in str(target):
@@ -72,13 +73,18 @@ def _directory(path, key: str, file_name: str = "") -> Path:
     try:
         known = next(p for p in (path, *path.parents) if p.exists())
         limit = os.pathconf(known, "PC_NAME_MAX")
+        names = list(map(os.fsencode, target.relative_to(known).parts))
     except OSError as exc:
         raise ConfigError(f"{key}: {target} cannot be looked up "
                           f"({exc.strerror})", key=key) from None
+    except UnicodeEncodeError:
+        raise ConfigError(f"{key}: {target} cannot be named in the file "
+                          f"system's encoding "
+                          f"({sys.getfilesystemencoding()})", key=key) from None
     if not known.is_dir():
         raise ConfigError(f"{key}: {known} is a file, not a directory",
                           key=key)
-    for name in map(os.fsencode, target.relative_to(known).parts):
+    for name in names:
         if len(name) > limit:
             raise ConfigError(f"{key}: {target} has a name of {len(name)} "
                               f"bytes, above the {limit} its file system "

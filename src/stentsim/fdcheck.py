@@ -36,8 +36,12 @@ with every source from level k.  T is a ``TridiagonalMatrix`` whose
 band is written here from the stencils above, so T z is its ``matvec``
 and each source term one ``axpy``, as in the finite-element kernel; a
 block of states steps as the columns of 2-D arrays.  No finite-element
-assembly enters this module's numerics, and the monitors use trapezoid
-quadrature on nodal values.
+assembly enters this module's numerics.  The run hands ``RunRecorder``
+this step and, as its two mass matrices, the trapezoid rule's weights on
+each grid as diagonal matrices: the recorder writes the standard initial
+data and derives the monitors from those matrices as it does from the
+finite-element ones, so the masses and energy are trapezoid quadrature
+on nodal values and the energy guard grows at the same rate.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ import numpy as np
 
 from .errors import CflError
 from .fem import MEDIA, STENT, TridiagonalMatrix, build_mesh, mesh_widths
-from .params import ModelParams, energy_growth_rate
-from .stepping import (BlockMonitor, RunRecorder, SchemeConfig,
-                       SolutionRecord, axpy, sharp_dt_limit)
+from .params import ModelParams
+from .stepping import (RunRecorder, SchemeConfig, SolutionRecord, axpy,
+                       sharp_dt_limit)
 
 
 def check_fd(p: ModelParams, n_s: int, n_m: int, dt: float) -> None:
@@ -123,21 +127,14 @@ class _FdStep:
         return zn, axpy(z[n0:], self.ode_decay * c2, self.ode_gain)
 
 
-def _trapezoid_monitor(p: ModelParams, mesh_s, mesh_m) -> BlockMonitor:
-    """Trapezoid-rule mass, stent mass and squared L2 norms of the record
-    [c; c1; c2]; the energy form is diagonal, and its envelope grows at
-    the finite-element run's ``energy_growth_rate``."""
-    def weights(mesh):
-        w = np.full(mesh.n_elems + 1, mesh.h)
-        w[0] = w[-1] = mesh.h / 2.0
-        return w
-
-    w_s, w_m = weights(mesh_s), weights(mesh_m)
-    form = np.zeros((3, len(w_s) + 2 * len(w_m)), order="F")
-    form[1] = np.concatenate([w_s, w_m, w_m])
-    mass = np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m])
-    return BlockMonitor(mass, w_s, TridiagonalMatrix(form),
-                        energy_growth_rate(p))
+def _trapezoid(mesh) -> TridiagonalMatrix:
+    """The trapezoid rule's weights on the mesh's nodes as a diagonal
+    matrix: this solver's mass matrix, which the record's monitors are
+    measured with."""
+    band = np.zeros((3, mesh.n_elems + 1), order="F")
+    band[1] = mesh.h
+    band[1, [0, -1]] = mesh.h / 2.0
+    return TridiagonalMatrix(band)
 
 
 def run_fd(
@@ -157,9 +154,7 @@ def run_fd(
     """
     cfg = SchemeConfig("monolithic", dt, t_end)
     check_fd(p, n_s, n_m, dt)
-    mesh_s = build_mesh(STENT, n_s, l=p.l)
-    mesh_m = build_mesh(MEDIA, n_m)
-    rec = RunRecorder("fd", p, cfg, mesh_s, mesh_m, snapshot_times,
-                      record_every, _trapezoid_monitor(p, mesh_s, mesh_m))
-    z = np.concatenate([np.ones(n_s + 1), np.zeros(n_m + 1)])
-    return rec.run(_FdStep(p, mesh_s, mesh_m, dt).step, z, np.zeros(n_m + 1))
+    mesh_s, mesh_m = build_mesh(STENT, n_s, l=p.l), build_mesh(MEDIA, n_m)
+    rec = RunRecorder("fd", p, cfg, mesh_s, mesh_m, _trapezoid(mesh_s),
+                      _trapezoid(mesh_m), snapshot_times, record_every)
+    return rec.run(_FdStep(p, mesh_s, mesh_m, dt).step)

@@ -206,11 +206,10 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round ticks in [lo, hi], hi > lo."""
     span = hi - lo
-    raw = span / max(target, 1)
+    raw = span / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -373,5 +372,5 @@ def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
     return path

@@ -71,46 +71,51 @@ caught by an energy monitor that aborts loudly instead of writing
 non-finite output.
 
 Recording: ``RunRecorder.run`` is the one time loop, for this solver
-and the finite-difference one.  Its state is one row x = [z; y2; q], q
-the outflow sum of y1(1) over the steps taken.  A record is such a row
-of a preallocated block of RECORD_BLOCK rows, taken every record_every
-steps and at n_steps.  The loop goes over the blocks.  A records pass
-reaches each record from the one before it by ``advance``; the block is
-then measured in one shot by the solver's ``BlockMonitor`` (two
-matrix-vector products for the masses, the form's
+and the finite-difference one.  A solver hands the recorder its two
+subdomain mass matrices and its step, and nothing else: the recorder
+derives the monitors from the matrices (row sums weigh the masses,
+blockdiag(M_s, M_m, M_m) is the energy form) and writes the standard
+initial data itself, so both solvers share one definition of each.  Its
+state is one row x = [z; y2; q], q the outflow sum of y1(1) over the
+steps taken.  A record is such a row of a preallocated block of
+RECORD_BLOCK rows, taken every record_every steps and at n_steps.  The
+loop goes over the blocks.  A records pass reaches each record from the
+one before it by ``advance``; the block is then measured in one shot
+(two matrix-vector products for the masses, the form's
 ``TridiagonalMatrix.quadratic`` for the energy), guarded and stored;
 then a snapshots pass hands out the block's snapshots, each by one
 ``advance`` call into a row of its own, which copies the state through
 where there is nothing to walk.  One guard serves both solvers: a record
 fails if its mass or energy is non-finite or its energy exceeds
 ENERGY_GUARD_FACTOR times the envelope E(0)*exp(2*growth*t), growth the
-monitor's rate.  The guard names the first failing record at its own t,
-so a run stops with the message a per-record check would give and
-before any output.
+model's ``energy_growth_rate``.  The guard names the first failing
+record at its own t, so a run stops with the message a per-record check
+would give and before any output.
 
-The step, with q carried along, is one linear map G on x, so ``advance``
-takes as many products x <- A x as fit with the power G^order, then
-with each rung, then steps the rest.  A run whose plan builds makes the
-power by one left-to-right binary powering (``_power``), multiplying by
-G by stepping a block of its columns at a time; the rungs are prefixes
-of that build.  A leaping run builds P = G^record_every and leaps each
-full record interval; at record_every 1, P is G itself and each step one
-product.  A run that fills record blocks builds Q = P^RECORD_BLOCK, the
-same build carried 8 squarings further, and keeps P as the build passes
-it: the first block's records are products with P, and each later block
-is one product X_next = X_prev @ Q^T, written over X_prev.  Every record
-row is padded to a power's order, whatever the plan.  A state off the
-record grid, a snapshot or an off-grid last record, is walked from the
-record at or before it into its own row.  Walks take products with the
-rungs below P: R = G^(record_every // 2), left in the build's other
-buffer, and a short S = G^p, p = record_every >> s, copied as the build
-passes it.  No state is reached through a snapshot, so the records on
-the grid are the same bits with and without snapshot requests; a
-snapshot and an off-grid last record take the plan's rungs, which the
-snapshots help to choose.  One comparison of fixed prices over the
-solver, input size and the snapshots alone decides whether a run builds,
-to which order and with which rungs (``RunRecorder`` documents the
-prices); the results differ from stepping at roundoff only.
+The step, with q carried along, is one linear map G on x, written once
+(``_map_g``), so ``advance`` takes as many products x <- A x as fit with
+the power G^order, then with each rung, then applies G for the rest.  A
+run whose plan builds makes the power by one left-to-right binary
+powering (``_power``), multiplying by G by applying it to a block of its
+columns at a time; the rungs are prefixes of that build.  A leaping run
+builds P = G^record_every and leaps each full record interval; at
+record_every 1, P is G itself and each step one product.  A run that
+fills record blocks builds Q = P^RECORD_BLOCK, the same build carried 8
+squarings further, and keeps P as the build passes it: the first block's
+records are products with P, and each later block is one product X_next
+= X_prev @ Q^T, written over X_prev.  Every record row is padded to a
+power's order, whatever the plan.  A state off the record grid, a
+snapshot or an off-grid last record, is walked from the record at or
+before it into its own row.  Walks take products with the rungs below P:
+R = G^(record_every // 2), left in the build's other buffer, and a short
+S = G^p, p = record_every >> s, copied as the build passes it.  No state
+is reached through a snapshot, so the records on the grid are the same
+bits with and without snapshot requests; a snapshot and an off-grid last
+record take the plan's rungs, which the snapshots help to choose.  One
+comparison of fixed prices over the solver, input size and the snapshots
+alone decides whether a run builds, to which order and with which rungs
+(``RunRecorder`` documents the prices); the results differ from stepping
+at roundoff only.
 """
 
 from __future__ import annotations
@@ -240,16 +245,6 @@ class SolutionRecord:
     config: dict = field(default_factory=dict)
 
 
-def initial_state(ops: FemOperators) -> SimState:
-    """Unit concentration in the coating, nothing in the tissue."""
-    return SimState(
-        y0=np.ones(ops.mesh_s.n_elems + 1),
-        y1=np.zeros(ops.mesh_m.n_elems + 1),
-        y2=np.zeros(ops.mesh_m.n_elems + 1),
-        t=0.0,
-    )
-
-
 def step_count(t_end: float, dt: float) -> int:
     """Number of steps of size dt that end exactly at t_end; raises
     ValidationError (key dt_m) unless t_end/dt is a finite whole number to
@@ -357,7 +352,8 @@ def _stack(top: np.ndarray, bottom: np.ndarray, top_right: float,
 
 
 class _Kernel:
-    """Precomputed stacked operators and the monitors for one run.
+    """Precomputed stacked operators for one run: the step alone, since
+    ``RunRecorder`` measures the records from the mass matrices.
 
     The state is z = [y0; y1] (y0 is z[:n0]) plus y2.  A macro step is
     one stacked step: ``upd`` = blockdiag(Psi_s - dt_s*A, Psi_m -
@@ -400,8 +396,8 @@ class _Kernel:
         self.ode_decay = 1.0 - dt_media * p.da / ((1.0 - p.phi) * p.k_part)
         self.ode_gain = dt_media * p.da / (1.0 - p.phi)
 
-        self.psi = _stack(ops.psi_s.band, ops.psi_m.band, 0.0, 0.0)
-        self.fac = fac = _MassFactor.of(self.psi)
+        self.fac = fac = _MassFactor.of(
+            _stack(ops.psi_s.band, ops.psi_m.band, 0.0, 0.0))
         # the blocks alone, for the substeps after the stacked one; band
         # corners hold junction entries they do not read, and the factor's
         # e[n0 - 1] is exactly 0, so its slices factor Psi_s and Psi_m
@@ -411,20 +407,11 @@ class _Kernel:
         self.fac_m = _MassFactor(fac.d[n0:], fac.e[n0:])
 
         # correction columns: the response of each block to a unit trace
-        e = np.zeros(self.psi.dim)
+        e = np.zeros(len(fac.d))
         e[n0 - 1] = self.src_s
         e[n0] = self.src_m
-        g = self.fac.solve(e)
+        g = fac.solve(e)
         self.g_s, self.g_m = g[:n0], g[n0:]
-
-        # monitors of the stacked record s = [z; y2]: row sums of the mass
-        # matrices weigh mass and stent mass, blockdiag(Psi, Psi_m) the energy
-        w_s = ops.psi_s.matvec(np.ones(n0))
-        w_m = ops.psi_m.matvec(np.ones(ops.psi_m.dim))
-        self.monitor = BlockMonitor(
-            np.concatenate([w_s, p.phi * w_m, (1.0 - p.phi) * w_m]), w_s,
-            _stack(self.psi.band, ops.psi_m.band, 0.0, 0.0),
-            energy_growth_rate(p))
 
     def _stent_steps(self, y0, trace_w):
         """The r_s - 1 stent substeps after the stacked one, in place,
@@ -556,19 +543,31 @@ def _padded(size: int) -> int:
     return -(-(size + 1) // LEAP_PAD) * LEAP_PAD
 
 
-def _power(step, nz: int, size: int, order: int, rungs=()):
+def _map_g(step):
+    """G, the step with the outflow sum carried along: the map (z, y2, q)
+    -> (step(z, y2), q + z[-1]) on x = [z; y2; q], for one state or a
+    block of states as the columns of 2-D z and y2 and a row q.  It
+    returns the new parts and writes nothing, so a state is stepped
+    without being copied back into a row."""
+    def g(z, y2, q):
+        zn, y2n = step(z, y2)
+        return zn, y2n, q + z[-1]
+    return g
+
+
+def _power(g, nz: int, size: int, order: int, rungs=()):
     """G^order, then the rungs G^o, o in ``rungs``, as a list of (A, o),
-    where G is the map (z, y2, q) -> (step(z, y2), q + z[-1]) on
-    x = [z; y2; q] and z has nz entries, each as the leading (size+1)^2
-    block of a Fortran-ordered array padded with zeros to order
-    ``_padded(size)``.  Left-to-right binary powering: per digit of order
-    after its leading 1, square into the other buffer, then multiply by G
-    where the digit is 1 and flush to zero, both in place.  The rungs are
-    prefixes of the build: G^(order // 2) is left in the buffer the build
-    frees, and each other one is copied as the build passes it.  G is
-    never stored; since powers of G commute, G A is taken in place as step
-    on A's first size + 1 columns, STEP_BLOCK columns to a call, each
-    column alone, so the result does not depend on the block width."""
+    for the map g of ``_map_g`` on x = [z; y2; q], z its first nz entries
+    and q its entry ``size``, each as the leading (size+1)^2 block of a
+    Fortran-ordered array padded with zeros to order ``_padded(size)``.
+    Left-to-right binary powering: per digit of order after its leading
+    1, square into the other buffer, then multiply by G where the digit
+    is 1 and flush to zero, both in place.  The rungs are prefixes of the
+    build: G^(order // 2) is left in the buffer the build frees, and each
+    other one is copied as the build passes it.  G is never stored; since
+    powers of G commute, G A is taken in place as g on A's first size + 1
+    columns, STEP_BLOCK columns to a call, each column alone, so the
+    result does not depend on the block width."""
     m = _padded(size)
     a = np.zeros((m, m), order="F")
     np.fill_diagonal(a[:size + 1, :size + 1], 1.0)
@@ -576,8 +575,8 @@ def _power(step, nz: int, size: int, order: int, rungs=()):
     def times_g(a):
         for j in range(0, size + 1, STEP_BLOCK):
             cols = a[:, j:min(j + STEP_BLOCK, size + 1)]
-            cols[size] += cols[nz - 1]
-            cols[:nz], cols[nz:size] = step(cols[:nz], cols[nz:size])
+            cols[:nz], cols[nz:size], cols[size] = g(
+                cols[:nz], cols[nz:size], cols[size])
 
     times_g(a)
     _flush_to_zero(a)
@@ -594,37 +593,21 @@ def _power(step, nz: int, size: int, order: int, rungs=()):
     return [(a, order), *((kept.get(o, t), o) for o in rungs)]
 
 
-@dataclass(frozen=True, eq=False)
-class BlockMonitor:
-    """A solver's monitors of the record s = [z; y2], for a block of
-    records at once (one row each).
-
-    The mass is s @ mass_weights, the stent mass y0 @ stent_weights and
-    the energy the quadratic form s . (form s).  growth is the rate of
-    the energy envelope E(0)*exp(2*growth*t) that ``RunRecorder`` guards,
-    the same guard for both solvers.
-    """
-
-    mass_weights: np.ndarray
-    stent_weights: np.ndarray
-    form: TridiagonalMatrix
-    growth: float
-
-    def measure(self, block: np.ndarray):
-        """Mass, stent mass and energy of each row of block."""
-        return (block @ self.mass_weights,
-                block[:, :len(self.stent_weights)] @ self.stent_weights,
-                self.form.quadratic(block))
-
-
 class RunRecorder:
     """The time loop of a run and the record it produces, for the
     finite-element and the finite-difference solver alike.
 
-    One guard, the same for both solvers, raises InstabilityError for the
-    first record of a block whose mass or energy is non-finite or whose
-    energy leaves ENERGY_GUARD_FACTOR times the growth envelope
-    E(0)*exp(2*growth*t), growth the ``BlockMonitor``'s rate.  Snapshot
+    A solver hands over its two subdomain mass matrices, M_s and M_m, and
+    at ``run`` its step; everything else about a record is defined here
+    once for both.  The run starts from the standard initial data, unit
+    concentration in the coating and nothing in the tissue.  ``measure``
+    gives a record's monitors: the mass weighs [y0; y1; y2] by the row
+    sums of M_s, phi M_m and (1 - phi) M_m, the stent mass y0 by those of
+    M_s, and the energy is the form of blockdiag(M_s, M_m, M_m).  One
+    guard raises InstabilityError for the first record of a block whose
+    mass or energy is non-finite or whose energy leaves
+    ENERGY_GUARD_FACTOR times the growth envelope E(0)*exp(2*growth*t),
+    growth the model's ``energy_growth_rate``.  Snapshot
     requests are snapped to the nearest step; two requests landing on the
     same step raise ValidationError.  Each snapshot is handed out by one
     ``advance`` call from the record at or before it, into a row of its
@@ -675,8 +658,8 @@ class RunRecorder:
     """
 
     def __init__(self, solver: str, p: ModelParams, cfg: SchemeConfig,
-                 mesh_s, mesh_m, snapshot_times, record_every,
-                 monitor: BlockMonitor):
+                 mesh_s, mesh_m, mass_s: TridiagonalMatrix,
+                 mass_m: TridiagonalMatrix, snapshot_times, record_every):
         every = whole_number(record_every, "record_every")
         self.dt = dt = cfg.dt_m
         self.solver = solver
@@ -686,7 +669,6 @@ class RunRecorder:
         self.mesh_s = mesh_s
         self.mesh_m = mesh_m
         self.record_every = every
-        self.monitor = monitor
         self.config = {
             "solver": solver,
             **asdict(cfg),
@@ -727,6 +709,21 @@ class RunRecorder:
                 key="record_every") from None
         records = np.append(np.arange(0, n_steps, every), n_steps)
         np.multiply(records, dt, out=self._out[0])
+        # the monitors' weights and form (see the class docstring)
+        w_s = mass_s.matvec(np.ones(self.n0))
+        w_m = mass_m.matvec(np.ones(mass_m.dim))
+        self._weights = np.concatenate([w_s, p.phi * w_m,
+                                        (1.0 - p.phi) * w_m])
+        self._form = _stack(_stack(mass_s.band, mass_m.band, 0.0, 0.0).band,
+                            mass_m.band, 0.0, 0.0)
+        self.growth = energy_growth_rate(p)
+
+    def measure(self, block: np.ndarray):
+        """Mass, stent mass and energy of each record [z; y2], a row of
+        block (see the class docstring)."""
+        return (block @ self._weights,
+                block[:, :self.n0] @ self._weights[:self.n0],
+                self._form.quadratic(block))
 
     def _plan(self):
         """(order, rungs): the order of the power the run builds, or None
@@ -777,39 +774,39 @@ class RunRecorder:
 
     # a non-finite step, leap or record is the guard's to report, not numpy's
     @np.errstate(over="ignore", invalid="ignore")
-    def run(self, step, z, y2) -> SolutionRecord:
-        """Advance (z, y2) by ``step(z, y2) -> (z, y2)`` over n_steps
-        steps and return the record, one block of records at a time (see
-        the module docstring)."""
+    def run(self, step) -> SolutionRecord:
+        """Advance the standard initial data by ``step(z, y2) -> (z, y2)``
+        over n_steps steps and return the record, one block of records at
+        a time (see the module docstring)."""
         n, every, nz, n0 = self.n_steps, self.record_every, self.nz, self.n0
         size, n_records, regular = self.size, self._out.shape[1], self.regular
         rows = self._rows
         order, rungs = self.plan
         fills = (order or 0) > every
+        g = _map_g(step)
         # the power, then its rungs: advance's products, highest order first
-        ladder = _power(step, nz, size, order, rungs) if order else []
+        ladder = _power(g, nz, size, order, rungs) if order else []
 
         def advance(x, k, stop, out):
             """The state x at step k advanced to step stop, into out: as
             many products with the power, then with each rung, as fit,
-            then steps; x is copied through where there is nothing to
+            then G; x is copied through where there is nothing to
             walk."""
             for a, o in ladder:
                 while stop - k >= o:
                     k += o
                     x = np.matmul(a, x, out=out if k == stop else None)
             if x is not out:
-                z, y2, q = x[:nz], x[nz:size], float(x[size])
+                z, y2, q = x[:nz], x[nz:size], x[size]
                 for _ in range(k, stop):
-                    q += float(z[-1])
-                    z, y2 = step(z, y2)
+                    z, y2, q = g(z, y2, q)
                 out[:nz], out[nz:size], out[size] = z, y2, q
             return out
 
         snapshots = []
         pending = iter([*sorted(self._snap_steps), n + 1])
         snap = next(pending)
-        rows[0, :nz], rows[0, nz:size] = z, y2
+        rows[0, :n0] = 1.0
         # the records below this are in their rows: the initial state,
         # then those that a block product filled
         filled = 1
@@ -836,15 +833,9 @@ class RunRecorder:
                 filled = min(hi + len(rows), regular)
         t, mass, stent_mass, energy, resid, c0, c1_0, c1_1 = self._out
         return SolutionRecord(
-            mesh_s=self.mesh_s,
-            mesh_m=self.mesh_m,
-            snapshots=snapshots,
-            interface=InterfaceSeries(t=t, c_at_0=c0, c1_at_0=c1_0,
-                                      c1_at_1=c1_1),
-            monitors=MonitorSeries(t=t, mass=mass, stent_mass=stent_mass,
-                                   energy=energy, balance_residual=resid),
-            config=self.config,
-        )
+            self.mesh_s, self.mesh_m, snapshots,
+            InterfaceSeries(t, c0, c1_0, c1_1),
+            MonitorSeries(t, mass, stent_mass, energy, resid), self.config)
 
     def _flush(self, rows, lo):
         """Measure, guard and store records lo, lo+1, ..., the rows."""
@@ -852,12 +843,12 @@ class RunRecorder:
         block = rows[:, :size]
         out = self._out[:, lo:lo + len(rows)]
         t = out[0]
-        mass, stent_mass, energy = self.monitor.measure(block)
+        mass, stent_mass, energy = self.measure(block)
         if lo == 0:
             self._mass0, self._energy0 = mass[0], energy[0]
         finite = np.isfinite(mass) & np.isfinite(energy)
         envelope = self._energy0 * np.exp(
-            np.minimum(2.0 * self.monitor.growth * t, 700.0))
+            np.minimum(2.0 * self.growth * t, 700.0))
         bad = ~finite | (energy > ENERGY_GUARD_FACTOR * envelope)
         if bad.any():
             i = int(np.argmax(bad))
@@ -873,9 +864,7 @@ class RunRecorder:
         out[1], out[2], out[3] = mass, stent_mass, energy
         np.subtract(mass, self._mass0, out=out[4])
         out[4] += (self.pe * self.dt) * rows[:, size]
-        out[5] = block[:, self.n0 - 1]
-        out[6] = block[:, self.n0]
-        out[7] = block[:, self.nz - 1]
+        out[5:] = block[:, [self.n0 - 1, self.n0, self.nz - 1]].T
 
 
 def run_simulation(
@@ -894,12 +883,7 @@ def run_simulation(
     """
     cfg.check_cfl(p, ops.mesh_s.h, ops.mesh_m.h)
     kern = _Kernel(p, ops, cfg.dt_m, cfg.substep_ratio, cfg.substep_domain)
-    rec = RunRecorder("fem", p, cfg, ops.mesh_s, ops.mesh_m, snapshot_times,
-                      record_every, kern.monitor)
+    rec = RunRecorder("fem", p, cfg, ops.mesh_s, ops.mesh_m, ops.psi_s,
+                      ops.psi_m, snapshot_times, record_every)
     macro_step, variant = kern.macro_step, cfg.variant
-
-    def step(z, y2):
-        return macro_step(z, y2, variant)
-
-    state = initial_state(ops)
-    return rec.run(step, np.concatenate([state.y0, state.y1]), state.y2)
+    return rec.run(lambda z, y2: macro_step(z, y2, variant))

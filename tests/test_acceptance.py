@@ -102,8 +102,10 @@ REF_SNAPSHOT_TIMES = [k * 461 / 6454 for k in range(15)]
 
 @pytest.fixture(scope="session")
 def fine_reference():
-    # 20x finer in space, 400x more steps, exactly aligned in time
-    return make_reference(P, 1000, 500, 400 * BASE_STEPS, 1.0,
+    # 20x finer in space, 400x more steps, exactly aligned in time,
+    # recorded every 5000 steps
+    cfg = SchemeConfig("monolithic", 1.0 / (400 * BASE_STEPS), t_end=1.0)
+    return run_simulation(P, build_operators(P, 1000, 500), cfg,
                           REF_SNAPSHOT_TIMES, record_every=5000)
 
 

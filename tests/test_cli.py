@@ -908,6 +908,70 @@ def test_plot_reads_utf8_input_whatever_the_locale(tmp_path):
     assert svg.read_text().count("<polyline") == 1
 
 
+# the C locale without coercion or UTF-8 mode: the file system encoding
+# and the locale's are ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_in_c_locale(argv):
+    """run(argv) in a fresh interpreter under C_LOCALE, each argument
+    reaching it as the str it is here (the console script would hand a
+    non-ASCII argument on surrogate-escaped); the finished process."""
+    code = f"import sys; from stentsim.cli import run; sys.exit(run({ascii(argv)}))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**src_env(), **C_LOCALE},
+                          timeout=60)
+
+
+def test_plot_writes_utf8_svg_whatever_the_locale(tmp_path):
+    # a non-ASCII field name labels the chart, which is written as UTF-8
+    # under the C locale too, where the write raised UnicodeEncodeError
+    # and left an empty file
+    data, svg = tmp_path / "g.csv", tmp_path / "g.svg"
+    data.write_bytes("t,café\n0,1\n1,2\n".encode())
+    proc = run_in_c_locale(["plot", "--input", str(data), "--field",
+                            "café", "--out", str(svg)])
+    assert proc.returncode == 0, proc.stderr
+    ET.parse(svg)
+    assert svg.read_text(encoding="utf-8").count(">café</text>") == 3
+
+
+def test_simulate_refuses_out_dir_the_locale_cannot_encode(tmp_path):
+    # under the C locale an out_dir of non-ASCII characters has no name on
+    # disk: it is refused keyed output.out_dir, with exit 1 and no
+    # directory made, where os.fsencode raised UnicodeEncodeError
+    cfg_path, out = make_config(tmp_path, n_s=8, n_m=4, steps=10)
+    out_dir = tmp_path / "résultats"
+    cfg_path.write_bytes(cfg_path.read_text().replace(
+        f"out_dir: {out}", f"out_dir: {out_dir}").encode())
+    before = sorted(tmp_path.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stentsim.cli", "simulate", "--config",
+         str(cfg_path)], capture_output=True, text=True,
+        env={**src_env(), **C_LOCALE}, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: output.out_dir: {tmp_path}/r\\xe9sultats cannot be named "
+        f"in the file system's encoding (ascii)\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_plot_refuses_out_the_locale_cannot_encode(tmp_path):
+    # so is a plot --out, whether the non-ASCII name is its file's or a
+    # directory's above it
+    data = tmp_path / "one.csv"
+    data.write_text("t,x\n0,1\n1,2\n")
+    before = sorted(tmp_path.rglob("*"))
+    for svg in ("résultats.svg", "résultats/x.svg"):
+        proc = run_in_c_locale(["plot", "--input", str(data), "--field", "x",
+                                "--out", f"{tmp_path}/{svg}"])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: --out: {tmp_path}/{ascii(svg)[1:-1]} cannot be named "
+            f"in the file system's encoding (ascii)\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_plot_reads_rows_after_a_blank_line(tmp_path, capsys):
     # a blank line before the data rows is skipped, as one between them
     # is; the input was refused for "no data rows" when its second line

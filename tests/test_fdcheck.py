@@ -7,8 +7,8 @@ from stentsim import (CflError, ValidationError, compare_records,
                       energy_growth_rate, fdcheck, paper_params)
 from stentsim.fdcheck import _FdStep, run_fd
 from stentsim.fem import MEDIA, STENT, build_mesh, build_operators
-from stentsim.stepping import (SchemeConfig, run_simulation, sharp_dt_limit,
-                               stable_step_count)
+from stentsim.stepping import (RunRecorder, SchemeConfig, run_simulation,
+                               sharp_dt_limit, stable_step_count)
 
 import oracles
 
@@ -30,8 +30,10 @@ def test_zero_initial_data_stays_zero():
         records.append(np.concatenate([z, c2]))
     records = np.array(records)
     assert np.all(records == 0.0)
-    monitor = fdcheck._trapezoid_monitor(P, mesh_s, mesh_m)
-    mass, _, energy = monitor.measure(records)
+    rec = RunRecorder("fd", P, SchemeConfig("monolithic", dt, 50 * dt),
+                      mesh_s, mesh_m, fdcheck._trapezoid(mesh_s),
+                      fdcheck._trapezoid(mesh_m), [], 1)
+    mass, _, energy = rec.measure(records)
     assert np.all(mass == 0.0)
     assert np.all(energy == 0.0)
 

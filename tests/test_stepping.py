@@ -14,8 +14,9 @@ from stentsim import (AllocationError, CflError, InstabilityError,
                       ValidationError, paper_params)
 from stentsim import stepping
 from stentsim.analysis import make_reference
-from stentsim.fdcheck import _FdStep, _trapezoid_monitor, run_fd
-from stentsim.fem import MEDIA, STENT, build_mesh, build_operators
+from stentsim.fdcheck import _FdStep, _trapezoid, run_fd
+from stentsim.fem import (MEDIA, STENT, assemble_mass, build_mesh,
+                          build_operators)
 from stentsim.params import energy_growth_rate
 from stentsim.stepping import (
     LEAP_MAX_ENTRIES,
@@ -24,7 +25,6 @@ from stentsim.stepping import (
     SchemeConfig,
     SimState,
     _Kernel,
-    initial_state,
     run_simulation,
     sharp_dt_limit,
     stable_step_count,
@@ -55,12 +55,28 @@ def state_norm(a: SimState, b: SimState) -> float:
 # ----------------------------------------------------------- initial state
 
 
+def standard_state(ops):
+    """The standard initial data on ops' meshes: unit concentration in
+    the coating, nothing in the tissue."""
+    n0, n1 = ops.mesh_s.n_elems + 1, ops.mesh_m.n_elems + 1
+    return SimState(np.ones(n0), np.zeros(n1), np.zeros(n1), 0.0)
+
+
+def monitors(solver, ops):
+    """The recorder's ``measure`` of a run of the solver ("fem" or "fd")
+    on ops' meshes: it measures each row [z; y2] of a block by the
+    solver's mass matrices."""
+    masses = ((_trapezoid(ops.mesh_s), _trapezoid(ops.mesh_m))
+              if solver == "fd" else (ops.psi_s, ops.psi_m))
+    return RunRecorder(solver, P, SchemeConfig("monolithic", 1.0, 1.0),
+                       ops.mesh_s, ops.mesh_m, *masses, [], 1).measure
+
+
 def measure(ops, y0, y1, y2):
-    """Mass, stent mass and energy of one state: the kernel's block
-    monitor on a one-record block."""
+    """Mass, stent mass and energy of one finite-element state: the
+    recorder's monitors on a one-record block."""
     block = np.concatenate([y0, y1, y2])[None, :]
-    kern = _Kernel(P, ops, safe_dt(ops))
-    return tuple(float(v[0]) for v in kern.monitor.measure(block))
+    return tuple(float(v[0]) for v in monitors("fem", ops)(block))
 
 
 def stacked(s):
@@ -78,9 +94,7 @@ def advance(s, ops, dt, variant="monolithic", n=1):
 
 def test_initial_state_values():
     ops = small_ops()
-    s = initial_state(ops)
-    assert np.all(s.y0 == 1.0) and np.all(s.y1 == 0.0) and np.all(s.y2 == 0.0)
-    assert s.t == 0.0
+    s = standard_state(ops)
     mass, _, energy = measure(ops, s.y0, s.y1, s.y2)
     assert mass == pytest.approx(P.l, rel=1e-14)
     assert energy == pytest.approx(P.l, rel=1e-14)
@@ -88,7 +102,7 @@ def test_initial_state_values():
 
 def test_mass_of_unit_wall_state():
     ops = small_ops()
-    s = initial_state(ops)
+    s = standard_state(ops)
     s.y0[:] = 0.0
     s.y1[:] = 1.0
     assert measure(ops, s.y0, s.y1, s.y2)[0] == pytest.approx(P.phi, rel=1e-14)
@@ -100,7 +114,7 @@ def test_energy_quadratic_scaling():
     def energy(scale):
         return measure(ops, scale * s.y0, scale * s.y1, scale * s.y2)[2]
 
-    s = initial_state(ops)
+    s = standard_state(ops)
     s.y1[:] = 0.3
     s.y2[:] = -0.1
     e1 = energy(1.0)
@@ -114,7 +128,7 @@ def test_energy_quadratic_scaling():
 def test_monolithic_first_step_against_dense_oracle():
     ops = small_ops()
     dt = safe_dt(ops)
-    s1 = advance(initial_state(ops), ops, dt)
+    s1 = advance(standard_state(ops), ops, dt)
     assert s1.t == dt
 
     # y2 stays zero: its only source is y1, which starts at zero
@@ -152,7 +166,7 @@ def test_zero_state_is_fixed_point():
 def test_alg1_shares_stage_one_with_monolithic():
     ops = small_ops()
     dt = safe_dt(ops)
-    s0 = initial_state(ops)
+    s0 = standard_state(ops)
     mono = advance(s0, ops, dt)
     a1 = advance(s0, ops, dt, "alg1")
     np.testing.assert_array_equal(a1.y0, mono.y0)
@@ -162,7 +176,7 @@ def test_alg1_shares_stage_one_with_monolithic():
 def test_alg2_shares_first_stage_and_fresh_wall_trace():
     ops = small_ops()
     dt = safe_dt(ops)
-    s0 = initial_state(ops)
+    s0 = standard_state(ops)
     mono = advance(s0, ops, dt)
     a2 = advance(s0, ops, dt, "alg2")
     np.testing.assert_array_equal(a2.y2, mono.y2)
@@ -174,7 +188,7 @@ def test_alg2_shares_first_stage_and_fresh_wall_trace():
 
 def warmed_state(ops, n_warm=20):
     """March a few steps so every field and trace is nonzero."""
-    return advance(initial_state(ops), ops, safe_dt(ops), n=n_warm)
+    return advance(standard_state(ops), ops, safe_dt(ops), n=n_warm)
 
 
 @pytest.mark.parametrize("variant", ["alg1", "alg2"],
@@ -198,7 +212,7 @@ def test_uptake_update_fixed_point_is_k_times_wall_value():
     ops = small_ops()
     dt = safe_dt(ops)
     a = 0.37
-    hold = initial_state(ops)
+    hold = standard_state(ops)
     hold.y1[:] = a
     factor = 1.0 - dt * P.da / ((1.0 - P.phi) * P.k_part)
     y2 = np.zeros(ops.mesh_m.n_elems + 1)
@@ -439,6 +453,40 @@ def test_t_end_zero_records_only_initial_snapshot():
     assert rec.monitors.energy[0] == pytest.approx(P.l, rel=1e-14)
 
 
+def test_both_solvers_start_from_the_standard_data():
+    # the recorder writes the t = 0 record of either solver: unit
+    # concentration in the coating and nothing in the tissue, whose mass
+    # and energy are both the coating's thickness l.  The finite-difference
+    # masses are trapezoid sums of the nodal values, here at four records
+    ops = small_ops()
+    dt = safe_dt(ops)
+    times = [k * 50 * dt for k in range(4)]
+    fem = run_simulation(P, ops, SchemeConfig("monolithic", dt, 150 * dt),
+                         times, record_every=50)
+    fd = run_fd(P, 8, 6, dt, 150 * dt, times, record_every=50)
+    for rec in (fem, fd):
+        start = rec.snapshots[0]
+        assert start.t == 0.0
+        assert np.all(start.state.y0 == 1.0)
+        assert np.all(start.state.y1 == 0.0)
+        assert np.all(start.state.y2 == 0.0)
+        assert rec.monitors.mass[0] == pytest.approx(P.l, rel=1e-14)
+        assert rec.monitors.energy[0] == pytest.approx(P.l, rel=1e-14)
+
+    def trapezoid(y, h):
+        return h * (np.sum(y) - 0.5 * (y[0] + y[-1]))
+
+    h_s, h_m = ops.mesh_s.h, ops.mesh_m.h
+    for snap, mass, stent_mass in zip(fd.snapshots, fd.monitors.mass,
+                                      fd.monitors.stent_mass):
+        y0, y1, y2 = snap.state.y0, snap.state.y1, snap.state.y2
+        want = (trapezoid(y0, h_s) + P.phi * trapezoid(y1, h_m)
+                + (1.0 - P.phi) * trapezoid(y2, h_m))
+        assert mass == pytest.approx(want, rel=1e-13)
+        assert stent_mass == pytest.approx(trapezoid(y0, h_s), rel=1e-13)
+    assert fd.monitors.mass[-1] < fd.monitors.mass[0]  # outflow at x = 1
+
+
 def test_snapshots_snap_to_step_grid():
     ops = small_ops()
     dt = safe_dt(ops)
@@ -489,7 +537,7 @@ def test_ratio_one_matches_manual_stepping_bitwise(variant, domain):
     cfg = SchemeConfig(variant, dt, t_end=n * dt, substep_ratio=1,
                        substep_domain=domain)
     rec = run_simulation(P, ops, cfg, [n * dt])
-    s = advance(initial_state(ops), ops, dt, variant, n=n)
+    s = advance(standard_state(ops), ops, dt, variant, n=n)
     final = rec.snapshots[-1].state
     np.testing.assert_array_equal(final.y0, s.y0)
     np.testing.assert_array_equal(final.y1, s.y1)
@@ -849,25 +897,25 @@ def leap_case(variant, setting, snapshots, n=2010, every=50):
 
 
 def solver_step(variant, setting, ops, dt):
-    """The step of the variant's solver on ops at dt, and its monitor;
-    variant "fd" is the FD solver."""
+    """The step of the variant's solver on ops at dt, and its run's
+    monitors (``monitors``); variant "fd" is the FD solver."""
     if variant == "fd":
         return (_FdStep(P, ops.mesh_s, ops.mesh_m, dt).step,
-                _trapezoid_monitor(P, ops.mesh_s, ops.mesh_m))
+                monitors("fd", ops))
     kern = _Kernel(P, ops, dt, *SETTINGS[setting])
 
     def step(z, y2):
         return kern.macro_step(z, y2, variant)
-    return step, kern.monitor
+    return step, monitors("fem", ops)
 
 
 def stepped_case(variant, setting, n=2010):
     """leap_case's run by looping the solver's step directly, as
     ``advance`` does: the n + 1 records [z; y2], each step's outflow sum
-    sum_{j<k} y1^j(1) and the solver's monitor."""
+    sum_{j<k} y1^j(1) and the solver's monitors."""
     ops = small_ops()
     step, monitor = solver_step(variant, setting, ops, leap_dt(setting))
-    s = initial_state(ops)
+    s = standard_state(ops)
     z, y2 = stacked(s), s.y2
     records, outflow = [], [0.0]
     for _ in range(n):
@@ -880,11 +928,11 @@ def stepped_case(variant, setting, n=2010):
 
 def assert_matches_stepping(rec, stepped, dt, steps, snaps):
     """rec's records at steps and its snapshots at snaps against the
-    stepped run (records, outflow sums, monitor); bound, set before the
+    stepped run (records, outflow sums, monitors); bound, set before the
     first run: 1e-12 of each series' largest |value|, and of the largest
     |mass| for the balance residual, which is a difference of masses."""
     states, outflow, monitor = stepped
-    mass, stent_mass, energy = monitor.measure(states[steps])
+    mass, stent_mass, energy = monitor(states[steps])
     n0, nz = 9, 16  # on 8/6, y0 has 9 nodes and y1 and y2 have 7 each
     want = {"mass": mass, "stent_mass": stent_mass, "energy": energy,
             "balance_residual": mass - mass[0] + P.pe * dt * outflow[steps],
@@ -966,18 +1014,18 @@ def test_power_does_not_depend_on_step_block(monkeypatch, variant, setting):
     r, domain = SETTINGS[setting]
     dt = 0.5 * sharp_dt_limit(P, ops.mesh_s.h, ops.mesh_m.h, r, domain)
     step, _ = solver_step(variant, setting, ops, dt)
+    g = stepping._map_g(step)
     assert stepping.STEP_BLOCK == 128
     builds = []
     for width in (1, 7, 128, 304):
         monkeypatch.setattr(stepping, "STEP_BLOCK", width)
-        builds.append([a for a, _ in stepping._power(step, 202, 303, 50,
-                                                     (25, 12))])
+        builds.append([a for a, _ in stepping._power(g, 202, 303, 50, (25, 12))])
     for build in builds[1:]:
         for got, want in zip(build, builds[0]):
             assert np.array_equal(got, want)
     # a block-filling build passes P = G^50 and G^12 on its way to Q =
     # P^RECORD_BLOCK, and keeps them as the same bits as P's own build
-    ladder = stepping._power(step, 202, 303, 50 * RECORD_BLOCK, (50, 12))
+    ladder = stepping._power(g, 202, 303, 50 * RECORD_BLOCK, (50, 12))
     assert [o for _, o in ladder] == [50 * RECORD_BLOCK, 50, 12]
     assert np.array_equal(ladder[1][0], builds[0][0])
     assert np.array_equal(ladder[2][0], builds[0][2])
@@ -1301,13 +1349,14 @@ def test_leap_rule_on_benchmark_shapes(step_calls, block_fills):
 def test_record_rows_are_allocated_with_the_record():
     # a run of one step on a mesh of 10**15 elements a side: its record of
     # 2 records fits, but its rows of 3e15 values do not, and are refused
-    # with it, before the run builds or steps anything
+    # with it, before the recorder reads the mass matrices (none are
+    # given) and before the run builds or steps anything
     mesh_s, mesh_m = (dataclasses.replace(build_mesh(d, 2, l=P.l),
                                           n_elems=10 ** 15)
                       for d in (STENT, MEDIA))
     with pytest.raises(AllocationError) as err:
         RunRecorder("fem", P, SchemeConfig("monolithic", 1.0, 1.0), mesh_s,
-                    mesh_m, [], 1, None)
+                    mesh_m, None, None, [], 1)
     assert str(err.value).startswith(
         "the record of 2 records (1 steps, record_every 1) cannot be "
         "allocated (Unable to allocate ")
@@ -1321,9 +1370,9 @@ def planned(n_s, n_m, n, every, snaps, variant="monolithic", ratio=1):
     solver, variant = ("fd", "monolithic") if variant == "fd" else ("fem",
                                                                    variant)
     cfg = SchemeConfig(variant, 1.0 / n, 1.0, substep_ratio=ratio)
-    rec = RunRecorder(solver, P, cfg, build_mesh(STENT, n_s, l=P.l),
-                      build_mesh(MEDIA, n_m), [k / n for k in snaps], every,
-                      None)
+    mesh_s, mesh_m = build_mesh(STENT, n_s, l=P.l), build_mesh(MEDIA, n_m)
+    rec = RunRecorder(solver, P, cfg, mesh_s, mesh_m, assemble_mass(mesh_s),
+                      assemble_mass(mesh_m), [k / n for k in snaps], every)
     return rec._plan()
 
 
@@ -1438,7 +1487,7 @@ def test_only_walking_leaps_build_the_short_rung(monkeypatch):
     copied = []
     power, copyto = stepping._power, np.copyto
 
-    def spy(step, nz, size, order, rungs=()):
+    def spy(g, nz, size, order, rungs=()):
         filled = []
 
         def watched(dst, src, *args, **kwargs):
@@ -1447,7 +1496,7 @@ def test_only_walking_leaps_build_the_short_rung(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(np, "copyto", watched)
-            ladder = power(step, nz, size, order, rungs)
+            ladder = power(g, nz, size, order, rungs)
         copied.append([o for a, o in ladder[1:]
                        if any(a is dst for dst in filled)])
         assert len(filled) == len(copied[-1])  # no other buffer copied
