@@ -312,6 +312,10 @@ def cmd_plot(args) -> int:
     except OSError as exc:
         raise ConfigError(f"--input: {path} cannot be read ({exc.strerror})",
                           key="--input") from None
+    except UnicodeEncodeError:
+        raise ConfigError(f"--input: {path} cannot be named in the file "
+                          f"system's encoding ({sys.getfilesystemencoding()})",
+                          key="--input") from None
     with fh:
         _directory(out.parent, "--out", out.name)
         if out.is_dir():

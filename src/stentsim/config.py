@@ -27,6 +27,7 @@ Schema (keys and nesting are normative):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -147,6 +148,10 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(
             f"config {path} cannot be read ({exc.strerror})") from None
+    except UnicodeEncodeError:
+        raise ConfigError(
+            f"config {path} cannot be named in the file system's encoding "
+            f"({sys.getfilesystemencoding()})") from None
     try:
         tree = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -12,14 +12,21 @@ values round-trip exactly.  Rows are sorted by (t, domain, x, field).  A
 record's files are assembled in numpy, a few thousand rows at a time:
 ``_fields`` computes each value's '%.16e' bytes from its float64 bits, the
 fields, commas and \r\n line ends fill one zero-padded byte array, and
-its nonzero bytes go out through a binary handle.  The bytes are those a
+its nonzero bytes go out through a binary handle.  The snapshots form one
+table: the bytes of each row's domain, x and field are the same at every
+time and are formatted once, each time's once for all its rows, and the
+values of as many snapshots as fit in a block are formatted together.  The
+interface and monitor files are written block by block side by side,
+so their shared t column is formatted once.  The bytes are those a
 ``csv.writer`` would give (unquoted fields, \r\n line ends).  Study
 tables are formatted row by row, floats as '%.16e' and other values as
-``str``; no table value holds a comma or a quote.  Charts
-are written as self-contained SVG with fixed formatting: identical input
-produces byte-identical files.  Their title, axis and legend labels are
-XML-escaped.  Non-finite data are refused, and so are finite data whose
-range overflows float64.
+``str``; no table value holds a comma or a quote.  Charts are written as
+self-contained SVG with fixed formatting: identical input produces
+byte-identical files.  Their polyline coordinates are printed as '%.2f'
+prints them, their digits computed in numpy as the records' are, with
+'%' itself for each coordinate numpy cannot decide.  Their title, axis
+and legend labels are XML-escaped.  Non-finite data are refused, and so
+are finite data whose range overflows float64.
 """
 
 from __future__ import annotations
@@ -135,19 +142,50 @@ def _fields(x: np.ndarray) -> np.ndarray:
 
 
 def _lines(pieces):
-    """The lines of a table, _BLOCK rows at a time: each row is the pieces
-    in order, a bytes piece as it is and a float64 column's value as
-    '%.16e' prints it.  Zero bytes are dropped, so a bytes piece may hold
-    _fields' padding."""
+    """The lines of a table, _BLOCK rows at a time.  Each row is the
+    pieces in order, of three kinds: a bytes piece is the same in every
+    row; a float64 column gives each row its value as '%.16e' prints it;
+    a 2-D uint8 array gives each row its own bytes, one array row per
+    table row.  Zero bytes are dropped, so a piece may be padded with
+    them, as _fields' columns are."""
     n = next(len(p) for p in pieces if not isinstance(p, bytes))
     for start in range(0, n, _BLOCK):
         rows = slice(start, min(start + _BLOCK, n))
         m = rows.stop - start
         buf = np.concatenate(
-            [np.broadcast_to(np.frombuffer(p, np.uint8)[:, None], (len(p), m))
-             if isinstance(p, bytes) else _fields(p[rows]) for p in pieces])
-        buf = np.ascontiguousarray(buf.T)
+            [np.broadcast_to(np.frombuffer(p, np.uint8), (m, len(p)))
+             if isinstance(p, bytes) else p[rows] if p.ndim == 2
+             else _fields(p[rows]).T for p in pieces], axis=1)
         yield buf[buf != 0]
+
+
+# the (domain, field) labels of a snapshot row, one row each for c1 and c2
+# of the media and c of the stent, padded with zero bytes
+_DOMAIN_LABELS = np.frombuffer(b",m,,m,,s,", np.uint8).reshape(3, 3)
+_FIELD_LABELS = np.frombuffer(b",c1,,c2,,c,\0", np.uint8).reshape(3, 4)
+
+
+def _snapshot_lines(rec: SolutionRecord):
+    """The lines of snapshots.csv after its header, ordered by (t, domain,
+    x, field): per time the media nodes, c1 then c2 at each x, then the
+    stent nodes.  The bytes of domain, x and field are the same at every
+    time and are formatted once; the snapshots are formatted together, as
+    many at a time as fit in a block."""
+    xm, xs = rec.mesh_m.nodes, rec.mesh_s.nodes
+    kind = np.concatenate([np.tile([0, 1], len(xm)), np.full(len(xs), 2)])
+    x = np.concatenate([np.repeat(xm, 2), xs])
+    label = np.concatenate(
+        [_DOMAIN_LABELS[kind], _fields(x).T, _FIELD_LABELS[kind]], axis=1)
+    snaps = sorted(rec.snapshots, key=lambda s: s.t)
+    group = max(1, _BLOCK // len(x))
+    for i in range(0, len(snaps), group):
+        part = snaps[i:i + group]
+        t = _fields(np.array([s.t for s in part])).T
+        value = np.concatenate([np.concatenate(
+            [np.ravel([s.state.y1, s.state.y2], order="F"), s.state.y0])
+            for s in part])
+        yield from _lines([np.repeat(t, len(x), axis=0),
+                           np.tile(label, (len(part), 1)), value, b"\r\n"])
 
 
 def write_record_csv(rec: SolutionRecord, out_dir) -> list[Path]:
@@ -160,30 +198,27 @@ def write_record_csv(rec: SolutionRecord, out_dir) -> list[Path]:
     snap_path = out / "snapshots.csv"
     with snap_path.open("wb") as fh:
         fh.write(b"t,domain,x,field,value\r\n")
-        # (t, domain, x, field) order: per time the media nodes (c1 then
-        # c2 at each x), then the stent nodes
-        for snap in sorted(rec.snapshots, key=lambda s: s.t):
-            t, st = _fields(np.array([snap.t])).tobytes(), snap.state
-            fh.writelines(_lines([
-                t + b",m,", rec.mesh_m.nodes, b",c1,", st.y1,
-                b"\r\n" + t + b",m,", rec.mesh_m.nodes, b",c2,", st.y2,
-                b"\r\n"]))
-            fh.writelines(_lines([t + b",s,", rec.mesh_s.nodes, b",c,",
-                                  st.y0, b"\r\n"]))
+        fh.writelines(_snapshot_lines(rec))
 
-    ifc_path = out / "interface.csv"
-    ifc = rec.interface
-    with ifc_path.open("wb") as fh:
-        fh.write(b"t,c_at_0,c1_at_0,c1_at_1\r\n")
-        fh.writelines(_lines([ifc.t, b",", ifc.c_at_0, b",", ifc.c1_at_0,
-                              b",", ifc.c1_at_1, b"\r\n"]))
-
-    mon_path = out / "monitors.csv"
-    mon = rec.monitors
-    with mon_path.open("wb") as fh:
-        fh.write(b"t,mass,energy,mass_balance_residual\r\n")
-        fh.writelines(_lines([mon.t, b",", mon.mass, b",", mon.energy, b",",
-                              mon.balance_residual, b"\r\n"]))
+    # a record's interface and monitor series share their t array: both
+    # files are written a block at a time, and each block's t bytes are
+    # formatted once for both
+    ifc, mon = rec.interface, rec.monitors
+    ifc_path, mon_path = out / "interface.csv", out / "monitors.csv"
+    with ifc_path.open("wb") as fi, mon_path.open("wb") as fm:
+        fi.write(b"t,c_at_0,c1_at_0,c1_at_1\r\n")
+        fm.write(b"t,mass,energy,mass_balance_residual\r\n")
+        for start in range(0, len(ifc.t), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            t = _fields(ifc.t[rows]).T
+            fi.writelines(_lines([t, b",", ifc.c_at_0[rows], b",",
+                                  ifc.c1_at_0[rows], b",", ifc.c1_at_1[rows],
+                                  b"\r\n"]))
+            if mon.t is not ifc.t:
+                t = _fields(mon.t[rows]).T
+            fm.writelines(_lines([t, b",", mon.mass[rows], b",",
+                                  mon.energy[rows], b",",
+                                  mon.balance_residual[rows], b"\r\n"]))
 
     return [snap_path, ifc_path, mon_path]
 
@@ -235,10 +270,53 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _hundredths(v: np.ndarray):
+    """For the float64 array v: d, each value times 100 rounded to an
+    integer as '%.2f' rounds it, and whether that rounding was decided.
+    For v in [0, 1e6), the product 100 v is off by under 1e-8, so its
+    fraction decides the rounding unless it lies within 1e-6 of 1/2.  Such
+    values, values of 1e6 and more, nan, and values with the sign bit set
+    (-0.0 prints -0.00) are not decided."""
+    fast = ~np.signbit(v) & (v < 1e6)
+    s = 100 * np.where(fast, v, 0.0)
+    whole = np.floor(s)
+    frac = s - whole
+    d = whole.astype(np.int32) + (frac > 0.5)
+    return d, fast & (np.abs(frac - 0.5) >= 1e-6)
+
+
+def _decimals(v: np.ndarray) -> np.ndarray:
+    """The bytes of '%.2f' % x for each x of the float64 array v, as the
+    rows of a (len(v), width) array padded with zero bytes.  The digits
+    are computed in numpy from _hundredths, as _fields computes a
+    record's; a value whose rounding it leaves undecided is printed by
+    '%' alone."""
+    d, ok = _hundredths(v)
+    slow = np.flatnonzero(~ok)
+    texts = [b"%.2f" % x for x in v[slow].tolist()]
+    # up to seven digits of the whole part, the point and two decimals
+    width = max([10, *map(len, texts)])
+    f = np.zeros((len(v), width), np.uint8)
+    whole, cents = np.divmod(d, 100)
+    f[:, -2], f[:, -1] = np.divmod(cents, 10)
+    f[:, -2:] += ord("0")
+    f[:, -3] = ord(".")
+    for k in range(7):
+        # the ones digit is kept, leading zeros are dropped
+        higher, digit = np.divmod(whole, 10)
+        f[:, -4 - k] = np.where((whole > 0) | (k == 0), digit + ord("0"), 0)
+        whole = higher
+    for i, text in zip(slow.tolist(), texts):
+        f[i] = 0
+        f[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return f
+
+
 def _points(px: np.ndarray, py: np.ndarray) -> str:
     """The polyline's "x,y x,y ..." at two decimals: the bytes of
-    f"{x:.2f},{y:.2f}" per point, formatted in one pass."""
-    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+    "%.2f,%.2f" % (x, y) per point."""
+    text = b"".join(_lines([_decimals(px), b",", _decimals(py), b" "]))
+    return text[:-1].decode()
 
 
 def emit_svg_plot(series, path, *, title: str = "", x_label: str = "t",

@@ -24,6 +24,10 @@ solution in time.
 The record CSV oracle prints a record's three files value by value with
 '%.16e', the per-row form of the numpy formatter ``stentsim.output``
 writes them with.
+
+The chart point oracle prints a polyline's points one by one with
+'%.2f,%.2f', the one-line form the numpy point formatter of
+``stentsim.output`` replaced.
 """
 
 import math
@@ -301,3 +305,8 @@ def record_csv_oracle(rec):
         "monitors.csv": table("t,mass,energy,mass_balance_residual", mon.t,
                               mon.mass, mon.energy, mon.balance_residual),
     }
+
+
+def points_oracle(px, py):
+    """A polyline's "x,y x,y ..." with each point printed by '%.2f,%.2f'."""
+    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))

@@ -972,6 +972,26 @@ def test_plot_refuses_out_the_locale_cannot_encode(tmp_path):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["simulate", "plot"])
+def test_config_and_input_the_locale_cannot_encode_are_refused(tmp_path,
+                                                               command):
+    # so are a --config and a plot --input, whose open raised
+    # UnicodeEncodeError: exit 1, an error line naming the path as the
+    # C locale prints it, and no chart
+    name = f"{tmp_path}/café"
+    argv, refused = {
+        "simulate": (["simulate", "--config", f"{name}.yaml"],
+                     f"config {tmp_path}/caf\\xe9.yaml"),
+        "plot": (["plot", "--input", f"{name}.csv", "--field", "x", "--out",
+                  f"{tmp_path}/g.svg"], f"--input: {tmp_path}/caf\\xe9.csv"),
+    }[command]
+    proc = run_in_c_locale(argv)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {refused} cannot be named in the file "
+                           f"system's encoding (ascii)\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_plot_reads_rows_after_a_blank_line(tmp_path, capsys):
     # a blank line before the data rows is skipped, as one between them
     # is; the input was refused for "no data rows" when its second line

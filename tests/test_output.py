@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from decimal import Decimal
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from stentsim import ValidationError, paper_params
+from stentsim import ValidationError, output, paper_params
 from stentsim.fem import build_operators
-from stentsim.output import (_digits, _lines, _points, emit_svg_plot,
-                             write_record_csv)
+from stentsim.output import (_digits, _hundredths, _lines, _points,
+                             emit_svg_plot, write_record_csv)
 from stentsim.stepping import SchemeConfig, run_simulation, sharp_dt_limit
 
 P = paper_params()
@@ -164,6 +165,51 @@ def test_multirate_every_step_files_match_oracle(tmp_path):
         assert path.read_bytes() == want[path.name]
 
 
+def interface_t_holds_negative_zero(rec):
+    # the interface's own t array, equal to the monitors' but for -0.0
+    t = rec.interface.t.copy()
+    t[0] = -0.0
+    return dataclasses.replace(
+        rec, interface=dataclasses.replace(rec.interface, t=t))
+
+
+RECORD_CASES = {
+    "no-snapshots": lambda rec: dataclasses.replace(rec, snapshots=[]),
+    "one-snapshot": lambda rec: dataclasses.replace(
+        rec, snapshots=rec.snapshots[1:2]),
+    "out-of-order": lambda rec: dataclasses.replace(
+        rec, snapshots=[rec.snapshots[i] for i in (1, 2, 0)]),
+    "distinct-t": interface_t_holds_negative_zero,
+}
+
+
+@pytest.mark.parametrize("case", RECORD_CASES)
+def test_record_files_match_oracle(record, case, tmp_path):
+    rec = RECORD_CASES[case](record)
+    want = oracles.record_csv_oracle(rec)
+    for path in write_record_csv(rec, tmp_path):
+        assert path.read_bytes() == want[path.name]
+    if case == "no-snapshots":
+        assert want["snapshots.csv"] == b"t,domain,x,field,value\r\n"
+    if case == "distinct-t":
+        assert want["interface.csv"] != want["monitors.csv"]
+
+
+@pytest.mark.parametrize("block", [1, 5, 17, 40])
+def test_record_files_match_oracle_in_small_blocks(record, block, tmp_path,
+                                                   monkeypatch):
+    # a snapshot has 7 stent and 2 * 5 media rows: blocks of 5 end inside
+    # one, of 17 at its end and of 40 after two; the 31 rows of the series
+    # split in blocks too.  The snapshots come out of time order and the
+    # interface has its own t
+    monkeypatch.setattr(output, "_BLOCK", block)
+    rec = interface_t_holds_negative_zero(dataclasses.replace(
+        record, snapshots=record.snapshots[::-1]))
+    want = oracles.record_csv_oracle(rec)
+    for path in write_record_csv(rec, tmp_path):
+        assert path.read_bytes() == want[path.name]
+
+
 # ------------------------------------------------ the '%.16e' formatter
 
 
@@ -285,6 +331,83 @@ def test_svg_polyline_matches_per_point_formula(tmp_path):
            for part in path.read_text().split('points="')[1:]]
     assert got == want
     assert np.count_nonzero((ml + pw * t) * 8 % 2 == 1) == 64  # the ties
+
+
+# ------------------------------------------------- the '%.2f' formatter
+
+
+def assert_points_match_percent(x):
+    """_points on the values of x, as x and as y coordinates, gives the
+    bytes of '%.2f,%.2f' per point."""
+    x = np.asarray(x, dtype=float)
+    for px, py in ((x, x[::-1]), (x[::-1], x)):
+        assert _points(px, py) == oracles.points_oracle(px, py)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0, 1000, exclude_max=True), min_size=1,
+                max_size=64))
+def test_points_match_percent_on_any_float_below_1000(values):
+    assert_points_match_percent(values)
+
+
+def test_points_fall_back_on_exact_ties():
+    # k/8 times 100 is a multiple of 12.5: every odd k is an exact tie,
+    # which '%' rounds half to even
+    x = np.arange(8 * 1000) / 8
+    _, decided = _hundredths(x)
+    assert not decided[1::2].any()
+    assert_points_match_percent(x)
+
+
+def test_points_match_percent_near_ties():
+    # 2.675 and 1.005 are just below their ties and print 2.67 and 1.00;
+    # the fractions of 100 v within 1e-6 of 1/2 fall back to '%', and
+    # those 2e-6 off it are decided in numpy
+    near = np.array([2.675, 1.005, 0.125, 1.015, 999999.985])
+    k = np.arange(100_000) + 0.5
+    x = np.concatenate([near, k / 100, (k + 2e-6) / 100, (k - 2e-6) / 100])
+    _, decided = _hundredths(x)
+    assert decided.any() and not decided.all()
+    assert_points_match_percent(x)
+
+
+def test_points_match_percent_on_zeros_and_negatives():
+    x = [0.0, -0.0, -5e-324, -1e-300, -0.001, -0.0049, -0.004999, -0.005,
+         -0.0051, 5e-324, 0.001, 0.0049, 0.005]
+    assert_points_match_percent(x)
+    assert _points(np.array([-0.001]), np.array([-0.0])) == "-0.00,-0.00"
+
+
+def test_points_match_percent_from_1e6_up():
+    x = [1e6, np.nextafter(1e6, 0), 999999.995, 999999.994, 1e6 + 0.125,
+         123456789.125, 1e20, np.finfo(float).max]
+    _, decided = _hundredths(np.array(x))
+    assert decided.tolist() == [False, True, False, True] + [False] * 4
+    assert_points_match_percent(x)
+
+
+def test_points_match_percent_where_only_some_fall_back():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(0, 640, 5000), np.arange(40) / 8,
+                        [-0.0, -0.001, 2.675, 1e7, 1e20]])
+    x = x[rng.permutation(len(x))]
+    _, decided = _hundredths(x)
+    assert 0 < np.count_nonzero(~decided) < 100
+    assert_points_match_percent(x)
+
+
+def test_long_chart_matches_one_line_formatter(tmp_path, monkeypatch):
+    # a chart of 33 000 points, as long as the release run's interface
+    # chart, is the chart the one-line '%.2f,%.2f' formatter gave
+    t = np.arange(33_000) / 1024
+    series = [("c1", t[:22_000], 1.0 - np.exp(-t[:22_000] / 7.0)),
+              ("c2", t[::3], np.sin(t[::3]) * t[::3])]
+    new = emit_svg_plot(series, tmp_path / "new.svg").read_bytes()
+    monkeypatch.setattr(output, "_points", oracles.points_oracle)
+    old = emit_svg_plot(series, tmp_path / "old.svg").read_bytes()
+    assert new == old
+    assert new.count(b",") == 33_000  # a comma per point
 
 
 def test_svg_empty_series_rejected(tmp_path):
